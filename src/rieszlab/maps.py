@@ -78,20 +78,21 @@ class TaylorPoly:
     def shifted_constant(self, c: complex) -> "TaylorPoly":
         return TaylorPoly((self.coeffs[0] + c,) + self.coeffs[1:])
 
-    def boundary_values(self, n: int, r: float = 1.0) -> np.ndarray:
+    def boundary_values(self, n: int, r: float | np.ndarray = 1.0) -> np.ndarray:
         """Values at the n uniform circle nodes r*exp(2*pi*i*j/n), via FFT.
 
+        A scalar r gives shape (n,); a 1-D array of k radii gives shape (k, n),
+        one row per radius, from a single transform along the last axis.
         Requires n > degree so that no aliasing folds coefficients together.
         """
         if n <= self.degree:
             raise ValueError(f"n={n} must exceed the polynomial degree {self.degree}")
-        padded = np.zeros(n, dtype=complex)
         c = np.asarray(self.coeffs, dtype=complex)
-        if r != 1.0:
-            c = c * (float(r) ** np.arange(len(c)))
-        padded[: len(c)] = c
-        # f(e^{i t_j}) = sum_k a_k e^{i k t_j} is n * ifft of the padded coefficients
-        return np.fft.ifft(padded) * n
+        if isinstance(r, np.ndarray) or r != 1.0:
+            c = c * (np.asarray(r, dtype=float)[..., None] ** np.arange(len(c)))
+        # f(e^{i t_j}) = sum_k a_k e^{i k t_j} is n * ifft of the coefficients
+        # zero-padded to length n
+        return np.fft.ifft(c, n, axis=-1) * n
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ class HarmonicMap:
         """c*f = (c*g) + conj(conj(c)*h)."""
         return HarmonicMap(self.g.scaled(c), self.h.scaled(complex(c).conjugate()))
 
-    def boundary_values(self, n: int, r: float = 1.0) -> np.ndarray:
+    def boundary_values(self, n: int, r: float | np.ndarray = 1.0) -> np.ndarray:
         return self.g.boundary_values(n, r) + np.conj(self.h.boundary_values(n, r))
 
 

@@ -1,10 +1,15 @@
 """Spectrally accurate quadrature for Hardy, Bergman and mixed norms.
 
 Circle averages use the uniform trapezoid rule with respect to the probability
-measure on the unit circle (exact for trigonometric polynomials of degree
-below the node count).  Disk integrals use the normalized area measure
+measure on the unit circle.  Disk integrals use the normalized area measure
 dxdy/pi in polar form, int_0^1 2r * (circle average at radius r) dr, with
-Gauss-Legendre nodes in r (exact for the polynomial test class).
+Gauss-Legendre nodes in r; all radii of a disk rule are evaluated in one
+batched transform per polynomial factor.  For a polynomial map, |f|^p is a
+trigonometric (and radial) polynomial only at even integer p, and the rules
+are exact there once the node counts exceed its degree (auto_spec).  At other
+p, |f|^p is not smooth at the zeros of f, and wherever f has zeros the rules
+converge only algebraically in the node count (Trefethen & Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Review 2014).
 
 Boundary traces of the Calderon extremal family behave like t^(-a) near t = 0
 with a = 2*gamma*p/pi < 1; a shrinking-arc exclusion cannot converge there
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -57,16 +62,14 @@ class QuadratureConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and offsets for the circle/disk rules.
+    """Node counts for the circle/disk rules.
 
-    n_angle uniform circle nodes, n_radial Gauss-Legendre nodes on [0, 1].
-    boundary_epsilon is the offset 1 - eps used when a boundary integrand is
-    singular on the circle itself; adaptive_depth caps panel refinement.
+    n_angle uniform circle nodes, n_radial Gauss-Legendre nodes on [0, 1];
+    adaptive_depth caps panel refinement.
     """
 
     n_angle: int = 256
     n_radial: int = 64
-    boundary_epsilon: float = 0.0
     adaptive_depth: int = 14
 
     def __post_init__(self):
@@ -74,8 +77,6 @@ class QuadratureSpec:
             raise ValueError("n_angle must be >= 4")
         if self.n_radial < 1:
             raise ValueError("n_radial must be >= 1")
-        if not 0.0 <= self.boundary_epsilon <= 1e-2:
-            raise ValueError("boundary_epsilon must lie in [0, 1e-2]")
         if self.adaptive_depth < 1:
             raise ValueError("adaptive_depth must be >= 1")
 
@@ -124,16 +125,42 @@ def _gl01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _disk_mean(ring_values: Callable[[float], np.ndarray], spec: QuadratureSpec) -> float:
-    """int_U F dxdy/pi = int_0^1 2r * (circle mean of F at radius r) dr."""
+def _disk_mean(ring_values: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec) -> float:
+    """int_U F dxdy/pi = int_0^1 2r * (circle mean of F at radius r) dr.
+
+    ring_values is called once with all n_radial Gauss-Legendre radii and
+    returns one row of F per radius.  The weighted ring means are summed left
+    to right (cumsum, not a pairwise or compensated sum), so the result is
+    bit-identical to accumulating one radius at a time.  For F = |f|^p the
+    rule is exact only at even integer p; at other p it converges
+    algebraically wherever f has zeros (see the module docstring).
+    """
     nodes, weights = _gl01(spec.n_radial)
-    total = 0.0
-    for r, w in zip(nodes, weights):
-        total += w * 2.0 * r * float(np.mean(ring_values(r)))
-    return total
+    means = np.mean(ring_values(nodes), axis=-1)
+    return float(np.cumsum(weights * 2.0 * nodes * means)[-1])
 
 
 # ----------------------------- polynomial norms -----------------------------
+#
+# Each circle/disk pair shares one ring integrand, a function of the radius
+# (circle rule) or of the array of Gauss-Legendre radii (disk rule).
+
+
+def _modulus_ring(m: HarmonicMap, p: float, n: int, r) -> np.ndarray:
+    return np.abs(m.boundary_values(n, r)) ** p
+
+
+def _pair_ring(a: TaylorPoly, b: TaylorPoly, p: float, n: int, r) -> np.ndarray:
+    s = np.abs(a.boundary_values(n, r)) ** 2 + np.abs(b.boundary_values(n, r)) ** 2
+    return s**p
+
+
+def _product_ring(
+    g: TaylorPoly, h: TaylorPoly, p: float, real_part: bool, n: int, r
+) -> np.ndarray:
+    prod = 2.0 * g.boundary_values(n, r) * h.boundary_values(n, r)
+    base = np.abs(prod.real) if real_part else np.abs(prod)
+    return base**p
 
 
 def circle_power_mean(
@@ -142,7 +169,7 @@ def circle_power_mean(
     """int_T |f(r z)|^p dsigma(z); accepts any p > 0."""
     p = _require_positive_p(p)
     spec = _spec_for(m, p, spec)
-    return float(np.mean(np.abs(m.boundary_values(spec.n_angle, r)) ** p))
+    return float(np.mean(_modulus_ring(m, p, spec.n_angle, r)))
 
 
 def disk_power_mean(
@@ -151,9 +178,7 @@ def disk_power_mean(
     """int_U |f|^p dxdy/pi; accepts any p > 0."""
     p = _require_positive_p(p)
     spec = _spec_for(m, p, spec)
-    return _disk_mean(
-        lambda r: np.abs(m.boundary_values(spec.n_angle, r)) ** p, spec
-    )
+    return _disk_mean(partial(_modulus_ring, m, p, spec.n_angle), spec)
 
 
 def pair_circle_power_mean(
@@ -167,11 +192,7 @@ def pair_circle_power_mean(
     p = _require_positive_p(p)
     if spec is None:
         spec = auto_spec(max(a.degree, b.degree), 2.0 * p)
-    s = (
-        np.abs(a.boundary_values(spec.n_angle, r)) ** 2
-        + np.abs(b.boundary_values(spec.n_angle, r)) ** 2
-    )
-    return float(np.mean(s**p))
+    return float(np.mean(_pair_ring(a, b, p, spec.n_angle, r)))
 
 
 def pair_disk_power_mean(
@@ -181,15 +202,7 @@ def pair_disk_power_mean(
     p = _require_positive_p(p)
     if spec is None:
         spec = auto_spec(max(a.degree, b.degree), 2.0 * p)
-
-    def ring(r: float) -> np.ndarray:
-        s = (
-            np.abs(a.boundary_values(spec.n_angle, r)) ** 2
-            + np.abs(b.boundary_values(spec.n_angle, r)) ** 2
-        )
-        return s**p
-
-    return _disk_mean(ring, spec)
+    return _disk_mean(partial(_pair_ring, a, b, p, spec.n_angle), spec)
 
 
 def product_circle_power_mean(
@@ -204,9 +217,7 @@ def product_circle_power_mean(
     p = _require_positive_p(p)
     if spec is None:
         spec = auto_spec(max(g.degree, h.degree), 2.0 * p)
-    prod = 2.0 * g.boundary_values(spec.n_angle, r) * h.boundary_values(spec.n_angle, r)
-    base = np.abs(prod.real) if real_part else np.abs(prod)
-    return float(np.mean(base**p))
+    return float(np.mean(_product_ring(g, h, p, real_part, spec.n_angle, r)))
 
 
 def product_disk_power_mean(
@@ -220,13 +231,7 @@ def product_disk_power_mean(
     p = _require_positive_p(p)
     if spec is None:
         spec = auto_spec(max(g.degree, h.degree), 2.0 * p)
-
-    def ring(r: float) -> np.ndarray:
-        prod = 2.0 * g.boundary_values(spec.n_angle, r) * h.boundary_values(spec.n_angle, r)
-        base = np.abs(prod.real) if real_part else np.abs(prod)
-        return base**p
-
-    return _disk_mean(ring, spec)
+    return _disk_mean(partial(_product_ring, g, h, p, real_part, spec.n_angle), spec)
 
 
 def mp_radius(

@@ -89,6 +89,37 @@ def test_eval_agrees_with_series_on_circle_degree_64():
     assert np.max(np.abs(direct - trig)) < 1e-12
 
 
+def reference_boundary_values(poly, n, r):
+    """Independent scalar-radius ring evaluation, kept as a bit-for-bit reference."""
+    padded = np.zeros(n, dtype=complex)
+    c = np.asarray(poly.coeffs, dtype=complex)
+    if r != 1.0:
+        c = c * (float(r) ** np.arange(len(c)))
+    padded[: len(c)] = c
+    return np.fft.ifft(padded) * n
+
+
+def test_boundary_values_array_radius_rows_match_scalar_calls():
+    m = random_harmonic(8, 11)
+    radii = np.array([0.0, 0.25, 0.5, 0.9, 1.0])
+    for f in (m.g, m.h, m):
+        rows = f.boundary_values(64, radii)
+        assert rows.shape == (len(radii), 64)
+        for row, r in zip(rows, radii):
+            assert np.array_equal(row, f.boundary_values(64, float(r)))
+    for poly in (m.g, m.h):
+        for r in (1.0, 0.5, 0.0):
+            vals = poly.boundary_values(64, r)
+            assert vals.shape == (64,)
+            assert np.array_equal(vals, reference_boundary_values(poly, 64, r))
+        assert poly.boundary_values(64).shape == (64,)
+    assert m.boundary_values(64, 0.5).shape == (64,)
+    with pytest.raises(ValueError):
+        m.g.boundary_values(8, radii)
+    with pytest.raises(ValueError):
+        m.boundary_values(8, radii)
+
+
 def test_trailing_zeros_normalizable():
     poly = TaylorPoly([1.0, 2.0, 0.0, 0.0])
     assert poly.degree == 3

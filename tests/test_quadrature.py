@@ -6,16 +6,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszlab.maps import CalderonFamily, HarmonicMap, TaylorPoly, boundary_series, random_harmonic
+from rieszlab.maps import (
+    CalderonFamily,
+    Constraint,
+    HarmonicMap,
+    TaylorPoly,
+    boundary_series,
+    random_harmonic,
+)
 from rieszlab.quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
+    _gl01,
     bergman_norm,
     calderon_norm,
     calderon_power_mean,
     circle_power_mean,
+    disk_power_mean,
     hardy_norm,
     mp_radius,
+    pair_disk_power_mean,
+    product_disk_power_mean,
     triple_norm,
 )
 
@@ -95,6 +106,50 @@ def test_even_power_exactness_against_convolution_oracle(half_power):
         assert abs(quad - exact) < 1e-12 * max(1.0, exact)
 
 
+def loop_disk_mean(ring, spec):
+    """Reference disk rule: one scalar-radius ring per Gauss-Legendre node."""
+    nodes, weights = _gl01(spec.n_radial)
+    total = 0.0
+    for r, w in zip(nodes, weights):
+        total += w * 2.0 * r * float(np.mean(ring(r)))
+    return total
+
+
+def loop_product_ring(m, p, real_part, n):
+    def ring(r):
+        prod = 2.0 * m.g.boundary_values(n, r) * m.h.boundary_values(n, r)
+        return (np.abs(prod.real) if real_part else np.abs(prod)) ** p
+
+    return ring
+
+
+@pytest.mark.parametrize("n_radial", [64, 128])
+@pytest.mark.parametrize("p", [1.25, 2.0, 6.0])
+def test_batched_disk_rule_is_bit_identical_to_radius_loop(p, n_radial):
+    # p = 2 with RE_ZERO maps is an equality case of the Bergman theorems, where
+    # roundoff decides the reported argmin, so equality here is exact, not approx
+    spec = QuadratureSpec(n_angle=256, n_radial=n_radial)
+    n = spec.n_angle
+    for seed in (0, 1, 7, 42):
+        for constraint in (Constraint.NONE, Constraint.RE_ZERO):
+            m = random_harmonic(8, seed, constraint)
+            assert disk_power_mean(m, p, spec) == loop_disk_mean(
+                lambda r: np.abs(m.boundary_values(n, r)) ** p, spec
+            )
+            assert pair_disk_power_mean(m.g, m.h, p, spec) == loop_disk_mean(
+                lambda r: (
+                    np.abs(m.g.boundary_values(n, r)) ** 2
+                    + np.abs(m.h.boundary_values(n, r)) ** 2
+                )
+                ** p,
+                spec,
+            )
+            for real_part in (False, True):
+                assert product_disk_power_mean(
+                    m.g, m.h, p, real_part, spec
+                ) == loop_disk_mean(loop_product_ring(m, p, real_part, n), spec)
+
+
 def test_bergman_radial_resolution_consistency():
     m = random_harmonic(8, 5)
     a = bergman_norm(m, 4.0, QuadratureSpec(n_angle=256, n_radial=64))
@@ -145,8 +200,6 @@ def test_p_validation():
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(n_angle=2)
-    with pytest.raises(ValueError):
-        QuadratureSpec(boundary_epsilon=0.5)
     with pytest.raises(ValueError):
         QuadratureSpec(adaptive_depth=0)
     m = random_harmonic(64, 4)
