@@ -9,7 +9,6 @@ fixed seed reproduces every report byte for byte (elapsed fields aside).
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -17,11 +16,13 @@ from .constants import SharpConstant as SC, conjugate_exponent_bar, sharp_consta
 from .gridlab import (
     InequalityId,
     Minorant,
+    cell_diagonal,
     check_pluri_lines,
     check_submean,
     default_p_values,
     equality_loci,
     locate_equality,
+    slack_function,
     stated_equality_loci,
     verify_pointwise,
 )
@@ -34,8 +35,14 @@ from .maps import (
     random_harmonic,
 )
 from .quadrature import circle_power_mean, disk_power_mean, hardy_norm, triple_norm
-from .reporting import GridSpec, VerificationReport
-from .theorems import TheoremId, isoperimetric_chain, sharpness_probe, verify_theorem
+from .reporting import GridSpec, SlackAccumulator, VerificationReport
+from .theorems import (
+    TheoremId,
+    _sample_report,
+    isoperimetric_chain,
+    sharpness_probe,
+    verify_theorem,
+)
 
 __all__ = [
     "constant_identity_report",
@@ -76,20 +83,12 @@ LOCUS_CASES = (
 )
 
 
-def _timed(report: VerificationReport, start: float) -> VerificationReport:
-    report.elapsed_ms = (time.perf_counter() - start) * 1e3
-    return report
-
-
 def constant_identity_report(
     n_points: int = 70, lo: float = 1.1, hi: float = 8.0, tol: float = 1e-12
 ) -> VerificationReport:
     """A_p B_p = cot(pi/(2 pbar)), sqrt(2) A_p = csc(pi/(2 pbar)), and the
     duality symmetry of the conjugation norm, across the exponent range."""
-    start = time.perf_counter()
-    worst = 0.0
-    argmin = None
-    violations: list = []
+    acc = SlackAccumulator(-0.0)  # error-style: min_slack is minus the largest error
     for p in np.linspace(lo, hi, n_points):
         p = float(p)
         pbar = conjugate_exponent_bar(p)
@@ -104,21 +103,13 @@ def constant_identity_report(
             ),
         }
         for name, err in errs.items():
-            if err > worst:
-                worst = err
-                argmin = (p, name)
-            if err > tol and len(violations) < 100:
-                violations.append(((p, name), -err))
-    report = VerificationReport(
+            acc.add((p, name), -err, err > tol)
+    return acc.report(
         id="CONSTANT_IDENTITIES",
         p=None,
-        min_slack=-worst,
-        argmin=argmin,
         grid={"n_points": n_points, "range": [lo, hi]},
-        violations=violations,
         tolerance=tol,
     )
-    return _timed(report, start)
 
 
 def parseval_bridge_report(
@@ -126,32 +117,21 @@ def parseval_bridge_report(
 ) -> VerificationReport:
     """||f||_2^2 = |||f|||_2^2 + 2 Re(g(0) h(0)), and equality of the two
     norms for the RE_ZERO class."""
-    start = time.perf_counter()
-    worst = 0.0
-    argmin = None
-    violations: list = []
+    acc = SlackAccumulator(-0.0)
     for k in range(samples):
         m = random_harmonic(degree, seed + k, Constraint.NONE)
         cross = 2.0 * (m.g.coeffs[0] * m.h.coeffs[0]).real
         err = abs(hardy_norm(m, 2.0) ** 2 - triple_norm(m, 2.0) ** 2 - cross)
         mz = random_harmonic(degree, seed + samples + k, Constraint.RE_ZERO)
         err = max(err, abs(hardy_norm(mz, 2.0) - triple_norm(mz, 2.0)))
-        if err > worst:
-            worst = err
-            argmin = (seed + k,)
-        if err > tol and len(violations) < 100:
-            violations.append(((seed + k,), -err))
-    report = VerificationReport(
+        acc.add((seed + k,), -err, err > tol)
+    return acc.report(
         id="PARSEVAL_BRIDGE",
         p=2.0,
-        min_slack=-worst,
-        argmin=argmin,
         grid={"samples": samples, "degree": degree},
-        violations=violations,
         seed=seed,
         tolerance=tol,
     )
-    return _timed(report, start)
 
 
 def _random_series(
@@ -174,36 +154,29 @@ def _random_series(
 
 
 def hilbert_multiplier_report(n_series: int = 50, seed: int = 23) -> VerificationReport:
-    """H[cos] = sin exactly on coefficients and H^2 = -Id under sign(0) = 1."""
-    start = time.perf_counter()
+    """H[cos] = sin exactly on coefficients and H^2 = -Id under sign(0) = 1.
+
+    Any nonzero involution error is a violation.  The cosine error seeds the
+    minimum but is not itself flagged."""
     cos_series = FourierSeries({-1: 0.5, 1: 0.5})
     sin_series = FourierSeries({-1: 0.5j, 1: -0.5j})
-    worst = max(
+    cos_err = max(
         abs(periodic_hilbert(cos_series).coeffs[k] - sin_series.coeffs[k])
         for k in (-1, 1)
     )
-    argmin = ("cos",)
-    violations: list = []
+    acc = SlackAccumulator(-cos_err, ("cos",))
     for k in range(n_series):
         s = _random_series(16, seed + k)
         twice = periodic_hilbert(periodic_hilbert(s))
         err = max(abs(twice.coeffs[j] + s.coeffs[j]) for j in s.coeffs)
-        if err > worst:
-            worst = err
-            argmin = (seed + k,)
-        if err > 0.0 and len(violations) < 100:
-            violations.append(((seed + k,), -err))
-    report = VerificationReport(
+        acc.add((seed + k,), -err, err > 0.0)
+    return acc.report(
         id="HILBERT_MULTIPLIER",
         p=None,
-        min_slack=-worst,
-        argmin=argmin,
         grid={"n_series": n_series},
-        violations=violations,
         seed=seed,
         tolerance=1e-15,
     )
-    return _timed(report, start)
 
 
 def hilbert_singular_report(
@@ -214,32 +187,21 @@ def hilbert_singular_report(
     tol: float = 1e-6,
 ) -> VerificationReport:
     """Truncated singular integral vs multiplier form on zero-mean traces."""
-    start = time.perf_counter()
-    worst = 0.0
-    argmin = None
-    violations: list = []
+    acc = SlackAccumulator(-0.0)
     taus = (0.3, 2.2)
     for k in range(n_series):
         s = _random_series(degree, seed + k, zero_mean=True, derivative_scale=0.25)
         hs = periodic_hilbert(s)
         for tau in taus:
             err = abs(singular_hilbert_at(s, tau, epsilon) - hs(tau))
-            if err > worst:
-                worst = err
-                argmin = (seed + k, tau)
-            if err > tol and len(violations) < 100:
-                violations.append(((seed + k, tau), -err))
-    report = VerificationReport(
+            acc.add((seed + k, tau), -err, err > tol)
+    return acc.report(
         id="HILBERT_SINGULAR",
         p=None,
-        min_slack=-worst,
-        argmin=argmin,
         grid={"n_series": n_series, "degree": degree, "epsilon": epsilon},
-        violations=violations,
         seed=seed,
         tolerance=tol,
     )
-    return _timed(report, start)
 
 
 def conjugate_bound_reports(
@@ -255,50 +217,27 @@ def calderon_probe_report(
     p: float = 1.5, fraction: float = 0.995, floor: float = 0.9 * math.sqrt(3.0)
 ) -> VerificationReport:
     """The conjugate-ratio probe must clear the stated floor."""
-    start = time.perf_counter()
+    acc = SlackAccumulator()
     ratio = sharpness_probe(TheoremId.CONJUGATE_NORM, p, [fraction])[0]
     slack = ratio - floor
-    report = VerificationReport(
-        id="CALDERON_PROBE",
-        p=p,
-        min_slack=slack,
-        argmin=(fraction,),
-        ratio_max=ratio,
-        constant=floor,
-        violations=[((fraction,), slack)] if slack < 0 else [],
-        tolerance=1e-12,
-    )
-    return _timed(report, start)
+    acc.add((fraction,), slack, slack < 0)
+    return acc.report(id="CALDERON_PROBE", p=p, ratio_max=ratio, constant=floor, tolerance=1e-12)
 
 
 def calderon_monotone_report(
     p: float = 1.5, fractions: tuple = (0.5, 0.9, 0.99)
 ) -> VerificationReport:
-    """Probe ratios must increase with gamma, for all three probe tags."""
-    start = time.perf_counter()
-    worst = math.inf
-    argmin = None
-    violations: list = []
+    """Probe ratios must increase with gamma, for all three probe tags; a
+    gap <= 0 is a violation."""
+    acc = SlackAccumulator()
     for tag in (TheoremId.CONJUGATE_NORM, TheoremId.ANALYTIC_BY_RE, TheoremId.IM_BY_ANALYTIC):
         ratios = sharpness_probe(tag, p, fractions)
         for (f0, r0), (f1, r1) in zip(
             zip(fractions, ratios), zip(fractions[1:], ratios[1:])
         ):
             gap = r1 - r0
-            if gap < worst:
-                worst = gap
-                argmin = (tag.value, f0, f1)
-            if gap <= 0 and len(violations) < 100:
-                violations.append(((tag.value, f0, f1), gap))
-    report = VerificationReport(
-        id="CALDERON_MONOTONE",
-        p=p,
-        min_slack=worst,
-        argmin=argmin,
-        violations=violations,
-        tolerance=1e-12,
-    )
-    return _timed(report, start)
+            acc.add((tag.value, f0, f1), gap, gap <= 0)
+    return acc.report(id="CALDERON_MONOTONE", p=p, tolerance=1e-12)
 
 
 def lemma_grid_reports(grid: GridSpec | None = None) -> list[VerificationReport]:
@@ -309,20 +248,6 @@ def lemma_grid_reports(grid: GridSpec | None = None) -> list[VerificationReport]
         for p in default_p_values(tag):
             out.append(verify_pointwise(tag, p, grid))
     return out
-
-
-def _cell_diag(tag: InequalityId, grid: GridSpec) -> float:
-    from .gridlab import _REGISTRY  # local import: registry details stay private
-
-    info = _REGISTRY[tag]
-    if info.arity == 1:
-        lo, hi = info.t_range
-        return (hi - lo) / (grid.t_nodes - 1)
-    r_lo, r_hi = info.r_range
-    t_lo, t_hi = info.t_range
-    dr = (r_hi - r_lo) / (grid.r_nodes - 1)
-    dt = (t_hi - t_lo) / (grid.t_nodes - 1)
-    return math.hypot(dr, dt)
 
 
 def _locus_distance(point: tuple, loci: list) -> float:
@@ -338,25 +263,23 @@ def equality_location_reports(grid: GridSpec | None = None) -> list[Verification
     grid = grid or GridSpec()
     out = []
     for tag, p in LOCUS_CASES:
-        start = time.perf_counter()
+        acc = SlackAccumulator()
         point, slack = locate_equality(tag, p)
         dist = _locus_distance(point, equality_loci(tag, p))
-        cell = _cell_diag(tag, grid)
-        violations: list = []
+        cell = cell_diagonal(tag, grid)
+        acc.add(point, min(1e-7 - abs(slack), cell - dist))
         if abs(slack) > 1e-7:
-            violations.append((point, -abs(slack)))
+            acc.flag(point, -abs(slack))
         if dist > cell:
-            violations.append((point, cell - dist))
-        report = VerificationReport(
-            id=f"EQUALITY_LOCUS_{tag.value}",
-            p=p,
-            min_slack=min(1e-7 - abs(slack), cell - dist),
-            argmin=point,
-            grid={"cell": cell, "distance": dist},
-            violations=violations,
-            tolerance=1e-12,
+            acc.flag(point, cell - dist)
+        out.append(
+            acc.report(
+                id=f"EQUALITY_LOCUS_{tag.value}",
+                p=p,
+                grid={"cell": cell, "distance": dist},
+                tolerance=1e-12,
+            )
         )
-        out.append(_timed(report, start))
     return out
 
 
@@ -366,28 +289,14 @@ def stated_locus_reports() -> list[VerificationReport]:
     the slack there is strictly positive; the true locus is pi - pi/p."""
     out = []
     for tag, p in ((InequalityId.MIXED_BY_SUM_MID, 3.0), (InequalityId.MIXED_BY_SUM_HIGH, 6.0)):
-        start = time.perf_counter()
-        from .gridlab import _REGISTRY
-
-        slack_fn = _REGISTRY[tag].slack
-        worst = math.inf
-        argmin = None
+        acc = SlackAccumulator()
+        slack_fn = slack_function(tag)
+        # pass means: no stated point is an equality point
         for (r, t) in stated_equality_loci(tag, p):
-            s = float(slack_fn(p, np.asarray(r), np.asarray(t)))
-            if s < worst:
-                worst = s
-                argmin = (r, t)
-        # pass means: the stated point is *not* an equality point
-        slack = worst - 1e-6
-        report = VerificationReport(
-            id=f"STATED_LOCUS_FALSIFIED_{tag.value}",
-            p=p,
-            min_slack=slack,
-            argmin=argmin,
-            violations=[(argmin, slack)] if slack < 0 else [],
-            tolerance=1e-12,
-        )
-        out.append(_timed(report, start))
+            acc.add((r, t), float(slack_fn(p, np.asarray(r), np.asarray(t))) - 1e-6)
+        if acc.min_slack < 0:
+            acc.flag(acc.argmin, acc.min_slack)
+        out.append(acc.report(id=f"STATED_LOCUS_FALSIFIED_{tag.value}", p=p, tolerance=1e-12))
     return out
 
 
@@ -435,36 +344,14 @@ def theorem_reports(
 def _relaxed_mixed_report(
     p: float, samples: int, degree: int, seed: int
 ) -> VerificationReport:
-    start = time.perf_counter()
-    constant = sharp_constant(SC.A, p)
-    worst = math.inf
-    argmin = None
-    ratio_max = 0.0
-    violations: list = []
-    for k in range(samples):
-        m = random_harmonic(degree, seed + k, Constraint.RE_NONNEG)
-        lhs = triple_norm(m, p)
-        rhs = constant * hardy_norm(m, p)
-        slack = (rhs - lhs) / rhs
-        ratio_max = max(ratio_max, lhs / rhs)
-        if slack < worst:
-            worst = slack
-            argmin = (seed + k,)
-        if slack < -1e-9 and len(violations) < 100:
-            violations.append(((seed + k,), slack))
-    report = VerificationReport(
-        id="MIXED_BY_HARDY_RELAXED",
-        p=p,
-        min_slack=worst,
-        argmin=argmin,
-        grid={"samples": samples, "degree": degree},
-        violations=violations,
-        constant=constant,
-        ratio_max=ratio_max,
-        seed=seed,
-        tolerance=1e-9,
+    def sides(case_seed: int) -> tuple[float, float]:
+        m = random_harmonic(degree, case_seed, Constraint.RE_NONNEG)
+        return triple_norm(m, p), hardy_norm(m, p)
+
+    cases = [((seed + k,), seed + k) for k in range(samples)]
+    return _sample_report(
+        "MIXED_BY_HARDY_RELAXED", p, sharp_constant(SC.A, p), cases, sides, degree, seed, 1e-9
     )
-    return _timed(report, start)
 
 
 def isoperimetric_reports(
@@ -474,24 +361,18 @@ def isoperimetric_reports(
     # closed-form instance f = 1 + z: int_U |f|^2 = 3/2 <= (4/pi)^2.
     # |1 + e^{it}| has a corner at t = pi, so the boundary mean needs a dense
     # trapezoid rule to reproduce 4/pi to 1e-6
-    start = time.perf_counter()
     from .quadrature import QuadratureSpec
 
+    acc = SlackAccumulator()
     m = HarmonicMap(TaylorPoly([1.0, 1.0]), TaylorPoly([0.0]))
     lhs = disk_power_mean(m, 2.0)
     rhs = circle_power_mean(m, 1.0, 1.0, QuadratureSpec(n_angle=1 << 16)) ** 2
     err = max(abs(lhs - 1.5), abs(rhs - 16.0 / math.pi**2))
     slack = (rhs - lhs) / rhs
-    report = VerificationReport(
-        id="STREBEL_INSTANCE",
-        p=1.0,
-        min_slack=min(slack, 1e-6 - err),
-        argmin=("1+z",),
-        ratio_max=lhs / rhs,
-        violations=[] if slack > 0 and err < 1e-6 else [(("1+z",), slack)],
-        tolerance=1e-12,
-    )
-    out.append(_timed(report, start))
+    acc.add(("1+z",), min(slack, 1e-6 - err))
+    if not (slack > 0 and err < 1e-6):
+        acc.flag(("1+z",), slack)
+    out.append(acc.report(id="STREBEL_INSTANCE", p=1.0, ratio_max=lhs / rhs, tolerance=1e-12))
     out.append(verify_theorem(TheoremId.STREBEL, 1.0, samples, degree, seed))
     for p in (0.5, 1.0, 2.0):
         out.append(verify_theorem(TheoremId.PAIR_ISOPERIMETRIC, p, samples, degree, seed))
@@ -502,31 +383,20 @@ def isoperimetric_reports(
 
 
 def _chain_report(n: int, samples: int, degree: int, seed: int) -> VerificationReport:
-    start = time.perf_counter()
-    worst = math.inf
-    argmin = None
-    violations: list = []
+    acc = SlackAccumulator()
     for k in range(samples):
         m = random_harmonic(degree, seed + k, Constraint.NONE)
         chain = isoperimetric_chain(m, n)
         for (name_lo, lo), (name_hi, hi) in zip(chain, chain[1:]):
             gap = (hi - lo) / max(hi, 1e-300)
-            if gap < worst:
-                worst = gap
-                argmin = (seed + k, name_lo, name_hi)
-            if gap < -1e-9 and len(violations) < 100:
-                violations.append(((seed + k, name_lo, name_hi), gap))
-    report = VerificationReport(
+            acc.add((seed + k, name_lo, name_hi), gap, gap < -1e-9)
+    return acc.report(
         id="ISOPERIMETRIC_CHAIN",
         p=n,
-        min_slack=worst,
-        argmin=argmin,
         grid={"samples": samples, "degree": degree},
-        violations=violations,
         seed=seed,
         tolerance=1e-9,
     )
-    return _timed(report, start)
 
 
 def typo_adjudication_report() -> VerificationReport:
@@ -534,7 +404,7 @@ def typo_adjudication_report() -> VerificationReport:
     sin(pi/(2 pbar)) form of the imaginary-part bound and satisfies the
     cos(pi/(2 pbar)) form, pinning down which trigonometric variant is the
     actual constant."""
-    start = time.perf_counter()
+    acc = SlackAccumulator()
     p = 4.0
     g = TaylorPoly([0.0, 1.0])
     v_map = HarmonicMap(g.scaled(-0.5j), g.scaled(-0.5j))  # Im z
@@ -549,20 +419,17 @@ def typo_adjudication_report() -> VerificationReport:
     margin_violated = v_norm - sin_bound      # must be positive
     margin_satisfied = cos_bound - v_norm     # must be positive
     slack = min(margin_violated, margin_satisfied, 1e-10 - closed_form_err)
-    report = VerificationReport(
+    acc.add(("f=z",), slack, not slack > 0)
+    return acc.report(
         id="TYPO_ADJUDICATION",
         p=p,
-        min_slack=slack,
-        argmin=("f=z",),
         grid={
             "v_norm": v_norm,
             "sin_form_bound": sin_bound,
             "cos_form_bound": cos_bound,
         },
-        violations=[] if slack > 0 else [(("f=z",), slack)],
         tolerance=1e-12,
     )
-    return _timed(report, start)
 
 
 def full_suite(

@@ -149,8 +149,8 @@ def _cmd_verify_lemma(args, stream) -> int:
             f"error: unknown inequality id {args.id!r}; choose from "
             + ", ".join(t.value for t in InequalityId)
         )
-    grid = GridSpec(r_nodes=args.grid_r, t_nodes=args.grid_t, tolerance=args.tol)
     try:
+        grid = GridSpec(r_nodes=args.grid_r, t_nodes=args.grid_t, tolerance=args.tol)
         report = verify_pointwise(tag, args.p, grid)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
@@ -241,10 +241,13 @@ def _cmd_probe(args, stream) -> int:
 
 
 def _cmd_suite(args, stream) -> int:
-    grid = GridSpec(r_nodes=args.grid_r, t_nodes=args.grid_t)
-    reports = battery.full_suite(
-        seed=args.seed, grid=grid, samples=args.samples, degree=args.degree
-    )
+    try:
+        grid = GridSpec(r_nodes=args.grid_r, t_nodes=args.grid_t)
+        reports = battery.full_suite(
+            seed=args.seed, grid=grid, samples=args.samples, degree=args.degree
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     out = stream
     if args.output:
         out = open(args.output, "w", encoding="utf-8")

@@ -18,7 +18,6 @@ scalar tags are O(1) quantities and stay absolute.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -39,7 +38,7 @@ from .constants import (
     theta_lower_reflected,
     theta_upper,
 )
-from .reporting import GridSpec, VerificationReport
+from .reporting import MAX_VIOLATIONS, GridSpec, SlackAccumulator, VerificationReport
 
 __all__ = [
     "InequalityId",
@@ -47,6 +46,8 @@ __all__ = [
     "default_p_values",
     "equality_loci",
     "stated_equality_loci",
+    "slack_function",
+    "cell_diagonal",
     "verify_pointwise",
     "locate_equality",
     "unreduced_slack",
@@ -56,7 +57,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-_MAX_VIOLATIONS = 100
 
 
 class InequalityId(Enum):
@@ -374,6 +374,26 @@ def stated_equality_loci(tag: InequalityId, p: float) -> list:
     return info.stated_loci(p)
 
 
+def slack_function(tag: InequalityId) -> Callable:
+    """The tag's slack function: slack(p) for scalar tags, slack(p, x) for
+    one-variable tags, slack(p, r, t) for two-variable tags."""
+    return _REGISTRY[InequalityId(tag)].slack
+
+
+def cell_diagonal(tag: InequalityId, grid: GridSpec) -> float:
+    """Diagonal of one cell of the grid over the tag's default domain (the
+    cell width for one-variable tags)."""
+    info = _REGISTRY[InequalityId(tag)]
+    if info.arity == 1:
+        lo, hi = info.t_range
+        return (hi - lo) / (grid.t_nodes - 1)
+    r_lo, r_hi = info.r_range
+    t_lo, t_hi = info.t_range
+    dr = (r_hi - r_lo) / (grid.r_nodes - 1)
+    dt = (t_hi - t_lo) / (grid.t_nodes - 1)
+    return math.hypot(dr, dt)
+
+
 def _check_tag_p(tag: InequalityId, p: float) -> float:
     info = _REGISTRY[tag]
     ok_lo = p >= info.p_lo if info.lo_closed else p > info.p_lo
@@ -400,9 +420,9 @@ def _scan_2d(slack_fn, p, r_vals, t_vals, tol, chunk=64):
         if s[i, j] < min_slack:
             min_slack = float(s[i, j])
             argmin = (float(r_col[i, 0]), float(t_vals[j]))
-        if len(violations) < _MAX_VIOLATIONS:
+        if len(violations) < MAX_VIOLATIONS:
             bad = np.argwhere(s < -tol)
-            for bi, bj in bad[: _MAX_VIOLATIONS - len(violations)]:
+            for bi, bj in bad[: MAX_VIOLATIONS - len(violations)]:
                 violations.append(
                     ((float(r_col[bi, 0]), float(t_vals[bj])), float(s[bi, bj]))
                 )
@@ -413,7 +433,7 @@ def _scan_1d(slack_fn, p, x_vals, tol):
     s = slack_fn(p, x_vals)
     j = int(np.argmin(s))
     violations = [
-        ((float(x_vals[k]),), float(s[k])) for k in np.flatnonzero(s < -tol)[:_MAX_VIOLATIONS]
+        ((float(x_vals[k]),), float(s[k])) for k in np.flatnonzero(s < -tol)[:MAX_VIOLATIONS]
     ]
     return float(s[j]), (float(x_vals[j]),), violations
 
@@ -433,84 +453,53 @@ def verify_pointwise(
     info = _REGISTRY[tag]
     p = _check_tag_p(tag, p)
     grid = grid or GridSpec()
-    start = time.perf_counter()
+    acc = SlackAccumulator()
 
     if info.arity == 0:
         s = float(info.slack(p))
-        report = VerificationReport(
-            id=tag.value,
-            p=p,
-            min_slack=s,
-            argmin=(p,),
-            grid={"kind": "scalar"},
-            violations=[((p,), s)] if s < -grid.tolerance else [],
-            tolerance=grid.tolerance,
-        )
-        report.elapsed_ms = (time.perf_counter() - start) * 1e3
-        return report
+        acc.add((p,), s, s < -grid.tolerance)
+        return acc.report(id=tag.value, p=p, grid={"kind": "scalar"}, tolerance=grid.tolerance)
 
+    # the full-grid scan sets the minimum; the refinement pass can only lower it
     if info.arity == 1:
         lo, hi = grid.t_range or info.t_range
         x_vals = _axis(lo, hi, grid.t_nodes)
-        min_slack, argmin, violations = _scan_1d(info.slack, p, x_vals, grid.tolerance)
-        # refinement around the minimum
+        acc.min_slack, acc.argmin, acc.violations = _scan_1d(
+            info.slack, p, x_vals, grid.tolerance
+        )
         dx = (hi - lo) / (grid.t_nodes - 1)
         x_ref = np.linspace(
-            max(lo, argmin[0] - dx), min(hi, argmin[0] + dx), 2 * grid.refine_factor + 1
+            max(lo, acc.argmin[0] - dx), min(hi, acc.argmin[0] + dx), 2 * grid.refine_factor + 1
         )
-        m2, a2, v2 = _scan_1d(info.slack, p, x_ref, grid.tolerance)
-        if m2 < min_slack:
-            min_slack, argmin = m2, a2
-        violations.extend(v2[: _MAX_VIOLATIONS - len(violations)])
-        report = VerificationReport(
-            id=tag.value,
-            p=p,
-            min_slack=min_slack,
-            argmin=argmin,
-            grid={"t_nodes": grid.t_nodes, "t_range": [lo, hi]},
-            violations=violations,
-            tolerance=grid.tolerance,
+        refined = _scan_1d(info.slack, p, x_ref, grid.tolerance)
+        scan_grid = {"t_nodes": grid.t_nodes, "t_range": [lo, hi]}
+    else:
+        r_lo, r_hi = grid.r_range or info.r_range
+        t_lo, t_hi = grid.t_range or info.t_range
+        r_vals = _axis(r_lo, r_hi, grid.r_nodes, open_lo=(r_lo == 0.0))
+        t_vals = _axis(t_lo, t_hi, grid.t_nodes)
+        acc.min_slack, acc.argmin, acc.violations = _scan_2d(
+            info.slack, p, r_vals, t_vals, grid.tolerance
         )
-        report.elapsed_ms = (time.perf_counter() - start) * 1e3
-        return report
-
-    r_lo, r_hi = grid.r_range or info.r_range
-    t_lo, t_hi = grid.t_range or info.t_range
-    r_vals = _axis(r_lo, r_hi, grid.r_nodes, open_lo=(r_lo == 0.0))
-    t_vals = _axis(t_lo, t_hi, grid.t_nodes)
-    min_slack, argmin, violations = _scan_2d(
-        info.slack, p, r_vals, t_vals, grid.tolerance
-    )
-    dr = (r_vals[-1] - r_vals[0]) / (grid.r_nodes - 1)
-    dt = (t_hi - t_lo) / (grid.t_nodes - 1)
-    r_ref = np.linspace(
-        max(r_vals[0], argmin[0] - dr),
-        min(r_hi, argmin[0] + dr),
-        2 * grid.refine_factor + 1,
-    )
-    t_ref = np.linspace(
-        max(t_lo, argmin[1] - dt), min(t_hi, argmin[1] + dt), 2 * grid.refine_factor + 1
-    )
-    m2, a2, v2 = _scan_2d(info.slack, p, r_ref, t_ref, grid.tolerance)
-    if m2 < min_slack:
-        min_slack, argmin = m2, a2
-    violations.extend(v2[: _MAX_VIOLATIONS - len(violations)])
-    report = VerificationReport(
-        id=tag.value,
-        p=p,
-        min_slack=min_slack,
-        argmin=argmin,
-        grid={
+        r0, t0 = acc.argmin
+        dr = (r_vals[-1] - r_vals[0]) / (grid.r_nodes - 1)
+        dt = (t_hi - t_lo) / (grid.t_nodes - 1)
+        r_ref = np.linspace(
+            max(r_vals[0], r0 - dr), min(r_hi, r0 + dr), 2 * grid.refine_factor + 1
+        )
+        t_ref = np.linspace(max(t_lo, t0 - dt), min(t_hi, t0 + dt), 2 * grid.refine_factor + 1)
+        refined = _scan_2d(info.slack, p, r_ref, t_ref, grid.tolerance)
+        scan_grid = {
             "r_nodes": grid.r_nodes,
             "t_nodes": grid.t_nodes,
             "r_range": [float(r_vals[0]), float(r_hi)],
             "t_range": [t_lo, t_hi],
-        },
-        violations=violations,
-        tolerance=grid.tolerance,
-    )
-    report.elapsed_ms = (time.perf_counter() - start) * 1e3
-    return report
+        }
+    m2, a2, v2 = refined
+    acc.add(a2, m2)
+    for label, s in v2:
+        acc.flag(label, s)
+    return acc.report(id=tag.value, p=p, grid=scan_grid, tolerance=grid.tolerance)
 
 
 def locate_equality(tag: InequalityId, p: float) -> tuple[tuple, float]:
@@ -661,7 +650,7 @@ def check_submean(
         raise ValueError("angles must be >= 256")
     if centers < 1 or radii < 1:
         raise ValueError("centers and radii must be >= 1")
-    start = time.perf_counter()
+    acc = SlackAccumulator()
     if callable(minorant_or_fn):
         fn = minorant_or_fn
         tag = getattr(minorant_or_fn, "__name__", "custom")
@@ -673,19 +662,11 @@ def check_submean(
         origin_reference = lambda rho: origin_circle_mean(mid, p, rho)  # noqa: E731
 
     rng = np.random.default_rng(seed)
-    worst = math.inf
-    argmin = None
-    violations: list = []
 
     def record(center: complex, rho: float):
-        nonlocal worst, argmin
         mean, err = _circle_mean_with_estimate(fn, center, rho, angles)
         deficit = mean - float(np.real(fn(np.asarray(center)))) + 2.0 * err
-        if deficit < worst:
-            worst = deficit
-            argmin = (center.real, center.imag, rho)
-        if deficit < -tolerance and len(violations) < _MAX_VIOLATIONS:
-            violations.append(((center.real, center.imag, rho), float(deficit)))
+        acc.add((center.real, center.imag, rho), float(deficit), deficit < -tolerance)
         return mean, err
 
     for _ in range(centers):
@@ -702,21 +683,16 @@ def check_submean(
         if origin_reference is not None:
             ref = origin_reference(rho)
             allowance = 64.0 * max(1.0, abs(ref)) / angles**2 + 4.0 * err + 1e-10
-            if abs(mean - ref) > allowance and len(violations) < _MAX_VIOLATIONS:
-                violations.append(((0.0, 0.0, rho), float(mean - ref)))
+            if abs(mean - ref) > allowance:
+                acc.flag((0.0, 0.0, rho), float(mean - ref))
 
-    report = VerificationReport(
+    return acc.report(
         id=tag,
         p=p,
-        min_slack=worst,
-        argmin=argmin,
         grid={"centers": centers, "radii": radii, "angles": angles},
-        violations=violations,
         seed=seed,
         tolerance=tolerance,
     )
-    report.elapsed_ms = (time.perf_counter() - start) * 1e3
-    return report
 
 
 def check_pluri_lines(
@@ -738,11 +714,8 @@ def check_pluri_lines(
     if n_lines < 16:
         raise ValueError("n_lines must be >= 16")
     two_var = minorant_F if mid is Minorant.F_PAIR else minorant_G
-    start = time.perf_counter()
+    acc = SlackAccumulator()
     rng = np.random.default_rng(seed)
-    worst = math.inf
-    argmin = None
-    violations: list = []
     for line in range(n_lines):
         z0, w0, w1, w2 = (
             complex(math.sqrt(rng.uniform()) * 1.25 * np.exp(1j * rng.uniform(0, TWO_PI)))
@@ -758,20 +731,11 @@ def check_pluri_lines(
                 rho = 0.75 * rng.uniform(1e-3, 1.0)
                 mean, err = _circle_mean_with_estimate(restricted, c, rho, angles)
                 deficit = mean - float(np.real(restricted(np.asarray(c)))) + 2.0 * err
-                if deficit < worst:
-                    worst = deficit
-                    argmin = (line, c.real, c.imag, rho)
-                if deficit < -tolerance and len(violations) < _MAX_VIOLATIONS:
-                    violations.append(((line, c.real, c.imag, rho), float(deficit)))
-    report = VerificationReport(
+                acc.add((line, c.real, c.imag, rho), float(deficit), deficit < -tolerance)
+    return acc.report(
         id=mid.value,
         p=p,
-        min_slack=worst,
-        argmin=argmin,
         grid={"n_lines": n_lines, "centers": centers, "radii": radii, "angles": angles},
-        violations=violations,
         seed=seed,
         tolerance=tolerance,
     )
-    report.elapsed_ms = (time.perf_counter() - start) * 1e3
-    return report

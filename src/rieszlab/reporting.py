@@ -1,10 +1,16 @@
-"""Grid configuration and verification report records shared by the verifiers."""
+"""Grid configuration, verification report records, and the slack
+accumulator shared by the verifiers."""
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass, field
 
-__all__ = ["GridSpec", "VerificationReport"]
+__all__ = ["GridSpec", "VerificationReport", "SlackAccumulator", "MAX_VIOLATIONS"]
+
+# violations kept per report; min_slack and argmin still cover every case
+MAX_VIOLATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -25,21 +31,27 @@ class GridSpec:
     t_range: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.r_nodes < 16 or self.t_nodes < 16:
-            raise ValueError("grid node counts must be >= 16 per axis")
+        if self.r_nodes < 16:
+            raise ValueError(f"r_nodes must be >= 16, got {self.r_nodes}")
+        if self.t_nodes < 16:
+            raise ValueError(f"t_nodes must be >= 16, got {self.t_nodes}")
         if self.refine_factor < 2:
-            raise ValueError("refine_factor must be >= 2")
+            raise ValueError(f"refine_factor must be >= 2, got {self.refine_factor}")
         if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be > 0")
+            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
 
 
 @dataclass
 class VerificationReport:
     """Outcome of a grid scan, sample battery, or theorem check.
 
-    violations is nonempty exactly when min_slack < -tolerance; each entry is
-    (params, slack).  Fields that do not apply to a given check stay None and
-    are omitted from the serialized form (never emitted as null).
+    min_slack is the minimum slack over the check's cases and argmin the
+    first case that reaches it; violations lists the first MAX_VIOLATIONS
+    (100) cases whose slack is below the check's threshold, each as
+    (params, slack), and the check passes when it is empty.  The threshold
+    is mostly -tolerance; a few exact checks flag any nonzero error or any
+    slack <= 0.  Fields that do not apply to a given check stay None and are
+    omitted from the serialized form (never emitted as null).
     """
 
     id: str
@@ -110,3 +122,43 @@ class VerificationReport:
             self.elapsed_ms,
             self.passed,
         ]
+
+
+class SlackAccumulator:
+    """The worst slack of one check, where it occurs, and its violations.
+
+    add() keeps the smallest slack seen and the first case that reaches it
+    (strict <, so a tie keeps the earlier case) and records the case as a
+    violation when the caller's predicate says so; flag() records a violation
+    without moving the minimum.  At most MAX_VIOLATIONS are kept.  The start
+    values stand when no smaller slack is added: error-style checks, which
+    report minus their largest error, start from -0.0 with argmin None.
+    The clock starts at construction and report() stamps elapsed_ms.
+    """
+
+    def __init__(self, min_slack: float = math.inf, argmin: tuple | None = None):
+        self.min_slack = min_slack
+        self.argmin = argmin
+        self.violations: list = []
+        self._start = time.perf_counter()
+
+    def add(self, label: tuple, slack: float, violated: bool = False) -> None:
+        if slack < self.min_slack:
+            self.min_slack = slack
+            self.argmin = label
+        if violated:
+            self.flag(label, slack)
+
+    def flag(self, label: tuple, slack: float) -> None:
+        if len(self.violations) < MAX_VIOLATIONS:
+            self.violations.append((label, slack))
+
+    def report(self, **fields) -> VerificationReport:
+        """The accumulated report; fields fill the remaining report fields."""
+        return VerificationReport(
+            min_slack=self.min_slack,
+            argmin=self.argmin,
+            violations=self.violations,
+            elapsed_ms=(time.perf_counter() - self._start) * 1e3,
+            **fields,
+        )

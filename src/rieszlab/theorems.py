@@ -14,9 +14,8 @@ below.
 from __future__ import annotations
 
 import math
-import time
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .constants import SharpConstant as SC, sharp_constant
 from .hilbert import LineKind, LinePair, conjugate_map, line_lp_norm
@@ -42,7 +41,7 @@ from .quadrature import (
     product_disk_power_mean,
     triple_norm,
 )
-from .reporting import VerificationReport
+from .reporting import SlackAccumulator, VerificationReport
 
 __all__ = [
     "TheoremId",
@@ -161,7 +160,48 @@ def _sample_sides(
         f = random_poly(degree, seed)
         m = HarmonicMap(f, TaylorPoly([0]))
         return disk_power_mean(m, 2.0, spec), circle_power_mean(m, 1.0, 1.0, spec) ** 2
+    if tag is TheoremId.PAIR_ISOPERIMETRIC:
+        a = random_poly(degree, seed)
+        b = random_poly(degree, seed + 10_000_019)
+        return _pair_isoperimetric_sides(a, b, p_or_n, spec)
     raise AssertionError(tag)
+
+
+def _sample_report(
+    report_id: str,
+    p_or_n,
+    constant: float,
+    cases: Sequence[tuple[tuple, object]],
+    sides: Callable[[object], tuple[float, float]],
+    degree: int,
+    seed: int,
+    rel_tol: float,
+) -> VerificationReport:
+    """Relative slack (RHS_total - LHS)/RHS_total over labelled cases.
+
+    cases holds (label, case) pairs; sides(case) returns the case's LHS and
+    its RHS without the constant.  A case whose RHS_total is 0 is skipped; a
+    slack below -rel_tol is a violation.
+    """
+    acc = SlackAccumulator()
+    ratio_max = 0.0
+    for label, case in cases:
+        lhs, rhs_base = sides(case)
+        rhs = constant * rhs_base
+        if rhs == 0.0:
+            continue
+        slack = (rhs - lhs) / rhs
+        ratio_max = max(ratio_max, lhs / rhs)
+        acc.add(label, float(slack), slack < -rel_tol)
+    return acc.report(
+        id=report_id,
+        p=p_or_n,
+        grid={"samples": len(cases), "degree": degree},
+        constant=constant,
+        ratio_max=ratio_max,
+        seed=seed,
+        tolerance=rel_tol,
+    )
 
 
 def verify_theorem(
@@ -179,7 +219,8 @@ def verify_theorem(
     ratio_max the largest observed LHS/RHS_total (a sharpness statistic).
     """
     tag = TheoremId(tag)
-    start = time.perf_counter()
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if tag is TheoremId.BERGMAN_EMBEDDING:
         n = int(p_or_n)
         if n < 2 or n != p_or_n:
@@ -196,55 +237,31 @@ def verify_theorem(
             raise ValueError(f"{tag.value} requires p > 1, got {p_or_n}")
         constant = theorem_constant(tag, p=p_or_n)
 
-    worst = math.inf
-    argmin = None
-    ratio_max = 0.0
-    violations: list = []
-
     if tag is TheoremId.LINE_PAIRS:
-        cases = [(pair, None) for pair in _LINE_CATALOG]
+        cases = [((pair.kind.value, pair.parameter), pair) for pair in _LINE_CATALOG]
+
+        def sides(pair: LinePair) -> tuple[float, float]:
+            return (
+                line_lp_norm(pair, p_or_n, transformed=True),
+                line_lp_norm(pair, p_or_n, transformed=False),
+            )
     else:
-        cases = [(None, seed + k) for k in range(samples)]
+        cases = [((seed + k,), seed + k) for k in range(samples)]
 
-    for pair, case_seed in cases:
-        if tag is TheoremId.LINE_PAIRS:
-            lhs = line_lp_norm(pair, p_or_n, transformed=True)
-            rhs_base = line_lp_norm(pair, p_or_n, transformed=False)
-            label = (pair.kind.value, pair.parameter)
-        elif tag is TheoremId.PAIR_ISOPERIMETRIC:
-            a = random_poly(degree, case_seed)
-            b = random_poly(degree, case_seed + 10_000_019)
-            rep = verify_pair_isoperimetric(a, b, p_or_n, spec)
-            lhs, rhs_base = rep._lhs_rhs  # type: ignore[attr-defined]
-            label = (case_seed,)
-        else:
-            lhs, rhs_base = _sample_sides(tag, p_or_n, degree, case_seed, spec)
-            label = (case_seed,)
-        rhs = constant * rhs_base
-        if rhs == 0.0:
-            continue
-        slack = (rhs - lhs) / rhs
-        ratio_max = max(ratio_max, lhs / rhs)
-        if slack < worst:
-            worst = slack
-            argmin = label
-        if slack < -rel_tol and len(violations) < 100:
-            violations.append((label, float(slack)))
+        def sides(case_seed: int) -> tuple[float, float]:
+            return _sample_sides(tag, p_or_n, degree, case_seed, spec)
 
-    report = VerificationReport(
-        id=tag.value,
-        p=p_or_n,
-        min_slack=worst,
-        argmin=argmin,
-        grid={"samples": len(cases), "degree": degree},
-        violations=violations,
-        constant=constant,
-        ratio_max=ratio_max,
-        seed=seed,
-        tolerance=rel_tol,
+    return _sample_report(tag.value, p_or_n, constant, cases, sides, degree, seed, rel_tol)
+
+
+def _pair_isoperimetric_sides(
+    a: TaylorPoly, b: TaylorPoly, p: float, spec: QuadratureSpec | None
+) -> tuple[float, float]:
+    """int_U (|a|^2+|b|^2)^{2p} and (int_T (|a|^2+|b|^2)^p)^2."""
+    return (
+        pair_disk_power_mean(a, b, 2.0 * p, spec),
+        pair_circle_power_mean(a, b, p, 1.0, spec) ** 2,
     )
-    report.elapsed_ms = (time.perf_counter() - start) * 1e3
-    return report
 
 
 def verify_pair_isoperimetric(
@@ -257,22 +274,17 @@ def verify_pair_isoperimetric(
     """int_U (|a|^2+|b|^2)^{2p} <= (int_T (|a|^2+|b|^2)^p)^2 for p > 0."""
     if not p > 0:
         raise ValueError(f"p must be > 0, got {p}")
-    start = time.perf_counter()
-    lhs = pair_disk_power_mean(a, b, 2.0 * p, spec)
-    rhs = pair_circle_power_mean(a, b, p, 1.0, spec) ** 2
+    acc = SlackAccumulator()
+    lhs, rhs = _pair_isoperimetric_sides(a, b, p, spec)
     slack = (rhs - lhs) / rhs if rhs else math.inf
-    report = VerificationReport(
+    acc.add(("pair",), slack, slack < -rel_tol)
+    return acc.report(
         id="PAIR_ISOPERIMETRIC",
         p=p,
-        min_slack=slack,
         ratio_max=lhs / rhs if rhs else math.inf,
-        violations=[(("pair",), slack)] if slack < -rel_tol else [],
         constant=1.0,
         tolerance=rel_tol,
     )
-    report._lhs_rhs = (lhs, rhs)  # type: ignore[attr-defined]
-    report.elapsed_ms = (time.perf_counter() - start) * 1e3
-    return report
 
 
 def isoperimetric_chain(

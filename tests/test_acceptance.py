@@ -144,9 +144,9 @@ def test_criterion_5_lemma_grids():
 
 
 def _cell_diag(tag):
-    from rieszlab.battery import _cell_diag as impl
+    from rieszlab.gridlab import cell_diagonal
 
-    return impl(tag, FULL_GRID)
+    return cell_diagonal(tag, FULL_GRID)
 
 
 @pytest.mark.parametrize(

@@ -107,12 +107,23 @@ def test_subharmonic_command():
     assert json.loads(out)[0]["passed"] is True
 
 
-def test_bad_arguments_exit_2(cos_map_file):
+def test_bad_arguments_exit_2(cos_map_file, capsys):
     assert capture(["verify-lemma", "--id", "NOPE", "--p", "1.5"])[0] == 2
     assert capture(["verify-lemma"])[0] == 2
     assert capture(["norms", "--input", "/definitely/missing.json", "--p", "2"])[0] == 2
     assert capture(["verify-lemma", "--id", "MIXED_BY_SUM_LOW", "--p", "9"])[0] == 2
     assert capture(["nope-subcommand"])[0] == 2
+    # out-of-range sizes exit 2 with a message naming the field
+    for argv, field in (
+        (["verify-theorem", "--id", "MIXED_BY_HARDY", "--p", "2", "--samples", "0"], "samples"),
+        (["verify-theorem", "--id", "MIXED_BY_HARDY", "--p", "2", "--samples", "-3"], "samples"),
+        (["suite", "--samples", "0"], "samples"),
+        (["verify-lemma", "--id", "CSC_GAP", "--p", "2", "--grid-r", "4"], "r_nodes"),
+        (["suite", "--grid-r", "4"], "r_nodes"),
+        (["suite", "--grid-t", "4"], "t_nodes"),
+    ):
+        assert capture(argv)[0] == 2, argv
+        assert field in capsys.readouterr().err, argv
 
 
 def test_malformed_map_file_diagnostics(tmp_path):

@@ -10,6 +10,7 @@ from rieszlab.maps import Constraint, HarmonicMap, TaylorPoly, random_harmonic, 
 from rieszlab.quadrature import bergman_norm, hardy_norm, triple_norm
 from rieszlab.theorems import (
     TheoremId,
+    _pair_isoperimetric_sides,
     isoperimetric_chain,
     sharpness_probe,
     theorem_constant,
@@ -152,14 +153,13 @@ def test_chain_validation():
 
 def test_pair_isoperimetric_examples():
     # a = 1, b = 0: both sides equal 1
-    rep = verify_pair_isoperimetric(TaylorPoly([1.0]), TaylorPoly([0.0]), 1.0)
-    lhs, rhs = rep._lhs_rhs
+    lhs, rhs = _pair_isoperimetric_sides(TaylorPoly([1.0]), TaylorPoly([0.0]), 1.0, None)
     assert lhs == pytest.approx(1.0) and rhs == pytest.approx(1.0)
     # a = z, b = 0, p = 1/2: int_U |z|^2 = 1/2 <= (int_T |z|)^2 = 1
-    rep = verify_pair_isoperimetric(TaylorPoly([0.0, 1.0]), TaylorPoly([0.0]), 0.5)
-    lhs, rhs = rep._lhs_rhs
+    a, b = TaylorPoly([0.0, 1.0]), TaylorPoly([0.0])
+    lhs, rhs = _pair_isoperimetric_sides(a, b, 0.5, None)
     assert lhs == pytest.approx(0.5) and rhs == pytest.approx(1.0)
-    assert rep.passed
+    assert verify_pair_isoperimetric(a, b, 0.5).passed
 
 
 def test_pair_isoperimetric_random_battery():
@@ -219,3 +219,5 @@ def test_verify_theorem_validation():
         verify_theorem(TheoremId.MIXED_BY_HARDY, 1.0, samples=5)
     with pytest.raises(ValueError):
         verify_theorem(TheoremId.PAIR_ISOPERIMETRIC, 0.0, samples=5)
+    with pytest.raises(ValueError, match="samples"):
+        verify_theorem(TheoremId.MIXED_BY_HARDY, 2.0, samples=0)
