@@ -34,10 +34,12 @@ from .maps import (
     TaylorPoly,
     random_harmonic,
 )
-from .quadrature import circle_power_mean, disk_power_mean, hardy_norm, triple_norm
+from .quadrature import circle_power_mean, disk_power_mean, hardy_norm
 from .reporting import GridSpec, SlackAccumulator, VerificationReport
 from .theorems import (
+    SAMPLE_BLOCK,
     TheoremId,
+    _hardy_and_mixed,
     _sample_report,
     isoperimetric_chain,
     sharpness_probe,
@@ -118,13 +120,16 @@ def parseval_bridge_report(
     """||f||_2^2 = |||f|||_2^2 + 2 Re(g(0) h(0)), and equality of the two
     norms for the RE_ZERO class."""
     acc = SlackAccumulator(-0.0)
-    for k in range(samples):
-        m = random_harmonic(degree, seed + k, Constraint.NONE)
-        cross = 2.0 * (m.g.coeffs[0] * m.h.coeffs[0]).real
-        err = abs(hardy_norm(m, 2.0) ** 2 - triple_norm(m, 2.0) ** 2 - cross)
-        mz = random_harmonic(degree, seed + samples + k, Constraint.RE_ZERO)
-        err = max(err, abs(hardy_norm(mz, 2.0) - triple_norm(mz, 2.0)))
-        acc.add((seed + k,), -err, err > tol)
+    for start in range(0, samples, SAMPLE_BLOCK):
+        ks = range(start, min(start + SAMPLE_BLOCK, samples))
+        maps = [random_harmonic(degree, seed + k, Constraint.NONE) for k in ks]
+        zero = [random_harmonic(degree, seed + samples + k, Constraint.RE_ZERO) for k in ks]
+        hardy, mixed = _hardy_and_mixed(maps, degree, 2.0, None)
+        hardy_z, mixed_z = _hardy_and_mixed(zero, degree, 2.0, None)
+        for k, m, a, b, az, bz in zip(ks, maps, hardy, mixed, hardy_z, mixed_z):
+            cross = 2.0 * (m.g.coeffs[0] * m.h.coeffs[0]).real
+            err = max(abs(a**2 - b**2 - cross), abs(az - bz))
+            acc.add((seed + k,), -err, err > tol)
     return acc.report(
         id="PARSEVAL_BRIDGE",
         p=2.0,
@@ -344,9 +349,10 @@ def theorem_reports(
 def _relaxed_mixed_report(
     p: float, samples: int, degree: int, seed: int
 ) -> VerificationReport:
-    def sides(case_seed: int) -> tuple[float, float]:
-        m = random_harmonic(degree, case_seed, Constraint.RE_NONNEG)
-        return triple_norm(m, p), hardy_norm(m, p)
+    def sides(seeds) -> tuple[list[float], list[float]]:
+        maps = [random_harmonic(degree, s, Constraint.RE_NONNEG) for s in seeds]
+        hardy, mixed = _hardy_and_mixed(maps, degree, p, None)
+        return mixed, hardy
 
     cases = [((seed + k,), seed + k) for k in range(samples)]
     return _sample_report(
@@ -439,6 +445,10 @@ def full_suite(
     degree: int = 8,
 ) -> list[VerificationReport]:
     """Every acceptance check, in a deterministic order."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     grid = grid or GridSpec()
     reports: list[VerificationReport] = []
     reports.append(constant_identity_report())

@@ -40,8 +40,22 @@ __all__ = [
 
 
 def _as_complex_tuple(coeffs: Iterable[complex]) -> tuple[complex, ...]:
-    out = tuple(complex(c) for c in coeffs)
+    if isinstance(coeffs, np.ndarray) and coeffs.ndim == 1:
+        # same values as complex(c) per entry, without a Python call per entry
+        out = tuple(coeffs.astype(complex).tolist())
+    else:
+        out = tuple(complex(c) for c in coeffs)
     return out if out else (0j,)
+
+
+def _boundary_rows(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Values at the n uniform circle nodes exp(2*pi*i*j/n) of the polynomial
+    in each row of coeffs, from a single transform along the last axis.
+
+    f(e^{i t_j}) = sum_k a_k e^{i k t_j} is n * ifft of the coefficients
+    zero-padded to length n; each row is bit-identical to its own transform.
+    """
+    return np.fft.ifft(coeffs, n, axis=-1) * n
 
 
 @dataclass(frozen=True)
@@ -90,9 +104,7 @@ class TaylorPoly:
         c = np.asarray(self.coeffs, dtype=complex)
         if isinstance(r, np.ndarray) or r != 1.0:
             c = c * (np.asarray(r, dtype=float)[..., None] ** np.arange(len(c)))
-        # f(e^{i t_j}) = sum_k a_k e^{i k t_j} is n * ifft of the coefficients
-        # zero-padded to length n
-        return np.fft.ifft(c, n, axis=-1) * n
+        return _boundary_rows(c, n)
 
 
 @dataclass(frozen=True)

@@ -93,12 +93,12 @@ def auto_spec(degree: int, p: float) -> QuadratureSpec:
     return QuadratureSpec(n_angle=n_angle, n_radial=n_radial)
 
 
-def _spec_for(m: HarmonicMap, p: float, spec: QuadratureSpec | None) -> QuadratureSpec:
+def _spec_for(degree: int, p: float, spec: QuadratureSpec | None) -> QuadratureSpec:
     if spec is None:
-        return auto_spec(m.degree, p)
-    if spec.n_angle < 4 * m.degree + 1:
+        return auto_spec(degree, p)
+    if spec.n_angle < 4 * degree + 1:
         raise ValueError(
-            f"n_angle={spec.n_angle} is below 4*degree+1 = {4 * m.degree + 1} "
+            f"n_angle={spec.n_angle} is below 4*degree+1 = {4 * degree + 1} "
             "required for polynomial boundary traces"
         )
     return spec
@@ -142,17 +142,18 @@ def _disk_mean(ring_values: Callable[[np.ndarray], np.ndarray], spec: Quadrature
 
 # ----------------------------- polynomial norms -----------------------------
 #
-# Each circle/disk pair shares one ring integrand, a function of the radius
-# (circle rule) or of the array of Gauss-Legendre radii (disk rule).
+# Each circle/disk pair shares one ring integrand.  The modulus and pair
+# integrands take boundary traces, so the circle rule (traces at one radius),
+# the disk rule (one row per Gauss-Legendre radius) and the sample batteries
+# (one row per sample, see _norm_rows) evaluate the same function.
 
 
-def _modulus_ring(m: HarmonicMap, p: float, n: int, r) -> np.ndarray:
-    return np.abs(m.boundary_values(n, r)) ** p
+def _modulus_ring(f: np.ndarray, p: float) -> np.ndarray:
+    return np.abs(f) ** p
 
 
-def _pair_ring(a: TaylorPoly, b: TaylorPoly, p: float, n: int, r) -> np.ndarray:
-    s = np.abs(a.boundary_values(n, r)) ** 2 + np.abs(b.boundary_values(n, r)) ** 2
-    return s**p
+def _pair_ring(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    return (np.abs(a) ** 2 + np.abs(b) ** 2) ** p
 
 
 def _product_ring(
@@ -163,13 +164,34 @@ def _product_ring(
     return base**p
 
 
+def _norm_rows(ring: np.ndarray, p: float) -> list[float]:
+    """(circle mean of each row of ring)^(1/p), one norm per row.
+
+    Each mean is finished as a Python float, exactly as hardy_norm and
+    triple_norm finish a single ring, so row k equals the norm of sample k.
+    """
+    return [float(mean) ** (1.0 / p) for mean in np.mean(ring, axis=-1)]
+
+
+def _hardy_norm_rows(f: np.ndarray, p: float) -> list[float]:
+    """hardy_norm of each row of boundary traces f."""
+    p = _require_norm_p(p)
+    return _norm_rows(_modulus_ring(f, p), p)
+
+
+def _triple_norm_rows(g: np.ndarray, h: np.ndarray, p: float) -> list[float]:
+    """triple_norm of each row pair of boundary traces (g, h)."""
+    p = _require_norm_p(p)
+    return _norm_rows(_pair_ring(g, h, p / 2.0), p)
+
+
 def circle_power_mean(
     m: HarmonicMap, p: float, r: float = 1.0, spec: QuadratureSpec | None = None
 ) -> float:
     """int_T |f(r z)|^p dsigma(z); accepts any p > 0."""
     p = _require_positive_p(p)
-    spec = _spec_for(m, p, spec)
-    return float(np.mean(_modulus_ring(m, p, spec.n_angle, r)))
+    spec = _spec_for(m.degree, p, spec)
+    return float(np.mean(_modulus_ring(m.boundary_values(spec.n_angle, r), p)))
 
 
 def disk_power_mean(
@@ -177,8 +199,8 @@ def disk_power_mean(
 ) -> float:
     """int_U |f|^p dxdy/pi; accepts any p > 0."""
     p = _require_positive_p(p)
-    spec = _spec_for(m, p, spec)
-    return _disk_mean(partial(_modulus_ring, m, p, spec.n_angle), spec)
+    spec = _spec_for(m.degree, p, spec)
+    return _disk_mean(lambda r: _modulus_ring(m.boundary_values(spec.n_angle, r), p), spec)
 
 
 def pair_circle_power_mean(
@@ -192,7 +214,8 @@ def pair_circle_power_mean(
     p = _require_positive_p(p)
     if spec is None:
         spec = auto_spec(max(a.degree, b.degree), 2.0 * p)
-    return float(np.mean(_pair_ring(a, b, p, spec.n_angle, r)))
+    n = spec.n_angle
+    return float(np.mean(_pair_ring(a.boundary_values(n, r), b.boundary_values(n, r), p)))
 
 
 def pair_disk_power_mean(
@@ -202,7 +225,10 @@ def pair_disk_power_mean(
     p = _require_positive_p(p)
     if spec is None:
         spec = auto_spec(max(a.degree, b.degree), 2.0 * p)
-    return _disk_mean(partial(_pair_ring, a, b, p, spec.n_angle), spec)
+    n = spec.n_angle
+    return _disk_mean(
+        lambda r: _pair_ring(a.boundary_values(n, r), b.boundary_values(n, r), p), spec
+    )
 
 
 def product_circle_power_mean(

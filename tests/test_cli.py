@@ -121,6 +121,8 @@ def test_bad_arguments_exit_2(cos_map_file, capsys):
         (["verify-lemma", "--id", "CSC_GAP", "--p", "2", "--grid-r", "4"], "r_nodes"),
         (["suite", "--grid-r", "4"], "r_nodes"),
         (["suite", "--grid-t", "4"], "t_nodes"),
+        (["verify-theorem", "--id", "MIXED_BY_HARDY", "--p", "2", "--degree", "-1"], "degree"),
+        (["suite", "--degree", "-1"], "degree"),
     ):
         assert capture(argv)[0] == 2, argv
         assert field in capsys.readouterr().err, argv

@@ -120,6 +120,34 @@ def test_boundary_values_array_radius_rows_match_scalar_calls():
         m.boundary_values(8, radii)
 
 
+def test_coefficient_conversion_keeps_bit_patterns():
+    # the ndarray path converts exactly as complex(c) per entry, signed zeros
+    # included
+    def reference(coeffs):
+        out = tuple(complex(c) for c in coeffs)
+        return out if out else (0j,)
+
+    def bits(coeffs):
+        return np.asarray(coeffs, dtype=complex).view(np.uint64)
+
+    rng = np.random.default_rng(3)
+    for coeffs in (
+        rng.normal(size=9) + 1j * rng.normal(size=9),
+        np.array([complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 1.0)]),
+        np.array([0.0, -0.0, 1.5, -2.25]),
+        np.array([3, -1, 0]),
+        np.array([], dtype=complex),
+        [1, 2.5, -0.0, 1j, complex(-0.0, 0.0)],
+        (0, -0.0),
+        [],
+    ):
+        got = TaylorPoly(coeffs).coeffs
+        assert np.array_equal(bits(got), bits(reference(coeffs))), coeffs
+        assert all(type(c) is complex for c in got)
+    with pytest.raises(TypeError):
+        TaylorPoly(np.ones((2, 2)))
+
+
 def test_trailing_zeros_normalizable():
     poly = TaylorPoly([1.0, 2.0, 0.0, 0.0])
     assert poly.degree == 3

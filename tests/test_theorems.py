@@ -5,12 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from rieszlab import battery, theorems
 from rieszlab.constants import SharpConstant, sharp_constant
+from rieszlab.hilbert import conjugate_map
 from rieszlab.maps import Constraint, HarmonicMap, TaylorPoly, random_harmonic, random_poly
 from rieszlab.quadrature import bergman_norm, hardy_norm, triple_norm
+from rieszlab.reporting import SlackAccumulator
 from rieszlab.theorems import (
+    SAMPLE_BLOCK,
     TheoremId,
+    _analytic_sample,
+    _hardy_and_mixed,
     _pair_isoperimetric_sides,
+    _sample_report,
     isoperimetric_chain,
     sharpness_probe,
     theorem_constant,
@@ -221,3 +228,142 @@ def test_verify_theorem_validation():
         verify_theorem(TheoremId.PAIR_ISOPERIMETRIC, 0.0, samples=5)
     with pytest.raises(ValueError, match="samples"):
         verify_theorem(TheoremId.MIXED_BY_HARDY, 2.0, samples=0)
+    with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+        verify_theorem(TheoremId.MIXED_BY_HARDY, 2.0, samples=5, degree=-1)
+
+
+# ---------------- per-sample reference for the batched circle batteries ----------------
+
+CIRCLE_TAGS = (
+    TheoremId.MIXED_BY_HARDY,
+    TheoremId.HARDY_BY_MIXED,
+    TheoremId.CONJUGATE_NORM,
+    TheoremId.ANALYTIC_BY_RE,
+    TheoremId.IM_BY_ANALYTIC,
+)
+RELAXED = "MIXED_BY_HARDY_RELAXED"
+
+
+def reference_sample_sides(tag, p, degree, seed):
+    """(LHS, RHS-without-constant) of one sample, one map and two norms at a time."""
+    if tag is TheoremId.MIXED_BY_HARDY:
+        m = random_harmonic(degree, seed, Constraint.RE_ZERO)
+        return triple_norm(m, p), hardy_norm(m, p)
+    if tag is TheoremId.HARDY_BY_MIXED:
+        m = random_harmonic(degree, seed, Constraint.RE_NONPOS)
+        return hardy_norm(m, p), triple_norm(m, p)
+    if tag == RELAXED:
+        m = random_harmonic(degree, seed, Constraint.RE_NONNEG)
+        return triple_norm(m, p), hardy_norm(m, p)
+    if tag is TheoremId.CONJUGATE_NORM:
+        m = random_harmonic(degree, seed, Constraint.NONE).normalized()
+        return hardy_norm(conjugate_map(m), p), hardy_norm(m, p)
+    g = _analytic_sample(degree, seed)
+    analytic = hardy_norm(HarmonicMap(g, TaylorPoly([0])), p)
+    if tag is TheoremId.ANALYTIC_BY_RE:
+        half = g.scaled(0.5)
+        return analytic, hardy_norm(HarmonicMap(half, half), p)
+    half = g.scaled(-0.5j)
+    return hardy_norm(HarmonicMap(half, half), p), analytic
+
+
+def reference_report(report_id, p, constant, seeds, pairs, degree, seed, rel_tol=1e-9):
+    """The per-case sample loop over precomputed (LHS, RHS-without-constant) pairs."""
+    acc = SlackAccumulator()
+    ratio_max = 0.0
+    for case_seed, (lhs, rhs_base) in zip(seeds, pairs):
+        rhs = constant * rhs_base
+        if rhs == 0.0:
+            continue
+        slack = (rhs - lhs) / rhs
+        ratio_max = max(ratio_max, lhs / rhs)
+        acc.add((case_seed,), float(slack), slack < -rel_tol)
+    return acc.report(
+        id=report_id,
+        p=p,
+        grid={"samples": len(seeds), "degree": degree},
+        constant=constant,
+        ratio_max=ratio_max,
+        seed=seed,
+        tolerance=rel_tol,
+    )
+
+
+def payload(report):
+    out = report.to_dict()
+    out.pop("elapsed_ms")
+    return out
+
+
+def recording_sample_report(blocks):
+    """_sample_report that records each block's (LHS, RHS) pairs in blocks."""
+
+    def sample_report(report_id, p, constant, cases, sides, *args):
+        def recorded(block):
+            lhs, rhs = sides(block)
+            blocks.append(list(zip(lhs, rhs)))
+            return lhs, rhs
+
+        return _sample_report(report_id, p, constant, cases, recorded, *args)
+
+    return sample_report
+
+
+def test_batched_battery_is_bit_identical_to_sample_loop(monkeypatch):
+    degree = 8
+    counts = (1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 100)
+    blocks = []
+    monkeypatch.setattr(theorems, "_sample_report", recording_sample_report(blocks))
+    monkeypatch.setattr(battery, "_sample_report", recording_sample_report(blocks))
+    for tag in (*CIRCLE_TAGS, RELAXED):
+        for p in battery.THEOREM_P_VALUES:
+            for seed in (0, 7, 1000):
+                ref = [reference_sample_sides(tag, p, degree, seed + k) for k in range(100)]
+                for count in counts:
+                    blocks.clear()
+                    if tag == RELAXED:
+                        report = battery._relaxed_mixed_report(p, count, degree, seed)
+                        constant = sharp_constant(SharpConstant.A, p)
+                    else:
+                        report = verify_theorem(tag, p, count, degree, seed)
+                        constant = theorem_constant(tag, p=p)
+                    assert [len(b) for b in blocks] == [
+                        min(SAMPLE_BLOCK, count - start) for start in range(0, count, SAMPLE_BLOCK)
+                    ]
+                    case = (tag, p, seed, count)
+                    assert [pair for b in blocks for pair in b] == ref[:count], case
+                    expected = reference_report(
+                        report.id, p, constant, range(seed, seed + count), ref[:count],
+                        degree, seed,
+                    )
+                    assert payload(report) == payload(expected), case
+
+
+def reference_parseval_report(samples, degree, seed, tol=1e-10):
+    """parseval_bridge_report with four single-map norms per sample."""
+    acc = SlackAccumulator(-0.0)
+    for k in range(samples):
+        m = random_harmonic(degree, seed + k, Constraint.NONE)
+        cross = 2.0 * (m.g.coeffs[0] * m.h.coeffs[0]).real
+        err = abs(hardy_norm(m, 2.0) ** 2 - triple_norm(m, 2.0) ** 2 - cross)
+        mz = random_harmonic(degree, seed + samples + k, Constraint.RE_ZERO)
+        err = max(err, abs(hardy_norm(mz, 2.0) - triple_norm(mz, 2.0)))
+        acc.add((seed + k,), -err, err > tol)
+    return acc.report(
+        id="PARSEVAL_BRIDGE",
+        p=2.0,
+        grid={"samples": samples, "degree": degree},
+        seed=seed,
+        tolerance=tol,
+    )
+
+
+def test_batched_parseval_is_bit_identical_to_sample_loop():
+    for seed in (0, 7, 1000):
+        maps = [random_harmonic(8, seed + k, c) for k in range(40) for c in Constraint]
+        hardy, mixed = _hardy_and_mixed(maps, 8, 2.0, None)
+        assert hardy == [hardy_norm(m, 2.0) for m in maps]
+        assert mixed == [triple_norm(m, 2.0) for m in maps]
+        for count in (1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 100):
+            report = battery.parseval_bridge_report(count, 8, seed)
+            assert payload(report) == payload(reference_parseval_report(count, 8, seed))
