@@ -9,6 +9,7 @@ fixed seed reproduces every report byte for byte (elapsed fields aside).
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .reporting import GridSpec, SlackAccumulator, VerificationReport
 from .theorems import (
     SAMPLE_BLOCK,
     TheoremId,
+    _block_sides,
     _hardy_and_mixed,
     _sample_report,
     isoperimetric_chain,
@@ -349,11 +351,10 @@ def theorem_reports(
 def _relaxed_mixed_report(
     p: float, samples: int, degree: int, seed: int
 ) -> VerificationReport:
-    def sides(seeds) -> tuple[list[float], list[float]]:
-        maps = [random_harmonic(degree, s, Constraint.RE_NONNEG) for s in seeds]
-        hardy, mixed = _hardy_and_mixed(maps, degree, p, None)
-        return mixed, hardy
-
+    """The MIXED_BY_HARDY battery with the hypothesis Re(g(0)h(0)) >= 0."""
+    sides = partial(
+        _block_sides, TheoremId.MIXED_BY_HARDY, p, degree, None, constraint=Constraint.RE_NONNEG
+    )
     cases = [((seed + k,), seed + k) for k in range(samples)]
     return _sample_report(
         "MIXED_BY_HARDY_RELAXED", p, sharp_constant(SC.A, p), cases, sides, degree, seed, 1e-9
@@ -444,7 +445,8 @@ def full_suite(
     samples: int = 200,
     degree: int = 8,
 ) -> list[VerificationReport]:
-    """Every acceptance check, in a deterministic order."""
+    """Every acceptance check, in a deterministic order.  degree applies to the
+    Parseval, conjugate and theorem batteries; the isoperimetric ones keep 4."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if degree < 0:
@@ -452,7 +454,7 @@ def full_suite(
     grid = grid or GridSpec()
     reports: list[VerificationReport] = []
     reports.append(constant_identity_report())
-    reports.append(parseval_bridge_report(samples=min(samples, 100), seed=seed + 11))
+    reports.append(parseval_bridge_report(min(samples, 100), degree, seed + 11))
     reports.append(hilbert_multiplier_report(seed=seed + 23))
     reports.append(hilbert_singular_report(seed=seed + 37))
     reports.extend(conjugate_bound_reports(samples=samples, degree=degree, seed=seed + 41))

@@ -331,7 +331,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("suite", help="run the full verification battery")
     sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--degree", type=int, default=8)
+    sp.add_argument(
+        "--degree",
+        type=int,
+        default=8,
+        help="degree of the sampled maps in the Parseval, conjugate and theorem "
+        "batteries (the isoperimetric batteries keep degree 4)",
+    )
     sp.add_argument("--grid-r", type=int, default=2000)
     sp.add_argument("--grid-t", type=int, default=4000)
     sp.add_argument("--output", help="write the report stream to a file")

@@ -32,7 +32,6 @@ __all__ = [
     "Minorant",
     "conjugate_exponent_bar",
     "sharp_constant",
-    "constant_range",
     "re_branch_power",
     "re_branch_angle",
     "theta_lower",
@@ -43,7 +42,6 @@ __all__ = [
     "minorant_F",
     "minorant_G",
     "minorant_value",
-    "minorant_range",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -97,13 +95,6 @@ _P_RANGES: dict[SharpConstant, tuple[float, float, bool, bool]] = {
     SharpConstant.VERBITSKY_A: (1.0, 2.0, True, False),
     SharpConstant.VERBITSKY_B: (1.0, 2.0, True, False),
 }
-
-
-def constant_range(kind: SharpConstant) -> tuple[float, float, bool, bool]:
-    """Validity range of a p-indexed constant; ISOP is indexed by integer n >= 2."""
-    if kind is SharpConstant.ISOP:
-        raise ValueError("ISOP is indexed by integer n >= 2, not by p")
-    return _P_RANGES[kind]
 
 
 def _check_p(kind: SharpConstant, p: float) -> float:
@@ -363,11 +354,6 @@ _MINORANT_RANGES: dict[Minorant, tuple[float, float, bool, bool]] = {
     Minorant.F_PAIR: (1.0, math.inf, False, False),
     Minorant.G_PAIR: (1.0, math.inf, False, True),
 }
-
-
-def minorant_range(mid: Minorant) -> tuple[float, float, bool, bool]:
-    """(lo, hi, lo_inclusive, excludes_p_equal_2) in p."""
-    return _MINORANT_RANGES[Minorant(mid)]
 
 
 def _check_minorant_p(mid: Minorant, p: float) -> float:

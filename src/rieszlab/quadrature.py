@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -125,27 +125,33 @@ def _gl01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _disk_mean(ring_values: Callable[[np.ndarray], np.ndarray], spec: QuadratureSpec) -> float:
+def _disk_traces(q: TaylorPoly | HarmonicMap, spec: QuadratureSpec) -> np.ndarray:
+    """Values of q at the spec.n_angle circle nodes on each Gauss-Legendre
+    radius of spec, one row per radius, from one transform per factor."""
+    return q.boundary_values(spec.n_angle, _gl01(spec.n_radial)[0])
+
+
+def _disk_mean(ring: np.ndarray, spec: QuadratureSpec) -> float:
     """int_U F dxdy/pi = int_0^1 2r * (circle mean of F at radius r) dr.
 
-    ring_values is called once with all n_radial Gauss-Legendre radii and
-    returns one row of F per radius.  The weighted ring means are summed left
-    to right (cumsum, not a pairwise or compensated sum), so the result is
+    ring holds one row of F per Gauss-Legendre radius of spec, as computed
+    from _disk_traces.  The weighted ring means are summed left to right
+    (cumsum, not a pairwise or compensated sum), so the result is
     bit-identical to accumulating one radius at a time.  For F = |f|^p the
     rule is exact only at even integer p; at other p it converges
     algebraically wherever f has zeros (see the module docstring).
     """
     nodes, weights = _gl01(spec.n_radial)
-    means = np.mean(ring_values(nodes), axis=-1)
+    means = np.mean(ring, axis=-1)
     return float(np.cumsum(weights * 2.0 * nodes * means)[-1])
 
 
 # ----------------------------- polynomial norms -----------------------------
 #
-# Each circle/disk pair shares one ring integrand.  The modulus and pair
-# integrands take boundary traces, so the circle rule (traces at one radius),
-# the disk rule (one row per Gauss-Legendre radius) and the sample batteries
-# (one row per sample, see _norm_rows) evaluate the same function.
+# Each circle/disk pair shares one ring integrand, and every integrand takes
+# boundary traces, so the circle rule (traces at one radius), the disk rule
+# (one row per Gauss-Legendre radius) and the sample batteries (one row per
+# sample, see _norm_rows) evaluate the same function.
 
 
 def _modulus_ring(f: np.ndarray, p: float) -> np.ndarray:
@@ -156,10 +162,8 @@ def _pair_ring(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     return (np.abs(a) ** 2 + np.abs(b) ** 2) ** p
 
 
-def _product_ring(
-    g: TaylorPoly, h: TaylorPoly, p: float, real_part: bool, n: int, r
-) -> np.ndarray:
-    prod = 2.0 * g.boundary_values(n, r) * h.boundary_values(n, r)
+def _product_ring(g: np.ndarray, h: np.ndarray, p: float, real_part: bool) -> np.ndarray:
+    prod = 2.0 * g * h
     base = np.abs(prod.real) if real_part else np.abs(prod)
     return base**p
 
@@ -200,7 +204,7 @@ def disk_power_mean(
     """int_U |f|^p dxdy/pi; accepts any p > 0."""
     p = _require_positive_p(p)
     spec = _spec_for(m.degree, p, spec)
-    return _disk_mean(lambda r: _modulus_ring(m.boundary_values(spec.n_angle, r), p), spec)
+    return _disk_mean(_modulus_ring(_disk_traces(m, spec), p), spec)
 
 
 def pair_circle_power_mean(
@@ -212,9 +216,7 @@ def pair_circle_power_mean(
 ) -> float:
     """int_T (|a|^2 + |b|^2)^p dsigma; accepts any p > 0."""
     p = _require_positive_p(p)
-    if spec is None:
-        spec = auto_spec(max(a.degree, b.degree), 2.0 * p)
-    n = spec.n_angle
+    n = _spec_for(max(a.degree, b.degree), 2.0 * p, spec).n_angle
     return float(np.mean(_pair_ring(a.boundary_values(n, r), b.boundary_values(n, r), p)))
 
 
@@ -223,12 +225,8 @@ def pair_disk_power_mean(
 ) -> float:
     """int_U (|a|^2 + |b|^2)^p dxdy/pi; accepts any p > 0."""
     p = _require_positive_p(p)
-    if spec is None:
-        spec = auto_spec(max(a.degree, b.degree), 2.0 * p)
-    n = spec.n_angle
-    return _disk_mean(
-        lambda r: _pair_ring(a.boundary_values(n, r), b.boundary_values(n, r), p), spec
-    )
+    spec = _spec_for(max(a.degree, b.degree), 2.0 * p, spec)
+    return _disk_mean(_pair_ring(_disk_traces(a, spec), _disk_traces(b, spec), p), spec)
 
 
 def product_circle_power_mean(
@@ -241,9 +239,9 @@ def product_circle_power_mean(
 ) -> float:
     """int_T (2|gh|)^p dsigma, or int_T |2 Re(gh)|^p with real_part=True."""
     p = _require_positive_p(p)
-    if spec is None:
-        spec = auto_spec(max(g.degree, h.degree), 2.0 * p)
-    return float(np.mean(_product_ring(g, h, p, real_part, spec.n_angle, r)))
+    n = _spec_for(max(g.degree, h.degree), 2.0 * p, spec).n_angle
+    ring = _product_ring(g.boundary_values(n, r), h.boundary_values(n, r), p, real_part)
+    return float(np.mean(ring))
 
 
 def product_disk_power_mean(
@@ -255,9 +253,10 @@ def product_disk_power_mean(
 ) -> float:
     """int_U (2|gh|)^p dxdy/pi, or int_U |2 Re(gh)|^p with real_part=True."""
     p = _require_positive_p(p)
-    if spec is None:
-        spec = auto_spec(max(g.degree, h.degree), 2.0 * p)
-    return _disk_mean(partial(_product_ring, g, h, p, real_part, spec.n_angle), spec)
+    spec = _spec_for(max(g.degree, h.degree), 2.0 * p, spec)
+    return _disk_mean(
+        _product_ring(_disk_traces(g, spec), _disk_traces(h, spec), p, real_part), spec
+    )
 
 
 def mp_radius(

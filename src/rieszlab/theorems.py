@@ -10,11 +10,12 @@ a quantitative approach claim, and only for p < 2, where the family's
 boundary ratios (sec, sin, tan of gamma) converge to the constants from
 below.
 
-The circle tags evaluate their samples in blocks of SAMPLE_BLOCK = 32: the
-maps are drawn one seed at a time, each polynomial factor is transformed once
-per block, and a factor that both sides use is transformed once for both.
-Every LHS and RHS is bit-identical to evaluating one sample at a time.  The
-disk tags and the line pairs are evaluated one case at a time.
+Every tag's two sides come from one function, _block_sides, in blocks of
+SAMPLE_BLOCK = 32 cases.  The circle tags transform each polynomial factor
+once per block; the Bergman mixed-norm tags transform g and h once per sample
+at all radii.  Either way both sides share the traces.  The other tags
+evaluate one case at a time.  Every LHS and RHS is bit-identical to
+evaluating one sample at a time through the public norms.
 """
 
 from __future__ import annotations
@@ -39,11 +40,15 @@ from .maps import (
 )
 from .quadrature import (
     QuadratureSpec,
+    _disk_mean,
+    _disk_traces,
     _hardy_norm_rows,
+    _modulus_ring,
+    _pair_ring,
+    _require_norm_p,
     _spec_for,
     _triple_norm_rows,
     bergman_norm,
-    bergman_triple_norm,
     calderon_norm,
     circle_power_mean,
     disk_power_mean,
@@ -82,13 +87,13 @@ class TheoremId(Enum):
 # samples per block of a battery (see the module docstring)
 SAMPLE_BLOCK = 32
 
-_CIRCLE_TAGS = (
-    TheoremId.MIXED_BY_HARDY,
-    TheoremId.HARDY_BY_MIXED,
-    TheoremId.CONJUGATE_NORM,
-    TheoremId.ANALYTIC_BY_RE,
-    TheoremId.IM_BY_ANALYTIC,
-)
+# mixed-norm tags: (disk norms?, mixed norm on the left?, class of g(0)h(0))
+_MIXED_TAGS = {
+    TheoremId.MIXED_BY_HARDY: (False, True, Constraint.RE_ZERO),
+    TheoremId.HARDY_BY_MIXED: (False, False, Constraint.RE_NONPOS),
+    TheoremId.BERGMAN_MIXED_BY_NORM: (True, True, Constraint.RE_ZERO),
+    TheoremId.BERGMAN_NORM_BY_MIXED: (True, False, Constraint.RE_NONPOS),
+}
 
 _LINE_CATALOG = (
     LinePair(LineKind.POISSON_KERNEL, 1.0),
@@ -154,76 +159,81 @@ def _hardy_and_mixed(
     return _hardy_norm_rows(g + np.conj(h), p), _triple_norm_rows(g, h, p)
 
 
-def _circle_block_sides(
-    tag: TheoremId, p: float, degree: int, spec: QuadratureSpec | None, seeds: Sequence[int]
+def _bergman_and_mixed(
+    maps: Sequence[HarmonicMap], degree: int, p: float, spec: QuadratureSpec | None
 ) -> tuple[list[float], list[float]]:
-    """(LHS values, RHS-without-constant values) of a circle tag, one per seed.
+    """bergman_norm and bergman_triple_norm of each degree-`degree` map; both
+    norms share the map's disk traces of g and h, one map at a time (a block
+    of maps x radii would hold SAMPLE_BLOCK times the memory)."""
+    p = _require_norm_p(p)
+    spec = _spec_for(degree, p, spec)
+    norms, mixed = [], []
+    for m in maps:
+        g, h = _disk_traces(m.g, spec), _disk_traces(m.h, spec)
+        norms.append(_disk_mean(_modulus_ring(g + np.conj(h), p), spec) ** (1.0 / p))
+        mixed.append(_disk_mean(_pair_ring(g, h, p / 2.0), spec) ** (1.0 / p))
+    return norms, mixed
 
-    Maps are drawn one seed at a time, as a single sample draws them; each
-    factor is transformed once for the whole block, and a factor that both
-    sides use is transformed once for both.
+
+def _block_sides(
+    tag: TheoremId,
+    p_or_n,
+    degree: int,
+    spec: QuadratureSpec | None,
+    block: Sequence,
+    constraint: Constraint | None = None,
+) -> tuple[Sequence[float], Sequence[float]]:
+    """(LHS values, RHS-without-constant values) of a tag, one per case of block.
+
+    The cases are seeds (line pairs for LINE_PAIRS); maps are drawn one seed
+    at a time, as a single sample draws them.  constraint replaces the
+    hypothesis class of the four mixed-norm tags.
     """
-    if tag in (TheoremId.MIXED_BY_HARDY, TheoremId.HARDY_BY_MIXED):
-        mixed_lhs = tag is TheoremId.MIXED_BY_HARDY
-        constraint = Constraint.RE_ZERO if mixed_lhs else Constraint.RE_NONPOS
-        maps = [random_harmonic(degree, s, constraint) for s in seeds]
-        hardy, mixed = _hardy_and_mixed(maps, degree, p, spec)
-        return (mixed, hardy) if mixed_lhs else (hardy, mixed)
-    n = _spec_for(degree, p, spec).n_angle
-    if tag is TheoremId.CONJUGATE_NORM:
-        maps = [random_harmonic(degree, s, Constraint.NONE).normalized() for s in seeds]
-        conj = [conjugate_map(m) for m in maps]
+    if tag is TheoremId.LINE_PAIRS:
         return (
-            _hardy_norm_rows(_map_traces(conj, n), p),
-            _hardy_norm_rows(_map_traces(maps, n), p),
+            [line_lp_norm(pair, p_or_n, transformed=True) for pair in block],
+            [line_lp_norm(pair, p_or_n, transformed=False) for pair in block],
         )
-    gs = [_analytic_sample(degree, s) for s in seeds]
-    # the map g + conj(0) has modulus |g|
-    analytic = _hardy_norm_rows(_traces(gs, n), p)
-    if tag is TheoremId.ANALYTIC_BY_RE:
-        half = _traces([g.scaled(0.5) for g in gs], n)  # Re g = (g/2) + conj(g/2)
-        return analytic, _hardy_norm_rows(half + np.conj(half), p)
-    if tag is TheoremId.IM_BY_ANALYTIC:
-        half = _traces([g.scaled(-0.5j) for g in gs], n)  # Im g = (-i g/2) + conj(-i g/2)
-        return _hardy_norm_rows(half + np.conj(half), p), analytic
-    raise AssertionError(tag)
-
-
-def _sample_sides(
-    tag: TheoremId, p_or_n, degree: int, seed: int, spec: QuadratureSpec | None
-) -> tuple[float, float]:
-    """(LHS, RHS-without-constant) for one sample of a tag with a disk-rule side."""
-    if tag is TheoremId.BERGMAN_MIXED_BY_NORM:
-        m = random_harmonic(degree, seed, Constraint.RE_ZERO)
-        return bergman_triple_norm(m, p_or_n, spec), bergman_norm(m, p_or_n, spec)
-    if tag is TheoremId.BERGMAN_NORM_BY_MIXED:
-        m = random_harmonic(degree, seed, Constraint.RE_NONPOS)
-        return bergman_norm(m, p_or_n, spec), bergman_triple_norm(m, p_or_n, spec)
+    if tag in _MIXED_TAGS:
+        disk, mixed_lhs, hypothesis = _MIXED_TAGS[tag]
+        maps = [random_harmonic(degree, s, constraint or hypothesis) for s in block]
+        both = _bergman_and_mixed if disk else _hardy_and_mixed
+        norms, mixed = both(maps, degree, p_or_n, spec)
+        return (mixed, norms) if mixed_lhs else (norms, mixed)
     if tag is TheoremId.BERGMAN_EMBEDDING:
         n = int(p_or_n)
-        m = random_harmonic(degree, seed, Constraint.NONE).normalized()
-        return bergman_norm(m, 2 * n, spec), hardy_norm(m, n, spec)
+        maps = [random_harmonic(degree, s, Constraint.NONE).normalized() for s in block]
+        return (
+            [bergman_norm(m, 2 * n, spec) for m in maps],
+            [hardy_norm(m, n, spec) for m in maps],
+        )
     if tag is TheoremId.STREBEL:
-        f = random_poly(degree, seed)
-        m = HarmonicMap(f, TaylorPoly([0]))
-        return disk_power_mean(m, 2.0, spec), circle_power_mean(m, 1.0, 1.0, spec) ** 2
+        maps = [HarmonicMap(random_poly(degree, s), TaylorPoly([0])) for s in block]
+        return (
+            [disk_power_mean(m, 2.0, spec) for m in maps],
+            [circle_power_mean(m, 1.0, 1.0, spec) ** 2 for m in maps],
+        )
     if tag is TheoremId.PAIR_ISOPERIMETRIC:
-        a = random_poly(degree, seed)
-        b = random_poly(degree, seed + 10_000_019)
-        return _pair_isoperimetric_sides(a, b, p_or_n, spec)
+        pairs = [(random_poly(degree, s), random_poly(degree, s + 10_000_019)) for s in block]
+        return tuple(zip(*(_pair_isoperimetric_sides(a, b, p_or_n, spec) for a, b in pairs)))
+    n = _spec_for(degree, p_or_n, spec).n_angle
+    if tag is TheoremId.CONJUGATE_NORM:
+        maps = [random_harmonic(degree, s, Constraint.NONE).normalized() for s in block]
+        conj = [conjugate_map(m) for m in maps]
+        return (
+            _hardy_norm_rows(_map_traces(conj, n), p_or_n),
+            _hardy_norm_rows(_map_traces(maps, n), p_or_n),
+        )
+    gs = [_analytic_sample(degree, s) for s in block]
+    # the map g + conj(0) has modulus |g|
+    analytic = _hardy_norm_rows(_traces(gs, n), p_or_n)
+    if tag is TheoremId.ANALYTIC_BY_RE:
+        half = _traces([g.scaled(0.5) for g in gs], n)  # Re g = (g/2) + conj(g/2)
+        return analytic, _hardy_norm_rows(half + np.conj(half), p_or_n)
+    if tag is TheoremId.IM_BY_ANALYTIC:
+        half = _traces([g.scaled(-0.5j) for g in gs], n)  # Im g = (-i g/2) + conj(-i g/2)
+        return _hardy_norm_rows(half + np.conj(half), p_or_n), analytic
     raise AssertionError(tag)
-
-
-def _each(
-    side: Callable[[object], tuple[float, float]]
-) -> Callable[[Sequence], tuple[list[float], list[float]]]:
-    """Block sides that evaluate side(case) one case at a time."""
-
-    def sides(block: Sequence) -> tuple[list[float], list[float]]:
-        pairs = [side(case) for case in block]
-        return [lhs for lhs, _ in pairs], [rhs for _, rhs in pairs]
-
-    return sides
 
 
 def _sample_report(
@@ -302,21 +312,9 @@ def verify_theorem(
 
     if tag is TheoremId.LINE_PAIRS:
         cases = [((pair.kind.value, pair.parameter), pair) for pair in _LINE_CATALOG]
-
-        def side(pair: LinePair) -> tuple[float, float]:
-            return (
-                line_lp_norm(pair, p_or_n, transformed=True),
-                line_lp_norm(pair, p_or_n, transformed=False),
-            )
-
-        sides = _each(side)
     else:
         cases = [((seed + k,), seed + k) for k in range(samples)]
-        if tag in _CIRCLE_TAGS:
-            sides = partial(_circle_block_sides, tag, p_or_n, degree, spec)
-        else:
-            sides = _each(partial(_sample_sides, tag, p_or_n, degree, spec=spec))
-
+    sides = partial(_block_sides, tag, p_or_n, degree, spec)
     return _sample_report(tag.value, p_or_n, constant, cases, sides, degree, seed, rel_tol)
 
 

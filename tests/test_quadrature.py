@@ -18,14 +18,18 @@ from rieszlab.quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
     _gl01,
+    auto_spec,
     bergman_norm,
+    bergman_triple_norm,
     calderon_norm,
     calderon_power_mean,
     circle_power_mean,
     disk_power_mean,
     hardy_norm,
     mp_radius,
+    pair_circle_power_mean,
     pair_disk_power_mean,
+    product_circle_power_mean,
     product_disk_power_mean,
     triple_norm,
 )
@@ -203,8 +207,39 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(adaptive_depth=0)
     m = random_harmonic(64, 4)
-    with pytest.raises(ValueError, match="4\\*degree"):
-        hardy_norm(m, 2.0, QuadratureSpec(n_angle=128))
+    spec = QuadratureSpec(n_angle=128)
+    # every norm rejects a spec too coarse for the traces, not only the
+    # single-map ones
+    for norm in (
+        lambda: hardy_norm(m, 2.0, spec),
+        lambda: bergman_norm(m, 2.0, spec),
+        lambda: triple_norm(m, 2.0, spec),
+        lambda: bergman_triple_norm(m, 2.0, spec),
+        lambda: pair_circle_power_mean(m.g, m.h, 1.0, 1.0, spec),
+        lambda: pair_disk_power_mean(m.g, m.h, 1.0, spec),
+        lambda: product_circle_power_mean(m.g, m.h, 1.0, False, 1.0, spec),
+        lambda: product_disk_power_mean(m.g, m.h, 1.0, False, spec),
+    ):
+        with pytest.raises(ValueError, match="4\\*degree"):
+            norm()
+
+
+def test_pair_and_product_default_spec_is_auto_spec_at_twice_p():
+    # (|a|^2 + |b|^2)^p and |2ab|^p are trigonometric polynomials of degree
+    # 2p*degree, so spec=None sizes the rules as auto_spec(degree, 2p); at
+    # degree 40 and p = 4 that is 322 angles and 162 radii, above the defaults
+    a, b = random_harmonic(40, 9).g, random_harmonic(30, 10).h
+    for p in (1.25, 4.0):
+        spec = auto_spec(40, 2.0 * p)
+        assert pair_circle_power_mean(a, b, p) == pair_circle_power_mean(a, b, p, 1.0, spec)
+        assert pair_disk_power_mean(a, b, p) == pair_disk_power_mean(a, b, p, spec)
+        for real_part in (False, True):
+            assert product_circle_power_mean(a, b, p, real_part) == product_circle_power_mean(
+                a, b, p, real_part, 1.0, spec
+            )
+            assert product_disk_power_mean(a, b, p, real_part) == product_disk_power_mean(
+                a, b, p, real_part, spec
+            )
 
 
 def test_calderon_mean_matches_secant_closed_form():

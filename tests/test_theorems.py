@@ -1,5 +1,6 @@
 """Tests for the theorem batteries, the isoperimetric chain, and the probes."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,9 +8,16 @@ import pytest
 
 from rieszlab import battery, theorems
 from rieszlab.constants import SharpConstant, sharp_constant
-from rieszlab.hilbert import conjugate_map
+from rieszlab.hilbert import conjugate_map, line_lp_norm
 from rieszlab.maps import Constraint, HarmonicMap, TaylorPoly, random_harmonic, random_poly
-from rieszlab.quadrature import bergman_norm, hardy_norm, triple_norm
+from rieszlab.quadrature import (
+    bergman_norm,
+    bergman_triple_norm,
+    circle_power_mean,
+    disk_power_mean,
+    hardy_norm,
+    triple_norm,
+)
 from rieszlab.reporting import SlackAccumulator
 from rieszlab.theorems import (
     SAMPLE_BLOCK,
@@ -94,8 +102,6 @@ def test_relaxed_mixed_hypothesis_holds_up_to_three():
 def test_relaxed_bergman_mixed_hypothesis_below_three():
     # the Bergman version of the mixed bound also tolerates Re(g(0)h(0)) >= 0
     # for p < 3
-    from rieszlab.quadrature import bergman_triple_norm
-
     for p in (1.5, 2.5):
         constant = sharp_constant(SharpConstant.A, p)
         for seed in range(20):
@@ -146,8 +152,6 @@ def test_chain_final_equals_embedding_constant_power():
     m = random_harmonic(4, 77)
     n = 3
     chain = dict(isoperimetric_chain(m, n))
-    from rieszlab.quadrature import circle_power_mean
-
     circ = circle_power_mean(m, float(n), 1.0)
     expected = sharp_constant(SharpConstant.ISOP, n=n) ** (2 * n) * circ**2
     assert chain["final"] == pytest.approx(expected, rel=1e-12)
@@ -267,21 +271,21 @@ def reference_sample_sides(tag, p, degree, seed):
     return hardy_norm(HarmonicMap(half, half), p), analytic
 
 
-def reference_report(report_id, p, constant, seeds, pairs, degree, seed, rel_tol=1e-9):
+def reference_report(report_id, p, constant, labels, pairs, degree, seed, rel_tol=1e-9):
     """The per-case sample loop over precomputed (LHS, RHS-without-constant) pairs."""
     acc = SlackAccumulator()
     ratio_max = 0.0
-    for case_seed, (lhs, rhs_base) in zip(seeds, pairs):
+    for label, (lhs, rhs_base) in zip(labels, pairs):
         rhs = constant * rhs_base
         if rhs == 0.0:
             continue
         slack = (rhs - lhs) / rhs
         ratio_max = max(ratio_max, lhs / rhs)
-        acc.add((case_seed,), float(slack), slack < -rel_tol)
+        acc.add(label, float(slack), slack < -rel_tol)
     return acc.report(
         id=report_id,
         p=p,
-        grid={"samples": len(seeds), "degree": degree},
+        grid={"samples": len(labels), "degree": degree},
         constant=constant,
         ratio_max=ratio_max,
         seed=seed,
@@ -333,8 +337,8 @@ def test_batched_battery_is_bit_identical_to_sample_loop(monkeypatch):
                     case = (tag, p, seed, count)
                     assert [pair for b in blocks for pair in b] == ref[:count], case
                     expected = reference_report(
-                        report.id, p, constant, range(seed, seed + count), ref[:count],
-                        degree, seed,
+                        report.id, p, constant, [(s,) for s in range(seed, seed + count)],
+                        ref[:count], degree, seed,
                     )
                     assert payload(report) == payload(expected), case
 
@@ -367,3 +371,101 @@ def test_batched_parseval_is_bit_identical_to_sample_loop():
         for count in (1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 100):
             report = battery.parseval_bridge_report(count, 8, seed)
             assert payload(report) == payload(reference_parseval_report(count, 8, seed))
+
+
+def test_full_suite_passes_degree_to_the_sampled_stages(monkeypatch):
+    received = {}
+    stages = [name for name in battery.__all__ if name != "full_suite"]
+    for name in stages:
+        signature = inspect.signature(getattr(battery, name))
+
+        def stage(*args, _name=name, _signature=signature, **kwargs):
+            bound = _signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            received[_name] = bound.arguments.get("degree")
+            return []
+
+        monkeypatch.setattr(battery, name, stage)
+    battery.full_suite(degree=5)
+    assert sorted(received) == sorted(stages)
+    # the isoperimetric batteries keep their own degree, and the Hilbert
+    # check's degree is that of its Fourier series, not of a sampled map
+    assert {name: d for name, d in received.items() if d is not None} == {
+        "parseval_bridge_report": 5,
+        "hilbert_singular_report": 16,
+        "conjugate_bound_reports": 5,
+        "theorem_reports": 5,
+        "isoperimetric_reports": 4,
+    }
+
+
+# ------------- per-case reference for the disk, isoperimetric and line batteries -------------
+
+
+def reference_case_sides(tag, p_or_n, degree, seed, spec=None):
+    """(LHS, RHS-without-constant) for one sample of a tag with a disk-rule side."""
+    if tag is TheoremId.BERGMAN_MIXED_BY_NORM:
+        m = random_harmonic(degree, seed, Constraint.RE_ZERO)
+        return bergman_triple_norm(m, p_or_n, spec), bergman_norm(m, p_or_n, spec)
+    if tag is TheoremId.BERGMAN_NORM_BY_MIXED:
+        m = random_harmonic(degree, seed, Constraint.RE_NONPOS)
+        return bergman_norm(m, p_or_n, spec), bergman_triple_norm(m, p_or_n, spec)
+    if tag is TheoremId.BERGMAN_EMBEDDING:
+        n = int(p_or_n)
+        m = random_harmonic(degree, seed, Constraint.NONE).normalized()
+        return bergman_norm(m, 2 * n, spec), hardy_norm(m, n, spec)
+    if tag is TheoremId.STREBEL:
+        f = random_poly(degree, seed)
+        m = HarmonicMap(f, TaylorPoly([0]))
+        return disk_power_mean(m, 2.0, spec), circle_power_mean(m, 1.0, 1.0, spec) ** 2
+    if tag is TheoremId.PAIR_ISOPERIMETRIC:
+        a = random_poly(degree, seed)
+        b = random_poly(degree, seed + 10_000_019)
+        return _pair_isoperimetric_sides(a, b, p_or_n, spec)
+    raise AssertionError(tag)
+
+
+CASE_TAGS = (
+    *[(TheoremId.BERGMAN_MIXED_BY_NORM, p) for p in battery.THEOREM_P_VALUES],
+    *[(TheoremId.BERGMAN_NORM_BY_MIXED, p) for p in battery.THEOREM_P_VALUES],
+    *[(TheoremId.BERGMAN_EMBEDDING, n) for n in (2, 3, 4)],
+    (TheoremId.STREBEL, 1.0),
+    *[(TheoremId.PAIR_ISOPERIMETRIC, p) for p in (0.5, 1.0, 2.0)],
+)
+
+
+def test_block_sides_are_bit_identical_to_case_loop(monkeypatch):
+    blocks = []
+    monkeypatch.setattr(theorems, "_sample_report", recording_sample_report(blocks))
+    for tag, p_or_n in CASE_TAGS:
+        constant = theorem_constant(tag, p=p_or_n, n=p_or_n)
+        for degree in (8, 4):
+            for seed in (0, 1000):
+                ref = [
+                    reference_case_sides(tag, p_or_n, degree, seed + k)
+                    for k in range(SAMPLE_BLOCK + 1)
+                ]
+                for count in (1, SAMPLE_BLOCK + 1):
+                    blocks.clear()
+                    report = verify_theorem(tag, p_or_n, count, degree, seed)
+                    case = (tag, p_or_n, degree, seed, count)
+                    assert [len(b) for b in blocks] == [
+                        min(SAMPLE_BLOCK, count - start) for start in range(0, count, SAMPLE_BLOCK)
+                    ], case
+                    assert [pair for b in blocks for pair in b] == ref[:count], case
+                    expected = reference_report(
+                        report.id, p_or_n, constant, [(s,) for s in range(seed, seed + count)],
+                        ref[:count], degree, seed,
+                    )
+                    assert payload(report) == payload(expected), case
+    for p in battery.THEOREM_P_VALUES:
+        blocks.clear()
+        report = verify_theorem(TheoremId.LINE_PAIRS, p)
+        catalog = theorems._LINE_CATALOG
+        ref = [(line_lp_norm(pair, p, True), line_lp_norm(pair, p, False)) for pair in catalog]
+        assert blocks == [ref], p
+        labels = [(pair.kind.value, pair.parameter) for pair in catalog]
+        expected = reference_report(
+            report.id, p, theorem_constant(TheoremId.LINE_PAIRS, p), labels, ref, 8, 0
+        )
+        assert payload(report) == payload(expected), p
