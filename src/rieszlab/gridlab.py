@@ -13,6 +13,18 @@ sum of the absolute values of its three terms: raw terms reach ~1e19 at
 p = 64, where an absolute -1e-9 acceptance would be swamped by roundoff,
 while the relative slack keeps the tolerance meaningful at every p.  The
 scalar tags are O(1) quantities and stay absolute.
+
+Evaluation.  A 2-D scan walks column blocks of SCAN_COLUMNS t-nodes against
+the whole r column, so the temporaries of one block fit in L2 and every
+t-only angle profile is evaluated once per node.  The result is that of one
+row-major array: argmin is the first minimal node in row-major order (r
+outer), and the violations are the first MAX_VIOLATIONS in row-major order.
+A slack that is NaN or infinite is a violation, in the scans and in the
+sub-mean checks alike.  The sub-mean and complex-line checks draw their
+centers and radii one circle at a time, then evaluate CIRCLE_BLOCK circles
+as one (k, angles) array and take the means along each row.  Both block
+loops first allocate and free one large array (see _keep_heap), so that the
+blocks reuse their temporaries' pages instead of faulting in new ones.
 """
 
 from __future__ import annotations
@@ -82,12 +94,21 @@ class InequalityId(Enum):
 
 def _normalized(t1, t2, t3):
     """(t1 - t2 - t3) / (|t1| + |t2| + |t3|); the denominator never vanishes
-    on the scanned domains (t3 > 0 whenever t1 = 0)."""
-    return (t1 - t2 - t3) / (np.abs(t1) + np.abs(t2) + np.abs(t3))
+    on the scanned domains (t3 > 0 whenever t1 = 0).  t2 carries the angle
+    profile, so t1 - t2 has the full grid shape and is reused in place."""
+    num = t1 - t2
+    num -= t3
+    den = np.abs(t1) + np.abs(t2)
+    den += np.abs(t3)
+    num /= den
+    return num
 
 
 def _sum_sq(r, t):
-    return 1.0 + r * r + 2.0 * r * np.cos(t)
+    """|1 + r e^{it}|^2 = (1 + r^2) + 2 r cos t."""
+    out = 2.0 * r * np.cos(t)
+    out += 1.0 + r * r
+    return out
 
 
 def _slack_mixed_low(p, r, t):
@@ -407,35 +428,82 @@ def _check_tag_p(tag: InequalityId, p: float) -> float:
     return float(p)
 
 
-def _scan_2d(slack_fn, p, r_vals, t_vals, tol, chunk=64):
-    min_slack = math.inf
-    argmin = (float(r_vals[0]), float(t_vals[0]))
-    violations: list = []
-    t_row = t_vals[None, :]
-    for i0 in range(0, len(r_vals), chunk):
-        r_col = r_vals[i0 : i0 + chunk, None]
-        s = slack_fn(p, r_col, t_row)
-        flat = int(np.argmin(s))
-        i, j = np.unravel_index(flat, s.shape)
-        if s[i, j] < min_slack:
-            min_slack = float(s[i, j])
-            argmin = (float(r_col[i, 0]), float(t_vals[j]))
-        if len(violations) < MAX_VIOLATIONS:
-            bad = np.argwhere(s < -tol)
-            for bi, bj in bad[: MAX_VIOLATIONS - len(violations)]:
-                violations.append(
-                    ((float(r_col[bi, 0]), float(t_vals[bj])), float(s[bi, bj]))
-                )
-    return min_slack, argmin, violations
+# t-nodes per column block of the 2-D scan: against the default 2000 r-nodes
+# a block is 64k points, 512 KB per temporary, so a slack's temporaries stay
+# in a 2 MB L2 cache, and each t-only angle profile is evaluated once per node
+SCAN_COLUMNS = 32
+
+
+def _keep_heap(nbytes: int) -> None:
+    """Allocate and free nbytes once, so that later temporaries of a block
+    reuse heap pages instead of faulting in fresh ones.
+
+    glibc serves a large request from its own mapping; freeing it raises the
+    mmap threshold to its size and the heap trim threshold to twice that.
+    Below those thresholds a block's freed temporaries stay on the heap for
+    the next block, where otherwise every block returns them to the kernel
+    and faults them in again.  Other allocators ignore it.
+    """
+    np.empty(nbytes, dtype=np.uint8)
+
+
+def _first_min(s: np.ndarray) -> tuple[int, float]:
+    """Flat index and value of the first minimum of s, NaN skipped; (0, inf)
+    when every entry is NaN."""
+    k = int(np.argmin(s))
+    v = float(s.flat[k])
+    if math.isnan(v):  # argmin stops at the first NaN
+        if np.isnan(s).all():
+            return 0, math.inf
+        k = int(np.nanargmin(s))
+        v = float(s.flat[k])
+    return k, v
+
+
+def _violated(s, tol):
+    """Nodes whose slack is below -tol or not finite."""
+    return ~np.isfinite(s) | (s < -tol)
+
+
+def _scan_2d(slack_fn, p, r_vals, t_vals, tol):
+    """Minimum, first minimal node and violations of the slack on the r x t
+    grid, all in row-major order (r outer), as if the grid were one array.
+
+    The grid is evaluated in column blocks of SCAN_COLUMNS t-nodes against
+    the whole r column.  The minimum is the smallest (value, row, col) over
+    the blocks' first minima; NaN never sets it.  A block whose minimum is
+    at least -tol and whose maximum is finite holds no violation and is not
+    searched; the others give their first MAX_VIOLATIONS violations, and the
+    first MAX_VIOLATIONS of those in row-major order are kept.
+    """
+    r_col = r_vals[:, None]
+    _keep_heap(8 * r_col.nbytes * min(SCAN_COLUMNS, len(t_vals)))  # eight block temporaries
+    best = (math.inf, 0, 0)
+    bad: list = []  # (row, col, slack)
+    for j0 in range(0, len(t_vals), SCAN_COLUMNS):
+        s = slack_fn(p, r_col, t_vals[None, j0 : j0 + SCAN_COLUMNS])
+        k, v = _first_min(s)
+        i, j = divmod(k, s.shape[1])
+        best = min(best, (v, i, j0 + j))
+        if v >= -tol and math.isfinite(v) and math.isfinite(s.max()):
+            continue
+        for bi, bj in np.argwhere(_violated(s, tol))[:MAX_VIOLATIONS]:
+            bad.append((int(bi), j0 + int(bj), float(s[bi, bj])))
+        bad.sort()
+        del bad[MAX_VIOLATIONS:]
+    min_slack, i, j = best
+    violations = [((float(r_vals[bi]), float(t_vals[bj])), sv) for bi, bj, sv in bad]
+    return min_slack, (float(r_vals[i]), float(t_vals[j])), violations
 
 
 def _scan_1d(slack_fn, p, x_vals, tol):
     s = slack_fn(p, x_vals)
-    j = int(np.argmin(s))
+    j, v = _first_min(s)
     violations = [
-        ((float(x_vals[k]),), float(s[k])) for k in np.flatnonzero(s < -tol)[:MAX_VIOLATIONS]
+        ((float(x_vals[k]),), float(s[k]))
+        for k in np.flatnonzero(_violated(s, tol))[:MAX_VIOLATIONS]
     ]
-    return float(s[j]), (float(x_vals[j]),), violations
+    return v, (float(x_vals[j]),), violations
 
 
 def _axis(lo, hi, n, open_lo=False):
@@ -457,7 +525,7 @@ def verify_pointwise(
 
     if info.arity == 0:
         s = float(info.slack(p))
-        acc.add((p,), s, s < -grid.tolerance)
+        acc.add((p,), s, bool(_violated(s, grid.tolerance)))
         return acc.report(id=tag.value, p=p, grid={"kind": "scalar"}, tolerance=grid.tolerance)
 
     # the full-grid scan sets the minimum; the refinement pass can only lower it
@@ -584,13 +652,35 @@ def unreduced_slack(tag: InequalityId, p: float, z: complex, w: complex) -> floa
 # ------------------------------ subharmonicity ------------------------------
 
 
-def _circle_mean_with_estimate(fn, center: complex, rho: float, angles: int):
-    """Trapezoid circle mean plus a two-grid discretization-error estimate."""
-    theta = np.arange(angles) * (TWO_PI / angles)
-    vals = np.asarray(fn(center + rho * np.exp(1j * theta)), dtype=float)
-    mean = float(np.mean(vals))
-    half = float(np.mean(vals[::2]))
-    return mean, abs(mean - half)
+# circles per evaluation in the sub-mean checks: a block of 64 circles at the
+# default 1024 angles is 1 MB of complex nodes
+CIRCLE_BLOCK = 64
+
+
+def _check_angles(angles: int) -> None:
+    # the two-grid estimate averages every second node, so the count is even
+    if angles < 256 or angles % 2:
+        raise ValueError(f"angles must be an even number >= 256, got {angles}")
+
+
+def _circle_means(values, centers, rhos, angles: int):
+    """Trapezoid means over the circles |z - centers[k]| = rhos[k], plus
+    their two-grid discretization-error estimates |mean - mean over every
+    second node|.  values(rows, z) evaluates the circles in the slice rows
+    at their nodes z, a (k, angles) array; k is at most CIRCLE_BLOCK."""
+    nodes = np.exp(1j * (np.arange(angles) * (TWO_PI / angles)))
+    centers = np.asarray(centers, dtype=complex)
+    rhos = np.asarray(rhos, dtype=float)
+    means = np.empty(len(rhos))
+    errs = np.empty(len(rhos))
+    _keep_heap(8 * nodes.nbytes * min(CIRCLE_BLOCK, len(rhos)))  # eight node blocks
+    for k0 in range(0, len(rhos), CIRCLE_BLOCK):
+        rows = slice(k0, k0 + CIRCLE_BLOCK)
+        z = centers[rows, None] + rhos[rows, None] * nodes
+        vals = np.asarray(values(rows, z), dtype=float)
+        means[rows] = vals.mean(axis=1)
+        errs[rows] = np.abs(means[rows] - vals[:, ::2].mean(axis=1))
+    return means, errs
 
 
 def _minorant_fn(mid: Minorant, p: float) -> Callable:
@@ -644,10 +734,11 @@ def check_submean(
     compared against origin_circle_mean).  The deficit is cushioned by twice
     the two-grid discretization estimate, so exact-equality (harmonic) cases
     are not flagged by trapezoid noise while genuine violations, which are
-    O(1), still surface.
+    O(1), still surface; a non-finite deficit is a violation.  The circles are
+    evaluated in blocks of CIRCLE_BLOCK, so a custom callable must act
+    elementwise on a (k, angles) array.
     """
-    if angles < 256:
-        raise ValueError("angles must be >= 256")
+    _check_angles(angles)
     if centers < 1 or radii < 1:
         raise ValueError("centers and radii must be >= 1")
     acc = SlackAccumulator()
@@ -662,29 +753,32 @@ def check_submean(
         origin_reference = lambda rho: origin_circle_mean(mid, p, rho)  # noqa: E731
 
     rng = np.random.default_rng(seed)
-
-    def record(center: complex, rho: float):
-        mean, err = _circle_mean_with_estimate(fn, center, rho, angles)
-        deficit = mean - float(np.real(fn(np.asarray(center)))) + 2.0 * err
-        acc.add((center.real, center.imag, rho), float(deficit), deficit < -tolerance)
-        return mean, err
-
+    groups = []  # (center, its circle radii), drawn centers first, the origin last
     for _ in range(centers):
-        z0 = 2.0 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, TWO_PI))
-        z0 = complex(z0)
-        for _ in range(radii):
-            rho = abs(z0) * rng.uniform(1e-3, 1.0)
-            record(z0, rho)
-
+        z0 = complex(2.0 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, TWO_PI)))
+        groups.append((z0, [abs(z0) * rng.uniform(1e-3, 1.0) for _ in range(radii)]))
     # explicit origin pass with the independent mean comparison
-    for _ in range(radii):
-        rho = 2.0 * rng.uniform(1e-3, 1.0)
-        mean, err = record(0.0 + 0.0j, rho)
-        if origin_reference is not None:
-            ref = origin_reference(rho)
-            allowance = 64.0 * max(1.0, abs(ref)) / angles**2 + 4.0 * err + 1e-10
-            if abs(mean - ref) > allowance:
-                acc.flag((0.0, 0.0, rho), float(mean - ref))
+    groups.append((0.0 + 0.0j, [2.0 * rng.uniform(1e-3, 1.0) for _ in range(radii)]))
+    means, errs = _circle_means(
+        lambda rows, z: fn(z),
+        [center for center, rhos in groups for _ in rhos],
+        [rho for _, rhos in groups for rho in rhos],
+        angles,
+    )
+
+    k = 0
+    for g, (center, rhos) in enumerate(groups):
+        value = float(np.real(fn(np.asarray(center))))
+        for rho in rhos:
+            mean, err = float(means[k]), float(errs[k])
+            k += 1
+            deficit = mean - value + 2.0 * err
+            acc.add((center.real, center.imag, rho), deficit, _violated(deficit, tolerance))
+            if g == centers and origin_reference is not None:
+                ref = origin_reference(rho)
+                allowance = 64.0 * max(1.0, abs(ref)) / angles**2 + 4.0 * err + 1e-10
+                if abs(mean - ref) > allowance:
+                    acc.flag((0.0, 0.0, rho), float(mean - ref))
 
     return acc.report(
         id=tag,
@@ -707,31 +801,46 @@ def check_pluri_lines(
 ) -> VerificationReport:
     """Plurisubharmonicity probe: restrict the two-variable minorant to random
     complex lines tau -> (z0 + tau w1, w0 + tau w2) and run the sub-mean test
-    on the restriction.  Constant lines give deficit 0 by construction."""
+    on the restriction.  Constant lines give deficit 0 by construction.  The
+    circles of all lines are evaluated in blocks of CIRCLE_BLOCK."""
     mid = Minorant(mid)
     if mid not in (Minorant.F_PAIR, Minorant.G_PAIR):
         raise ValueError("check_pluri_lines applies to the two-variable minorants")
     if n_lines < 16:
         raise ValueError("n_lines must be >= 16")
+    if centers < 1 or radii < 1:
+        raise ValueError("centers and radii must be >= 1")
+    _check_angles(angles)
     two_var = minorant_F if mid is Minorant.F_PAIR else minorant_G
     acc = SlackAccumulator()
     rng = np.random.default_rng(seed)
+    groups = []  # (line, (z0, w0, w1, w2), center, its circle radii)
     for line in range(n_lines):
-        z0, w0, w1, w2 = (
+        coeffs = tuple(
             complex(math.sqrt(rng.uniform()) * 1.25 * np.exp(1j * rng.uniform(0, TWO_PI)))
             for _ in range(4)
         )
-
-        def restricted(tau):
-            return two_var(z0 + tau * w1, w0 + tau * w2, p)
-
         for _ in range(centers):
             c = complex(math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, TWO_PI)))
-            for _ in range(radii):
-                rho = 0.75 * rng.uniform(1e-3, 1.0)
-                mean, err = _circle_mean_with_estimate(restricted, c, rho, angles)
-                deficit = mean - float(np.real(restricted(np.asarray(c)))) + 2.0 * err
-                acc.add((line, c.real, c.imag, rho), float(deficit), deficit < -tolerance)
+            groups.append((line, coeffs, c, [0.75 * rng.uniform(1e-3, 1.0) for _ in range(radii)]))
+
+    # each circle's line coefficients, as (circles, 1) columns
+    z0s, w0s, w1s, w2s = np.array([cs for _, cs, _, rhos in groups for _ in rhos]).T[:, :, None]
+    means, errs = _circle_means(
+        lambda rows, tau: two_var(z0s[rows] + tau * w1s[rows], w0s[rows] + tau * w2s[rows], p),
+        [c for _, _, c, rhos in groups for _ in rhos],
+        [rho for *_, rhos in groups for rho in rhos],
+        angles,
+    )
+
+    k = 0
+    for line, (z0, w0, w1, w2), c, rhos in groups:
+        tau = np.asarray(c)
+        value = float(np.real(two_var(z0 + tau * w1, w0 + tau * w2, p)))
+        for rho in rhos:
+            deficit = float(means[k]) - value + 2.0 * float(errs[k])
+            k += 1
+            acc.add((line, c.real, c.imag, rho), deficit, _violated(deficit, tolerance))
     return acc.report(
         id=mid.value,
         p=p,

@@ -227,8 +227,10 @@ def test_submean_minorant_battery_reduced():
 
 
 def test_submean_parameter_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="angles"):
         check_submean(Minorant.PHI_MID, 3.0, angles=128)
+    with pytest.raises(ValueError, match="angles"):
+        check_submean(Minorant.PHI_MID, 3.0, angles=1023)
     with pytest.raises(ValueError):
         check_submean(Minorant.PHI_MID, 3.0, centers=0)
     with pytest.raises(ValueError):
@@ -272,10 +274,10 @@ def test_pluri_lines_pass_and_constant_line_is_flat():
     assert report.passed and report.min_slack >= -1e-8
     # a constant line: restriction is constant, deficit exactly 0
     from rieszlab.constants import minorant_F
-    from rieszlab.gridlab import _circle_mean_with_estimate
+    from rieszlab.gridlab import _circle_means
 
     fn = lambda tau: minorant_F(0.4 + 0.1j + 0.0 * tau, 0.2j + 0.0 * tau, 3.0)  # noqa: E731
-    mean, err = _circle_mean_with_estimate(fn, 0.3 + 0.2j, 0.5, 512)
+    (mean,), (err,) = _circle_means(lambda rows, tau: fn(tau), [0.3 + 0.2j], [0.5], 512)
     assert abs(mean - fn(np.asarray(0.3 + 0.2j))) < 1e-14 and err < 1e-14
 
 
@@ -284,6 +286,12 @@ def test_pluri_lines_validation():
         check_pluri_lines(Minorant.RE_BRANCH, 1.5)
     with pytest.raises(ValueError):
         check_pluri_lines(Minorant.F_PAIR, 1.5, n_lines=8)
+    with pytest.raises(ValueError, match="angles"):
+        check_pluri_lines(Minorant.F_PAIR, 1.5, angles=128)
+    with pytest.raises(ValueError, match="angles"):
+        check_pluri_lines(Minorant.F_PAIR, 1.5, angles=1023)
+    with pytest.raises(ValueError, match="centers and radii"):
+        check_pluri_lines(Minorant.F_PAIR, 1.5, centers=0)
 
 
 def test_radial_low_scan_examples():
