@@ -33,6 +33,7 @@ from .maps import (
     FourierSeries,
     HarmonicMap,
     TaylorPoly,
+    random_coefficients,
     random_harmonic,
 )
 from .quadrature import circle_power_mean, disk_power_mean, hardy_norm
@@ -124,12 +125,13 @@ def parseval_bridge_report(
     acc = SlackAccumulator(-0.0)
     for start in range(0, samples, SAMPLE_BLOCK):
         ks = range(start, min(start + SAMPLE_BLOCK, samples))
-        maps = [random_harmonic(degree, seed + k, Constraint.NONE) for k in ks]
-        zero = [random_harmonic(degree, seed + samples + k, Constraint.RE_ZERO) for k in ks]
-        hardy, mixed = _hardy_and_mixed(maps, degree, 2.0, None)
-        hardy_z, mixed_z = _hardy_and_mixed(zero, degree, 2.0, None)
-        for k, m, a, b, az, bz in zip(ks, maps, hardy, mixed, hardy_z, mixed_z):
-            cross = 2.0 * (m.g.coeffs[0] * m.h.coeffs[0]).real
+        g, h = random_coefficients(degree, [seed + k for k in ks], Constraint.NONE)
+        zero = random_coefficients(degree, [seed + samples + k for k in ks], Constraint.RE_ZERO)
+        hardy, mixed = _hardy_and_mixed(g, h, 2.0, None)
+        hardy_z, mixed_z = _hardy_and_mixed(*zero, 2.0, None)
+        rows = zip(ks, g[:, 0].tolist(), h[:, 0].tolist(), hardy, mixed, hardy_z, mixed_z)
+        for k, g0, h0, a, b, az, bz in rows:
+            cross = 2.0 * (g0 * h0).real
             err = max(abs(a**2 - b**2 - cross), abs(az - bz))
             acc.add((seed + k,), -err, err > tol)
     return acc.report(
@@ -447,6 +449,8 @@ def full_suite(
 ) -> list[VerificationReport]:
     """Every acceptance check, in a deterministic order.  degree applies to the
     Parseval, conjugate and theorem batteries; the isoperimetric ones keep 4."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if degree < 0:

@@ -663,6 +663,13 @@ def _check_angles(angles: int) -> None:
         raise ValueError(f"angles must be an even number >= 256, got {angles}")
 
 
+def _check_seed_and_tolerance(seed: int, tolerance: float) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
+
+
 def _circle_means(values, centers, rhos, angles: int):
     """Trapezoid means over the circles |z - centers[k]| = rhos[k], plus
     their two-grid discretization-error estimates |mean - mean over every
@@ -731,16 +738,19 @@ def check_submean(
 
     Random centers in the disk of radius 2 with random circle radii
     rho <= |z0| (plus z0 = 0 explicitly, where the trapezoid average is also
-    compared against origin_circle_mean).  The deficit is cushioned by twice
-    the two-grid discretization estimate, so exact-equality (harmonic) cases
-    are not flagged by trapezoid noise while genuine violations, which are
-    O(1), still surface; a non-finite deficit is a violation.  The circles are
-    evaluated in blocks of CIRCLE_BLOCK, so a custom callable must act
-    elementwise on a (k, angles) array.
+    compared against origin_circle_mean; that mean is rho^{p/2} times its
+    value at rho = 1, so its profile integral runs once per call).  The
+    deficit is cushioned by twice the two-grid discretization estimate, so
+    exact-equality (harmonic) cases are not flagged by trapezoid noise while
+    genuine violations, which are O(1), still surface; a non-finite deficit
+    is a violation.  The circles are evaluated in blocks of CIRCLE_BLOCK, so
+    a custom callable must act elementwise on a (k, angles) array.  seed must
+    be >= 0 and tolerance finite and > 0.
     """
     _check_angles(angles)
     if centers < 1 or radii < 1:
         raise ValueError("centers and radii must be >= 1")
+    _check_seed_and_tolerance(seed, tolerance)
     acc = SlackAccumulator()
     if callable(minorant_or_fn):
         fn = minorant_or_fn
@@ -750,7 +760,10 @@ def check_submean(
         mid = Minorant(minorant_or_fn)
         fn = _minorant_fn(mid, p)
         tag = mid.value
-        origin_reference = lambda rho: origin_circle_mean(mid, p, rho)  # noqa: E731
+        # the origin mean scales as rho^{p/2}, so one profile integral serves
+        # every radius: unit * rho^{p/2} is origin_circle_mean(mid, p, rho)
+        unit = origin_circle_mean(mid, p, 1.0)
+        origin_reference = lambda rho: unit * rho ** (0.5 * p)  # noqa: E731
 
     rng = np.random.default_rng(seed)
     groups = []  # (center, its circle radii), drawn centers first, the origin last
@@ -811,6 +824,7 @@ def check_pluri_lines(
     if centers < 1 or radii < 1:
         raise ValueError("centers and radii must be >= 1")
     _check_angles(angles)
+    _check_seed_and_tolerance(seed, tolerance)
     two_var = minorant_F if mid is Minorant.F_PAIR else minorant_G
     acc = SlackAccumulator()
     rng = np.random.default_rng(seed)

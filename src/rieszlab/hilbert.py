@@ -11,6 +11,10 @@ series coefficient by coefficient.
 The line transform H[phi](x) = (1/pi) p.v. int phi(t)/(x-t) dt is exercised
 through a catalog of closed-form pairs (conjugate Poisson kernel, Lorentzian,
 interval indicator), with a direct principal-value quadrature as cross-check.
+
+Series values come from FourierSeries.__call__, which sums the terms left to
+right as arrays; the singular integral evaluates its complex integrand once
+per quadrature node and shares it between the real and imaginary quads.
 """
 
 from __future__ import annotations
@@ -58,12 +62,21 @@ def singular_hilbert_at(series: FourierSeries, tau: float, epsilon: float) -> co
     evaluated by adaptive quadrature.  The difference quotient annihilates
     constants, so this recovers the multiplier form minus its k = 0 term as
     epsilon -> 0 (at rate O(epsilon) for smooth traces).
+
+    The real and imaginary parts are separate quads over the same nodes; the
+    complex integrand is evaluated once per node (both series values in one
+    array call) and kept for the other part until this call returns.
     """
     if not 0.0 < epsilon < math.pi:
         raise ValueError(f"epsilon must lie in (0, pi), got {epsilon}")
+    values: dict[float, complex] = {}
 
     def integrand(t: float) -> complex:
-        return (series(tau + t) - series(tau - t)) / (2.0 * math.tan(0.5 * t))
+        value = values.get(t)
+        if value is None:
+            ahead, behind = series(np.array([tau + t, tau - t])).tolist()
+            value = values[t] = (ahead - behind) / (2.0 * math.tan(0.5 * t))
+        return value
 
     re, _ = integrate.quad(
         lambda t: integrand(t).real, epsilon, math.pi, limit=200, epsabs=1e-11

@@ -6,6 +6,14 @@ unit circle as bilateral Fourier series: the g-coefficients occupy the
 nonnegative frequencies and the conjugated h-coefficients the negative ones,
 with k = 0 receiving g_0 + conj(h_0).
 
+Random maps are drawn in blocks: random_coefficients turns a sequence of
+seeds into (k, degree + 1) coefficient arrays of g and h, one row per seed,
+from one stream per seed, and random_harmonic and random_poly are its
+one-seed calls.  Batteries feed the arrays straight to _boundary_rows, so no
+per-sample polynomial objects are built; every row is bit-identical to the
+map drawn from its seed alone.  Fourier series are evaluated as arrays:
+every term at once, summed left to right in the order of the coefficients.
+
 The Calderon extremal family g(z) = ((1+z)/(1-z))^(2*gamma/pi) (principal
 branch, |arg (1+z)/(1-z)| <= pi/2) is the sharpness witness for the conjugate
 function constants; on the boundary (1+e^{it})/(1-e^{it}) = i*cot(t/2), so the
@@ -17,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +38,7 @@ __all__ = [
     "eval_harmonic",
     "boundary_series",
     "series_to_map",
+    "random_coefficients",
     "random_harmonic",
     "random_poly",
     "calderon_boundary",
@@ -56,6 +65,11 @@ def _boundary_rows(coeffs: np.ndarray, n: int) -> np.ndarray:
     zero-padded to length n; each row is bit-identical to its own transform.
     """
     return np.fft.ifft(coeffs, n, axis=-1) * n
+
+
+def _radius_powers(r, length: int) -> np.ndarray:
+    """r^k for k < length, one row per radius of a 1-D array r."""
+    return np.asarray(r, dtype=float)[..., None] ** np.arange(length)
 
 
 @dataclass(frozen=True)
@@ -103,7 +117,7 @@ class TaylorPoly:
             raise ValueError(f"n={n} must exceed the polynomial degree {self.degree}")
         c = np.asarray(self.coeffs, dtype=complex)
         if isinstance(r, np.ndarray) or r != 1.0:
-            c = c * (np.asarray(r, dtype=float)[..., None] ** np.arange(len(c)))
+            c = c * _radius_powers(r, len(c))
         return _boundary_rows(c, n)
 
 
@@ -151,17 +165,31 @@ class FourierSeries:
         object.__setattr__(
             self, "coeffs", {int(k): complex(v) for k, v in coeffs.items()}
         )
+        c = np.array(list(self.coeffs.values()), dtype=complex)
+        object.__setattr__(self, "_k", np.array(list(self.coeffs), dtype=float))
+        object.__setattr__(self, "_re", c.real.copy())
+        object.__setattr__(self, "_im", c.imag.copy())
 
     @property
     def degree(self) -> int:
         return max((abs(k) for k in self.coeffs), default=0)
 
     def __call__(self, tau):
+        """sum_k c_k exp(i k tau), elementwise in tau.
+
+        All terms are computed at once, each product c_k * exp(i k tau) in
+        real arithmetic, and summed left to right from a zero start in the
+        order of the coefficients; so a value does not depend on the shape
+        of tau, and a scalar tau gives exactly what adding one term at a time
+        to a complex zero gives.
+        """
         tau = np.asarray(tau, dtype=float)
-        acc = np.zeros(tau.shape, dtype=complex)
-        for k, c in self.coeffs.items():
-            acc = acc + c * np.exp(1j * k * tau)
-        return acc if acc.shape else complex(acc)
+        e = np.exp(1j * (tau[..., None] * self._k))
+        terms = np.zeros(tau.shape + (len(self._k) + 1,), dtype=complex)
+        terms.real[..., 1:] = self._re * e.real - self._im * e.imag
+        terms.imag[..., 1:] = self._re * e.imag + self._im * e.real
+        acc = np.add.accumulate(terms, axis=-1)[..., -1]
+        return acc.copy() if acc.shape else complex(acc)
 
     def mean(self) -> complex:
         return self.coeffs.get(0, 0j)
@@ -194,19 +222,60 @@ class Constraint(Enum):
     RE_NONPOS = "RE_NONPOS"
 
 
-def _disk_samples(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n i.i.d. points uniform on the closed unit disk."""
-    radius = np.sqrt(rng.uniform(0.0, 1.0, n))
-    angle = rng.uniform(0.0, 2.0 * math.pi, n)
-    return radius * np.exp(1j * angle)
+def random_coefficients(
+    degree: int, seeds: Sequence[int], constraint: Constraint = Constraint.NONE
+) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor coefficients of g and h of random_harmonic(degree, s, constraint)
+    for each seed s, as two (len(seeds), degree + 1) arrays, one row per seed.
+
+    Each seed has its own stream: one numpy Generator seeded with it, and one
+    draw of 4*(degree+1) uniforms on [0, 1), read as the squared moduli and the
+    angles / (2 pi) of g's coefficients, then of h's.  uniform(lo, hi, n) is
+    lo + (hi - lo) * random(n) on the same stream, so these are the values of
+    four uniform calls, and each coefficient is uniform on the closed unit
+    disk.  RE_ZERO then draws its sign and power of two from the same stream.
+    Row k is bit-identical to the map drawn from seeds[k] alone; the g rows
+    alone are the random_poly draws.
+    """
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    constraint = Constraint(constraint)
+    n = degree + 1
+    u = np.empty((len(seeds), 4 * n))
+    scale = np.empty(len(seeds))
+    for row, seed in enumerate(seeds):
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        rng = np.random.default_rng(seed)
+        u[row] = rng.random(4 * n)
+        if constraint is Constraint.RE_ZERO:
+            scale[row] = float(rng.choice([-1.0, 1.0])) * 2.0 ** -float(rng.integers(0, 5))
+    g = np.sqrt(u[:, :n]) * np.exp(1j * (2.0 * math.pi * u[:, n : 2 * n]))
+    h = np.sqrt(u[:, 2 * n : 3 * n]) * np.exp(1j * (2.0 * math.pi * u[:, 3 * n :]))
+    a, b = g[:, 0].real, g[:, 0].imag
+    if constraint is Constraint.RE_ZERO:
+        h.real[:, 0] = scale * b  # h(0) = i * s * conj(g(0))
+        h.imag[:, 0] = scale * a
+    elif constraint is not Constraint.NONE:
+        re = a * h[:, 0].real - b * h[:, 0].imag  # Re(g(0) h(0))
+        flip = (re < 0) == (constraint is Constraint.RE_NONNEG)
+        h[flip, 0] = -h[flip, 0]
+    return g, h
+
+
+def _normalized_rows(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """HarmonicMap.normalized of every row pair of coefficient arrays (g, h):
+    h(0) is shifted into g(0), leaving h(0) = 0."""
+    g, h = g.copy(), h.copy()
+    moved = h[:, 0] != 0
+    g[moved, 0] += np.conj(h[moved, 0])
+    h[moved, 0] = 0.0
+    return g, h
 
 
 def random_poly(degree: int, seed: int) -> TaylorPoly:
     """Polynomial with coefficients i.i.d. uniform on the unit disk."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    rng = np.random.default_rng(seed)
-    return TaylorPoly(_disk_samples(rng, degree + 1))
+    return TaylorPoly(random_coefficients(degree, [seed])[0][0])
 
 
 def random_harmonic(
@@ -221,22 +290,8 @@ def random_harmonic(
     roundoff.  The one-sided constraints flip the sign of h(0) when it lands
     on the wrong side (no rejection, so measure-zero sets cannot stall).
     """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    constraint = Constraint(constraint)
-    rng = np.random.default_rng(seed)
-    g = _disk_samples(rng, degree + 1)
-    h = _disk_samples(rng, degree + 1)
-    if constraint is Constraint.RE_ZERO:
-        s = float(rng.choice([-1.0, 1.0])) * 2.0 ** -float(rng.integers(0, 5))
-        a, b = g[0].real, g[0].imag
-        h[0] = complex(s * b, s * a)  # = i * s * conj(g[0])
-    elif constraint is not Constraint.NONE:
-        re = (g[0] * h[0]).real
-        want_nonneg = constraint is Constraint.RE_NONNEG
-        if (re < 0) == want_nonneg:
-            h[0] = -h[0]
-    return HarmonicMap(TaylorPoly(g), TaylorPoly(h))
+    g, h = random_coefficients(degree, [seed], constraint)
+    return HarmonicMap(TaylorPoly(g[0]), TaylorPoly(h[0]))
 
 
 @dataclass(frozen=True)

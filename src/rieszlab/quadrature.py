@@ -24,11 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .maps import CalderonFamily, HarmonicMap, TaylorPoly
+from .maps import CalderonFamily, HarmonicMap, TaylorPoly, _boundary_rows, _radius_powers
 
 __all__ = [
     "QuadratureSpec",
@@ -129,6 +129,14 @@ def _disk_traces(q: TaylorPoly | HarmonicMap, spec: QuadratureSpec) -> np.ndarra
     """Values of q at the spec.n_angle circle nodes on each Gauss-Legendre
     radius of spec, one row per radius, from one transform per factor."""
     return q.boundary_values(spec.n_angle, _gl01(spec.n_radial)[0])
+
+
+def _disk_rows(coeffs: np.ndarray, spec: QuadratureSpec) -> Iterator[np.ndarray]:
+    """_disk_traces of the polynomial in each row of coeffs, one row at a
+    time (all rows at once would hold rows x radii x angles values)."""
+    powers = _radius_powers(_gl01(spec.n_radial)[0], coeffs.shape[-1])
+    for row in coeffs:
+        yield _boundary_rows(row * powers, spec.n_angle)
 
 
 def _disk_mean(ring: np.ndarray, spec: QuadratureSpec) -> float:

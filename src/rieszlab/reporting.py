@@ -37,8 +37,8 @@ class GridSpec:
             raise ValueError(f"t_nodes must be >= 16, got {self.t_nodes}")
         if self.refine_factor < 2:
             raise ValueError(f"refine_factor must be >= 2, got {self.refine_factor}")
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
 
 @dataclass

@@ -11,11 +11,14 @@ boundary ratios (sec, sin, tan of gamma) converge to the constants from
 below.
 
 Every tag's two sides come from one function, _block_sides, in blocks of
-SAMPLE_BLOCK = 32 cases.  The circle tags transform each polynomial factor
-once per block; the Bergman mixed-norm tags transform g and h once per sample
-at all radii.  Either way both sides share the traces.  The other tags
-evaluate one case at a time.  Every LHS and RHS is bit-identical to
-evaluating one sample at a time through the public norms.
+SAMPLE_BLOCK = 32 cases.  A block's samples are drawn as coefficient arrays
+(maps.random_coefficients, one stream per seed) and go straight to the
+transforms; no per-sample map objects are built.  The circle tags transform
+each polynomial factor once per block; the Bergman tags transform g and h
+once per sample at all radii.  Either way both sides share the traces.  The
+pair-isoperimetric and line tags evaluate one case at a time.  Every LHS and
+RHS is bit-identical to drawing one sample at a time and evaluating it
+through the public norms.
 """
 
 from __future__ import annotations
@@ -28,31 +31,30 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constants import SharpConstant as SC, sharp_constant
-from .hilbert import LineKind, LinePair, conjugate_map, line_lp_norm
+from .hilbert import LineKind, LinePair, line_lp_norm
 from .maps import (
     CalderonFamily,
     Constraint,
     HarmonicMap,
     TaylorPoly,
     _boundary_rows,
-    random_harmonic,
-    random_poly,
+    _normalized_rows,
+    random_coefficients,
 )
 from .quadrature import (
     QuadratureSpec,
     _disk_mean,
-    _disk_traces,
+    _disk_rows,
     _hardy_norm_rows,
     _modulus_ring,
+    _norm_rows,
     _pair_ring,
     _require_norm_p,
     _spec_for,
     _triple_norm_rows,
-    bergman_norm,
     calderon_norm,
     circle_power_mean,
     disk_power_mean,
-    hardy_norm,
     pair_circle_power_mean,
     pair_disk_power_mean,
     product_circle_power_mean,
@@ -129,49 +131,34 @@ def theorem_constant(tag: TheoremId, p: float | None = None, n: int | None = Non
     raise AssertionError(tag)
 
 
-def _analytic_sample(degree: int, seed: int) -> TaylorPoly:
-    """Random analytic g with real g(0) (so Im g(0) = 0)."""
-    g = random_poly(degree, seed)
-    coeffs = list(g.coeffs)
-    coeffs[0] = complex(coeffs[0].real, 0.0)
-    return TaylorPoly(coeffs)
-
-
-def _traces(polys: Sequence[TaylorPoly], n: int) -> np.ndarray:
-    """Boundary traces of equal-degree polynomials, one row each, from one
-    transform."""
-    return _boundary_rows(np.array([q.coeffs for q in polys]), n)
-
-
-def _map_traces(maps: Sequence[HarmonicMap], n: int) -> np.ndarray:
-    """Boundary traces g + conj(h) of equal-degree maps, one row each."""
-    return _traces([m.g for m in maps], n) + np.conj(_traces([m.h for m in maps], n))
+def _map_rows(g: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
+    """Boundary traces g + conj(h) of the map of each row pair of coefficient
+    arrays (g, h), at n circle nodes."""
+    return _boundary_rows(g, n) + np.conj(_boundary_rows(h, n))
 
 
 def _hardy_and_mixed(
-    maps: Sequence[HarmonicMap], degree: int, p: float, spec: QuadratureSpec | None
+    g: np.ndarray, h: np.ndarray, p: float, spec: QuadratureSpec | None
 ) -> tuple[list[float], list[float]]:
-    """hardy_norm and triple_norm of each degree-`degree` map; both norms share
-    the traces of g and h."""
-    n = _spec_for(degree, p, spec).n_angle
-    g = _traces([m.g for m in maps], n)
-    h = _traces([m.h for m in maps], n)
+    """hardy_norm and triple_norm of the map of each row pair of coefficient
+    arrays (g, h); both norms share the traces of g and h."""
+    n = _spec_for(g.shape[-1] - 1, p, spec).n_angle
+    g, h = _boundary_rows(g, n), _boundary_rows(h, n)
     return _hardy_norm_rows(g + np.conj(h), p), _triple_norm_rows(g, h, p)
 
 
 def _bergman_and_mixed(
-    maps: Sequence[HarmonicMap], degree: int, p: float, spec: QuadratureSpec | None
+    g: np.ndarray, h: np.ndarray, p: float, spec: QuadratureSpec | None
 ) -> tuple[list[float], list[float]]:
-    """bergman_norm and bergman_triple_norm of each degree-`degree` map; both
-    norms share the map's disk traces of g and h, one map at a time (a block
-    of maps x radii would hold SAMPLE_BLOCK times the memory)."""
+    """bergman_norm and bergman_triple_norm of the map of each row pair of
+    coefficient arrays (g, h); both norms share the map's disk traces of g
+    and h, one map at a time."""
     p = _require_norm_p(p)
-    spec = _spec_for(degree, p, spec)
+    spec = _spec_for(g.shape[-1] - 1, p, spec)
     norms, mixed = [], []
-    for m in maps:
-        g, h = _disk_traces(m.g, spec), _disk_traces(m.h, spec)
-        norms.append(_disk_mean(_modulus_ring(g + np.conj(h), p), spec) ** (1.0 / p))
-        mixed.append(_disk_mean(_pair_ring(g, h, p / 2.0), spec) ** (1.0 / p))
+    for gt, ht in zip(_disk_rows(g, spec), _disk_rows(h, spec)):
+        norms.append(_disk_mean(_modulus_ring(gt + np.conj(ht), p), spec) ** (1.0 / p))
+        mixed.append(_disk_mean(_pair_ring(gt, ht, p / 2.0), spec) ** (1.0 / p))
     return norms, mixed
 
 
@@ -185,9 +172,9 @@ def _block_sides(
 ) -> tuple[Sequence[float], Sequence[float]]:
     """(LHS values, RHS-without-constant values) of a tag, one per case of block.
 
-    The cases are seeds (line pairs for LINE_PAIRS); maps are drawn one seed
-    at a time, as a single sample draws them.  constraint replaces the
-    hypothesis class of the four mixed-norm tags.
+    The cases are seeds (line pairs for LINE_PAIRS); the block's maps are
+    drawn as coefficient arrays, one row and one stream per seed.
+    constraint replaces the hypothesis class of the four mixed-norm tags.
     """
     if tag is TheoremId.LINE_PAIRS:
         return (
@@ -196,42 +183,52 @@ def _block_sides(
         )
     if tag in _MIXED_TAGS:
         disk, mixed_lhs, hypothesis = _MIXED_TAGS[tag]
-        maps = [random_harmonic(degree, s, constraint or hypothesis) for s in block]
+        g, h = random_coefficients(degree, block, constraint or hypothesis)
         both = _bergman_and_mixed if disk else _hardy_and_mixed
-        norms, mixed = both(maps, degree, p_or_n, spec)
+        norms, mixed = both(g, h, p_or_n, spec)
         return (mixed, norms) if mixed_lhs else (norms, mixed)
     if tag is TheoremId.BERGMAN_EMBEDDING:
         n = int(p_or_n)
-        maps = [random_harmonic(degree, s, Constraint.NONE).normalized() for s in block]
-        return (
-            [bergman_norm(m, 2 * n, spec) for m in maps],
-            [hardy_norm(m, n, spec) for m in maps],
-        )
+        g, h = _normalized_rows(*random_coefficients(degree, block))
+        p = _require_norm_p(2 * n)
+        disk = _spec_for(degree, p, spec)
+        bergman = [
+            _disk_mean(_modulus_ring(gt + np.conj(ht), p), disk) ** (1.0 / p)
+            for gt, ht in zip(_disk_rows(g, disk), _disk_rows(h, disk))
+        ]
+        return bergman, _hardy_norm_rows(_map_rows(g, h, _spec_for(degree, n, spec).n_angle), n)
     if tag is TheoremId.STREBEL:
-        maps = [HarmonicMap(random_poly(degree, s), TaylorPoly([0])) for s in block]
-        return (
-            [disk_power_mean(m, 2.0, spec) for m in maps],
-            [circle_power_mean(m, 1.0, 1.0, spec) ** 2 for m in maps],
-        )
+        # the map g + conj(0) has modulus |g|
+        g = random_coefficients(degree, block)[0]
+        disk = _spec_for(degree, 2.0, spec)
+        lhs = [_disk_mean(_modulus_ring(gt, 2.0), disk) for gt in _disk_rows(g, disk)]
+        ring = _modulus_ring(_boundary_rows(g, _spec_for(degree, 1.0, spec).n_angle), 1.0)
+        return lhs, [mean**2 for mean in _norm_rows(ring, 1.0)]
     if tag is TheoremId.PAIR_ISOPERIMETRIC:
-        pairs = [(random_poly(degree, s), random_poly(degree, s + 10_000_019)) for s in block]
-        return tuple(zip(*(_pair_isoperimetric_sides(a, b, p_or_n, spec) for a, b in pairs)))
+        a = random_coefficients(degree, block)[0]
+        b = random_coefficients(degree, [s + 10_000_019 for s in block])[0]
+        sides = [
+            _pair_isoperimetric_sides(TaylorPoly(x), TaylorPoly(y), p_or_n, spec)
+            for x, y in zip(a, b)
+        ]
+        return tuple(zip(*sides))
     n = _spec_for(degree, p_or_n, spec).n_angle
     if tag is TheoremId.CONJUGATE_NORM:
-        maps = [random_harmonic(degree, s, Constraint.NONE).normalized() for s in block]
-        conj = [conjugate_map(m) for m in maps]
+        g, h = _normalized_rows(*random_coefficients(degree, block))
+        # the conjugate of the normalized map is (-i g, -i h) (conjugate_map)
         return (
-            _hardy_norm_rows(_map_traces(conj, n), p_or_n),
-            _hardy_norm_rows(_map_traces(maps, n), p_or_n),
+            _hardy_norm_rows(_map_rows(-1j * g, -1j * h, n), p_or_n),
+            _hardy_norm_rows(_map_rows(g, h, n), p_or_n),
         )
-    gs = [_analytic_sample(degree, s) for s in block]
+    g = random_coefficients(degree, block)[0]
+    g.imag[:, 0] = 0.0  # analytic samples have Im g(0) = 0
     # the map g + conj(0) has modulus |g|
-    analytic = _hardy_norm_rows(_traces(gs, n), p_or_n)
+    analytic = _hardy_norm_rows(_boundary_rows(g, n), p_or_n)
     if tag is TheoremId.ANALYTIC_BY_RE:
-        half = _traces([g.scaled(0.5) for g in gs], n)  # Re g = (g/2) + conj(g/2)
+        half = _boundary_rows(0.5 * g, n)  # Re g = (g/2) + conj(g/2)
         return analytic, _hardy_norm_rows(half + np.conj(half), p_or_n)
     if tag is TheoremId.IM_BY_ANALYTIC:
-        half = _traces([g.scaled(-0.5j) for g in gs], n)  # Im g = (-i g/2) + conj(-i g/2)
+        half = _boundary_rows(-0.5j * g, n)  # Im g = (-i g/2) + conj(-i g/2)
         return _hardy_norm_rows(half + np.conj(half), p_or_n), analytic
     raise AssertionError(tag)
 
@@ -294,6 +291,8 @@ def verify_theorem(
         raise ValueError(f"samples must be >= 1, got {samples}")
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
     if tag is TheoremId.BERGMAN_EMBEDDING:
         n = int(p_or_n)
         if n < 2 or n != p_or_n:

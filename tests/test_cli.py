@@ -123,6 +123,19 @@ def test_bad_arguments_exit_2(cos_map_file, capsys):
         (["suite", "--grid-t", "4"], "t_nodes"),
         (["verify-theorem", "--id", "MIXED_BY_HARDY", "--p", "2", "--degree", "-1"], "degree"),
         (["suite", "--degree", "-1"], "degree"),
+        # a NaN or non-positive tolerance would pass or fail every bound
+        (["verify-theorem", "--id", "CONJUGATE_NORM", "--p", "3", "--samples", "2",
+          "--tol", "nan"], "rel_tol"),
+        (["verify-theorem", "--id", "CONJUGATE_NORM", "--p", "3", "--samples", "2",
+          "--tol", "-1"], "rel_tol"),
+        (["subharmonic", "--id", "PSI", "--p", "3", "--tol", "nan"], "tolerance"),
+        (["subharmonic", "--id", "F_PAIR", "--p", "3", "--tol", "-1"], "tolerance"),
+        (["verify-lemma", "--id", "CSC_GAP", "--p", "2", "--tol", "nan"], "tolerance"),
+        (["verify-theorem", "--id", "CONJUGATE_NORM", "--p", "3", "--seed", "-3"],
+         "seed must be >= 0, got -3"),
+        (["subharmonic", "--id", "PSI", "--p", "3", "--seed", "-3"], "seed must be >= 0"),
+        (["subharmonic", "--id", "G_PAIR", "--p", "3", "--seed", "-3"], "seed must be >= 0"),
+        (["suite", "--seed", "-3"], "seed must be >= 0, got -3"),
     ):
         assert capture(argv)[0] == 2, argv
         assert field in capsys.readouterr().err, argv

@@ -9,7 +9,14 @@ import pytest
 from rieszlab import battery, theorems
 from rieszlab.constants import SharpConstant, sharp_constant
 from rieszlab.hilbert import conjugate_map, line_lp_norm
-from rieszlab.maps import Constraint, HarmonicMap, TaylorPoly, random_harmonic, random_poly
+from rieszlab.maps import (
+    Constraint,
+    HarmonicMap,
+    TaylorPoly,
+    random_coefficients,
+    random_harmonic,
+    random_poly,
+)
 from rieszlab.quadrature import (
     bergman_norm,
     bergman_triple_norm,
@@ -22,7 +29,6 @@ from rieszlab.reporting import SlackAccumulator
 from rieszlab.theorems import (
     SAMPLE_BLOCK,
     TheoremId,
-    _analytic_sample,
     _hardy_and_mixed,
     _pair_isoperimetric_sides,
     _sample_report,
@@ -32,6 +38,8 @@ from rieszlab.theorems import (
     verify_pair_isoperimetric,
     verify_theorem,
 )
+
+import legacy_reference as legacy
 
 Z_MAP = HarmonicMap(TaylorPoly([0, 1]), TaylorPoly([0]))
 
@@ -251,18 +259,18 @@ RELAXED = "MIXED_BY_HARDY_RELAXED"
 def reference_sample_sides(tag, p, degree, seed):
     """(LHS, RHS-without-constant) of one sample, one map and two norms at a time."""
     if tag is TheoremId.MIXED_BY_HARDY:
-        m = random_harmonic(degree, seed, Constraint.RE_ZERO)
+        m = legacy.random_harmonic(degree, seed, Constraint.RE_ZERO)
         return triple_norm(m, p), hardy_norm(m, p)
     if tag is TheoremId.HARDY_BY_MIXED:
-        m = random_harmonic(degree, seed, Constraint.RE_NONPOS)
+        m = legacy.random_harmonic(degree, seed, Constraint.RE_NONPOS)
         return hardy_norm(m, p), triple_norm(m, p)
     if tag == RELAXED:
-        m = random_harmonic(degree, seed, Constraint.RE_NONNEG)
+        m = legacy.random_harmonic(degree, seed, Constraint.RE_NONNEG)
         return triple_norm(m, p), hardy_norm(m, p)
     if tag is TheoremId.CONJUGATE_NORM:
-        m = random_harmonic(degree, seed, Constraint.NONE).normalized()
+        m = legacy.random_harmonic(degree, seed, Constraint.NONE).normalized()
         return hardy_norm(conjugate_map(m), p), hardy_norm(m, p)
-    g = _analytic_sample(degree, seed)
+    g = legacy.analytic_sample(degree, seed)
     analytic = hardy_norm(HarmonicMap(g, TaylorPoly([0])), p)
     if tag is TheoremId.ANALYTIC_BY_RE:
         half = g.scaled(0.5)
@@ -347,10 +355,10 @@ def reference_parseval_report(samples, degree, seed, tol=1e-10):
     """parseval_bridge_report with four single-map norms per sample."""
     acc = SlackAccumulator(-0.0)
     for k in range(samples):
-        m = random_harmonic(degree, seed + k, Constraint.NONE)
+        m = legacy.random_harmonic(degree, seed + k, Constraint.NONE)
         cross = 2.0 * (m.g.coeffs[0] * m.h.coeffs[0]).real
         err = abs(hardy_norm(m, 2.0) ** 2 - triple_norm(m, 2.0) ** 2 - cross)
-        mz = random_harmonic(degree, seed + samples + k, Constraint.RE_ZERO)
+        mz = legacy.random_harmonic(degree, seed + samples + k, Constraint.RE_ZERO)
         err = max(err, abs(hardy_norm(mz, 2.0) - triple_norm(mz, 2.0)))
         acc.add((seed + k,), -err, err > tol)
     return acc.report(
@@ -364,10 +372,12 @@ def reference_parseval_report(samples, degree, seed, tol=1e-10):
 
 def test_batched_parseval_is_bit_identical_to_sample_loop():
     for seed in (0, 7, 1000):
-        maps = [random_harmonic(8, seed + k, c) for k in range(40) for c in Constraint]
-        hardy, mixed = _hardy_and_mixed(maps, 8, 2.0, None)
-        assert hardy == [hardy_norm(m, 2.0) for m in maps]
-        assert mixed == [triple_norm(m, 2.0) for m in maps]
+        for c in Constraint:
+            g, h = random_coefficients(8, range(seed, seed + 40), c)
+            hardy, mixed = _hardy_and_mixed(g, h, 2.0, None)
+            maps = [legacy.random_harmonic(8, seed + k, c) for k in range(40)]
+            assert hardy == [hardy_norm(m, 2.0) for m in maps]
+            assert mixed == [triple_norm(m, 2.0) for m in maps]
         for count in (1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 100):
             report = battery.parseval_bridge_report(count, 8, seed)
             assert payload(report) == payload(reference_parseval_report(count, 8, seed))
@@ -405,22 +415,22 @@ def test_full_suite_passes_degree_to_the_sampled_stages(monkeypatch):
 def reference_case_sides(tag, p_or_n, degree, seed, spec=None):
     """(LHS, RHS-without-constant) for one sample of a tag with a disk-rule side."""
     if tag is TheoremId.BERGMAN_MIXED_BY_NORM:
-        m = random_harmonic(degree, seed, Constraint.RE_ZERO)
+        m = legacy.random_harmonic(degree, seed, Constraint.RE_ZERO)
         return bergman_triple_norm(m, p_or_n, spec), bergman_norm(m, p_or_n, spec)
     if tag is TheoremId.BERGMAN_NORM_BY_MIXED:
-        m = random_harmonic(degree, seed, Constraint.RE_NONPOS)
+        m = legacy.random_harmonic(degree, seed, Constraint.RE_NONPOS)
         return bergman_norm(m, p_or_n, spec), bergman_triple_norm(m, p_or_n, spec)
     if tag is TheoremId.BERGMAN_EMBEDDING:
         n = int(p_or_n)
-        m = random_harmonic(degree, seed, Constraint.NONE).normalized()
+        m = legacy.random_harmonic(degree, seed, Constraint.NONE).normalized()
         return bergman_norm(m, 2 * n, spec), hardy_norm(m, n, spec)
     if tag is TheoremId.STREBEL:
-        f = random_poly(degree, seed)
+        f = legacy.random_poly(degree, seed)
         m = HarmonicMap(f, TaylorPoly([0]))
         return disk_power_mean(m, 2.0, spec), circle_power_mean(m, 1.0, 1.0, spec) ** 2
     if tag is TheoremId.PAIR_ISOPERIMETRIC:
-        a = random_poly(degree, seed)
-        b = random_poly(degree, seed + 10_000_019)
+        a = legacy.random_poly(degree, seed)
+        b = legacy.random_poly(degree, seed + 10_000_019)
         return _pair_isoperimetric_sides(a, b, p_or_n, spec)
     raise AssertionError(tag)
 
