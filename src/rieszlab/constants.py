@@ -194,8 +194,9 @@ def re_branch_power(zeta, p: float):
     if not 1.0 < p <= 2.0:
         raise ValueError(f"re_branch_power requires 1 < p <= 2, got {p}")
     zeta = np.asarray(zeta, dtype=complex)
-    rho = np.abs(zeta)
-    out = rho ** (0.5 * p) * re_branch_angle(np.angle(zeta), p)
+    # the profile first, so that |zeta|^{p/2} is not held through its temporaries
+    prof = re_branch_angle(np.angle(zeta), p)
+    out = np.abs(zeta) ** (0.5 * p) * prof
     return out if out.shape else float(out)
 
 
@@ -207,10 +208,7 @@ def _phi_reflected(x: np.ndarray, p: float) -> np.ndarray:
     """
     knee = 0.5 * math.pi - TWO_PI / p
     outer = -np.cos(0.5 * p * (0.5 * math.pi - x))
-    inner = np.maximum(
-        np.abs(np.cos(0.5 * p * (0.5 * math.pi - x))),
-        np.abs(np.cos(0.5 * p * (0.5 * math.pi + x))),
-    )
+    inner = np.maximum(np.abs(outer), np.abs(np.cos(0.5 * p * (0.5 * math.pi + x))))
     return np.where(x >= knee, outer, inner)
 
 
@@ -263,7 +261,7 @@ def theta_upper(theta, p: float):
     band = TWO_PI / p
     lo = -np.cos(0.5 * p * m)
     hi = -np.cos(0.5 * p * (TWO_PI - m))
-    mid = np.maximum(np.abs(np.cos(0.5 * p * m)), np.abs(np.cos(0.5 * p * (TWO_PI - m))))
+    mid = np.maximum(np.abs(lo), np.abs(hi))
     out = np.where(m <= band, lo, np.where(m >= TWO_PI - band, hi, mid))
     return out if out.shape else float(out)
 
@@ -292,11 +290,11 @@ def _phi_single(zeta, p: float):
     The two forms agree at p = 4.
     """
     zeta = np.asarray(zeta, dtype=complex)
-    rho = np.abs(zeta) ** (0.5 * p)
-    ang = np.angle(zeta)
     if p <= 4.0:
-        return rho * -np.cos(0.5 * p * (math.pi - np.abs(ang)))
-    return rho * theta_lower_reflected(ang - 0.5 * math.pi, p)
+        prof = -np.cos(0.5 * p * (math.pi - np.abs(np.angle(zeta))))
+    else:
+        prof = theta_lower_reflected(np.angle(zeta) - 0.5 * math.pi, p)
+    return np.abs(zeta) ** (0.5 * p) * prof
 
 
 def psi_value(zeta, p: float):
@@ -304,7 +302,8 @@ def psi_value(zeta, p: float):
     if p == 2.0:
         raise ValueError("Psi is undefined at p = 2")
     zeta = np.asarray(zeta, dtype=complex)
-    out = np.abs(zeta) ** (0.5 * p) * psi_angle(np.angle(zeta), p)
+    prof = psi_angle(np.angle(zeta), p)
+    out = np.abs(zeta) ** (0.5 * p) * prof
     return out if out.shape else float(out)
 
 
@@ -377,20 +376,20 @@ def minorant_value(mid: Minorant, zeta, p: float):
     mid = Minorant(mid)
     p = _check_minorant_p(mid, p)
     zeta = np.asarray(zeta, dtype=complex)
-    rho = np.abs(zeta) ** (0.5 * p)
-    ang = np.angle(zeta)
     if mid is Minorant.RE_BRANCH:
         return re_branch_power(zeta, p)
+    if mid is Minorant.PSI:
+        return psi_value(zeta, p)
+    if mid in (Minorant.F_PAIR, Minorant.G_PAIR):
+        raise ValueError(f"{mid.value} is a two-variable minorant; use minorant_F/minorant_G")
+    rho = np.abs(zeta) ** (0.5 * p)
+    ang = np.angle(zeta)
     if mid is Minorant.PHI_MID:
         out = rho * -np.cos(0.5 * p * (math.pi - np.abs(ang)))
     elif mid is Minorant.PHI_HIGH:
         out = rho * theta_lower_reflected(ang - 0.5 * math.pi, p)
     elif mid is Minorant.THETA_LOWER:
         out = rho * theta_lower(ang, p)
-    elif mid is Minorant.THETA_UPPER:
-        out = rho * theta_upper(ang, p)
-    elif mid is Minorant.PSI:
-        return psi_value(zeta, p)
     else:
-        raise ValueError(f"{mid.value} is a two-variable minorant; use minorant_F/minorant_G")
+        out = rho * theta_upper(ang, p)
     return out if out.shape else float(out)

@@ -14,17 +14,23 @@ p = 64, where an absolute -1e-9 acceptance would be swamped by roundoff,
 while the relative slack keeps the tolerance meaningful at every p.  The
 scalar tags are O(1) quantities and stay absolute.
 
-Evaluation.  A 2-D scan walks column blocks of SCAN_COLUMNS t-nodes against
-the whole r column, so the temporaries of one block fit in L2 and every
-t-only angle profile is evaluated once per node.  The result is that of one
+Evaluation.  The six two-variable slacks share one form (see _Form), so
+they are given as data in one table and evaluated by one routine.  A 2-D scan
+evaluates that form in blocks of SCAN_COLUMNS t-nodes against the whole r
+row, laid out (t, r) so that every broadcast runs along a full row: the terms
+in r and the angle profile are computed once per scan, and each block writes
+into three buffers reused across blocks.  The result is that of one
 row-major array: argmin is the first minimal node in row-major order (r
 outer), and the violations are the first MAX_VIOLATIONS in row-major order.
-A slack that is NaN or infinite is a violation, in the scans and in the
-sub-mean checks alike.  The sub-mean and complex-line checks draw their
-centers and radii one circle at a time, then evaluate CIRCLE_BLOCK circles
-as one (k, angles) array and take the means along each row.  Both block
-loops first allocate and free one large array (see _keep_heap), so that the
-blocks reuse their temporaries' pages instead of faulting in new ones.
+lemma_grid_reports scans each distinct (slack, p, r_range, t_range) once, so
+SUM_BY_MIXED_RADIAL, which shares SUM_BY_MIXED_HIGH's slack, p grid and
+ranges, reuses its scans.  A slack that is NaN or infinite is a violation,
+in the scans and in the sub-mean checks alike.  The sub-mean and
+complex-line checks draw their centers and radii one circle at a time, then
+evaluate CIRCLE_BLOCK circles as one (k, angles) array and take the means
+along each row; that loop first allocates and frees one large array (see
+_keep_heap), so that the blocks reuse their temporaries' pages instead of
+faulting in new ones.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ __all__ = [
     "equality_loci",
     "stated_equality_loci",
     "slack_function",
+    "scan_ranges",
     "cell_diagonal",
     "verify_pointwise",
     "locate_equality",
@@ -79,7 +86,7 @@ class InequalityId(Enum):
     MIXED_BY_SUM_MID = "MIXED_BY_SUM_MID"        # theta minorant form, 2<=p<=4
     MIXED_BY_SUM_HIGH = "MIXED_BY_SUM_HIGH"      # shifted reflected form, p>=4
     SUM_BY_MIXED_HIGH = "SUM_BY_MIXED_HIGH"      # |z+w~|^p <= c(...)^{p/2} - d*Psi, p>2
-    SUM_BY_MIXED_RADIAL = "SUM_BY_MIXED_RADIAL"  # its normalized single-radius form, p>2
+    SUM_BY_MIXED_RADIAL = "SUM_BY_MIXED_RADIAL"  # a copy of SUM_BY_MIXED_HIGH, p>2
     SUM_BY_MIXED_LOW = "SUM_BY_MIXED_LOW"        # cosine minorant form, 1<p<2
     VERBITSKY_COS = "VERBITSKY_COS"              # A cos^p x - B cos(px) >= 1, 1<p<=2
     CSC_GAP = "CSC_GAP"                          # 1 + 1/x^2 - csc^2 x >= 0 on (0, pi/4]
@@ -92,84 +99,138 @@ class InequalityId(Enum):
     ROOT_GAP_ANGLE = "ROOT_GAP_ANGLE"            # cos((pi-pi/p)/p) <= s, p>=4
 
 
-def _normalized(t1, t2, t3):
-    """(t1 - t2 - t3) / (|t1| + |t2| + |t3|); the denominator never vanishes
-    on the scanned domains (t3 > 0 whenever t1 = 0).  t2 carries the angle
-    profile, so t1 - t2 has the full grid shape and is reused in place."""
-    num = t1 - t2
-    num -= t3
-    den = np.abs(t1) + np.abs(t2)
-    den += np.abs(t3)
-    num /= den
-    return num
-
-
-def _sum_sq(r, t):
-    """|1 + r e^{it}|^2 = (1 + r^2) + 2 r cos t."""
-    out = 2.0 * r * np.cos(t)
-    out += 1.0 + r * r
-    return out
-
-
-def _slack_mixed_low(p, r, t):
-    a = sharp_constant(SC.A_LOW_P, p)
-    b = sharp_constant(SC.B_LOW_P, p)
-    t1 = a * _sum_sq(r, t) ** (0.5 * p)
-    t2 = b * r ** (0.5 * p) * re_branch_angle(t, p)
-    t3 = (1.0 + r * r) ** (0.5 * p)
-    return _normalized(t1, t2, t3)
-
-
-def _slack_mixed_radial(p, r, t):
-    # literal single-radius form: same inequality with the angle restricted to
-    # the principal band, stated with the tangent factor spelled out
-    t1 = (_sum_sq(r, t) / (1.0 + math.cos(math.pi / p))) ** (0.5 * p)
-    t2 = 2.0 ** (0.5 * p) * r ** (0.5 * p) * np.cos(0.5 * p * t) * math.tan(math.pi / (2.0 * p))
-    t3 = (1.0 + r * r) ** (0.5 * p)
-    return _normalized(t1, t2, t3)
-
-
 def _conj_profile(t, p):
     """-cos((p/2)(pi - |t|)) with the even 2 pi-periodic extension."""
     return -np.cos(0.5 * p * (math.pi - _fold_pi(np.asarray(t, dtype=float))))
 
 
-def _slack_mixed_mid(p, r, t):
+def _radial_profile(t, p):
+    # the single-radius form keeps the principal-band cosine unreduced
+    return np.cos(0.5 * p * t)
+
+
+def _shifted_reflected_profile(t, p):
+    return theta_lower_reflected(t - 0.5 * math.pi, p)
+
+
+@dataclass(frozen=True)
+class _Form:
+    """A two-variable slack, given as data.  With e = p/2,
+
+        S  = (1 + r^2) + 2 r cos t             = |1 + r e^{it}|^2,
+        P  = k_s (S / q)^e,    M = k_m (1 + r^2)^e,
+        t2 = ((k_2 r^e) profile(t)) w,
+        slack = ((t1 - t2) - t3) / ((|t1| + |t2|) + |t3|),
+
+    with (t1, t3) = (P, M) for the mixed-by-sum tags and (M, P) for the
+    sum-by-mixed tags.  consts(p) gives (k_s, q, k_m, k_2, w); a constant of
+    1.0 is skipped, which is exact.  The denominator never vanishes on the
+    scanned domains (t3 > 0 whenever t1 = 0).
+
+    A form is called elementwise as slack(p, r, t), 0-d inputs included.  The
+    2-D scan instead evaluates its terms in r once per scan, its terms in t
+    once per scan, and each block into three reused buffers (see blocks); both
+    run _evaluate, so they give the same bits.
+    """
+
+    mixed: bool
+    consts: Callable[[float], tuple]
+    profile: Callable
+
+    def _terms(self, p, r, t):
+        """consts(p), the terms in r (2r, 1 + r^2, M, |M|, k_2 r^e) and the
+        terms in t (cos t, profile(t))."""
+        consts = k_s, q, k_m, k_2, w = self.consts(p)
+        e = 0.5 * p
+        one_r2 = 1.0 + r * r
+        m = one_r2**e
+        if k_m != 1.0:
+            m = k_m * m
+        r_e = r**e
+        k2_re = k_2 * r_e if k_2 != 1.0 else r_e
+        return consts, (2.0 * r, one_r2, m, np.abs(m), k2_re), (np.cos(t), self.profile(t, p))
+
+    def _evaluate(self, p, consts, r_terms, t_terms, a_buf=None, b_buf=None, out=None):
+        """The slack from the r and t terms, written into out.  a_buf, b_buf
+        and out are buffers of the broadcast shape, or None to allocate.  The
+        augmented assignments work in place on arrays and rebind numpy
+        scalars, so a 0-d input is evaluated with scalar arithmetic."""
+        k_s, q, _, _, w = consts
+        two_r, one_r2, m, abs_m, k2_re = r_terms
+        cos_t, prof = t_terms
+        a = np.multiply(two_r, cos_t, out=a_buf)
+        a += one_r2
+        if q != 1.0:
+            a /= q
+        a **= 0.5 * p
+        if k_s != 1.0:
+            a *= k_s  # a = P
+        b = np.multiply(k2_re, prof, out=b_buf)
+        if w != 1.0:
+            b *= w  # b = t2
+        t1, t3 = (a, m) if self.mixed else (m, a)
+        s = np.subtract(t1, b, out=out)
+        s -= t3
+        b = np.abs(b, out=b_buf)
+        a = np.abs(a, out=a_buf)
+        abs_t1, abs_t3 = (a, abs_m) if self.mixed else (abs_m, a)
+        b = np.add(abs_t1, b, out=b_buf)
+        b += abs_t3
+        s /= b
+        return s
+
+    def __call__(self, p, r, t):
+        return self._evaluate(p, *self._terms(p, r, t))
+
+    def blocks(self, p, r_vals, t_vals):
+        """(j0, s) for the blocks of SCAN_COLUMNS t-nodes, where s[j, i] is
+        the slack at (r_vals[i], t_vals[j0 + j]).  s is a reused buffer,
+        valid until the next block is drawn."""
+        consts, r_terms, (cos_t, prof) = self._terms(p, r_vals, t_vals)
+        buffers = np.empty((3, min(SCAN_COLUMNS, len(t_vals)), len(r_vals)))
+        for j0 in range(0, len(t_vals), SCAN_COLUMNS):
+            cols = slice(j0, j0 + SCAN_COLUMNS)
+            t_terms = (cos_t[cols, None], prof[cols, None])
+            n = len(t_terms[0])
+            yield j0, self._evaluate(p, consts, r_terms, t_terms, *(buf[:n] for buf in buffers))
+
+
+def _mixed_consts(k_s, k_2):
+    return lambda p: (sharp_constant(k_s, p), 1.0, 1.0, sharp_constant(k_2, p), 1.0)
+
+
+def _sum_consts(k_m, k_2):
+    return lambda p: (1.0, 1.0, sharp_constant(k_m, p), sharp_constant(k_2, p), 1.0)
+
+
+def _mid_consts(p):
     # the constants extend continuously to the p = 2 endpoint (a -> 1, b -> 2),
     # where the slack vanishes identically
-    a = sharp_constant(SC.A_HIGH_P, p) if p > 2.0 else 1.0
-    b = sharp_constant(SC.B_HIGH_P, p) if p > 2.0 else 2.0
-    t1 = a * _sum_sq(r, t) ** (0.5 * p)
-    t2 = b * r ** (0.5 * p) * _conj_profile(t, p)
-    t3 = (1.0 + r * r) ** (0.5 * p)
-    return _normalized(t1, t2, t3)
+    if p > 2.0:
+        return _mixed_consts(SC.A_HIGH_P, SC.B_HIGH_P)(p)
+    return 1.0, 1.0, 1.0, 2.0, 1.0
 
 
-def _slack_mixed_high(p, r, t):
-    a = sharp_constant(SC.A_HIGH_P, p)
-    b = sharp_constant(SC.B_HIGH_P, p)
-    t1 = a * _sum_sq(r, t) ** (0.5 * p)
-    t2 = b * r ** (0.5 * p) * theta_lower_reflected(t - 0.5 * math.pi, p)
-    t3 = (1.0 + r * r) ** (0.5 * p)
-    return _normalized(t1, t2, t3)
+def _radial_consts(p):
+    # the literal single-radius form: the same inequality with the angle
+    # restricted to the principal band, stated with the tangent factor spelled out
+    return 1.0, 1.0 + math.cos(math.pi / p), 1.0, 2.0 ** (0.5 * p), math.tan(math.pi / (2.0 * p))
 
 
-def _slack_sum_by_mixed_high(p, r, t):
-    c = sharp_constant(SC.C_HIGH_P, p)
-    d = sharp_constant(SC.D_HIGH_P, p)
-    t1 = c * (1.0 + r * r) ** (0.5 * p)
-    t2 = d * r ** (0.5 * p) * theta_upper(t, p)
-    t3 = _sum_sq(r, t) ** (0.5 * p)
-    return _normalized(t1, t2, t3)
-
-
-def _slack_sum_by_mixed_low(p, r, t):
-    c = sharp_constant(SC.C_LOW_P, p)
-    d = sharp_constant(SC.D_LOW_P, p)
-    t1 = c * (1.0 + r * r) ** (0.5 * p)
-    t2 = d * r ** (0.5 * p) * psi_angle(t, p)
-    t3 = _sum_sq(r, t) ** (0.5 * p)
-    return _normalized(t1, t2, t3)
+_FORMS = {
+    InequalityId.MIXED_BY_SUM_LOW: _Form(
+        True, _mixed_consts(SC.A_LOW_P, SC.B_LOW_P), re_branch_angle
+    ),
+    InequalityId.MIXED_BY_SUM_RADIAL: _Form(True, _radial_consts, _radial_profile),
+    InequalityId.MIXED_BY_SUM_MID: _Form(True, _mid_consts, _conj_profile),
+    InequalityId.MIXED_BY_SUM_HIGH: _Form(
+        True, _mixed_consts(SC.A_HIGH_P, SC.B_HIGH_P), _shifted_reflected_profile
+    ),
+    InequalityId.SUM_BY_MIXED_HIGH: _Form(
+        False, _sum_consts(SC.C_HIGH_P, SC.D_HIGH_P), theta_upper
+    ),
+    InequalityId.SUM_BY_MIXED_LOW: _Form(False, _sum_consts(SC.C_LOW_P, SC.D_LOW_P), psi_angle),
+}
 
 
 def _slack_verbitsky_cos(p, x):
@@ -261,7 +322,7 @@ def _lin(lo, hi, n=8):
 
 _REGISTRY: dict[InequalityId, _TagInfo] = {
     InequalityId.MIXED_BY_SUM_LOW: _TagInfo(
-        2, 1.0, 2.0, False, True, _slack_mixed_low, _lin(1.1, 2.0),
+        2, 1.0, 2.0, False, True, _FORMS[InequalityId.MIXED_BY_SUM_LOW], _lin(1.1, 2.0),
         r_range=(0.0, 1.0), t_range=_EXT,
         loci=lambda p: [(1.0, t) for t in _pm_mod_2pi([math.pi / p], _EXT)],
         stated_loci=lambda p: [
@@ -270,13 +331,13 @@ _REGISTRY: dict[InequalityId, _TagInfo] = {
         ],
     ),
     InequalityId.MIXED_BY_SUM_RADIAL: _TagInfo(
-        2, 1.0, 2.0, False, False, _slack_mixed_radial, _lin(1.1, 1.9),
+        2, 1.0, 2.0, False, False, _FORMS[InequalityId.MIXED_BY_SUM_RADIAL], _lin(1.1, 1.9),
         r_range=(0.0, 1.0), t_range=(-math.pi, math.pi),
         loci=lambda p: [(1.0, math.pi / p), (1.0, -math.pi / p)],
         stated_loci=lambda p: [(1.0, math.pi / p), (1.0, -math.pi / p)],
     ),
     InequalityId.MIXED_BY_SUM_MID: _TagInfo(
-        2, 2.0, 4.0, True, True, _slack_mixed_mid, _lin(2.0, 4.0),
+        2, 2.0, 4.0, True, True, _FORMS[InequalityId.MIXED_BY_SUM_MID], _lin(2.0, 4.0),
         r_range=(0.0, 1.0), t_range=_EXT,
         loci=lambda p: [
             (1.0, t)
@@ -285,7 +346,7 @@ _REGISTRY: dict[InequalityId, _TagInfo] = {
         stated_loci=lambda p: [(1.0, math.pi / p), (1.0, -math.pi / p)],
     ),
     InequalityId.MIXED_BY_SUM_HIGH: _TagInfo(
-        2, 4.0, 64.0, True, True, _slack_mixed_high, _geom(4.0, 64.0),
+        2, 4.0, 64.0, True, True, _FORMS[InequalityId.MIXED_BY_SUM_HIGH], _geom(4.0, 64.0),
         r_range=(0.0, 1.0), t_range=_EXT,
         loci=lambda p: [
             (1.0, t)
@@ -297,7 +358,7 @@ _REGISTRY: dict[InequalityId, _TagInfo] = {
         ],
     ),
     InequalityId.SUM_BY_MIXED_HIGH: _TagInfo(
-        2, 2.0, 64.0, False, True, _slack_sum_by_mixed_high, _geom(2.25, 64.0),
+        2, 2.0, 64.0, False, True, _FORMS[InequalityId.SUM_BY_MIXED_HIGH], _geom(2.25, 64.0),
         r_range=(0.0, 1.0), t_range=_EXT,
         loci=lambda p: [
             (1.0, t)
@@ -309,7 +370,7 @@ _REGISTRY: dict[InequalityId, _TagInfo] = {
         ],
     ),
     InequalityId.SUM_BY_MIXED_RADIAL: _TagInfo(
-        2, 2.0, 64.0, False, True, _slack_sum_by_mixed_high, _geom(2.25, 64.0),
+        2, 2.0, 64.0, False, True, _FORMS[InequalityId.SUM_BY_MIXED_HIGH], _geom(2.25, 64.0),
         r_range=(0.0, 1.0), t_range=_EXT,
         loci=lambda p: [
             (1.0, t)
@@ -321,7 +382,7 @@ _REGISTRY: dict[InequalityId, _TagInfo] = {
         ],
     ),
     InequalityId.SUM_BY_MIXED_LOW: _TagInfo(
-        2, 1.0, 2.0, False, False, _slack_sum_by_mixed_low, _lin(1.1, 1.9),
+        2, 1.0, 2.0, False, False, _FORMS[InequalityId.SUM_BY_MIXED_LOW], _lin(1.1, 1.9),
         r_range=(0.0, 1.0), t_range=_EXT,
         loci=lambda p: [
             (1.0, t)
@@ -401,6 +462,15 @@ def slack_function(tag: InequalityId) -> Callable:
     return _REGISTRY[InequalityId(tag)].slack
 
 
+def scan_ranges(tag: InequalityId, grid: GridSpec | None = None) -> tuple:
+    """(r_range, t_range) that verify_pointwise scans: the grid's overrides,
+    else the tag's default domain.  None where the tag has no such axis."""
+    info = _REGISTRY[InequalityId(tag)]
+    grid = grid or GridSpec()
+    r, t = info.r_range, info.t_range
+    return r and (grid.r_range or r), t and (grid.t_range or t)
+
+
 def cell_diagonal(tag: InequalityId, grid: GridSpec) -> float:
     """Diagonal of one cell of the grid over the tag's default domain (the
     cell width for one-variable tags)."""
@@ -428,10 +498,10 @@ def _check_tag_p(tag: InequalityId, p: float) -> float:
     return float(p)
 
 
-# t-nodes per column block of the 2-D scan: against the default 2000 r-nodes
-# a block is 64k points, 512 KB per temporary, so a slack's temporaries stay
-# in a 2 MB L2 cache, and each t-only angle profile is evaluated once per node
-SCAN_COLUMNS = 32
+# t-nodes per block of the 2-D scan: a block is (SCAN_COLUMNS, whole r row),
+# 256 KB per buffer against the default 2000 r-nodes, so a form's three
+# buffers stay in a 2 MB L2 cache and every broadcast runs along a full r row
+SCAN_COLUMNS = 16
 
 
 def _keep_heap(nbytes: int) -> None:
@@ -465,35 +535,54 @@ def _violated(s, tol):
     return ~np.isfinite(s) | (s < -tol)
 
 
-def _scan_2d(slack_fn, p, r_vals, t_vals, tol):
-    """Minimum, first minimal node and violations of the slack on the r x t
-    grid, all in row-major order (r outer), as if the grid were one array.
+def _column_blocks(slack_fn, p, r_vals, t_vals):
+    """(j0, s) blocks of any elementwise slack callable, laid out as in
+    _Form.blocks: s[j, i] is the slack at (r_vals[i], t_vals[j0 + j])."""
+    r_row = r_vals[None, :]
+    for j0 in range(0, len(t_vals), SCAN_COLUMNS):
+        yield j0, slack_fn(p, r_row, t_vals[j0 : j0 + SCAN_COLUMNS, None])
 
-    The grid is evaluated in column blocks of SCAN_COLUMNS t-nodes against
-    the whole r column.  The minimum is the smallest (value, row, col) over
-    the blocks' first minima; NaN never sets it.  A block whose minimum is
-    at least -tol and whose maximum is finite holds no violation and is not
-    searched; the others give their first MAX_VIOLATIONS violations, and the
-    first MAX_VIOLATIONS of those in row-major order are kept.
+
+def _reduce_2d(blocks, r_vals, t_vals, tol):
+    """Minimum, first minimal node and violations of the slack on the r x t
+    grid, all in row-major order (r outer), as if the grid were one array,
+    from (j0, s) blocks where s[j, i] is the slack at (r_vals[i], t_vals[j0 + j]).
+
+    A block's first minimum is its first r with the smallest per-r minimum,
+    then the first t in that column with that value; NaN never sets it.  The
+    grid's minimum is the smallest (value, row, col) over the blocks.  A block
+    whose minimum is at least -tol and whose maximum is finite holds no
+    violation and is not searched; the others give their first MAX_VIOLATIONS
+    violations, and the first MAX_VIOLATIONS of those in row-major order are
+    kept.  Each block is used up before the next is drawn.
     """
-    r_col = r_vals[:, None]
-    _keep_heap(8 * r_col.nbytes * min(SCAN_COLUMNS, len(t_vals)))  # eight block temporaries
     best = (math.inf, 0, 0)
     bad: list = []  # (row, col, slack)
-    for j0 in range(0, len(t_vals), SCAN_COLUMNS):
-        s = slack_fn(p, r_col, t_vals[None, j0 : j0 + SCAN_COLUMNS])
-        k, v = _first_min(s)
-        i, j = divmod(k, s.shape[1])
+    for j0, s in blocks:
+        i, v = _first_min(np.fmin.reduce(s, axis=0))
+        j = int(np.argmax(s[:, i] == v))  # 0 when the block is all NaN
+        if v < math.inf:
+            v = float(s[j, i])  # fmin may return either zero; keep this node's sign
         best = min(best, (v, i, j0 + j))
         if v >= -tol and math.isfinite(v) and math.isfinite(s.max()):
             continue
-        for bi, bj in np.argwhere(_violated(s, tol))[:MAX_VIOLATIONS]:
-            bad.append((int(bi), j0 + int(bj), float(s[bi, bj])))
+        for bi, bj in np.argwhere(_violated(s.T, tol))[:MAX_VIOLATIONS]:
+            bad.append((int(bi), j0 + int(bj), float(s[bj, bi])))
         bad.sort()
         del bad[MAX_VIOLATIONS:]
     min_slack, i, j = best
     violations = [((float(r_vals[bi]), float(t_vals[bj])), sv) for bi, bj, sv in bad]
     return min_slack, (float(r_vals[i]), float(t_vals[j])), violations
+
+
+def _scan_2d(slack_fn, p, r_vals, t_vals, tol):
+    """_reduce_2d over the slack's blocks: a _Form's buffered blocks, or
+    column blocks of any other elementwise callable."""
+    if isinstance(slack_fn, _Form):
+        blocks = slack_fn.blocks(p, r_vals, t_vals)
+    else:
+        blocks = _column_blocks(slack_fn, p, r_vals, t_vals)
+    return _reduce_2d(blocks, r_vals, t_vals, tol)
 
 
 def _scan_1d(slack_fn, p, x_vals, tol):
@@ -530,7 +619,7 @@ def verify_pointwise(
 
     # the full-grid scan sets the minimum; the refinement pass can only lower it
     if info.arity == 1:
-        lo, hi = grid.t_range or info.t_range
+        _, (lo, hi) = scan_ranges(tag, grid)
         x_vals = _axis(lo, hi, grid.t_nodes)
         acc.min_slack, acc.argmin, acc.violations = _scan_1d(
             info.slack, p, x_vals, grid.tolerance
@@ -542,8 +631,7 @@ def verify_pointwise(
         refined = _scan_1d(info.slack, p, x_ref, grid.tolerance)
         scan_grid = {"t_nodes": grid.t_nodes, "t_range": [lo, hi]}
     else:
-        r_lo, r_hi = grid.r_range or info.r_range
-        t_lo, t_hi = grid.t_range or info.t_range
+        (r_lo, r_hi), (t_lo, t_hi) = scan_ranges(tag, grid)
         r_vals = _axis(r_lo, r_hi, grid.r_nodes, open_lo=(r_lo == 0.0))
         t_vals = _axis(t_lo, t_hi, grid.t_nodes)
         acc.min_slack, acc.argmin, acc.violations = _scan_2d(
@@ -646,7 +734,7 @@ def unreduced_slack(tag: InequalityId, p: float, z: complex, w: complex) -> floa
         t3 = mod_sum
     else:
         raise ValueError(f"{tag.value} has no two-variable form")
-    return float(_normalized(t1, t2, t3))
+    return float((t1 - t2 - t3) / (abs(t1) + abs(t2) + abs(t3)))
 
 
 # ------------------------------ subharmonicity ------------------------------

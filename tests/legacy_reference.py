@@ -1,13 +1,25 @@
-"""Earlier one-object-at-a-time implementations, kept only as oracles for the
-pin tests: the per-seed map drawing, the term-by-term Fourier series, and the
-singular integral that evaluates its integrand once per quadrature visit."""
+"""Earlier implementations, kept only as oracles for the pin tests: the
+per-seed map drawing, the term-by-term Fourier series, the singular integral
+that evaluates its integrand once per quadrature visit, the six two-variable
+slack functions written out one by one, and the 2-D scan over (r, t) column
+blocks of 32 t-nodes with a fresh array per temporary."""
 
 import math
 
 import numpy as np
 from scipy import integrate
 
+from rieszlab.constants import (
+    SharpConstant as SC,
+    psi_angle,
+    re_branch_angle,
+    sharp_constant,
+    theta_lower_reflected,
+    theta_upper,
+)
+from rieszlab.gridlab import InequalityId, _conj_profile, _first_min, _violated
 from rieszlab.maps import Constraint, HarmonicMap, TaylorPoly
+from rieszlab.reporting import MAX_VIOLATIONS
 
 
 def _disk_samples(rng, n):
@@ -74,3 +86,107 @@ def singular_hilbert_at(series, tau, epsilon):
         lambda t: integrand(t).imag, epsilon, math.pi, limit=200, epsabs=1e-11
     )
     return complex(-(re + 1j * im) / math.pi)
+
+
+# --------------------------- two-variable slacks ---------------------------
+
+
+def _normalized(t1, t2, t3):
+    num = t1 - t2
+    num -= t3
+    den = np.abs(t1) + np.abs(t2)
+    den += np.abs(t3)
+    num /= den
+    return num
+
+
+def _sum_sq(r, t):
+    out = 2.0 * r * np.cos(t)
+    out += 1.0 + r * r
+    return out
+
+
+def _slack_mixed_low(p, r, t):
+    a = sharp_constant(SC.A_LOW_P, p)
+    b = sharp_constant(SC.B_LOW_P, p)
+    t1 = a * _sum_sq(r, t) ** (0.5 * p)
+    t2 = b * r ** (0.5 * p) * re_branch_angle(t, p)
+    t3 = (1.0 + r * r) ** (0.5 * p)
+    return _normalized(t1, t2, t3)
+
+
+def _slack_mixed_radial(p, r, t):
+    t1 = (_sum_sq(r, t) / (1.0 + math.cos(math.pi / p))) ** (0.5 * p)
+    t2 = 2.0 ** (0.5 * p) * r ** (0.5 * p) * np.cos(0.5 * p * t) * math.tan(math.pi / (2.0 * p))
+    t3 = (1.0 + r * r) ** (0.5 * p)
+    return _normalized(t1, t2, t3)
+
+
+def _slack_mixed_mid(p, r, t):
+    a = sharp_constant(SC.A_HIGH_P, p) if p > 2.0 else 1.0
+    b = sharp_constant(SC.B_HIGH_P, p) if p > 2.0 else 2.0
+    t1 = a * _sum_sq(r, t) ** (0.5 * p)
+    t2 = b * r ** (0.5 * p) * _conj_profile(t, p)
+    t3 = (1.0 + r * r) ** (0.5 * p)
+    return _normalized(t1, t2, t3)
+
+
+def _slack_mixed_high(p, r, t):
+    a = sharp_constant(SC.A_HIGH_P, p)
+    b = sharp_constant(SC.B_HIGH_P, p)
+    t1 = a * _sum_sq(r, t) ** (0.5 * p)
+    t2 = b * r ** (0.5 * p) * theta_lower_reflected(t - 0.5 * math.pi, p)
+    t3 = (1.0 + r * r) ** (0.5 * p)
+    return _normalized(t1, t2, t3)
+
+
+def _slack_sum_by_mixed_high(p, r, t):
+    c = sharp_constant(SC.C_HIGH_P, p)
+    d = sharp_constant(SC.D_HIGH_P, p)
+    t1 = c * (1.0 + r * r) ** (0.5 * p)
+    t2 = d * r ** (0.5 * p) * theta_upper(t, p)
+    t3 = _sum_sq(r, t) ** (0.5 * p)
+    return _normalized(t1, t2, t3)
+
+
+def _slack_sum_by_mixed_low(p, r, t):
+    c = sharp_constant(SC.C_LOW_P, p)
+    d = sharp_constant(SC.D_LOW_P, p)
+    t1 = c * (1.0 + r * r) ** (0.5 * p)
+    t2 = d * r ** (0.5 * p) * psi_angle(t, p)
+    t3 = _sum_sq(r, t) ** (0.5 * p)
+    return _normalized(t1, t2, t3)
+
+
+SLACKS = {
+    InequalityId.MIXED_BY_SUM_LOW: _slack_mixed_low,
+    InequalityId.MIXED_BY_SUM_RADIAL: _slack_mixed_radial,
+    InequalityId.MIXED_BY_SUM_MID: _slack_mixed_mid,
+    InequalityId.MIXED_BY_SUM_HIGH: _slack_mixed_high,
+    InequalityId.SUM_BY_MIXED_HIGH: _slack_sum_by_mixed_high,
+    InequalityId.SUM_BY_MIXED_RADIAL: _slack_sum_by_mixed_high,
+    InequalityId.SUM_BY_MIXED_LOW: _slack_sum_by_mixed_low,
+}
+
+SCAN_COLUMNS = 32
+
+
+def _scan_2d(slack_fn, p, r_vals, t_vals, tol):
+    """Column blocks of 32 t-nodes against the whole r column, r outer."""
+    r_col = r_vals[:, None]
+    best = (math.inf, 0, 0)
+    bad: list = []
+    for j0 in range(0, len(t_vals), SCAN_COLUMNS):
+        s = slack_fn(p, r_col, t_vals[None, j0 : j0 + SCAN_COLUMNS])
+        k, v = _first_min(s)
+        i, j = divmod(k, s.shape[1])
+        best = min(best, (v, i, j0 + j))
+        if v >= -tol and math.isfinite(v) and math.isfinite(s.max()):
+            continue
+        for bi, bj in np.argwhere(_violated(s, tol))[:MAX_VIOLATIONS]:
+            bad.append((int(bi), j0 + int(bj), float(s[bi, bj])))
+        bad.sort()
+        del bad[MAX_VIOLATIONS:]
+    min_slack, i, j = best
+    violations = [((float(r_vals[bi]), float(t_vals[bj])), sv) for bi, bj, sv in bad]
+    return min_slack, (float(r_vals[i]), float(t_vals[j])), violations

@@ -136,6 +136,8 @@ def test_bad_arguments_exit_2(cos_map_file, capsys):
         (["subharmonic", "--id", "PSI", "--p", "3", "--seed", "-3"], "seed must be >= 0"),
         (["subharmonic", "--id", "G_PAIR", "--p", "3", "--seed", "-3"], "seed must be >= 0"),
         (["suite", "--seed", "-3"], "seed must be >= 0, got -3"),
+        # the grid scan draws nothing at random, so it takes no seed
+        (["verify-lemma", "--id", "CSC_GAP", "--p", "2", "--seed", "0"], "--seed"),
     ):
         assert capture(argv)[0] == 2, argv
         assert field in capsys.readouterr().err, argv

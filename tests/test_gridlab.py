@@ -35,6 +35,27 @@ def test_gridspec_validation():
         GridSpec(refine_factor=1)
 
 
+def test_gridspec_range_overrides_are_validated():
+    # a reversed range used to PASS with an argmin outside it, and a NaN range
+    # to FAIL with NaN "violations"; both now raise, naming the field
+    for field, bounds in (
+        ("t_range", (1.0, -1.0)),
+        ("t_range", (0.5, 0.5)),
+        ("t_range", (math.nan, 1.0)),
+        ("t_range", (-1.0, math.inf)),
+        ("t_range", (0.0, 1.0, 2.0)),
+        ("r_range", (0.9, 0.1)),
+        ("r_range", (0.0, math.nan)),
+        ("r_range", (-0.5, 1.0)),
+    ):
+        with pytest.raises(ValueError, match=field):
+            GridSpec(**{field: bounds})
+    grid = GridSpec(r_nodes=64, t_nodes=128, r_range=(0.0, 1.5), t_range=(-1.0, 1.0))
+    report = verify_pointwise(InequalityId.SUM_BY_MIXED_HIGH, 3.0, grid)
+    assert report.grid["t_range"] == [-1.0, 1.0] and report.grid["r_range"][1] == 1.5
+    assert -1.0 <= report.argmin[1] <= 1.0
+
+
 def test_out_of_range_p_rejected():
     with pytest.raises(ValueError):
         verify_pointwise(InequalityId.MIXED_BY_SUM_LOW, 3.0, SMALL)

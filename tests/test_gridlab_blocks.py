@@ -1,16 +1,19 @@
-"""Pin tests for the blocked evaluation in gridlab: the column-block 2-D scan
-and the circle blocks of the sub-mean checks must give exactly what the
-one-row-block-at-a-time scan and the one-circle-at-a-time checks give.  The
-references below are those per-case implementations, kept here only as
-oracles; every comparison is `==`."""
+"""Pin tests for the blocked evaluation in gridlab.  The form table and its
+buffered (t, r) block scan must give the same bits as the six slack functions
+and the (r, t) column-block scan kept in legacy_reference, lemma_grid_reports
+must give what one verify_pointwise call per case gives, and the circle
+blocks of the sub-mean checks must give exactly what the one-circle-at-a-time
+checks give.  The per-case references below are kept here only as oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from rieszlab import gridlab
-from rieszlab.battery import PLURI_P, SUBMEAN_P
+import legacy_reference as legacy
+from rieszlab import battery, gridlab
+from rieszlab.battery import PLURI_P, SUBMEAN_P, lemma_grid_reports
 from rieszlab.constants import Minorant, minorant_F, minorant_G
 from rieszlab.gridlab import (
     SCAN_COLUMNS,
@@ -24,23 +27,32 @@ from rieszlab.gridlab import (
     check_submean,
     default_p_values,
     origin_circle_mean,
+    verify_pointwise,
 )
-from rieszlab.reporting import MAX_VIOLATIONS, SlackAccumulator
+from rieszlab.reporting import MAX_VIOLATIONS, GridSpec, SlackAccumulator
 
 TWO_PI = 2.0 * math.pi
 TWO_D_TAGS = [tag for tag in InequalityId if _REGISTRY[tag].arity == 2]
 SEEDS = (0, 53, 1000)
 
 
+def _bits(obj):
+    """obj with every float replaced by its bit pattern, so that == compares
+    bits: -0.0 differs from 0.0, and a NaN equals the same NaN."""
+    if isinstance(obj, float):
+        return int(np.float64(obj).view(np.uint64))
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_bits(x) for x in obj)
+    if isinstance(obj, dict):
+        return {key: _bits(value) for key, value in obj.items()}
+    return obj
+
+
+def _array_bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
 # --------------------------- per-case references ---------------------------
-
-
-def _ref_normalized(t1, t2, t3):
-    return (t1 - t2 - t3) / (np.abs(t1) + np.abs(t2) + np.abs(t3))
-
-
-def _ref_sum_sq(r, t):
-    return 1.0 + r * r + 2.0 * r * np.cos(t)
 
 
 def _ref_scan_2d(slack_fn, p, r_vals, t_vals, tol, chunk=64):
@@ -152,27 +164,82 @@ def _payload(report):
 # ------------------------------- 2-D scan pins -------------------------------
 
 
+@pytest.mark.parametrize("tag", TWO_D_TAGS, ids=lambda tag: tag.value)
+def test_registry_slacks_match_legacy_functions_bitwise(tag):
+    rng = np.random.default_rng(7)
+    r, t = rng.uniform(0.0, 1.5, 2000), rng.uniform(-7.0, 7.0, 2000)
+    slack, old = _REGISTRY[tag].slack, legacy.SLACKS[tag]
+    for p in default_p_values(tag):
+        for args in ((r, t), (r[:60, None], t[None, :70]), (r[:1], t[:50])):
+            assert np.array_equal(_array_bits(slack(p, *args)), _array_bits(old(p, *args))), p
+        # 0-d arrays and Python floats go through scalar arithmetic, as before
+        for k in range(40):
+            for args in ((np.asarray(r[k]), np.asarray(t[k])), (float(r[k]), float(t[k]))):
+                new_value, old_value = slack(p, *args), old(p, *args)
+                assert type(new_value) is type(old_value)
+                assert _bits(float(new_value)) == _bits(float(old_value)), (p, args)
+
+
 @pytest.mark.parametrize("r_nodes, t_nodes", [(97, 389), (200, 400)])
 @pytest.mark.parametrize("tag", TWO_D_TAGS, ids=lambda tag: tag.value)
-def test_column_scan_matches_row_scan_on_every_two_variable_tag(
-    monkeypatch, tag, r_nodes, t_nodes
-):
-    # t_nodes is not a multiple of the block width, so the last block is short
-    assert t_nodes % SCAN_COLUMNS
+def test_column_scan_matches_row_scan_on_every_two_variable_tag(tag, r_nodes, t_nodes):
+    # 389 t-nodes leave a short last block; 400 fill whole blocks of 16
     info = _REGISTRY[tag]
     r_vals = _axis(*info.r_range, r_nodes, open_lo=True)
     t_vals = _axis(*info.t_range, t_nodes)
     for p in default_p_values(tag):
         # tol = -0.5 flags part of the grid and tol = -2 all of it, so the
         # violation order is pinned too
-        tols = (1e-9, -0.5, -2.0)
-        blocked = [_scan_2d(info.slack, p, r_vals, t_vals, tol) for tol in tols]
+        for tol in (1e-9, -0.5, -2.0):
+            blocked = _scan_2d(info.slack, p, r_vals, t_vals, tol)
+            old = legacy._scan_2d(legacy.SLACKS[tag], p, r_vals, t_vals, tol)
+            assert _bits(blocked) == _bits(old), (tag, p, tol)
+            assert blocked == _ref_scan_2d(legacy.SLACKS[tag], p, r_vals, t_vals, tol)
+        assert len(blocked[2]) == MAX_VIOLATIONS
+
+
+@pytest.mark.parametrize("tag", TWO_D_TAGS, ids=lambda tag: tag.value)
+def test_scan_with_range_overrides_matches_legacy(monkeypatch, tag):
+    # ranges beyond the default domain: r > 1 and |t| > 2 pi
+    r_range, t_range = (0.2, 1.3), (-7.0, 7.0)
+    r_vals, t_vals = _axis(*r_range, 97), _axis(*t_range, 389)
+    grid = GridSpec(r_nodes=97, t_nodes=389, r_range=r_range, t_range=t_range)
+    info = _REGISTRY[tag]
+    for p in default_p_values(tag):
+        for tol in (1e-9, -0.5, -2.0):
+            blocked = _scan_2d(info.slack, p, r_vals, t_vals, tol)
+            old = legacy._scan_2d(legacy.SLACKS[tag], p, r_vals, t_vals, tol)
+            assert _bits(blocked) == _bits(old), (tag, p, tol)
+        report = verify_pointwise(tag, p, grid)
         with monkeypatch.context() as m:
-            m.setattr(gridlab, "_normalized", _ref_normalized)
-            m.setattr(gridlab, "_sum_sq", _ref_sum_sq)
-            rows = [_ref_scan_2d(info.slack, p, r_vals, t_vals, tol) for tol in tols]
-        assert blocked == rows, (tag, p)
-        assert len(blocked[2][2]) == MAX_VIOLATIONS
+            m.setitem(_REGISTRY, tag, dataclasses.replace(info, slack=legacy.SLACKS[tag]))
+            m.setattr(gridlab, "_scan_2d", legacy._scan_2d)
+            old_report = verify_pointwise(tag, p, grid)
+        assert _bits(_payload(report)) == _bits(_payload(old_report)), (tag, p)
+
+
+def test_lemma_grid_scans_each_distinct_case_once(monkeypatch):
+    grid = GridSpec(r_nodes=40, t_nodes=90)
+    calls = []
+
+    def counted(tag, p, grid=None):
+        calls.append((tag, p))
+        return verify_pointwise(tag, p, grid)
+
+    monkeypatch.setattr(battery, "verify_pointwise", counted)
+    reports = lemma_grid_reports(grid)
+    cases = [(tag, p) for tag in InequalityId for p in default_p_values(tag)]
+    assert len(reports) == len(cases) == 128
+    # SUM_BY_MIXED_RADIAL repeats SUM_BY_MIXED_HIGH's slack, exponents and ranges
+    assert len(calls) == 120
+    assert all(tag is not InequalityId.SUM_BY_MIXED_RADIAL for tag, _ in calls)
+    for report, (tag, p) in zip(reports, cases):
+        assert _bits(_payload(report)) == _bits(_payload(verify_pointwise(tag, p, grid)))
+    # the copy shares no mutable field with the report it repeats
+    by_id = {(report.id, report.p): report for report in reports}
+    p = default_p_values(InequalityId.SUM_BY_MIXED_HIGH)[0]
+    high, radial = by_id["SUM_BY_MIXED_HIGH", p], by_id["SUM_BY_MIXED_RADIAL", p]
+    assert high.grid is not radial.grid and high.violations is not radial.violations
 
 
 def _full(r, t):
@@ -189,6 +256,21 @@ def test_column_scan_constant_slack_argmin_is_first_node():
         assert blocked == _ref_scan_2d(slack, 2.0, r_vals, t_vals, 1e-9)
         assert blocked[0] == value
         assert blocked[1] == (float(r_vals[0]), float(t_vals[0]))
+
+
+def test_column_scan_keeps_the_sign_of_the_first_zero():
+    # +0.0 and -0.0 tie in one block column; the first zero in row-major order
+    # sets the minimum, whichever zero a per-r reduction returns
+    r_vals, t_vals = np.linspace(0.1, 1.0, 30), np.linspace(-1.0, 1.0, 2 * SCAN_COLUMNS + 3)
+    for first, later in ((0.0, -0.0), (-0.0, 0.0)):
+        def slack(p, r, t):
+            s = np.where((r == r_vals[3]) & (t == t_vals[2]), first, _full(r, t) + 1.0)
+            return np.where((r == r_vals[3]) & (t == t_vals[5]), later, s)
+
+        blocked = _scan_2d(slack, 2.0, r_vals, t_vals, 1e-9)
+        assert _bits(blocked) == _bits(legacy._scan_2d(slack, 2.0, r_vals, t_vals, 1e-9))
+        assert blocked[1] == (float(r_vals[3]), float(t_vals[2]))
+        assert _bits(blocked[0]) == _bits(first)
 
 
 def test_column_scan_keeps_first_violations_in_row_major_order():
