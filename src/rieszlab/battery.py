@@ -35,8 +35,8 @@ from .maps import (
     FourierSeries,
     HarmonicMap,
     TaylorPoly,
+    _seed_streams,
     random_coefficients,
-    random_harmonic,
 )
 from .quadrature import circle_power_mean, disk_power_mean, hardy_norm
 from .reporting import GridSpec, SlackAccumulator, VerificationReport
@@ -125,10 +125,14 @@ def parseval_bridge_report(
     """||f||_2^2 = |||f|||_2^2 + 2 Re(g(0) h(0)), and equality of the two
     norms for the RE_ZERO class."""
     acc = SlackAccumulator(-0.0)
+    # seeds seed + k for the maps, seed + samples + k for the RE_ZERO maps
+    streams = _seed_streams(range(seed, seed + 2 * samples))
     for start in range(0, samples, SAMPLE_BLOCK):
         ks = range(start, min(start + SAMPLE_BLOCK, samples))
-        g, h = random_coefficients(degree, [seed + k for k in ks], Constraint.NONE)
-        zero = random_coefficients(degree, [seed + samples + k for k in ks], Constraint.RE_ZERO)
+        g, h = random_coefficients(degree, streams[start : ks.stop], Constraint.NONE)
+        zero = random_coefficients(
+            degree, streams[samples + start : samples + ks.stop], Constraint.RE_ZERO
+        )
         hardy, mixed = _hardy_and_mixed(g, h, 2.0, None)
         hardy_z, mixed_z = _hardy_and_mixed(*zero, 2.0, None)
         rows = zip(ks, g[:, 0].tolist(), h[:, 0].tolist(), hardy, mixed, hardy_z, mixed_z)
@@ -367,12 +371,19 @@ def _relaxed_mixed_report(
     p: float, samples: int, degree: int, seed: int
 ) -> VerificationReport:
     """The MIXED_BY_HARDY battery with the hypothesis Re(g(0)h(0)) >= 0."""
+    seeds = range(seed, seed + samples)
     sides = partial(
-        _block_sides, TheoremId.MIXED_BY_HARDY, p, degree, None, constraint=Constraint.RE_NONNEG
+        _block_sides,
+        TheoremId.MIXED_BY_HARDY,
+        p,
+        degree,
+        None,
+        _seed_streams(seeds),
+        constraint=Constraint.RE_NONNEG,
     )
-    cases = [((seed + k,), seed + k) for k in range(samples)]
+    labels = [(s,) for s in seeds]
     return _sample_report(
-        "MIXED_BY_HARDY_RELAXED", p, sharp_constant(SC.A, p), cases, sides, degree, seed, 1e-9
+        "MIXED_BY_HARDY_RELAXED", p, sharp_constant(SC.A, p), labels, sides, degree, seed, 1e-9
     )
 
 
@@ -406,8 +417,9 @@ def isoperimetric_reports(
 
 def _chain_report(n: int, samples: int, degree: int, seed: int) -> VerificationReport:
     acc = SlackAccumulator()
+    g, h = random_coefficients(degree, range(seed, seed + samples))
     for k in range(samples):
-        m = random_harmonic(degree, seed + k, Constraint.NONE)
+        m = HarmonicMap(TaylorPoly(g[k]), TaylorPoly(h[k]))  # random_harmonic(degree, seed + k)
         chain = isoperimetric_chain(m, n)
         for (name_lo, lo), (name_hi, hi) in zip(chain, chain[1:]):
             gap = (hi - lo) / max(hi, 1e-300)

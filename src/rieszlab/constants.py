@@ -171,18 +171,14 @@ def re_branch_angle(theta, p: float):
 
     cos(p theta/2) on |theta| <= pi, cos(p theta/2 -+ p pi) on the outer
     bands; the three formulas assemble the even 2 pi-periodic profile, and the
-    seams at |theta| = pi are continuous because cosine is even.
+    seams at |theta| = pi are continuous because cosine is even.  Each point's
+    argument is shifted onto its band first, so one cosine is taken.
     """
     theta = np.asarray(theta, dtype=float)
-    out = np.where(
-        np.abs(theta) <= math.pi,
-        np.cos(0.5 * p * theta),
-        np.where(
-            theta > math.pi,
-            np.cos(0.5 * p * theta - p * math.pi),
-            np.cos(0.5 * p * theta + p * math.pi),
-        ),
-    )
+    arg = np.multiply(0.5 * p, theta, out=np.empty(theta.shape))
+    np.subtract(arg, p * math.pi, out=arg, where=theta > math.pi)
+    np.add(arg, p * math.pi, out=arg, where=theta < -math.pi)
+    out = np.cos(arg, out=arg)
     return out if out.shape else float(out)
 
 

@@ -32,12 +32,12 @@ class GridSpec:
     t_range: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.r_nodes < 16:
-            raise ValueError(f"r_nodes must be >= 16, got {self.r_nodes}")
-        if self.t_nodes < 16:
-            raise ValueError(f"t_nodes must be >= 16, got {self.t_nodes}")
-        if self.refine_factor < 2:
-            raise ValueError(f"refine_factor must be >= 2, got {self.refine_factor}")
+        for name, least in (("r_nodes", 16), ("t_nodes", 16), ("refine_factor", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         for name in ("r_range", "t_range"):

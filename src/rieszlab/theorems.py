@@ -11,14 +11,15 @@ boundary ratios (sec, sin, tan of gamma) converge to the constants from
 below.
 
 Every tag's two sides come from one function, _block_sides, in blocks of
-SAMPLE_BLOCK = 32 cases.  A block's samples are drawn as coefficient arrays
-(maps.random_coefficients, one stream per seed) and go straight to the
-transforms; no per-sample map objects are built.  The circle tags transform
-each polynomial factor once per block; the Bergman tags transform g and h
-once per sample at all radii.  Either way both sides share the traces.  The
-pair-isoperimetric and line tags evaluate one case at a time.  Every LHS and
-RHS is bit-identical to drawing one sample at a time and evaluating it
-through the public norms.
+SAMPLE_BLOCK = 32 cases.  A battery call seeds its whole seed range once
+(maps._seed_streams, numpy's stream of each seed computed in arrays); each
+block's samples are then drawn from those streams as coefficient arrays
+(maps.random_coefficients) and go straight to the transforms; no per-sample
+map objects are built.  The circle tags transform each polynomial factor
+once per block; the Bergman tags transform g and h once per sample at all
+radii.  Either way both sides share the traces.  The pair-isoperimetric and
+line tags evaluate one case at a time.  Every LHS and RHS is bit-identical
+to drawing one sample at a time and evaluating it through the public norms.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .maps import (
     TaylorPoly,
     _boundary_rows,
     _normalized_rows,
+    _seed_streams,
     random_coefficients,
 )
 from .quadrature import (
@@ -167,29 +169,42 @@ def _block_sides(
     p_or_n,
     degree: int,
     spec: QuadratureSpec | None,
-    block: Sequence,
+    cases,
+    block: slice,
     constraint: Constraint | None = None,
 ) -> tuple[Sequence[float], Sequence[float]]:
-    """(LHS values, RHS-without-constant values) of a tag, one per case of block.
+    """(LHS values, RHS-without-constant values) of a tag, one per case of
+    cases[block].
 
-    The cases are seeds (line pairs for LINE_PAIRS); the block's maps are
-    drawn as coefficient arrays, one row and one stream per seed.
+    The cases are the line catalog for LINE_PAIRS, and otherwise the call's
+    seeds, seeded once (maps._seed_streams): PAIR_ISOPERIMETRIC's cases are
+    two such streams, of its seeds s and of s + 10_000_019.  A block's maps
+    are drawn as coefficient arrays, one row and one stream per seed.
     constraint replaces the hypothesis class of the four mixed-norm tags.
     """
     if tag is TheoremId.LINE_PAIRS:
+        pairs = cases[block]
         return (
-            [line_lp_norm(pair, p_or_n, transformed=True) for pair in block],
-            [line_lp_norm(pair, p_or_n, transformed=False) for pair in block],
+            [line_lp_norm(pair, p_or_n, transformed=True) for pair in pairs],
+            [line_lp_norm(pair, p_or_n, transformed=False) for pair in pairs],
         )
+    if tag is TheoremId.PAIR_ISOPERIMETRIC:
+        a, b = (random_coefficients(degree, streams[block], g_only=True)[0] for streams in cases)
+        sides = [
+            _pair_isoperimetric_sides(TaylorPoly(x), TaylorPoly(y), p_or_n, spec)
+            for x, y in zip(a, b)
+        ]
+        return tuple(zip(*sides))
+    streams = cases[block]
     if tag in _MIXED_TAGS:
         disk, mixed_lhs, hypothesis = _MIXED_TAGS[tag]
-        g, h = random_coefficients(degree, block, constraint or hypothesis)
+        g, h = random_coefficients(degree, streams, constraint or hypothesis)
         both = _bergman_and_mixed if disk else _hardy_and_mixed
         norms, mixed = both(g, h, p_or_n, spec)
         return (mixed, norms) if mixed_lhs else (norms, mixed)
     if tag is TheoremId.BERGMAN_EMBEDDING:
         n = int(p_or_n)
-        g, h = _normalized_rows(*random_coefficients(degree, block))
+        g, h = _normalized_rows(*random_coefficients(degree, streams))
         p = _require_norm_p(2 * n)
         disk = _spec_for(degree, p, spec)
         bergman = [
@@ -199,28 +214,20 @@ def _block_sides(
         return bergman, _hardy_norm_rows(_map_rows(g, h, _spec_for(degree, n, spec).n_angle), n)
     if tag is TheoremId.STREBEL:
         # the map g + conj(0) has modulus |g|
-        g = random_coefficients(degree, block)[0]
+        g = random_coefficients(degree, streams, g_only=True)[0]
         disk = _spec_for(degree, 2.0, spec)
         lhs = [_disk_mean(_modulus_ring(gt, 2.0), disk) for gt in _disk_rows(g, disk)]
         ring = _modulus_ring(_boundary_rows(g, _spec_for(degree, 1.0, spec).n_angle), 1.0)
         return lhs, [mean**2 for mean in _norm_rows(ring, 1.0)]
-    if tag is TheoremId.PAIR_ISOPERIMETRIC:
-        a = random_coefficients(degree, block)[0]
-        b = random_coefficients(degree, [s + 10_000_019 for s in block])[0]
-        sides = [
-            _pair_isoperimetric_sides(TaylorPoly(x), TaylorPoly(y), p_or_n, spec)
-            for x, y in zip(a, b)
-        ]
-        return tuple(zip(*sides))
     n = _spec_for(degree, p_or_n, spec).n_angle
     if tag is TheoremId.CONJUGATE_NORM:
-        g, h = _normalized_rows(*random_coefficients(degree, block))
+        g, h = _normalized_rows(*random_coefficients(degree, streams))
         # the conjugate of the normalized map is (-i g, -i h) (conjugate_map)
         return (
             _hardy_norm_rows(_map_rows(-1j * g, -1j * h, n), p_or_n),
             _hardy_norm_rows(_map_rows(g, h, n), p_or_n),
         )
-    g = random_coefficients(degree, block)[0]
+    g = random_coefficients(degree, streams, g_only=True)[0]
     g.imag[:, 0] = 0.0  # analytic samples have Im g(0) = 0
     # the map g + conj(0) has modulus |g|
     analytic = _hardy_norm_rows(_boundary_rows(g, n), p_or_n)
@@ -237,24 +244,24 @@ def _sample_report(
     report_id: str,
     p_or_n,
     constant: float,
-    cases: Sequence[tuple[tuple, object]],
-    sides: Callable[[Sequence], tuple[Sequence[float], Sequence[float]]],
+    labels: Sequence[tuple],
+    sides: Callable[[slice], tuple[Sequence[float], Sequence[float]]],
     degree: int,
     seed: int,
     rel_tol: float,
 ) -> VerificationReport:
     """Relative slack (RHS_total - LHS)/RHS_total over labelled cases.
 
-    cases holds (label, case) pairs, evaluated SAMPLE_BLOCK at a time:
-    sides(block) takes the block's cases and returns their LHS values and
-    their RHS values without the constant.  A case whose RHS_total is 0 is
-    skipped; a slack below -rel_tol is a violation.
+    labels holds one label per case; the cases are evaluated SAMPLE_BLOCK at
+    a time: sides(block) takes the slice of the block's cases and returns
+    their LHS values and their RHS values without the constant.  A case whose
+    RHS_total is 0 is skipped; a slack below -rel_tol is a violation.
     """
     acc = SlackAccumulator()
     ratio_max = 0.0
-    for start in range(0, len(cases), SAMPLE_BLOCK):
-        labels, block = zip(*cases[start : start + SAMPLE_BLOCK])
-        for label, lhs, rhs_base in zip(labels, *sides(block)):
+    for start in range(0, len(labels), SAMPLE_BLOCK):
+        block = slice(start, start + SAMPLE_BLOCK)
+        for label, lhs, rhs_base in zip(labels[block], *sides(block)):
             rhs = constant * rhs_base
             if rhs == 0.0:
                 continue
@@ -264,7 +271,7 @@ def _sample_report(
     return acc.report(
         id=report_id,
         p=p_or_n,
-        grid={"samples": len(cases), "degree": degree},
+        grid={"samples": len(labels), "degree": degree},
         constant=constant,
         ratio_max=ratio_max,
         seed=seed,
@@ -310,11 +317,16 @@ def verify_theorem(
         constant = theorem_constant(tag, p=p_or_n)
 
     if tag is TheoremId.LINE_PAIRS:
-        cases = [((pair.kind.value, pair.parameter), pair) for pair in _LINE_CATALOG]
+        labels = [(pair.kind.value, pair.parameter) for pair in _LINE_CATALOG]
+        cases = _LINE_CATALOG
     else:
-        cases = [((seed + k,), seed + k) for k in range(samples)]
-    sides = partial(_block_sides, tag, p_or_n, degree, spec)
-    return _sample_report(tag.value, p_or_n, constant, cases, sides, degree, seed, rel_tol)
+        seeds = range(seed, seed + samples)
+        labels = [(s,) for s in seeds]
+        cases = _seed_streams(seeds)
+        if tag is TheoremId.PAIR_ISOPERIMETRIC:
+            cases = (cases, _seed_streams(s + 10_000_019 for s in seeds))
+    sides = partial(_block_sides, tag, p_or_n, degree, spec, cases)
+    return _sample_report(tag.value, p_or_n, constant, labels, sides, degree, seed, rel_tol)
 
 
 def _pair_isoperimetric_sides(

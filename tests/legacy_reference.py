@@ -1,8 +1,9 @@
 """Earlier implementations, kept only as oracles for the pin tests: the
-per-seed map drawing, the term-by-term Fourier series, the singular integral
-that evaluates its integrand once per quadrature visit, the six two-variable
-slack functions written out one by one, and the 2-D scan over (r, t) column
-blocks of 32 t-nodes with a fresh array per temporary."""
+per-seed map drawing with numpy's own generator, the term-by-term Fourier
+series, the singular integral that evaluates its integrand once per
+quadrature visit, the three-cosine RE_BRANCH angle profile, the six
+two-variable slack functions written out one by one, and the 2-D scan over
+(r, t) column blocks of 32 t-nodes with a fresh array per temporary."""
 
 import math
 
@@ -38,8 +39,12 @@ def random_poly(degree, seed):
 def random_harmonic(degree, seed, constraint=Constraint.NONE):
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    return harmonic_from(np.random.default_rng(seed), degree, constraint)
+
+
+def harmonic_from(rng, degree, constraint=Constraint.NONE):
+    """random_harmonic's draw from the generator rng, in any state."""
     constraint = Constraint(constraint)
-    rng = np.random.default_rng(seed)
     g = _disk_samples(rng, degree + 1)
     h = _disk_samples(rng, degree + 1)
     if constraint is Constraint.RE_ZERO:
@@ -52,6 +57,21 @@ def random_harmonic(degree, seed, constraint=Constraint.NONE):
         if (re < 0) == want_nonneg:
             h[0] = -h[0]
     return HarmonicMap(TaylorPoly(g), TaylorPoly(h))
+
+
+def three_cosine_re_branch_angle(theta, p):
+    """constants.re_branch_angle with all three band cosines at every point."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.where(
+        np.abs(theta) <= math.pi,
+        np.cos(0.5 * p * theta),
+        np.where(
+            theta > math.pi,
+            np.cos(0.5 * p * theta - p * math.pi),
+            np.cos(0.5 * p * theta + p * math.pi),
+        ),
+    )
+    return out if out.shape else float(out)
 
 
 def analytic_sample(degree, seed):

@@ -35,6 +35,19 @@ def test_gridspec_validation():
         GridSpec(refine_factor=1)
 
 
+@pytest.mark.parametrize("field", ["r_nodes", "t_nodes", "refine_factor"])
+@pytest.mark.parametrize("value", [16.5, 32.0, True, np.True_, "32", np.float64(32.0)])
+def test_gridspec_counts_must_be_integers(field, value):
+    # a float count used to pass and then fail in np.linspace with TypeError
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        GridSpec(**{field: value})
+
+
+def test_gridspec_accepts_numpy_integer_counts():
+    grid = GridSpec(r_nodes=np.int64(32), t_nodes=np.uint16(64), refine_factor=np.int32(4))
+    assert verify_pointwise(InequalityId.SUM_BY_MIXED_HIGH, 3.0, grid).passed
+
+
 def test_gridspec_range_overrides_are_validated():
     # a reversed range used to PASS with an argmin outside it, and a NaN range
     # to FAIL with NaN "violations"; both now raise, naming the field

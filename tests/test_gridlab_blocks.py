@@ -3,7 +3,9 @@ buffered (t, r) block scan must give the same bits as the six slack functions
 and the (r, t) column-block scan kept in legacy_reference, lemma_grid_reports
 must give what one verify_pointwise call per case gives, and the circle
 blocks of the sub-mean checks must give exactly what the one-circle-at-a-time
-checks give.  The per-case references below are kept here only as oracles."""
+checks give.  The one-cosine RE_BRANCH angle profile must give the bits of
+the three-cosine form.  The per-case references below are kept here only as
+oracles."""
 
 import dataclasses
 import math
@@ -14,7 +16,7 @@ import pytest
 import legacy_reference as legacy
 from rieszlab import battery, gridlab
 from rieszlab.battery import PLURI_P, SUBMEAN_P, lemma_grid_reports
-from rieszlab.constants import Minorant, minorant_F, minorant_G
+from rieszlab.constants import Minorant, minorant_F, minorant_G, re_branch_angle
 from rieszlab.gridlab import (
     SCAN_COLUMNS,
     InequalityId,
@@ -382,3 +384,22 @@ def test_blocked_submean_matches_reference_for_custom_callables():
             blocked = check_submean(fn, 2.0, centers=40, radii=4, angles=512, seed=seed)
             assert _payload(blocked) == _payload(_ref_check_submean(fn, 2.0, 40, 4, 512, seed))
     assert len(blocked.violations) == MAX_VIOLATIONS  # the superharmonic one exceeds the cap
+
+
+# --------------------------- RE_BRANCH angle profile ---------------------------
+
+
+@pytest.mark.parametrize("p", [1.01, 1.1, 1.25, 4 / 3, 1.5, 1.75, 1.9, 2.0, 2.5, 3.0, 4.0, 6.0])
+def test_re_branch_angle_takes_one_cosine_with_the_same_bits(p):
+    rng = np.random.default_rng(int(p * 1000))
+    seams = [0.0, -0.0, math.pi, -math.pi, TWO_PI, -TWO_PI]
+    seams += [np.nextafter(x, d) for x in seams for d in (-np.inf, np.inf)]
+    theta = np.concatenate([rng.uniform(-TWO_PI, TWO_PI, 200_000), seams])
+    new = _array_bits(re_branch_angle(theta, p))
+    assert new.tolist() == _array_bits(legacy.three_cosine_re_branch_angle(theta, p)).tolist()
+    grid = theta[:200_000].reshape(400, 500)
+    assert _array_bits(re_branch_angle(grid, p)).tolist() == new[:200_000].reshape(400, 500).tolist()
+    for t in seams:
+        value = re_branch_angle(t, p)
+        assert isinstance(value, float)
+        assert _bits(value) == _bits(legacy.three_cosine_re_branch_angle(t, p)), t
