@@ -38,13 +38,21 @@ from .maps import (
     _seed_streams,
     random_coefficients,
 )
-from .quadrature import circle_power_mean, disk_power_mean, hardy_norm
+from .quadrature import (
+    QuadratureSpec,
+    _map_ring,
+    _pair_ring,
+    _require_norm_p,
+    _spec_for,
+    circle_power_mean,
+    disk_power_mean,
+    hardy_norm,
+)
 from .reporting import GridSpec, SlackAccumulator, VerificationReport
 from .theorems import (
     SAMPLE_BLOCK,
     TheoremId,
-    _block_sides,
-    _hardy_and_mixed,
+    _norms,
     _sample_report,
     isoperimetric_chain,
     sharpness_probe,
@@ -127,14 +135,16 @@ def parseval_bridge_report(
     acc = SlackAccumulator(-0.0)
     # seeds seed + k for the maps, seed + samples + k for the RE_ZERO maps
     streams = _seed_streams(range(seed, seed + 2 * samples))
+    rings = [partial(_map_ring, 2.0), partial(_pair_ring, 1.0)]
+    spec = _spec_for(degree, 2.0, None)
     for start in range(0, samples, SAMPLE_BLOCK):
         ks = range(start, min(start + SAMPLE_BLOCK, samples))
         g, h = random_coefficients(degree, streams[start : ks.stop], Constraint.NONE)
         zero = random_coefficients(
             degree, streams[samples + start : samples + ks.stop], Constraint.RE_ZERO
         )
-        hardy, mixed = _hardy_and_mixed(g, h, 2.0, None)
-        hardy_z, mixed_z = _hardy_and_mixed(*zero, 2.0, None)
+        hardy, mixed = _norms(2.0, rings, (g, h), spec)
+        hardy_z, mixed_z = _norms(2.0, rings, zero, spec)
         rows = zip(ks, g[:, 0].tolist(), h[:, 0].tolist(), hardy, mixed, hardy_z, mixed_z)
         for k, g0, h0, a, b, az, bz in rows:
             cross = 2.0 * (g0 * h0).real
@@ -372,15 +382,15 @@ def _relaxed_mixed_report(
 ) -> VerificationReport:
     """The MIXED_BY_HARDY battery with the hypothesis Re(g(0)h(0)) >= 0."""
     seeds = range(seed, seed + samples)
-    sides = partial(
-        _block_sides,
-        TheoremId.MIXED_BY_HARDY,
-        p,
-        degree,
-        None,
-        _seed_streams(seeds),
-        constraint=Constraint.RE_NONNEG,
-    )
+    streams = _seed_streams(seeds)
+    _require_norm_p(p)
+    rings = [partial(_pair_ring, p / 2.0), partial(_map_ring, p)]
+    spec = _spec_for(degree, p, None)
+
+    def sides(block: slice) -> list[list[float]]:
+        g, h = random_coefficients(degree, streams[block], Constraint.RE_NONNEG)
+        return _norms(p, rings, (g, h), spec)
+
     labels = [(s,) for s in seeds]
     return _sample_report(
         "MIXED_BY_HARDY_RELAXED", p, sharp_constant(SC.A, p), labels, sides, degree, seed, 1e-9
@@ -394,8 +404,6 @@ def isoperimetric_reports(
     # closed-form instance f = 1 + z: int_U |f|^2 = 3/2 <= (4/pi)^2.
     # |1 + e^{it}| has a corner at t = pi, so the boundary mean needs a dense
     # trapezoid rule to reproduce 4/pi to 1e-6
-    from .quadrature import QuadratureSpec
-
     acc = SlackAccumulator()
     m = HarmonicMap(TaylorPoly([1.0, 1.0]), TaylorPoly([0.0]))
     lhs = disk_power_mean(m, 2.0)

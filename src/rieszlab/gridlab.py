@@ -369,18 +369,6 @@ _REGISTRY: dict[InequalityId, _TagInfo] = {
             for t in _pm_mod_2pi([v], _EXT)
         ],
     ),
-    InequalityId.SUM_BY_MIXED_RADIAL: _TagInfo(
-        2, 2.0, 64.0, False, True, _FORMS[InequalityId.SUM_BY_MIXED_HIGH], _geom(2.25, 64.0),
-        r_range=(0.0, 1.0), t_range=_EXT,
-        loci=lambda p: [
-            (1.0, t)
-            for t in _pm_mod_2pi([math.pi / p, TWO_PI - math.pi / p], _EXT)
-        ],
-        stated_loci=lambda p: [
-            (1.0, t) for v in (math.pi / p, math.pi / p + math.pi)
-            for t in _pm_mod_2pi([v], _EXT)
-        ],
-    ),
     InequalityId.SUM_BY_MIXED_LOW: _TagInfo(
         2, 1.0, 2.0, False, False, _FORMS[InequalityId.SUM_BY_MIXED_LOW], _lin(1.1, 1.9),
         r_range=(0.0, 1.0), t_range=_EXT,
@@ -426,6 +414,8 @@ _REGISTRY: dict[InequalityId, _TagInfo] = {
         0, 4.0, 64.0, True, True, _slack_root_gap_angle, _geom(4.0, 64.0)
     ),
 }
+# SUM_BY_MIXED_RADIAL is the same inequality as SUM_BY_MIXED_HIGH, under its own id
+_REGISTRY[InequalityId.SUM_BY_MIXED_RADIAL] = _REGISTRY[InequalityId.SUM_BY_MIXED_HIGH]
 
 
 def inequality_range(tag: InequalityId) -> tuple[float, float, bool, bool]:

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterator
+from functools import lru_cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -125,94 +125,100 @@ def _gl01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _disk_traces(q: TaylorPoly | HarmonicMap, spec: QuadratureSpec) -> np.ndarray:
-    """Values of q at the spec.n_angle circle nodes on each Gauss-Legendre
-    radius of spec, one row per radius, from one transform per factor."""
-    return q.boundary_values(spec.n_angle, _gl01(spec.n_radial)[0])
-
-
-def _disk_rows(coeffs: np.ndarray, spec: QuadratureSpec) -> Iterator[np.ndarray]:
-    """_disk_traces of the polynomial in each row of coeffs, one row at a
-    time (all rows at once would hold rows x radii x angles values)."""
-    powers = _radius_powers(_gl01(spec.n_radial)[0], coeffs.shape[-1])
-    for row in coeffs:
-        yield _boundary_rows(row * powers, spec.n_angle)
-
-
-def _disk_mean(ring: np.ndarray, spec: QuadratureSpec) -> float:
-    """int_U F dxdy/pi = int_0^1 2r * (circle mean of F at radius r) dr.
-
-    ring holds one row of F per Gauss-Legendre radius of spec, as computed
-    from _disk_traces.  The weighted ring means are summed left to right
-    (cumsum, not a pairwise or compensated sum), so the result is
-    bit-identical to accumulating one radius at a time.  For F = |f|^p the
-    rule is exact only at even integer p; at other p it converges
-    algebraically wherever f has zeros (see the module docstring).
-    """
-    nodes, weights = _gl01(spec.n_radial)
-    means = np.mean(ring, axis=-1)
-    return float(np.cumsum(weights * 2.0 * nodes * means)[-1])
-
-
 # ----------------------------- polynomial norms -----------------------------
 #
-# Each circle/disk pair shares one ring integrand, and every integrand takes
-# boundary traces, so the circle rule (traces at one radius), the disk rule
-# (one row per Gauss-Legendre radius) and the sample batteries (one row per
-# sample, see _norm_rows) evaluate the same function.
+# Every polynomial norm is the mean of one ring integrand over the circle or
+# disk traces of its factors.  _means is the one rule that evaluates them: the
+# public means below are its one-row calls, and the sample batteries
+# (theorems, battery) call it on blocks of coefficient rows, sharing each
+# factor's traces among all the rings of a bound.  A ring takes p first, then
+# one trace array per factor.
 
 
-def _modulus_ring(f: np.ndarray, p: float) -> np.ndarray:
+def _modulus_ring(p: float, f: np.ndarray) -> np.ndarray:
     return np.abs(f) ** p
 
 
-def _pair_ring(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+def _map_ring(p: float, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """|g + conj(h)|^p, the modulus ring of the map g + conj(h)."""
+    return np.abs(g + np.conj(h)) ** p
+
+
+def _pair_ring(p: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.abs(a) ** 2 + np.abs(b) ** 2) ** p
 
 
-def _product_ring(g: np.ndarray, h: np.ndarray, p: float, real_part: bool) -> np.ndarray:
+def _product_ring(p: float, g: np.ndarray, h: np.ndarray, real_part: bool) -> np.ndarray:
     prod = 2.0 * g * h
     base = np.abs(prod.real) if real_part else np.abs(prod)
     return base**p
 
 
-def _norm_rows(ring: np.ndarray, p: float) -> list[float]:
-    """(circle mean of each row of ring)^(1/p), one norm per row.
+def _means(
+    rings: Sequence[Callable[..., np.ndarray]],
+    factors: Sequence[np.ndarray],
+    spec: QuadratureSpec,
+    r: float | None,
+) -> list[list[float]]:
+    """The mean of each ring over the traces of factors, one float per row.
 
-    Each mean is finished as a Python float, exactly as hardy_norm and
-    triple_norm finish a single ring, so row k equals the norm of sample k.
+    factors are coefficient arrays with one polynomial per row (a 1-D
+    sequence is one row), and a ring gets one trace array per factor.  With
+    a radius r the means are over the circle of radius r, and each factor is
+    transformed once for all its rows.  With r=None they are over the disk,
+    int_0^1 2r * (circle mean at radius r) dr, and each factor is transformed
+    once per row at all radii (all rows at once would hold rows x radii x
+    angles values).  Each mean is finished as a Python float, and the disk
+    rule sums its weighted radii left to right (cumsum, not a pairwise sum),
+    so a row's mean is bit-identical to evaluating that row alone, one
+    radius at a time.
     """
-    return [float(mean) ** (1.0 / p) for mean in np.mean(ring, axis=-1)]
+    n = spec.n_angle
+    factors = [np.atleast_2d(np.asarray(c, dtype=complex)) for c in factors]
+    if r is not None:
+        traces = [
+            _boundary_rows(c if r == 1.0 else c * _radius_powers(r, c.shape[-1]), n)
+            for c in factors
+        ]
+        return [np.mean(ring(*traces), axis=-1).tolist() for ring in rings]
+    nodes, weights = _gl01(spec.n_radial)
+    weights = weights * 2.0 * nodes
+    powers = [_radius_powers(nodes, c.shape[-1]) for c in factors]
+    out: list[list[float]] = [[] for _ in rings]
+    for rows in zip(*factors):
+        traces = [_boundary_rows(row * pw, n) for row, pw in zip(rows, powers)]
+        for ring, means in zip(rings, out):
+            means.append(float(np.cumsum(weights * np.mean(ring(*traces), axis=-1))[-1]))
+    return out
 
 
-def _hardy_norm_rows(f: np.ndarray, p: float) -> list[float]:
-    """hardy_norm of each row of boundary traces f."""
-    p = _require_norm_p(p)
-    return _norm_rows(_modulus_ring(f, p), p)
-
-
-def _triple_norm_rows(g: np.ndarray, h: np.ndarray, p: float) -> list[float]:
-    """triple_norm of each row pair of boundary traces (g, h)."""
-    p = _require_norm_p(p)
-    return _norm_rows(_pair_ring(g, h, p / 2.0), p)
+def _mean(
+    ring: Callable[..., np.ndarray],
+    p: float,
+    polys: Sequence[TaylorPoly],
+    spec: QuadratureSpec | None,
+    r: float | None,
+    size: float = 1.0,
+) -> float:
+    """The mean of ring(p, ...) over the traces of polys, by the rule sized
+    for |f|^(size * p): _means of one row."""
+    p = _require_positive_p(p)
+    spec = _spec_for(max(q.degree for q in polys), size * p, spec)
+    return _means([partial(ring, p)], [q.coeffs for q in polys], spec, r)[0][0]
 
 
 def circle_power_mean(
     m: HarmonicMap, p: float, r: float = 1.0, spec: QuadratureSpec | None = None
 ) -> float:
     """int_T |f(r z)|^p dsigma(z); accepts any p > 0."""
-    p = _require_positive_p(p)
-    spec = _spec_for(m.degree, p, spec)
-    return float(np.mean(_modulus_ring(m.boundary_values(spec.n_angle, r), p)))
+    return _mean(_map_ring, p, (m.g, m.h), spec, r)
 
 
 def disk_power_mean(
     m: HarmonicMap, p: float, spec: QuadratureSpec | None = None
 ) -> float:
     """int_U |f|^p dxdy/pi; accepts any p > 0."""
-    p = _require_positive_p(p)
-    spec = _spec_for(m.degree, p, spec)
-    return _disk_mean(_modulus_ring(_disk_traces(m, spec), p), spec)
+    return _mean(_map_ring, p, (m.g, m.h), spec, None)
 
 
 def pair_circle_power_mean(
@@ -223,18 +229,14 @@ def pair_circle_power_mean(
     spec: QuadratureSpec | None = None,
 ) -> float:
     """int_T (|a|^2 + |b|^2)^p dsigma; accepts any p > 0."""
-    p = _require_positive_p(p)
-    n = _spec_for(max(a.degree, b.degree), 2.0 * p, spec).n_angle
-    return float(np.mean(_pair_ring(a.boundary_values(n, r), b.boundary_values(n, r), p)))
+    return _mean(_pair_ring, p, (a, b), spec, r, size=2.0)
 
 
 def pair_disk_power_mean(
     a: TaylorPoly, b: TaylorPoly, p: float, spec: QuadratureSpec | None = None
 ) -> float:
     """int_U (|a|^2 + |b|^2)^p dxdy/pi; accepts any p > 0."""
-    p = _require_positive_p(p)
-    spec = _spec_for(max(a.degree, b.degree), 2.0 * p, spec)
-    return _disk_mean(_pair_ring(_disk_traces(a, spec), _disk_traces(b, spec), p), spec)
+    return _mean(_pair_ring, p, (a, b), spec, None, size=2.0)
 
 
 def product_circle_power_mean(
@@ -246,10 +248,8 @@ def product_circle_power_mean(
     spec: QuadratureSpec | None = None,
 ) -> float:
     """int_T (2|gh|)^p dsigma, or int_T |2 Re(gh)|^p with real_part=True."""
-    p = _require_positive_p(p)
-    n = _spec_for(max(g.degree, h.degree), 2.0 * p, spec).n_angle
-    ring = _product_ring(g.boundary_values(n, r), h.boundary_values(n, r), p, real_part)
-    return float(np.mean(ring))
+    ring = partial(_product_ring, real_part=real_part)
+    return _mean(ring, p, (g, h), spec, r, size=2.0)
 
 
 def product_disk_power_mean(
@@ -260,11 +260,8 @@ def product_disk_power_mean(
     spec: QuadratureSpec | None = None,
 ) -> float:
     """int_U (2|gh|)^p dxdy/pi, or int_U |2 Re(gh)|^p with real_part=True."""
-    p = _require_positive_p(p)
-    spec = _spec_for(max(g.degree, h.degree), 2.0 * p, spec)
-    return _disk_mean(
-        _product_ring(_disk_traces(g, spec), _disk_traces(h, spec), p, real_part), spec
-    )
+    ring = partial(_product_ring, real_part=real_part)
+    return _mean(ring, p, (g, h), spec, None, size=2.0)
 
 
 def mp_radius(
@@ -289,7 +286,7 @@ def hardy_norm(
     refinement.
     """
     if isinstance(m, CalderonFamily):
-        depth = spec.adaptive_depth if spec is not None else 14
+        depth = (spec or QuadratureSpec()).adaptive_depth
         return calderon_norm(m, p, max_refinements=depth)
     return mp_radius(m, p, 1.0, spec)
 

@@ -14,12 +14,14 @@ Every tag's two sides come from one function, _block_sides, in blocks of
 SAMPLE_BLOCK = 32 cases.  A battery call seeds its whole seed range once
 (maps._seed_streams, numpy's stream of each seed computed in arrays); each
 block's samples are then drawn from those streams as coefficient arrays
-(maps.random_coefficients) and go straight to the transforms; no per-sample
-map objects are built.  The circle tags transform each polynomial factor
-once per block; the Bergman tags transform g and h once per sample at all
-radii.  Either way both sides share the traces.  The pair-isoperimetric and
-line tags evaluate one case at a time.  Every LHS and RHS is bit-identical
-to drawing one sample at a time and evaluating it through the public norms.
+(maps.random_coefficients) and go straight to quadrature._means, the one
+rule behind every polynomial norm; no per-sample map objects are built.  On
+the circle each polynomial factor is transformed once per block, on the disk
+once per sample at all radii, and the rings of both sides share those
+traces; isoperimetric_chain takes its seven means from one circle and one
+disk transform of g and h.  Only the line tag evaluates one case at a time.
+Every LHS and RHS is bit-identical to drawing one sample at a time and
+evaluating it through the public norms.
 """
 
 from __future__ import annotations
@@ -38,29 +40,22 @@ from .maps import (
     Constraint,
     HarmonicMap,
     TaylorPoly,
-    _boundary_rows,
     _normalized_rows,
     _seed_streams,
     random_coefficients,
 )
 from .quadrature import (
+    P_MAX,
     QuadratureSpec,
-    _disk_mean,
-    _disk_rows,
-    _hardy_norm_rows,
+    _map_ring,
+    _means,
     _modulus_ring,
-    _norm_rows,
     _pair_ring,
+    _product_ring,
     _require_norm_p,
+    _require_positive_p,
     _spec_for,
-    _triple_norm_rows,
     calderon_norm,
-    circle_power_mean,
-    disk_power_mean,
-    pair_circle_power_mean,
-    pair_disk_power_mean,
-    product_circle_power_mean,
-    product_disk_power_mean,
 )
 from .reporting import SlackAccumulator, VerificationReport
 
@@ -133,35 +128,12 @@ def theorem_constant(tag: TheoremId, p: float | None = None, n: int | None = Non
     raise AssertionError(tag)
 
 
-def _map_rows(g: np.ndarray, h: np.ndarray, n: int) -> np.ndarray:
-    """Boundary traces g + conj(h) of the map of each row pair of coefficient
-    arrays (g, h), at n circle nodes."""
-    return _boundary_rows(g, n) + np.conj(_boundary_rows(h, n))
-
-
-def _hardy_and_mixed(
-    g: np.ndarray, h: np.ndarray, p: float, spec: QuadratureSpec | None
-) -> tuple[list[float], list[float]]:
-    """hardy_norm and triple_norm of the map of each row pair of coefficient
-    arrays (g, h); both norms share the traces of g and h."""
-    n = _spec_for(g.shape[-1] - 1, p, spec).n_angle
-    g, h = _boundary_rows(g, n), _boundary_rows(h, n)
-    return _hardy_norm_rows(g + np.conj(h), p), _triple_norm_rows(g, h, p)
-
-
-def _bergman_and_mixed(
-    g: np.ndarray, h: np.ndarray, p: float, spec: QuadratureSpec | None
-) -> tuple[list[float], list[float]]:
-    """bergman_norm and bergman_triple_norm of the map of each row pair of
-    coefficient arrays (g, h); both norms share the map's disk traces of g
-    and h, one map at a time."""
-    p = _require_norm_p(p)
-    spec = _spec_for(g.shape[-1] - 1, p, spec)
-    norms, mixed = [], []
-    for gt, ht in zip(_disk_rows(g, spec), _disk_rows(h, spec)):
-        norms.append(_disk_mean(_modulus_ring(gt + np.conj(ht), p), spec) ** (1.0 / p))
-        mixed.append(_disk_mean(_pair_ring(gt, ht, p / 2.0), spec) ** (1.0 / p))
-    return norms, mixed
+def _norms(
+    p: float, rings, factors, spec: QuadratureSpec, r: float | None = 1.0
+) -> list[list[float]]:
+    """(mean)^(1/p) of each mean of quadrature._means: the p-norms of each
+    ring, one per row."""
+    return [[mean ** (1.0 / p) for mean in means] for means in _means(rings, factors, spec, r)]
 
 
 def _block_sides(
@@ -171,7 +143,6 @@ def _block_sides(
     spec: QuadratureSpec | None,
     cases,
     block: slice,
-    constraint: Constraint | None = None,
 ) -> tuple[Sequence[float], Sequence[float]]:
     """(LHS values, RHS-without-constant values) of a tag, one per case of
     cases[block].
@@ -180,7 +151,6 @@ def _block_sides(
     seeds, seeded once (maps._seed_streams): PAIR_ISOPERIMETRIC's cases are
     two such streams, of its seeds s and of s + 10_000_019.  A block's maps
     are drawn as coefficient arrays, one row and one stream per seed.
-    constraint replaces the hypothesis class of the four mixed-norm tags.
     """
     if tag is TheoremId.LINE_PAIRS:
         pairs = cases[block]
@@ -190,54 +160,43 @@ def _block_sides(
         )
     if tag is TheoremId.PAIR_ISOPERIMETRIC:
         a, b = (random_coefficients(degree, streams[block], g_only=True)[0] for streams in cases)
-        sides = [
-            _pair_isoperimetric_sides(TaylorPoly(x), TaylorPoly(y), p_or_n, spec)
-            for x, y in zip(a, b)
-        ]
-        return tuple(zip(*sides))
+        return _pair_isoperimetric_sides(a, b, p_or_n, spec)
     streams = cases[block]
-    if tag in _MIXED_TAGS:
-        disk, mixed_lhs, hypothesis = _MIXED_TAGS[tag]
-        g, h = random_coefficients(degree, streams, constraint or hypothesis)
-        both = _bergman_and_mixed if disk else _hardy_and_mixed
-        norms, mixed = both(g, h, p_or_n, spec)
-        return (mixed, norms) if mixed_lhs else (norms, mixed)
     if tag is TheoremId.BERGMAN_EMBEDDING:
-        n = int(p_or_n)
+        n, p = _require_norm_p(p_or_n), _require_norm_p(2 * p_or_n)
         g, h = _normalized_rows(*random_coefficients(degree, streams))
-        p = _require_norm_p(2 * n)
-        disk = _spec_for(degree, p, spec)
-        bergman = [
-            _disk_mean(_modulus_ring(gt + np.conj(ht), p), disk) ** (1.0 / p)
-            for gt, ht in zip(_disk_rows(g, disk), _disk_rows(h, disk))
-        ]
-        return bergman, _hardy_norm_rows(_map_rows(g, h, _spec_for(degree, n, spec).n_angle), n)
+        [bergman] = _norms(p, [partial(_map_ring, p)], (g, h), _spec_for(degree, p, spec), None)
+        [hardy] = _norms(n, [partial(_map_ring, n)], (g, h), _spec_for(degree, n, spec))
+        return bergman, hardy
     if tag is TheoremId.STREBEL:
         # the map g + conj(0) has modulus |g|
         g = random_coefficients(degree, streams, g_only=True)[0]
-        disk = _spec_for(degree, 2.0, spec)
-        lhs = [_disk_mean(_modulus_ring(gt, 2.0), disk) for gt in _disk_rows(g, disk)]
-        ring = _modulus_ring(_boundary_rows(g, _spec_for(degree, 1.0, spec).n_angle), 1.0)
-        return lhs, [mean**2 for mean in _norm_rows(ring, 1.0)]
-    n = _spec_for(degree, p_or_n, spec).n_angle
+        [lhs] = _means([partial(_modulus_ring, 2.0)], (g,), _spec_for(degree, 2.0, spec), None)
+        [rhs] = _means([partial(_modulus_ring, 1.0)], (g,), _spec_for(degree, 1.0, spec), 1.0)
+        return lhs, [mean**2 for mean in rhs]
+    p = _require_norm_p(p_or_n)
+    spec = _spec_for(degree, p, spec)
+    if tag in _MIXED_TAGS:
+        disk, mixed_lhs, hypothesis = _MIXED_TAGS[tag]
+        g, h = random_coefficients(degree, streams, hypothesis)
+        rings = [partial(_map_ring, p), partial(_pair_ring, p / 2.0)]
+        norms, mixed = _norms(p, rings, (g, h), spec, None if disk else 1.0)
+        return (mixed, norms) if mixed_lhs else (norms, mixed)
     if tag is TheoremId.CONJUGATE_NORM:
         g, h = _normalized_rows(*random_coefficients(degree, streams))
         # the conjugate of the normalized map is (-i g, -i h) (conjugate_map)
-        return (
-            _hardy_norm_rows(_map_rows(-1j * g, -1j * h, n), p_or_n),
-            _hardy_norm_rows(_map_rows(g, h, n), p_or_n),
-        )
+        [conjugate] = _norms(p, [partial(_map_ring, p)], (-1j * g, -1j * h), spec)
+        [norm] = _norms(p, [partial(_map_ring, p)], (g, h), spec)
+        return conjugate, norm
     g = random_coefficients(degree, streams, g_only=True)[0]
     g.imag[:, 0] = 0.0  # analytic samples have Im g(0) = 0
     # the map g + conj(0) has modulus |g|
-    analytic = _hardy_norm_rows(_boundary_rows(g, n), p_or_n)
-    if tag is TheoremId.ANALYTIC_BY_RE:
-        half = _boundary_rows(0.5 * g, n)  # Re g = (g/2) + conj(g/2)
-        return analytic, _hardy_norm_rows(half + np.conj(half), p_or_n)
-    if tag is TheoremId.IM_BY_ANALYTIC:
-        half = _boundary_rows(-0.5j * g, n)  # Im g = (-i g/2) + conj(-i g/2)
-        return _hardy_norm_rows(half + np.conj(half), p_or_n), analytic
-    raise AssertionError(tag)
+    [analytic] = _norms(p, [partial(_modulus_ring, p)], (g,), spec)
+    # Re g = t + conj(t) with t = g/2, and Im g = t + conj(t) with t = -i g/2
+    real = tag is TheoremId.ANALYTIC_BY_RE
+    half = (0.5 if real else -0.5j) * g
+    [part] = _norms(p, [lambda t: _map_ring(p, t, t)], (half,), spec)
+    return (analytic, part) if real else (part, analytic)
 
 
 def _sample_report(
@@ -301,13 +260,17 @@ def verify_theorem(
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
     if tag is TheoremId.BERGMAN_EMBEDDING:
+        # the Bergman side is a 2n-norm
         n = int(p_or_n)
-        if n < 2 or n != p_or_n:
-            raise ValueError(f"BERGMAN_EMBEDDING requires integer n >= 2, got {p_or_n}")
+        if n != p_or_n or not 2 <= n <= P_MAX / 2:
+            raise ValueError(
+                f"BERGMAN_EMBEDDING requires an integer n in [2, {P_MAX / 2:g}], got {p_or_n}"
+            )
         constant = theorem_constant(tag, n=n)
     elif tag is TheoremId.PAIR_ISOPERIMETRIC:
-        if not p_or_n > 0:
-            raise ValueError(f"PAIR_ISOPERIMETRIC requires p > 0, got {p_or_n}")
+        # the disk side is a mean of the 2p-th power
+        if not 0 < p_or_n <= P_MAX / 2:
+            raise ValueError(f"PAIR_ISOPERIMETRIC requires p in (0, {P_MAX / 2:g}], got {p_or_n}")
         constant = 1.0
     elif tag is TheoremId.STREBEL:
         constant = 1.0
@@ -330,13 +293,18 @@ def verify_theorem(
 
 
 def _pair_isoperimetric_sides(
-    a: TaylorPoly, b: TaylorPoly, p: float, spec: QuadratureSpec | None
-) -> tuple[float, float]:
-    """int_U (|a|^2+|b|^2)^{2p} and (int_T (|a|^2+|b|^2)^p)^2."""
-    return (
-        pair_disk_power_mean(a, b, 2.0 * p, spec),
-        pair_circle_power_mean(a, b, p, 1.0, spec) ** 2,
-    )
+    a, b, p: float, spec: QuadratureSpec | None
+) -> tuple[list[float], list[float]]:
+    """int_U (|a|^2+|b|^2)^{2p} and (int_T (|a|^2+|b|^2)^p)^2 of each row
+    pair of coefficient arrays (a, b) (a 1-D sequence is one row); both sides
+    share the traces of a and b (one circle transform per factor, and one
+    disk transform per row)."""
+    p, twice = _require_positive_p(p), _require_positive_p(2.0 * p)
+    degree = max(np.shape(a)[-1], np.shape(b)[-1]) - 1
+    disk, circle = _spec_for(degree, 2.0 * twice, spec), _spec_for(degree, 2.0 * p, spec)
+    [lhs] = _means([partial(_pair_ring, twice)], (a, b), disk, None)
+    [rhs] = _means([partial(_pair_ring, p)], (a, b), circle, 1.0)
+    return lhs, [mean**2 for mean in rhs]
 
 
 def verify_pair_isoperimetric(
@@ -347,10 +315,10 @@ def verify_pair_isoperimetric(
     rel_tol: float = 1e-9,
 ) -> VerificationReport:
     """int_U (|a|^2+|b|^2)^{2p} <= (int_T (|a|^2+|b|^2)^p)^2 for p > 0."""
-    if not p > 0:
-        raise ValueError(f"p must be > 0, got {p}")
+    if not 0 < p <= P_MAX / 2:
+        raise ValueError(f"p must lie in (0, {P_MAX / 2:g}], got {p}")
     acc = SlackAccumulator()
-    lhs, rhs = _pair_isoperimetric_sides(a, b, p, spec)
+    (lhs,), (rhs,) = _pair_isoperimetric_sides(a.coeffs, b.coeffs, p, spec)
     slack = (rhs - lhs) / rhs if rhs else math.inf
     acc.add(("pair",), slack, slack < -rel_tol)
     return acc.report(
@@ -381,36 +349,43 @@ def isoperimetric_chain(
     previous one; a violation beyond rel_tol raises ValueError.  final equals
     ((1/2) csc(pi/(4n)))^{2n} (int_T |f|^n)^2 by the half-angle identity.
     """
-    if n != int(n) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n}")
+    if n != int(n) or not 2 <= n <= P_MAX / 2:
+        # L is a mean of the 2n-th power
+        raise ValueError(f"n must be an integer in [2, {P_MAX / 2:g}], got {n}")
     n = int(n)
     m = m.normalized()
-    g, h = m.g, m.h
     e_n = math.cos(math.pi / (2.0 * n))
 
-    big_l = disk_power_mean(m, 2.0 * n, spec)
-    disk_s = pair_disk_power_mean(g, h, float(n), spec)
-    disk_re = product_disk_power_mean(g, h, float(n), real_part=True, spec=spec)
-    disk_abs = product_disk_power_mean(g, h, float(n), real_part=False, spec=spec)
-    circ_s = pair_circle_power_mean(g, h, 0.5 * n, 1.0, spec)
-    circ_abs = product_circle_power_mean(g, h, 0.5 * n, False, 1.0, spec)
-    circ_f = circle_power_mean(m, float(n), 1.0, spec)
+    # every disk mean below is sized for |f|^{2n} and every circle mean for
+    # |f|^n, so one disk and one circle transform of g and h serve all seven
+    factors = (m.g.coeffs, m.h.coeffs)
+    disk_rings = [
+        partial(_map_ring, 2.0 * n),
+        partial(_pair_ring, float(n)),
+        partial(_product_ring, float(n), real_part=True),
+        partial(_product_ring, float(n), real_part=False),
+    ]
+    circle_rings = [
+        partial(_pair_ring, 0.5 * n),
+        partial(_product_ring, 0.5 * n, real_part=False),
+        partial(_map_ring, float(n)),
+    ]
+    [big_l], [disk_s], [disk_re], [disk_abs] = _means(
+        disk_rings, factors, _spec_for(m.degree, 2.0 * n, spec), None
+    )
+    [circ_s], [circ_abs], [circ_f] = _means(
+        circle_rings, factors, _spec_for(m.degree, float(n), spec), 1.0
+    )
 
-    def binomial_sum(x_disk: float, y_disk: float) -> float:
+    def binomial_sum(x: float, y: float) -> float:
         total = 0.0
         for k in range(n + 1):
-            total += (
-                math.comb(n, k)
-                * x_disk ** (k / n)
-                * (e_n**n * y_disk) ** ((n - k) / n)
-            )
+            total += math.comb(n, k) * x ** (k / n) * y ** ((n - k) / n)
         return total
 
-    holder = 0.0
-    for k in range(n + 1):
-        holder += math.comb(n, k) * disk_s ** (k / n) * disk_re ** ((n - k) / n)
-    cosine = binomial_sum(disk_s, disk_abs)
-    square = binomial_sum(circ_s**2, circ_abs**2)
+    holder = binomial_sum(disk_s, disk_re)
+    cosine = binomial_sum(disk_s, e_n**n * disk_abs)
+    square = binomial_sum(circ_s**2, e_n**n * circ_abs**2)
     am_gm = (1.0 + e_n) ** n * circ_s**2
     final = (1.0 + e_n) ** n * (1.0 - math.cos(math.pi / n)) ** (-n) * circ_f**2
 

@@ -2,8 +2,9 @@
 per-seed map drawing with numpy's own generator, the term-by-term Fourier
 series, the singular integral that evaluates its integrand once per
 quadrature visit, the three-cosine RE_BRANCH angle profile, the six
-two-variable slack functions written out one by one, and the 2-D scan over
-(r, t) column blocks of 32 t-nodes with a fresh array per temporary."""
+two-variable slack functions written out one by one, the 2-D scan over
+(r, t) column blocks of 32 t-nodes with a fresh array per temporary, and the
+isoperimetric chain from seven public power means (two transforms each)."""
 
 import math
 
@@ -20,6 +21,14 @@ from rieszlab.constants import (
 )
 from rieszlab.gridlab import InequalityId, _conj_profile, _first_min, _violated
 from rieszlab.maps import Constraint, HarmonicMap, TaylorPoly
+from rieszlab.quadrature import (
+    circle_power_mean,
+    disk_power_mean,
+    pair_circle_power_mean,
+    pair_disk_power_mean,
+    product_circle_power_mean,
+    product_disk_power_mean,
+)
 from rieszlab.reporting import MAX_VIOLATIONS
 
 
@@ -210,3 +219,55 @@ def _scan_2d(slack_fn, p, r_vals, t_vals, tol):
     min_slack, i, j = best
     violations = [((float(r_vals[bi]), float(t_vals[bj])), sv) for bi, bj, sv in bad]
     return min_slack, (float(r_vals[i]), float(t_vals[j])), violations
+
+
+def isoperimetric_chain(m, n, spec=None, rel_tol=1e-9):
+    """theorems.isoperimetric_chain with each of its seven means from its own
+    public call."""
+    if n != int(n) or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n}")
+    n = int(n)
+    m = m.normalized()
+    g, h = m.g, m.h
+    e_n = math.cos(math.pi / (2.0 * n))
+
+    big_l = disk_power_mean(m, 2.0 * n, spec)
+    disk_s = pair_disk_power_mean(g, h, float(n), spec)
+    disk_re = product_disk_power_mean(g, h, float(n), real_part=True, spec=spec)
+    disk_abs = product_disk_power_mean(g, h, float(n), real_part=False, spec=spec)
+    circ_s = pair_circle_power_mean(g, h, 0.5 * n, 1.0, spec)
+    circ_abs = product_circle_power_mean(g, h, 0.5 * n, False, 1.0, spec)
+    circ_f = circle_power_mean(m, float(n), 1.0, spec)
+
+    def binomial_sum(x_disk, y_disk):
+        total = 0.0
+        for k in range(n + 1):
+            total += (
+                math.comb(n, k)
+                * x_disk ** (k / n)
+                * (e_n**n * y_disk) ** ((n - k) / n)
+            )
+        return total
+
+    holder = 0.0
+    for k in range(n + 1):
+        holder += math.comb(n, k) * disk_s ** (k / n) * disk_re ** ((n - k) / n)
+    cosine = binomial_sum(disk_s, disk_abs)
+    square = binomial_sum(circ_s**2, circ_abs**2)
+    am_gm = (1.0 + e_n) ** n * circ_s**2
+    final = (1.0 + e_n) ** n * (1.0 - math.cos(math.pi / n)) ** (-n) * circ_f**2
+
+    chain = [
+        ("L", big_l),
+        ("holder", holder),
+        ("cosine", cosine),
+        ("square", square),
+        ("am_gm", am_gm),
+        ("final", final),
+    ]
+    for (name_lo, lo), (name_hi, hi) in zip(chain, chain[1:]):
+        if lo > hi * (1.0 + rel_tol):
+            raise ValueError(
+                f"chain link broken: {name_lo} = {lo:.12g} > {name_hi} = {hi:.12g}"
+            )
+    return chain

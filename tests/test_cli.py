@@ -143,6 +143,17 @@ def test_bad_arguments_exit_2(cos_map_file, capsys):
         assert field in capsys.readouterr().err, argv
 
 
+def test_out_of_range_theorem_exponents_exit_2_naming_the_given_value(capsys):
+    # the disk sides need the doubled exponent 80 > 64; the message names 40
+    for argv in (
+        ["verify-theorem", "--id", "PAIR_ISOPERIMETRIC", "--p", "40"],
+        ["verify-theorem", "--id", "BERGMAN_EMBEDDING", "--n", "40"],
+    ):
+        assert capture(argv)[0] == 2, argv
+        err = capsys.readouterr().err
+        assert "40" in err and "80" not in err, argv
+
+
 def test_malformed_map_file_diagnostics(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"g": [[0,0]], "h": "oops"}')

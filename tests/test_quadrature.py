@@ -154,6 +154,26 @@ def test_batched_disk_rule_is_bit_identical_to_radius_loop(p, n_radial):
                 ) == loop_disk_mean(loop_product_ring(m, p, real_part, n), spec)
 
 
+@pytest.mark.parametrize("r", [1.0, 0.5, 0.0])
+@pytest.mark.parametrize("p", [1.25, 2.0, 6.0])
+def test_circle_means_are_bit_identical_to_object_traces(p, r):
+    # the one-row primitive against each map's own traces, one mean per call
+    n = 256
+    for seed in (0, 1, 7, 42):
+        m = random_harmonic(8, seed, Constraint.RE_ZERO)
+        g, h = m.g.boundary_values(n, r), m.h.boundary_values(n, r)
+        assert circle_power_mean(m, p, r) == float(np.mean(np.abs(g + np.conj(h)) ** p))
+        assert pair_circle_power_mean(m.g, m.h, p, r) == float(
+            np.mean((np.abs(g) ** 2 + np.abs(h) ** 2) ** p)
+        )
+        for real_part in (False, True):
+            prod = 2.0 * g * h
+            base = np.abs(prod.real) if real_part else np.abs(prod)
+            assert product_circle_power_mean(m.g, m.h, p, real_part, r) == float(
+                np.mean(base**p)
+            )
+
+
 def test_bergman_radial_resolution_consistency():
     m = random_harmonic(8, 5)
     a = bergman_norm(m, 4.0, QuadratureSpec(n_angle=256, n_radial=64))

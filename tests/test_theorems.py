@@ -2,6 +2,7 @@
 
 import inspect
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,18 +19,24 @@ from rieszlab.maps import (
     random_poly,
 )
 from rieszlab.quadrature import (
+    QuadratureSpec,
+    _map_ring,
+    _means,
+    _pair_ring,
+    auto_spec,
     bergman_norm,
     bergman_triple_norm,
     circle_power_mean,
     disk_power_mean,
     hardy_norm,
+    pair_circle_power_mean,
+    pair_disk_power_mean,
     triple_norm,
 )
 from rieszlab.reporting import SlackAccumulator
 from rieszlab.theorems import (
     SAMPLE_BLOCK,
     TheoremId,
-    _hardy_and_mixed,
     _pair_isoperimetric_sides,
     _sample_report,
     isoperimetric_chain,
@@ -170,15 +177,79 @@ def test_chain_validation():
         isoperimetric_chain(Z_MAP, 1)
 
 
+def test_chain_is_bit_identical_to_seven_public_means():
+    maps = [random_harmonic(4, 2100 + seed) for seed in range(5)]
+    # factors of different degrees, and an h(0) that normalization moves into g
+    maps.append(HarmonicMap(TaylorPoly([0.3, 0.5, -0.2j, 0.1]), TaylorPoly([0.4j, 0.25])))
+    for m in maps:
+        for n in (2, 3, 4):
+            for spec in (None, QuadratureSpec(n_angle=300, n_radial=40)):
+                assert isoperimetric_chain(m, n, spec) == legacy.isoperimetric_chain(m, n, spec)
+
+
+def count_transforms(monkeypatch):
+    """Count the calls of np.fft.ifft, the transform behind every trace."""
+    calls = []
+    ifft = np.fft.ifft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    return calls
+
+
+def test_transform_counts(monkeypatch):
+    calls = count_transforms(monkeypatch)
+    # one circle and one disk transform of g and h serve all seven chain means
+    isoperimetric_chain(random_harmonic(4, 5), 3)
+    assert len(calls) == 4
+    # a block of 32 samples: one circle transform per factor, and one disk
+    # transform per factor and sample (STREBEL has the one factor g)
+    for tag, p_or_n, expected in (
+        (TheoremId.PAIR_ISOPERIMETRIC, 1.0, 2 + 2 * SAMPLE_BLOCK),
+        (TheoremId.STREBEL, 1.0, 1 + SAMPLE_BLOCK),
+        (TheoremId.BERGMAN_EMBEDDING, 2, 2 + 2 * SAMPLE_BLOCK),
+    ):
+        calls.clear()
+        verify_theorem(tag, p_or_n, samples=SAMPLE_BLOCK, degree=4)
+        assert len(calls) == expected, tag
+
+
+def test_out_of_range_exponents_name_the_callers_value(monkeypatch):
+    # the doubled inner exponent would exceed 64; each call is rejected
+    # before any transform, with the value the caller gave
+    calls = count_transforms(monkeypatch)
+    one, zero = TaylorPoly([1.0]), TaylorPoly([0.0])
+    for call, given in (
+        (lambda: verify_theorem(TheoremId.PAIR_ISOPERIMETRIC, 40, samples=5), "40"),
+        (lambda: verify_theorem(TheoremId.PAIR_ISOPERIMETRIC, 32.5, samples=5), "32.5"),
+        (lambda: verify_theorem(TheoremId.BERGMAN_EMBEDDING, 40, samples=5), "40"),
+        (lambda: verify_theorem(TheoremId.BERGMAN_EMBEDDING, 33, samples=5), "33"),
+        (lambda: isoperimetric_chain(Z_MAP, 33), "33"),
+        (lambda: isoperimetric_chain(Z_MAP, 40), "40"),
+        (lambda: verify_pair_isoperimetric(one, zero, 40), "40"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value).endswith(f"got {given}"), str(exc.value)
+    assert calls == []
+    # the largest accepted values still run
+    assert verify_theorem(TheoremId.PAIR_ISOPERIMETRIC, 32, samples=1, degree=1).passed
+    assert verify_theorem(TheoremId.BERGMAN_EMBEDDING, 32, samples=1, degree=1).passed
+    isoperimetric_chain(HarmonicMap(TaylorPoly([1.0, 0.5]), TaylorPoly([0.0])), 32)
+
+
 def test_pair_isoperimetric_examples():
     # a = 1, b = 0: both sides equal 1
-    lhs, rhs = _pair_isoperimetric_sides(TaylorPoly([1.0]), TaylorPoly([0.0]), 1.0, None)
-    assert lhs == pytest.approx(1.0) and rhs == pytest.approx(1.0)
+    one, zero = np.array([[1.0 + 0j]]), np.array([[0j]])
+    lhs, rhs = _pair_isoperimetric_sides(one, zero, 1.0, None)
+    assert lhs == pytest.approx([1.0]) and rhs == pytest.approx([1.0])
     # a = z, b = 0, p = 1/2: int_U |z|^2 = 1/2 <= (int_T |z|)^2 = 1
-    a, b = TaylorPoly([0.0, 1.0]), TaylorPoly([0.0])
-    lhs, rhs = _pair_isoperimetric_sides(a, b, 0.5, None)
-    assert lhs == pytest.approx(0.5) and rhs == pytest.approx(1.0)
-    assert verify_pair_isoperimetric(a, b, 0.5).passed
+    lhs, rhs = _pair_isoperimetric_sides(np.array([[0j, 1.0]]), zero, 0.5, None)
+    assert lhs == pytest.approx([0.5]) and rhs == pytest.approx([1.0])
+    assert verify_pair_isoperimetric(TaylorPoly([0.0, 1.0]), TaylorPoly([0.0]), 0.5).passed
 
 
 def test_pair_isoperimetric_random_battery():
@@ -374,7 +445,11 @@ def test_batched_parseval_is_bit_identical_to_sample_loop():
     for seed in (0, 7, 1000):
         for c in Constraint:
             g, h = random_coefficients(8, range(seed, seed + 40), c)
-            hardy, mixed = _hardy_and_mixed(g, h, 2.0, None)
+            rings = [partial(_map_ring, 2.0), partial(_pair_ring, 1.0)]
+            hardy, mixed = (
+                [mean**0.5 for mean in means]
+                for means in _means(rings, (g, h), auto_spec(8, 2.0), 1.0)
+            )
             maps = [legacy.random_harmonic(8, seed + k, c) for k in range(40)]
             assert hardy == [hardy_norm(m, 2.0) for m in maps]
             assert mixed == [triple_norm(m, 2.0) for m in maps]
@@ -431,7 +506,10 @@ def reference_case_sides(tag, p_or_n, degree, seed, spec=None):
     if tag is TheoremId.PAIR_ISOPERIMETRIC:
         a = legacy.random_poly(degree, seed)
         b = legacy.random_poly(degree, seed + 10_000_019)
-        return _pair_isoperimetric_sides(a, b, p_or_n, spec)
+        return (
+            pair_disk_power_mean(a, b, 2.0 * p_or_n, spec),
+            pair_circle_power_mean(a, b, p_or_n, 1.0, spec) ** 2,
+        )
     raise AssertionError(tag)
 
 
