@@ -19,7 +19,7 @@ from .constants import Minorant, SharpConstant, sharp_constant
 from .gridlab import InequalityId, check_submean, verify_pointwise
 from .hilbert import conjugate_map
 from .maps import map_from_dict, map_to_dict
-from .quadrature import bergman_norm, bergman_triple_norm, hardy_norm, mp_radius, triple_norm
+from .quadrature import _map_norms
 from .reporting import GridSpec, VerificationReport
 from .theorems import TheoremId, sharpness_probe, verify_theorem
 
@@ -104,14 +104,10 @@ def _cmd_constants(args, stream) -> int:
 
 def _cmd_norms(args, stream) -> int:
     m = _load_map(args.input)
-    rows = [
-        ("hardy", hardy_norm(m, args.p)),
-        ("triple", triple_norm(m, args.p)),
-        ("bergman", bergman_norm(m, args.p)),
-        ("bergman_triple", bergman_triple_norm(m, args.p)),
-    ]
+    names = ["hardy", "triple", "bergman", "bergman_triple"]
     if args.r is not None:
-        rows.append((f"mp(r={args.r:g})", mp_radius(m, args.p, args.r)))
+        names.append(f"mp(r={args.r:g})")
+    rows = list(zip(names, _map_norms(m, args.p, args.r)))
     if args.format == "json":
         json.dump(
             {"p": args.p, "norms": {k: v for k, v in rows}}, stream, sort_keys=True, indent=2

@@ -6,10 +6,13 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rieszlab.cli import run
 from rieszlab.gridlab import InequalityId, _REGISTRY
+from rieszlab.maps import map_from_dict
+from rieszlab.quadrature import bergman_norm, bergman_triple_norm, hardy_norm, mp_radius, triple_norm
 
 
 @pytest.fixture
@@ -48,6 +51,30 @@ def test_norms_human(cos_map_file):
     code, out = capture(["norms", "--input", cos_map_file, "--p", "2", "--r", "0.5"])
     assert code == 0
     assert "hardy" in out and "0.707106781187" in out
+
+
+def test_norms_share_transforms_and_keep_the_public_values(cos_map_file, monkeypatch):
+    calls = []
+    ifft = np.fft.ifft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    argv = ["norms", "--input", cos_map_file, "--p", "3", "--r", "0.5", "--format", "json"]
+    code, out = capture(argv)
+    # one circle, one disk and one radius-r transform of g and h
+    assert code == 0 and len(calls) == 6
+    with open(cos_map_file, encoding="utf-8") as fh:
+        m = map_from_dict(json.load(fh))
+    assert json.loads(out)["norms"] == {
+        "hardy": hardy_norm(m, 3.0),
+        "triple": triple_norm(m, 3.0),
+        "bergman": bergman_norm(m, 3.0),
+        "bergman_triple": bergman_triple_norm(m, 3.0),
+        "mp(r=0.5)": mp_radius(m, 3.0, 0.5),
+    }
 
 
 def test_hilbert_conjugate_of_cosine_is_sine(cos_map_file, tmp_path):

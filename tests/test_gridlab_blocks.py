@@ -4,11 +4,16 @@ and the (r, t) column-block scan kept in legacy_reference, lemma_grid_reports
 must give what one verify_pointwise call per case gives, and the circle
 blocks of the sub-mean checks must give exactly what the one-circle-at-a-time
 checks give.  The one-cosine RE_BRANCH angle profile must give the bits of
-the three-cosine form.  The per-case references below are kept here only as
+the three-cosine form.  A scan shared between workers must give the bits of
+the one-thread legacy scan whichever worker takes which block, and leave no
+thread running.  The per-case references below are kept here only as
 oracles."""
 
 import dataclasses
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -291,6 +296,219 @@ def test_column_scan_keeps_first_violations_in_row_major_order():
     assert np.count_nonzero(s < -0.5) > MAX_VIOLATIONS
     cols = {t for (_, t), _ in blocked[2]}
     assert len({int(np.searchsorted(t_vals, t)) // SCAN_COLUMNS for t in cols}) > 1
+
+
+# ----------------------------- workers of a scan -----------------------------
+
+WORKERS = (1, 2, 4)
+
+
+def _spread(slack, workers):
+    """slack, and the t-values of the blocks each thread evaluated.  Each
+    thread's first block waits until `workers` threads hold one, so the first
+    `workers` blocks go to distinct workers."""
+    barrier = threading.Barrier(workers, timeout=10)
+    taken: dict = {}
+    lock = threading.Lock()
+
+    def spread(p, r, t):
+        with lock:
+            first = threading.get_ident() not in taken
+            taken.setdefault(threading.get_ident(), []).append(float(np.ravel(t)[0]))
+        if first:
+            barrier.wait()
+        return slack(p, r, t)
+
+    return spread, taken
+
+
+def _owners(taken, t_vals):
+    """The worker (0, 1, ...) that evaluated each block, by block index."""
+    owner = {}
+    for k, firsts in enumerate(taken.values()):
+        for t0 in firsts:
+            owner[int(np.searchsorted(t_vals, t0)) // SCAN_COLUMNS] = k
+    return [owner[b] for b in sorted(owner)]
+
+
+def _split_matches_legacy(monkeypatch, slack, r_vals, t_vals, tol, workers):
+    """Scan with `workers` workers, check the bits against the legacy scan
+    and return the owner of each block."""
+    blocks = -(-len(t_vals) // SCAN_COLUMNS)
+    monkeypatch.setattr(gridlab, "_usable_cpus", lambda: workers)
+    spread, taken = _spread(slack, min(workers, blocks))
+    split = _scan_2d(spread, 2.0, r_vals, t_vals, tol)
+    assert _bits(split) == _bits(legacy._scan_2d(slack, 2.0, r_vals, t_vals, tol)), workers
+    owners = _owners(taken, t_vals)
+    assert len(owners) == blocks and len(set(owners)) == min(workers, blocks)
+    return split, owners
+
+
+def _at(r, t, r_val, t_val):
+    return (r == r_val) & (t == t_val)
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_split_scan_keeps_non_finite_nodes_of_every_worker(monkeypatch, workers):
+    # NaN, +inf, -inf and NaN in the first four blocks, which go to distinct workers
+    r_vals, t_vals = np.linspace(0.1, 1.0, 40), np.linspace(-1.0, 1.0, 4 * SCAN_COLUMNS + 5)
+    nodes = [(3, 2, np.nan), (5, SCAN_COLUMNS + 3, np.inf), (1, 2 * SCAN_COLUMNS + 7, -np.inf)]
+    nodes.append((0, 3 * SCAN_COLUMNS, np.nan))
+
+    def slack(p, r, t):
+        s = _full(r, t) + 1.0
+        for i, j, value in nodes:
+            s = np.where(_at(r, t, r_vals[i], t_vals[j]), value, s)
+        return s
+
+    (min_slack, argmin, violations), owners = _split_matches_legacy(
+        monkeypatch, slack, r_vals, t_vals, 1e-9, workers
+    )
+    assert len(set(owners[:4])) == min(workers, 4)
+    assert min_slack == -math.inf and argmin == (float(r_vals[1]), float(t_vals[2 * SCAN_COLUMNS + 7]))
+    assert [label for label, _ in violations] == [
+        (float(r_vals[i]), float(t_vals[j])) for i, j, _ in sorted(nodes)
+    ]
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_split_scan_keeps_the_first_violations_across_workers(monkeypatch, workers):
+    # violations all over the grid, and in about half the rows of blocks 0
+    # and 1, which go to distinct workers, so that those come first
+    r_vals, t_vals = np.linspace(0.1, 1.0, 50), np.linspace(-1.0, 1.0, 6 * SCAN_COLUMNS + 7)
+
+    def slack(p, r, t):
+        s = np.cos(7.0 * t + 3.0 * r) + _full(r, t)
+        s = np.where((t <= t_vals[SCAN_COLUMNS + 4]) & (np.cos(40.0 * r) < 0.0), -0.75, s)
+        return np.where(s < -0.98, -1.0, s)
+
+    (_, _, violations), owners = _split_matches_legacy(
+        monkeypatch, slack, r_vals, t_vals, 0.5, workers
+    )
+    assert len(violations) == MAX_VIOLATIONS
+    assert np.count_nonzero(slack(2.0, r_vals[:, None], t_vals[None, :]) < -0.5) > MAX_VIOLATIONS
+    kept = {owners[int(np.searchsorted(t_vals, t)) // SCAN_COLUMNS] for (_, t), _ in violations}
+    assert (len(kept) > 1) == (workers > 1)  # the kept ones come from several workers
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+@pytest.mark.parametrize("early, late", [(-2.0, -2.0), (0.0, -0.0), (-0.0, 0.0)])
+def test_split_scan_tie_goes_to_the_first_node_in_row_major_order(monkeypatch, workers, early, late):
+    # the tied minimum sits in row 4 of block 1 and in row 7 of block 0, which
+    # different workers take: row 4 comes first in row-major order
+    r_vals, t_vals = np.linspace(0.1, 1.0, 30), np.linspace(-1.0, 1.0, 2 * SCAN_COLUMNS + 3)
+    first, second = (4, SCAN_COLUMNS + 1), (7, 2)
+
+    def slack(p, r, t):
+        s = np.where(_at(r, t, r_vals[first[0]], t_vals[first[1]]), early, _full(r, t) + 1.0)
+        return np.where(_at(r, t, r_vals[second[0]], t_vals[second[1]]), late, s)
+
+    (min_slack, argmin, _), owners = _split_matches_legacy(
+        monkeypatch, slack, r_vals, t_vals, 1e-9, workers
+    )
+    assert (owners[0] != owners[1]) == (workers > 1)
+    assert argmin == (float(r_vals[first[0]]), float(t_vals[first[1]]))
+    assert _bits(min_slack) == _bits(early)
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_grid_narrower_than_one_block_runs_on_the_calling_thread(monkeypatch, workers):
+    r_vals, t_vals = np.linspace(0.1, 1.0, 30), np.linspace(-1.0, 1.0, SCAN_COLUMNS - 3)
+
+    def slack(p, r, t):
+        return np.where(_at(r, t, r_vals[2], t_vals[5]), -1.0, np.sin(3.0 * r + t))
+
+    _, owners = _split_matches_legacy(monkeypatch, slack, r_vals, t_vals, 1e-9, workers)
+    assert owners == [0]
+    for tag in TWO_D_TAGS:
+        info = _REGISTRY[tag]
+        p = default_p_values(tag)[-1]
+        assert _bits(_scan_2d(info.slack, p, r_vals, t_vals, 1e-9)) == _bits(
+            legacy._scan_2d(legacy.SLACKS[tag], p, r_vals, t_vals, 1e-9)
+        )
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+@pytest.mark.parametrize("tag", TWO_D_TAGS, ids=lambda tag: tag.value)
+def test_split_form_scan_matches_legacy(monkeypatch, tag, workers):
+    monkeypatch.setattr(gridlab, "_usable_cpus", lambda: workers)
+    info = _REGISTRY[tag]
+    r_vals = _axis(*info.r_range, 97, open_lo=True)
+    t_vals = _axis(*info.t_range, 389)
+    for p in default_p_values(tag)[::3]:
+        for tol in (1e-9, -0.5):
+            split = _scan_2d(info.slack, p, r_vals, t_vals, tol)
+            old = legacy._scan_2d(legacy.SLACKS[tag], p, r_vals, t_vals, tol)
+            assert _bits(split) == _bits(old), (tag, p, tol)
+
+
+def test_split_scan_hands_out_every_block_once_under_stress(monkeypatch):
+    # more workers than cores and a switch interval of a microsecond: a block
+    # start handed out twice or lost would change the partials
+    monkeypatch.setattr(gridlab, "_usable_cpus", lambda: 8)
+    r_vals, t_vals = np.linspace(0.1, 1.0, 7), np.linspace(-3.0, 3.0, 200 * SCAN_COLUMNS + 1)
+    starts = []
+
+    def slack(p, r, t):
+        starts.append(float(np.ravel(t)[0]))
+        return np.where(np.sin(5.0 * t + r) < -0.9, -1.0, np.sin(5.0 * t + r))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            starts.clear()
+            split = _scan_2d(slack, 2.0, r_vals, t_vals, 1e-9)
+            assert sorted(starts) == t_vals[::SCAN_COLUMNS].tolist()
+            assert _bits(split) == _bits(legacy._scan_2d(slack, 2.0, r_vals, t_vals, 1e-9))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_worker_count_is_the_usable_cpus(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert gridlab._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert gridlab._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert gridlab._usable_cpus() == 1
+
+
+def test_no_thread_outlives_a_scan(monkeypatch):
+    baseline = threading.active_count()
+    info = _REGISTRY[InequalityId.MIXED_BY_SUM_MID]
+    r_vals, t_vals = _axis(*info.r_range, 60, open_lo=True), _axis(*info.t_range, 8 * SCAN_COLUMNS)
+    # with one CPU every block runs on the calling thread, and no helper starts
+    monkeypatch.setattr(gridlab, "_usable_cpus", lambda: 1)
+    seen = set()
+
+    def counted(p, r, t):
+        seen.add((threading.get_ident(), threading.active_count()))
+        return info.slack(p, r, t)
+
+    _scan_2d(counted, 3.0, r_vals, t_vals, 1e-9)
+    assert seen == {(threading.get_ident(), baseline)}
+
+    monkeypatch.setattr(gridlab, "_usable_cpus", lambda: 2)
+    _scan_2d(info.slack, 3.0, r_vals, t_vals, 1e-9)
+    assert threading.active_count() == baseline
+
+    # a slack that raises in the helper, or on the calling thread, while the
+    # other worker holds a block: the exception reaches the caller, and the
+    # helper is joined before it does
+    caller = threading.get_ident()
+    for raising_on_helper in (True, False):
+        def slack(p, r, t):
+            if (threading.get_ident() != caller) == raising_on_helper:
+                raise RuntimeError("slack failed")
+            return np.sin(r + t)
+
+        spread, taken = _spread(slack, 2)
+        with pytest.raises(RuntimeError, match="slack failed"):
+            _scan_2d(spread, 2.0, r_vals, t_vals, 1e-9)
+        assert len(taken) == 2
+        assert threading.active_count() == baseline
 
 
 # -------------------------- non-finite slack checks --------------------------
