@@ -2,9 +2,10 @@
 
 Exit codes: 0 when every asserted bound passes, 1 on a verification failure
 (the violating parameters are printed), 2 on bad arguments or malformed
-input files.  Seeded reports carry their seed, and every report its effective
-parameters; with a fixed seed the JSON output is reproducible byte for byte
-except for the elapsed_ms fields.
+input files.  Handlers raise ValueError on bad input, and only run() turns it
+into "error: <message>" on stderr and exit code 2.  Seeded reports carry
+their seed, and every report its effective parameters; with a fixed seed the
+JSON output is reproducible byte for byte except for the elapsed_ms fields.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import sys
 
 from . import battery
 from .constants import Minorant, SharpConstant, sharp_constant
-from .gridlab import InequalityId, check_submean, verify_pointwise
+from .gridlab import InequalityId, check_pluri_lines, check_submean, verify_pointwise
 from .hilbert import conjugate_map
 from .maps import map_from_dict, map_to_dict
-from .quadrature import _map_norms
+from .quadrature import bergman_norm, bergman_triple_norm, hardy_norm, mp_radius, triple_norm
 from .reporting import GridSpec, VerificationReport
 from .theorems import TheoremId, sharpness_probe, verify_theorem
 
@@ -57,20 +58,30 @@ def _exit_code(reports: list[VerificationReport]) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _member(enum, value: str, what: str):
+    """enum(value), or a ValueError that lists the choices."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise ValueError(
+            f"unknown {what} id {value!r}; choose from " + ", ".join(e.value for e in enum)
+        ) from None
+
+
 def _load_map(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
-        raise SystemExit(f"error: input file not found: {path}") from None
+        raise ValueError(f"input file not found: {path}") from None
     except json.JSONDecodeError as exc:
-        raise SystemExit(
-            f"error: {path} is not valid JSON (line {exc.lineno}, column {exc.colno})"
+        raise ValueError(
+            f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno})"
         ) from None
     try:
         return map_from_dict(data)
     except ValueError as exc:
-        raise SystemExit(f"error: {path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_constants(args, stream) -> int:
@@ -87,7 +98,7 @@ def _cmd_constants(args, stream) -> int:
     if args.n is not None:
         rows.append(("ISOP", sharp_constant(SharpConstant.ISOP, n=args.n)))
     if not rows:
-        raise SystemExit("error: provide --p (and/or --n) inside a validity range")
+        raise ValueError("provide --p (and/or --n) inside a validity range")
     if args.format == "json":
         payload = {"p": args.p, "n": args.n, "constants": {k: v for k, v in rows}}
         json.dump(payload, stream, sort_keys=True, indent=2)
@@ -104,10 +115,11 @@ def _cmd_constants(args, stream) -> int:
 
 def _cmd_norms(args, stream) -> int:
     m = _load_map(args.input)
-    names = ["hardy", "triple", "bergman", "bergman_triple"]
+    norms = {"hardy": hardy_norm, "triple": triple_norm, "bergman": bergman_norm,
+             "bergman_triple": bergman_triple_norm}
+    rows = [(name, norm(m, args.p)) for name, norm in norms.items()]
     if args.r is not None:
-        names.append(f"mp(r={args.r:g})")
-    rows = list(zip(names, _map_norms(m, args.p, args.r)))
+        rows.append((f"mp(r={args.r:g})", mp_radius(m, args.p, args.r)))
     if args.format == "json":
         json.dump(
             {"p": args.p, "norms": {k: v for k, v in rows}}, stream, sort_keys=True, indent=2
@@ -138,81 +150,40 @@ def _cmd_hilbert(args, stream) -> int:
 
 
 def _cmd_verify_lemma(args, stream) -> int:
-    try:
-        tag = InequalityId(args.id)
-    except ValueError:
-        raise SystemExit(
-            f"error: unknown inequality id {args.id!r}; choose from "
-            + ", ".join(t.value for t in InequalityId)
-        )
-    try:
-        grid = GridSpec(r_nodes=args.grid_r, t_nodes=args.grid_t, tolerance=args.tol)
-        report = verify_pointwise(tag, args.p, grid)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    tag = _member(InequalityId, args.id, "inequality")
+    grid = GridSpec(r_nodes=args.grid_r, t_nodes=args.grid_t, tolerance=args.tol)
+    report = verify_pointwise(tag, args.p, grid)
     _emit_reports([report], args.format, stream)
     return _exit_code([report])
 
 
 def _cmd_subharmonic(args, stream) -> int:
-    try:
-        mid = Minorant(args.id)
-    except ValueError:
-        raise SystemExit(
-            f"error: unknown minorant id {args.id!r}; choose from "
-            + ", ".join(m.value for m in Minorant)
-        )
-    try:
-        if mid in (Minorant.F_PAIR, Minorant.G_PAIR):
-            from .gridlab import check_pluri_lines
-
-            kwargs = {} if args.tol is None else {"tolerance": args.tol}
-            report = check_pluri_lines(
-                mid, args.p, n_lines=args.samples, seed=args.seed, **kwargs
-            )
-        else:
-            kwargs = {} if args.tol is None else {"tolerance": args.tol}
-            report = check_submean(
-                mid, args.p, centers=args.samples, seed=args.seed, **kwargs
-            )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    mid = _member(Minorant, args.id, "minorant")
+    kwargs = {} if args.tol is None else {"tolerance": args.tol}
+    if mid in (Minorant.F_PAIR, Minorant.G_PAIR):
+        report = check_pluri_lines(mid, args.p, n_lines=args.samples, seed=args.seed, **kwargs)
+    else:
+        report = check_submean(mid, args.p, centers=args.samples, seed=args.seed, **kwargs)
     _emit_reports([report], args.format, stream)
     return _exit_code([report])
 
 
 def _cmd_verify_theorem(args, stream) -> int:
-    try:
-        tag = TheoremId(args.id)
-    except ValueError:
-        raise SystemExit(
-            f"error: unknown theorem id {args.id!r}; choose from "
-            + ", ".join(t.value for t in TheoremId)
-        )
+    tag = _member(TheoremId, args.id, "theorem")
     p_or_n = args.n if args.n is not None else args.p
     if p_or_n is None:
-        raise SystemExit("error: provide --p (or --n for BERGMAN_EMBEDDING)")
-    try:
-        report = verify_theorem(
-            tag, p_or_n, samples=args.samples, degree=args.degree, seed=args.seed,
-            rel_tol=args.tol,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        raise ValueError("provide --p (or --n for BERGMAN_EMBEDDING)")
+    report = verify_theorem(
+        tag, p_or_n, samples=args.samples, degree=args.degree, seed=args.seed, rel_tol=args.tol
+    )
     _emit_reports([report], args.format, stream)
     return _exit_code([report])
 
 
 def _cmd_probe(args, stream) -> int:
-    try:
-        tag = TheoremId(args.id)
-    except ValueError:
-        raise SystemExit(f"error: unknown theorem id {args.id!r}")
+    tag = _member(TheoremId, args.id, "theorem")
     fractions = args.gamma_frac or [0.5, 0.9, 0.99]
-    try:
-        ratios = sharpness_probe(tag, args.p, fractions)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    ratios = sharpness_probe(tag, args.p, fractions)
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
     if args.format == "json":
         json.dump(
@@ -236,13 +207,10 @@ def _cmd_probe(args, stream) -> int:
 
 
 def _cmd_suite(args, stream) -> int:
-    try:
-        grid = GridSpec(r_nodes=args.grid_r, t_nodes=args.grid_t)
-        reports = battery.full_suite(
-            seed=args.seed, grid=grid, samples=args.samples, degree=args.degree
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    grid = GridSpec(r_nodes=args.grid_r, t_nodes=args.grid_t)
+    reports = battery.full_suite(
+        seed=args.seed, grid=grid, samples=args.samples, degree=args.degree
+    )
     out = stream
     if args.output:
         out = open(args.output, "w", encoding="utf-8")
@@ -353,11 +321,9 @@ def run(argv: list[str] | None = None, stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
     try:
         return args.handler(args, stream)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 2
-        return int(exc.code or 0)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

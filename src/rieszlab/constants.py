@@ -11,13 +11,18 @@ of principal arguments):
 
 * re_branch_power: Re(zeta^{p/2}) with the branch that keeps the power
   continuous across the negative real axis, subharmonic for 1 < p <= 2;
+* phi_mid_angle / phi_high_angle: the cosine form and the pi/2-shifted
+  reflected two-band construction;
 * theta_lower(theta, p): the angular factor of the lower-bound minorant for
-  p > 2 (cosine form for 2 < p <= 4, reflected two-band construction above);
+  p > 2 (phi_mid_angle for 2 < p <= 4, the unshifted reflected form above);
 * theta_upper(theta, p): the angular factor of the upper-bound minorant for
   p > 2 (three cosine bands on [0, 2 pi], even);
 * minorant_F / minorant_G: the two-variable plurisubharmonic minorants built
   from these profiles, vanishing when either argument is zero and positively
   homogeneous of degree p/2 in |z w|.
+
+Each Minorant is |zeta|^{p/2} times one of these profiles at arg zeta (with
+zeta = z w for the pairs); one table holds its profile and its p-range.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ __all__ = [
     "sharp_constant",
     "re_branch_power",
     "re_branch_angle",
+    "phi_mid_angle",
+    "phi_high_angle",
     "theta_lower",
     "theta_lower_reflected",
     "theta_upper",
@@ -189,11 +196,7 @@ def re_branch_power(zeta, p: float):
     """
     if not 1.0 < p <= 2.0:
         raise ValueError(f"re_branch_power requires 1 < p <= 2, got {p}")
-    zeta = np.asarray(zeta, dtype=complex)
-    # the profile first, so that |zeta|^{p/2} is not held through its temporaries
-    prof = re_branch_angle(np.angle(zeta), p)
-    out = np.abs(zeta) ** (0.5 * p) * prof
-    return out if out.shape else float(out)
+    return _polar(re_branch_angle, zeta, p)
 
 
 def _phi_reflected(x: np.ndarray, p: float) -> np.ndarray:
@@ -223,24 +226,33 @@ def theta_lower_reflected(theta, p: float):
     return out if out.shape else float(out)
 
 
+def phi_mid_angle(theta, p: float):
+    """-cos((p/2)(pi - |theta|)), extended evenly and 2 pi-periodically: the
+    angular factor of PHI_MID (2 <= p <= 4) and of theta_lower for p <= 4."""
+    m = _fold_pi(np.asarray(theta, dtype=float))
+    out = -np.cos(0.5 * p * (math.pi - m))
+    return out if out.shape else float(out)
+
+
+def phi_high_angle(theta, p: float):
+    """The reflected profile at theta - pi/2: the angular factor of PHI_HIGH
+    (p >= 4)."""
+    return theta_lower_reflected(np.asarray(theta, dtype=float) - 0.5 * math.pi, p)
+
+
 def theta_lower(theta, p: float):
     """Angular minorant for the p > 2 lower bound.
 
-    -cos((p/2)(pi - |theta|)) for 2 < p <= 4; the reflected construction for
-    p > 4.  Extended evenly and 2 pi-periodically: the even 2 pi-periodic
-    extension is what composing with principal arguments requires, and for
-    p > 4 it coincides with reflecting about pi (the profile is symmetric
-    about pi/2), while for 2 < p <= 4 a pi-shift extension would break the
-    lower bound beyond |theta| = pi.
+    phi_mid_angle for 2 < p <= 4; the reflected construction for p > 4.
+    Extended evenly and 2 pi-periodically: the even 2 pi-periodic extension
+    is what composing with principal arguments requires, and for p > 4 it
+    coincides with reflecting about pi (the profile is symmetric about pi/2),
+    while for 2 < p <= 4 a pi-shift extension would break the lower bound
+    beyond |theta| = pi.
     """
     if p <= 2.0:
         raise ValueError(f"theta_lower requires p > 2, got {p}")
-    theta = np.asarray(theta, dtype=float)
-    if p > 4.0:
-        return theta_lower_reflected(theta, p)
-    m = _fold_pi(theta)
-    out = -np.cos(0.5 * p * (math.pi - m))
-    return out if out.shape else float(out)
+    return phi_mid_angle(theta, p) if p <= 4.0 else theta_lower_reflected(theta, p)
 
 
 def theta_upper(theta, p: float):
@@ -278,53 +290,6 @@ def psi_angle(theta, p: float):
 # --------------------------- composite minorants ---------------------------
 
 
-def _phi_single(zeta, p: float):
-    """The single-variable lower-bound minorant Phi_p(zeta) for p > 2.
-
-    -|zeta|^{p/2} cos((p/2)(pi - |arg zeta|)) for 2 < p <= 4;
-    |zeta|^{p/2} * reflected profile at (arg zeta - pi/2) for p > 4.
-    The two forms agree at p = 4.
-    """
-    zeta = np.asarray(zeta, dtype=complex)
-    if p <= 4.0:
-        prof = -np.cos(0.5 * p * (math.pi - np.abs(np.angle(zeta))))
-    else:
-        prof = theta_lower_reflected(np.angle(zeta) - 0.5 * math.pi, p)
-    return np.abs(zeta) ** (0.5 * p) * prof
-
-
-def psi_value(zeta, p: float):
-    """Psi_p(zeta) = |zeta|^{p/2} * psi_angle(arg zeta); subharmonic, p != 2."""
-    if p == 2.0:
-        raise ValueError("Psi is undefined at p = 2")
-    zeta = np.asarray(zeta, dtype=complex)
-    prof = psi_angle(np.angle(zeta), p)
-    out = np.abs(zeta) ** (0.5 * p) * prof
-    return out if out.shape else float(out)
-
-
-def minorant_F(z, w, p: float):
-    """Plurisubharmonic minorant of the lower bound: Re((z w)^{p/2}) for
-    1 < p <= 2, Phi_p(z w) for p > 2.  Vanishes when z = 0 or w = 0."""
-    if p <= 1.0:
-        raise ValueError(f"p must be > 1, got {p}")
-    zw = np.asarray(z, dtype=complex) * np.asarray(w, dtype=complex)
-    if p <= 2.0:
-        return re_branch_power(zw, p)
-    out = _phi_single(zw, p)
-    return out if np.asarray(out).shape else float(out)
-
-
-def minorant_G(z, w, p: float):
-    """Plurisubharmonic minorant of the upper bound: Psi_p(z w), p != 2."""
-    if p <= 1.0:
-        raise ValueError(f"p must be > 1, got {p}")
-    if p == 2.0:
-        raise ValueError("the upper-bound minorant is undefined at p = 2")
-    zw = np.asarray(z, dtype=complex) * np.asarray(w, dtype=complex)
-    return psi_value(zw, p)
-
-
 class Minorant(Enum):
     """Catalog keys for the subharmonicity tests."""
 
@@ -338,21 +303,65 @@ class Minorant(Enum):
     G_PAIR = "G_PAIR"            # two-variable minorant_G, p > 1, p != 2
 
 
-# (lo, hi, lo_inclusive, excludes_two)
-_MINORANT_RANGES: dict[Minorant, tuple[float, float, bool, bool]] = {
-    Minorant.RE_BRANCH: (1.0, 2.0, False, False),
-    Minorant.PHI_MID: (2.0, 4.0, True, False),
-    Minorant.PHI_HIGH: (4.0, math.inf, True, False),
-    Minorant.THETA_LOWER: (2.0, math.inf, False, False),
-    Minorant.THETA_UPPER: (2.0, math.inf, False, False),
-    Minorant.PSI: (1.0, math.inf, False, True),
-    Minorant.F_PAIR: (1.0, math.inf, False, False),
-    Minorant.G_PAIR: (1.0, math.inf, False, True),
+def _f_angle(theta, p: float):
+    """minorant_F's profile: RE_BRANCH's for p <= 2, PHI_MID's for p <= 4 and
+    PHI_HIGH's above (the two agree at p = 4)."""
+    if p <= 2.0:
+        return re_branch_angle(theta, p)
+    return phi_mid_angle(theta, p) if p <= 4.0 else phi_high_angle(theta, p)
+
+
+# minorant -> (profile, p-range (lo, hi, lo_inclusive, excludes_two)); the
+# minorant is |zeta|^{p/2} profile(arg zeta, p), with zeta = z w for the pairs
+_MINORANTS: dict[Minorant, tuple] = {
+    Minorant.RE_BRANCH: (re_branch_angle, (1.0, 2.0, False, False)),
+    Minorant.PHI_MID: (phi_mid_angle, (2.0, 4.0, True, False)),
+    Minorant.PHI_HIGH: (phi_high_angle, (4.0, math.inf, True, False)),
+    Minorant.THETA_LOWER: (theta_lower, (2.0, math.inf, False, False)),
+    Minorant.THETA_UPPER: (theta_upper, (2.0, math.inf, False, False)),
+    Minorant.PSI: (psi_angle, (1.0, math.inf, False, True)),
+    Minorant.F_PAIR: (_f_angle, (1.0, math.inf, False, False)),
+    Minorant.G_PAIR: (psi_angle, (1.0, math.inf, False, True)),
 }
 
 
+def _polar(profile, zeta, p: float):
+    """|zeta|^{p/2} profile(arg zeta, p), 0 at zeta = 0; scalars or arrays.
+    The profile first, so that |zeta|^{p/2} is not held through its temporaries."""
+    zeta = np.asarray(zeta, dtype=complex)
+    prof = profile(np.angle(zeta), p)
+    out = np.abs(zeta) ** (0.5 * p) * prof
+    return out if out.shape else float(out)
+
+
+def psi_value(zeta, p: float):
+    """Psi_p(zeta) = |zeta|^{p/2} * psi_angle(arg zeta); subharmonic, p != 2."""
+    if p == 2.0:
+        raise ValueError("Psi is undefined at p = 2")
+    return _polar(psi_angle, zeta, p)
+
+
+def minorant_F(z, w, p: float):
+    """Plurisubharmonic minorant of the lower bound: Re((z w)^{p/2}) for
+    1 < p <= 2, Phi_p(z w) for p > 2.  Vanishes when z = 0 or w = 0."""
+    if p <= 1.0:
+        raise ValueError(f"p must be > 1, got {p}")
+    zw = np.asarray(z, dtype=complex) * np.asarray(w, dtype=complex)
+    return _polar(_MINORANTS[Minorant.F_PAIR][0], zw, p)
+
+
+def minorant_G(z, w, p: float):
+    """Plurisubharmonic minorant of the upper bound: Psi_p(z w), p != 2."""
+    if p <= 1.0:
+        raise ValueError(f"p must be > 1, got {p}")
+    if p == 2.0:
+        raise ValueError("the upper-bound minorant is undefined at p = 2")
+    zw = np.asarray(z, dtype=complex) * np.asarray(w, dtype=complex)
+    return _polar(_MINORANTS[Minorant.G_PAIR][0], zw, p)
+
+
 def _check_minorant_p(mid: Minorant, p: float) -> float:
-    lo, hi, lo_inc, skip_two = _MINORANT_RANGES[mid]
+    lo, hi, lo_inc, skip_two = _MINORANTS[mid][1]
     ok = (p >= lo if lo_inc else p > lo) and p <= hi
     if skip_two and p == 2.0:
         ok = False
@@ -371,21 +380,6 @@ def minorant_value(mid: Minorant, zeta, p: float):
     """
     mid = Minorant(mid)
     p = _check_minorant_p(mid, p)
-    zeta = np.asarray(zeta, dtype=complex)
-    if mid is Minorant.RE_BRANCH:
-        return re_branch_power(zeta, p)
-    if mid is Minorant.PSI:
-        return psi_value(zeta, p)
     if mid in (Minorant.F_PAIR, Minorant.G_PAIR):
         raise ValueError(f"{mid.value} is a two-variable minorant; use minorant_F/minorant_G")
-    rho = np.abs(zeta) ** (0.5 * p)
-    ang = np.angle(zeta)
-    if mid is Minorant.PHI_MID:
-        out = rho * -np.cos(0.5 * p * (math.pi - np.abs(ang)))
-    elif mid is Minorant.PHI_HIGH:
-        out = rho * theta_lower_reflected(ang - 0.5 * math.pi, p)
-    elif mid is Minorant.THETA_LOWER:
-        out = rho * theta_lower(ang, p)
-    else:
-        out = rho * theta_upper(ang, p)
-    return out if out.shape else float(out)
+    return _polar(_MINORANTS[mid][0], zeta, p)

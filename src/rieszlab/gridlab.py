@@ -61,14 +61,14 @@ from scipy import integrate
 from .constants import (
     Minorant,
     SharpConstant as SC,
-    _fold_pi,
     minorant_F,
     minorant_G,
     minorant_value,
+    phi_high_angle,
+    phi_mid_angle,
     psi_angle,
     re_branch_angle,
     sharp_constant,
-    theta_lower_reflected,
     theta_upper,
 )
 from .reporting import MAX_VIOLATIONS, GridSpec, SlackAccumulator, VerificationReport
@@ -114,18 +114,9 @@ class InequalityId(Enum):
     ROOT_GAP_ANGLE = "ROOT_GAP_ANGLE"            # cos((pi-pi/p)/p) <= s, p>=4
 
 
-def _conj_profile(t, p):
-    """-cos((p/2)(pi - |t|)) with the even 2 pi-periodic extension."""
-    return -np.cos(0.5 * p * (math.pi - _fold_pi(np.asarray(t, dtype=float))))
-
-
 def _radial_profile(t, p):
     # the single-radius form keeps the principal-band cosine unreduced
     return np.cos(0.5 * p * t)
-
-
-def _shifted_reflected_profile(t, p):
-    return theta_lower_reflected(t - 0.5 * math.pi, p)
 
 
 @dataclass(frozen=True)
@@ -241,9 +232,9 @@ _FORMS = {
         True, _mixed_consts(SC.A_LOW_P, SC.B_LOW_P), re_branch_angle
     ),
     InequalityId.MIXED_BY_SUM_RADIAL: _Form(True, _radial_consts, _radial_profile),
-    InequalityId.MIXED_BY_SUM_MID: _Form(True, _mid_consts, _conj_profile),
+    InequalityId.MIXED_BY_SUM_MID: _Form(True, _mid_consts, phi_mid_angle),
     InequalityId.MIXED_BY_SUM_HIGH: _Form(
-        True, _mixed_consts(SC.A_HIGH_P, SC.B_HIGH_P), _shifted_reflected_profile
+        True, _mixed_consts(SC.A_HIGH_P, SC.B_HIGH_P), phi_high_angle
     ),
     InequalityId.SUM_BY_MIXED_HIGH: _Form(
         False, _sum_consts(SC.C_HIGH_P, SC.D_HIGH_P), theta_upper

@@ -55,11 +55,7 @@ __all__ = [
 
 
 def _as_complex_tuple(coeffs: Iterable[complex]) -> tuple[complex, ...]:
-    if isinstance(coeffs, np.ndarray) and coeffs.ndim == 1:
-        # same values as complex(c) per entry, without a Python call per entry
-        out = tuple(coeffs.astype(complex).tolist())
-    else:
-        out = tuple(complex(c) for c in coeffs)
+    out = tuple(complex(c) for c in coeffs)
     return out if out else (0j,)
 
 

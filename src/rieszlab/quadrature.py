@@ -315,34 +315,6 @@ def bergman_triple_norm(
     return pair_disk_power_mean(m.g, m.h, p / 2.0, spec) ** (1.0 / p)
 
 
-def _map_norms(m: HarmonicMap, p: float, r: float | None = None) -> list[float]:
-    """hardy_norm, triple_norm, bergman_norm and bergman_triple_norm of m,
-    then mp_radius(m, p, r) when r is given, with the bits of those calls.
-
-    The norms whose rules agree on spec and radius share one _means call, so
-    g and h are transformed once on the circle, once on the disk and once at
-    radius r: 6 transforms where the five calls make 10.
-    """
-    p = _require_norm_p(p)
-    if r is not None and not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must lie in [0, 1], got {r}")
-    # (ring, its exponent, rule size, radius), in the order of the result
-    cases = [(_map_ring, p, 1.0, 1.0), (_pair_ring, p / 2.0, 2.0, 1.0)]
-    cases += [(_map_ring, p, 1.0, None), (_pair_ring, p / 2.0, 2.0, None)]
-    if r is not None:
-        cases.append((_map_ring, p, 1.0, r))
-    groups: dict = {}  # (spec, radius) -> [(case index, ring)]
-    for k, (ring, q, size, radius) in enumerate(cases):
-        spec = _spec_for(m.degree, size * q, None)
-        groups.setdefault((spec, radius), []).append((k, partial(ring, q)))
-    means = [0.0] * len(cases)
-    for (spec, radius), members in groups.items():
-        rings = [ring for _, ring in members]
-        for (k, _), (mean,) in zip(members, _means(rings, [m.g.coeffs, m.h.coeffs], spec, radius)):
-            means[k] = mean
-    return [mean ** (1.0 / p) for mean in means]
-
-
 # --------------------------- Calderon family norms ---------------------------
 
 

@@ -1,8 +1,9 @@
 """Earlier implementations, kept only as oracles for the pin tests: the
 per-seed map drawing with numpy's own generator, the term-by-term Fourier
 series, the singular integral that evaluates its integrand once per
-quadrature visit, the three-cosine RE_BRANCH angle profile, the six
-two-variable slack functions written out one by one, the 2-D scan over
+quadrature visit, the three-cosine RE_BRANCH angle profile, the minorants
+with each angle profile written out where it is used, the six two-variable
+slack functions written out one by one, the 2-D scan over
 (r, t) column blocks of 32 t-nodes with a fresh array per temporary, and the
 isoperimetric chain from seven public power means (two transforms each)."""
 
@@ -12,6 +13,7 @@ import numpy as np
 from scipy import integrate
 
 from rieszlab.constants import (
+    Minorant,
     SharpConstant as SC,
     psi_angle,
     re_branch_angle,
@@ -19,7 +21,7 @@ from rieszlab.constants import (
     theta_lower_reflected,
     theta_upper,
 )
-from rieszlab.gridlab import InequalityId, _conj_profile, _first_min, _violated
+from rieszlab.gridlab import InequalityId, _first_min, _violated
 from rieszlab.maps import Constraint, HarmonicMap, TaylorPoly
 from rieszlab.quadrature import (
     circle_power_mean,
@@ -81,6 +83,77 @@ def three_cosine_re_branch_angle(theta, p):
         ),
     )
     return out if out.shape else float(out)
+
+
+# -------------------------------- minorants --------------------------------
+
+
+def _fold_pi(theta):
+    m = np.mod(np.abs(theta), 2.0 * math.pi)
+    return np.where(m > math.pi, 2.0 * math.pi - m, m)
+
+
+def _conj_profile(t, p):
+    """-cos((p/2)(pi - |t|)) with the even 2 pi-periodic extension."""
+    return -np.cos(0.5 * p * (math.pi - _fold_pi(np.asarray(t, dtype=float))))
+
+
+def theta_lower(theta, p):
+    theta = np.asarray(theta, dtype=float)
+    if p > 4.0:
+        return theta_lower_reflected(theta, p)
+    out = -np.cos(0.5 * p * (math.pi - _fold_pi(theta)))
+    return out if out.shape else float(out)
+
+
+def _polar_power(profile, zeta, p):
+    """re_branch_power and psi_value without their p checks."""
+    zeta = np.asarray(zeta, dtype=complex)
+    prof = profile(np.angle(zeta), p)
+    out = np.abs(zeta) ** (0.5 * p) * prof
+    return out if out.shape else float(out)
+
+
+def _phi_single(zeta, p):
+    zeta = np.asarray(zeta, dtype=complex)
+    if p <= 4.0:
+        prof = -np.cos(0.5 * p * (math.pi - np.abs(np.angle(zeta))))
+    else:
+        prof = theta_lower_reflected(np.angle(zeta) - 0.5 * math.pi, p)
+    return np.abs(zeta) ** (0.5 * p) * prof
+
+
+def minorant_value(mid, zeta, p):
+    """constants.minorant_value's per-minorant branches, without its p check."""
+    zeta = np.asarray(zeta, dtype=complex)
+    if mid is Minorant.RE_BRANCH:
+        return _polar_power(re_branch_angle, zeta, p)
+    if mid is Minorant.PSI:
+        return _polar_power(psi_angle, zeta, p)
+    rho = np.abs(zeta) ** (0.5 * p)
+    ang = np.angle(zeta)
+    if mid is Minorant.PHI_MID:
+        out = rho * -np.cos(0.5 * p * (math.pi - np.abs(ang)))
+    elif mid is Minorant.PHI_HIGH:
+        out = rho * theta_lower_reflected(ang - 0.5 * math.pi, p)
+    elif mid is Minorant.THETA_LOWER:
+        out = rho * theta_lower(ang, p)
+    else:
+        out = rho * theta_upper(ang, p)
+    return out if out.shape else float(out)
+
+
+def minorant_F(z, w, p):
+    zw = np.asarray(z, dtype=complex) * np.asarray(w, dtype=complex)
+    if p <= 2.0:
+        return _polar_power(re_branch_angle, zw, p)
+    out = _phi_single(zw, p)
+    return out if np.asarray(out).shape else float(out)
+
+
+def minorant_G(z, w, p):
+    zw = np.asarray(z, dtype=complex) * np.asarray(w, dtype=complex)
+    return _polar_power(psi_angle, zw, p)
 
 
 def analytic_sample(degree, seed):

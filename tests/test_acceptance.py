@@ -23,6 +23,7 @@ from rieszlab.gridlab import (
     equality_loci,
     locate_equality,
     origin_circle_mean,
+    slack_function,
     stated_equality_loci,
     verify_pointwise,
 )
@@ -199,14 +200,12 @@ def test_criterion_5_equality_loci_as_stated_high_range(tag, p):
     [(InequalityId.MIXED_BY_SUM_MID, 3.0), (InequalityId.MIXED_BY_SUM_HIGH, 6.0)],
 )
 def test_criterion_5_high_range_derived_loci_and_falsification_lock(tag, p):
-    from rieszlab.gridlab import _REGISTRY
-
     point, slack = locate_equality(tag, p)
     dist = min(
         math.hypot(*(a - b for a, b in zip(point, locus)))
         for locus in equality_loci(tag, p)
     )
-    slack_fn = _REGISTRY[tag].slack
+    slack_fn = slack_function(tag)
     stated_slacks = [
         float(slack_fn(p, np.asarray(r), np.asarray(t)))
         for r, t in stated_equality_loci(tag, p)

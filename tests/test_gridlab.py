@@ -15,10 +15,10 @@ from rieszlab.gridlab import (
     inequality_range,
     locate_equality,
     origin_circle_mean,
+    slack_function,
     stated_equality_loci,
     unreduced_slack,
     verify_pointwise,
-    _REGISTRY,
 )
 from rieszlab.reporting import GridSpec
 
@@ -89,15 +89,15 @@ def test_every_tag_has_eight_default_exponents_in_range():
 
 
 def test_verbitsky_slack_vanishes_identically_at_p2():
-    info = _REGISTRY[InequalityId.VERBITSKY_COS]
+    slack = slack_function(InequalityId.VERBITSKY_COS)
     x = np.linspace(-math.pi / 2, math.pi / 2, 1001)
-    assert np.max(np.abs(info.slack(2.0, x))) < 1e-14
+    assert np.max(np.abs(slack(2.0, x))) < 1e-14
 
 
 def test_verbitsky_equality_at_half_angle_over_p():
-    info = _REGISTRY[InequalityId.VERBITSKY_COS]
+    slack = slack_function(InequalityId.VERBITSKY_COS)
     for p in np.linspace(1.05, 2.0, 12):
-        assert abs(float(info.slack(float(p), np.asarray(math.pi / (2 * p))))) < 1e-12
+        assert abs(float(slack(float(p), np.asarray(math.pi / (2 * p))))) < 1e-12
 
 
 def test_all_tags_scan_clean_on_reduced_grids():
@@ -147,7 +147,7 @@ def test_stated_high_range_loci_are_not_minima():
         (InequalityId.MIXED_BY_SUM_MID, 3.0),
         (InequalityId.MIXED_BY_SUM_HIGH, 6.0),
     ):
-        slack_fn = _REGISTRY[tag].slack
+        slack_fn = slack_function(tag)
         for r, t in stated_equality_loci(tag, p):
             assert float(slack_fn(p, np.asarray(r), np.asarray(t))) > 1e-2
         for r, t in equality_loci(tag, p):
@@ -164,7 +164,7 @@ def test_homogeneity_reduction_matches_full_scan():
         InequalityId.SUM_BY_MIXED_LOW: 1.5,
     }
     for tag, p in cases.items():
-        fn = _REGISTRY[tag].slack
+        fn = slack_function(tag)
         for _ in range(200):
             z = math.sqrt(rng.uniform()) * 2.0 * np.exp(1j * rng.uniform(0, TWO_PI))
             w = math.sqrt(rng.uniform()) * 2.0 * np.exp(1j * rng.uniform(0, TWO_PI))

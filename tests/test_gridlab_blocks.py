@@ -4,7 +4,8 @@ and the (r, t) column-block scan kept in legacy_reference, lemma_grid_reports
 must give what one verify_pointwise call per case gives, and the circle
 blocks of the sub-mean checks must give exactly what the one-circle-at-a-time
 checks give.  The one-cosine RE_BRANCH angle profile must give the bits of
-the three-cosine form.  A scan shared between workers must give the bits of
+the three-cosine form, and the minorants read from the profile table the
+bits of the formulas written out per minorant.  A scan shared between workers must give the bits of
 the one-thread legacy scan whichever worker takes which block, and leave no
 thread running.  The per-case references below are kept here only as
 oracles."""
@@ -21,7 +22,14 @@ import pytest
 import legacy_reference as legacy
 from rieszlab import battery, gridlab
 from rieszlab.battery import PLURI_P, SUBMEAN_P, lemma_grid_reports
-from rieszlab.constants import Minorant, minorant_F, minorant_G, re_branch_angle
+from rieszlab.constants import (
+    Minorant,
+    minorant_F,
+    minorant_G,
+    minorant_value,
+    re_branch_angle,
+    theta_lower,
+)
 from rieszlab.gridlab import (
     SCAN_COLUMNS,
     InequalityId,
@@ -34,12 +42,13 @@ from rieszlab.gridlab import (
     check_submean,
     default_p_values,
     origin_circle_mean,
+    scan_ranges,
     verify_pointwise,
 )
 from rieszlab.reporting import MAX_VIOLATIONS, GridSpec, SlackAccumulator
 
 TWO_PI = 2.0 * math.pi
-TWO_D_TAGS = [tag for tag in InequalityId if _REGISTRY[tag].arity == 2]
+TWO_D_TAGS = [tag for tag in InequalityId if scan_ranges(tag)[0] is not None]
 SEEDS = (0, 53, 1000)
 
 
@@ -621,3 +630,61 @@ def test_re_branch_angle_takes_one_cosine_with_the_same_bits(p):
         value = re_branch_angle(t, p)
         assert isinstance(value, float)
         assert _bits(value) == _bits(legacy.three_cosine_re_branch_angle(t, p)), t
+
+
+# ------------------------------ minorant table ------------------------------
+
+
+def _seam_angles():
+    seams = [0.0, -0.0, math.pi, -math.pi, TWO_PI, -TWO_PI, 0.5 * math.pi, -0.5 * math.pi]
+    seams += [np.nextafter(x, d) for x in seams for d in (-np.inf, np.inf)]
+    theta = np.random.default_rng(17).uniform(-TWO_PI, TWO_PI, 64 * 1024 - len(seams))
+    return np.concatenate([seams, theta]).reshape(64, 1024)
+
+
+def _polar_points():
+    """(64, 1024) points of |zeta| < 2, led by 0, the axes and both sides of
+    the negative real axis (arguments +pi and -pi)."""
+    rng = np.random.default_rng(13)
+    shape = (64, 1024)
+    zeta = rng.uniform(0.0, 2.0, shape) * np.exp(1j * rng.uniform(-math.pi, math.pi, shape))
+    special = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1j, -1j, 1 + 0j]
+    special += [complex(x, y) for x in (-1.0, -2.5, -1e-300) for y in (0.0, -0.0)]
+    zeta.flat[: len(special)] = special
+    return zeta
+
+
+def _assert_same_bits(new_fn, old_fn, *points):
+    """Bit-identity on the (64, 1024) arrays and, as float, on 0-d arrays and
+    scalars of the first 24 points."""
+    assert np.array_equal(_array_bits(new_fn(*points)), _array_bits(old_fn(*points)))
+    for k in range(24):
+        for scalar in ([np.asarray(x.flat[k]) for x in points], [x.flat[k] for x in points]):
+            new, old = new_fn(*scalar), old_fn(*scalar)
+            assert type(new) is float and _bits(new) == _bits(old), scalar
+
+
+@pytest.mark.parametrize("mid", list(SUBMEAN_P), ids=lambda mid: mid.value)
+def test_single_minorants_read_the_profile_table_with_the_same_bits(mid):
+    zeta = _polar_points()
+    for p in SUBMEAN_P[mid]:
+        _assert_same_bits(
+            lambda z: minorant_value(mid, z, p), lambda z: legacy.minorant_value(mid, z, p), zeta
+        )
+
+
+def test_pair_minorants_read_the_profile_table_with_the_same_bits():
+    z = _polar_points()
+    w = z[::-1, ::-1]
+    for new_fn, old_fn, mid, extra in (
+        (minorant_F, legacy.minorant_F, Minorant.F_PAIR, (2.0, 4.0)),
+        (minorant_G, legacy.minorant_G, Minorant.G_PAIR, ()),
+    ):
+        for p in PLURI_P[mid] + extra:
+            _assert_same_bits(lambda a, b: new_fn(a, b, p), lambda a, b: old_fn(a, b, p), z, w)
+
+
+def test_theta_lower_keeps_its_bits_with_the_phi_mid_profile():
+    theta = _seam_angles()
+    for p in (2.5, 4.0, 6.0):
+        _assert_same_bits(lambda t: theta_lower(t, p), lambda t: legacy.theta_lower(t, p), theta)

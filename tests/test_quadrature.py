@@ -19,7 +19,6 @@ from rieszlab.quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
     _gl01,
-    _map_norms,
     auto_spec,
     bergman_norm,
     bergman_triple_norm,
@@ -284,59 +283,6 @@ def test_calderon_component_relations():
     assert abs(v / u - math.tan(0.35)) < 1e-9
     assert abs(g / u - 1.0 / math.cos(0.35)) < 1e-9
     assert conj >= v  # |v - i| >= |v| pointwise
-
-
-def _public_norms(m, p, r=None):
-    values = [hardy_norm(m, p), triple_norm(m, p), bergman_norm(m, p), bergman_triple_norm(m, p)]
-    return values + ([mp_radius(m, p, r)] if r is not None else [])
-
-
-def _count_transforms(monkeypatch):
-    calls = []
-    ifft = np.fft.ifft
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return ifft(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "ifft", counted)
-    return calls
-
-
-@pytest.mark.parametrize("p", [1.0, 1.25, 2.0, 3.0, 7.3, 64.0])
-def test_map_norms_are_bit_identical_to_the_five_public_calls(p):
-    for m in (COS_MAP, random_harmonic(3, 4), random_harmonic(8, 11, Constraint.RE_ZERO)):
-        for r in (None, 0.0, 0.5, 1.0):
-            shared = np.array(_map_norms(m, p, r))
-            assert shared.view(np.uint64).tolist() == np.array(
-                _public_norms(m, p, r)
-            ).view(np.uint64).tolist(), (p, r)
-
-
-def test_map_norms_share_the_transforms_of_each_rule(monkeypatch):
-    calls = _count_transforms(monkeypatch)
-    m = random_harmonic(1, 3)
-    # five public calls: two transforms each
-    _public_norms(m, 3.0, 0.5)
-    assert len(calls) == 10
-    # one circle, one disk and one radius-r transform of g and h
-    for r, expected in ((0.5, 6), (None, 4), (1.0, 4)):
-        calls.clear()
-        _map_norms(m, 3.0, r)
-        assert len(calls) == expected, r
-
-
-def test_map_norms_raise_the_public_range_errors(monkeypatch):
-    calls = _count_transforms(monkeypatch)
-    for p, r in ((0.5, None), (65.0, 0.5), (math.nan, None), (0.5, 2.0), (2.0, 1.5), (2.0, -0.1)):
-        with pytest.raises(ValueError) as public:
-            _public_norms(COS_MAP, p, r)
-        calls.clear()
-        with pytest.raises(ValueError) as exc:
-            _map_norms(COS_MAP, p, r)
-        # the same message, raised before any transform
-        assert str(exc.value) == str(public.value), (p, r)
-        assert calls == [], (p, r)
 
 
 def test_calderon_depth_defaults_to_the_spec_default():
