@@ -1,16 +1,24 @@
 """Command-line driver: constants, norms, transforms, and the verifiers.
 
+Every command writes through one writer, _write: JSON (sorted keys, indent
+2, trailing newline), CSV (a header row, then rows) or human lines, chosen by
+--format; hilbert writes a map, so it writes JSON only.  Map files are read
+by _load_map alone and --output files are opened by _output alone.
+
 Exit codes: 0 when every asserted bound passes, 1 on a verification failure
-(the violating parameters are printed), 2 on bad arguments or malformed
-input files.  Handlers raise ValueError on bad input, and only run() turns it
-into "error: <message>" on stderr and exit code 2.  Seeded reports carry
-their seed, and every report its effective parameters; with a fixed seed the
-JSON output is reproducible byte for byte except for the elapsed_ms fields.
+(the violating parameters are printed), 2 on bad arguments, malformed input
+files, an input file that cannot be read or an output file that cannot be
+written.  Handlers raise ValueError on bad input (file errors included), and
+only run() turns it into "error: <message>" on stderr and exit code 2.
+Seeded reports carry their seed, and every report its effective parameters;
+with a fixed seed the JSON output is reproducible byte for byte except for
+the elapsed_ms fields.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -27,34 +35,38 @@ from .theorems import TheoremId, sharpness_probe, verify_theorem
 __all__ = ["main", "run"]
 
 
-def _emit_reports(reports: list[VerificationReport], fmt: str, stream) -> None:
+def _write(fmt: str, stream, payload, header, rows, lines) -> None:
+    """The one writer: payload as JSON, header then rows as CSV, or the
+    human lines (each ending in a newline)."""
     if fmt == "json":
-        payload = [r.to_dict() for r in reports]
         json.dump(payload, stream, sort_keys=True, indent=2)
         stream.write("\n")
     elif fmt == "csv":
         writer = csv.writer(stream)
-        writer.writerow(VerificationReport.CSV_FIELDS)
-        for r in reports:
-            writer.writerow(r.to_csv_row())
+        writer.writerow(header)
+        writer.writerows(rows)
     else:
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            p_part = "" if r.p is None else f" p={r.p:g}"
-            extra = ""
-            if r.constant is not None:
-                extra += f" constant={r.constant:.6g}"
-            if r.ratio_max is not None:
-                extra += f" ratio_max={r.ratio_max:.6g}"
-            stream.write(
-                f"[{status}] {r.id}{p_part} min_slack={r.min_slack:.3e}"
-                f" argmin={r.argmin}{extra}\n"
-            )
-            for params, slack in r.violations[:5]:
-                stream.write(f"    violation at {params}: slack={slack:.3e}\n")
+        stream.writelines(lines)
 
 
-def _exit_code(reports: list[VerificationReport]) -> int:
+def _report_lines(reports: list[VerificationReport]):
+    for r in reports:
+        status = "PASS" if r.passed else "FAIL"
+        p_part = "" if r.p is None else f" p={r.p:g}"
+        extra = ""
+        if r.constant is not None:
+            extra += f" constant={r.constant:.6g}"
+        if r.ratio_max is not None:
+            extra += f" ratio_max={r.ratio_max:.6g}"
+        yield f"[{status}] {r.id}{p_part} min_slack={r.min_slack:.3e} argmin={r.argmin}{extra}\n"
+        for params, slack in r.violations[:5]:
+            yield f"    violation at {params}: slack={slack:.3e}\n"
+
+
+def _emit_reports(reports: list[VerificationReport], fmt: str, stream) -> int:
+    """Write the reports; the exit code is 0 when all pass, else 1."""
+    _write(fmt, stream, [r.to_dict() for r in reports], VerificationReport.CSV_FIELDS,
+           (r.to_csv_row() for r in reports), _report_lines(reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -74,6 +86,10 @@ def _load_map(path: str):
             data = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"input file not found: {path}") from None
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text (byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno})"
@@ -84,12 +100,23 @@ def _load_map(path: str):
         raise ValueError(f"{path}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _output(path: str | None, stream):
+    """The file at path, opened for writing, or stream when path is None."""
+    if not path:
+        yield stream
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _cmd_constants(args, stream) -> int:
     rows = []
     for kind in SharpConstant:
-        if kind is SharpConstant.ISOP:
-            continue
-        if args.p is None:
+        if kind is SharpConstant.ISOP or args.p is None:
             continue
         try:
             rows.append((kind.value, sharp_constant(kind, p=args.p)))
@@ -99,17 +126,8 @@ def _cmd_constants(args, stream) -> int:
         rows.append(("ISOP", sharp_constant(SharpConstant.ISOP, n=args.n)))
     if not rows:
         raise ValueError("provide --p (and/or --n) inside a validity range")
-    if args.format == "json":
-        payload = {"p": args.p, "n": args.n, "constants": {k: v for k, v in rows}}
-        json.dump(payload, stream, sort_keys=True, indent=2)
-        stream.write("\n")
-    elif args.format == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(["constant", "value"])
-        writer.writerows(rows)
-    else:
-        for name, value in rows:
-            stream.write(f"{name:>14s} = {value:.6f}\n")
+    _write(args.format, stream, {"p": args.p, "n": args.n, "constants": dict(rows)},
+           ("constant", "value"), rows, (f"{k:>14s} = {v:.6f}\n" for k, v in rows))
     return 0
 
 
@@ -120,41 +138,22 @@ def _cmd_norms(args, stream) -> int:
     rows = [(name, norm(m, args.p)) for name, norm in norms.items()]
     if args.r is not None:
         rows.append((f"mp(r={args.r:g})", mp_radius(m, args.p, args.r)))
-    if args.format == "json":
-        json.dump(
-            {"p": args.p, "norms": {k: v for k, v in rows}}, stream, sort_keys=True, indent=2
-        )
-        stream.write("\n")
-    elif args.format == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(["norm", "value"])
-        writer.writerows(rows)
-    else:
-        for name, value in rows:
-            stream.write(f"{name:>16s} = {value:.12g}\n")
+    _write(args.format, stream, {"p": args.p, "norms": dict(rows)},
+           ("norm", "value"), rows, (f"{k:>16s} = {v:.12g}\n" for k, v in rows))
     return 0
 
 
 def _cmd_hilbert(args, stream) -> int:
-    m = _load_map(args.input)
-    conj = conjugate_map(m)
-    payload = map_to_dict(conj)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    else:
-        json.dump(payload, stream, sort_keys=True, indent=2)
-        stream.write("\n")
+    payload = map_to_dict(conjugate_map(_load_map(args.input)))
+    with _output(args.output, stream) as out:
+        _write("json", out, payload, (), (), ())
     return 0
 
 
 def _cmd_verify_lemma(args, stream) -> int:
     tag = _member(InequalityId, args.id, "inequality")
     grid = GridSpec(r_nodes=args.grid_r, t_nodes=args.grid_t, tolerance=args.tol)
-    report = verify_pointwise(tag, args.p, grid)
-    _emit_reports([report], args.format, stream)
-    return _exit_code([report])
+    return _emit_reports([verify_pointwise(tag, args.p, grid)], args.format, stream)
 
 
 def _cmd_subharmonic(args, stream) -> int:
@@ -164,8 +163,7 @@ def _cmd_subharmonic(args, stream) -> int:
         report = check_pluri_lines(mid, args.p, n_lines=args.samples, seed=args.seed, **kwargs)
     else:
         report = check_submean(mid, args.p, centers=args.samples, seed=args.seed, **kwargs)
-    _emit_reports([report], args.format, stream)
-    return _exit_code([report])
+    return _emit_reports([report], args.format, stream)
 
 
 def _cmd_verify_theorem(args, stream) -> int:
@@ -176,8 +174,7 @@ def _cmd_verify_theorem(args, stream) -> int:
     report = verify_theorem(
         tag, p_or_n, samples=args.samples, degree=args.degree, seed=args.seed, rel_tol=args.tol
     )
-    _emit_reports([report], args.format, stream)
-    return _exit_code([report])
+    return _emit_reports([report], args.format, stream)
 
 
 def _cmd_probe(args, stream) -> int:
@@ -185,24 +182,11 @@ def _cmd_probe(args, stream) -> int:
     fractions = args.gamma_frac or [0.5, 0.9, 0.99]
     ratios = sharpness_probe(tag, args.p, fractions)
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
-    if args.format == "json":
-        json.dump(
-            {
-                "id": tag.value,
-                "p": args.p,
-                "gamma_fractions": list(fractions),
-                "ratios": ratios,
-                "increasing": increasing,
-            },
-            stream,
-            sort_keys=True,
-            indent=2,
-        )
-        stream.write("\n")
-    else:
-        for frac, ratio in zip(fractions, ratios):
-            stream.write(f"gamma = {frac:g} * pi/(2p)  ->  ratio = {ratio:.9f}\n")
-        stream.write(f"increasing: {increasing}\n")
+    payload = {"id": tag.value, "p": args.p, "gamma_fractions": list(fractions),
+               "ratios": ratios, "increasing": increasing}
+    lines = [f"gamma = {f:g} * pi/(2p)  ->  ratio = {r:.9f}\n" for f, r in zip(fractions, ratios)]
+    _write(args.format, stream, payload, ("gamma_fraction", "ratio"), zip(fractions, ratios),
+           lines + [f"increasing: {increasing}\n"])
     return 0 if increasing else 1
 
 
@@ -211,18 +195,12 @@ def _cmd_suite(args, stream) -> int:
     reports = battery.full_suite(
         seed=args.seed, grid=grid, samples=args.samples, degree=args.degree
     )
-    out = stream
-    if args.output:
-        out = open(args.output, "w", encoding="utf-8")
-    try:
-        _emit_reports(reports, args.format, out)
-        n_fail = sum(not r.passed for r in reports)
+    with _output(args.output, stream) as out:
+        code = _emit_reports(reports, args.format, out)
         if args.format == "human":
-            out.write(f"suite: {len(reports) - n_fail}/{len(reports)} checks passed\n")
-    finally:
-        if args.output:
-            out.close()
-    return _exit_code(reports)
+            n_pass = sum(r.passed for r in reports)
+            out.write(f"suite: {n_pass}/{len(reports)} checks passed\n")
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -233,9 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, *, fmt=True, seed=True, tol=None):
-        if fmt:
-            sp.add_argument("--format", choices=("human", "json", "csv"), default="human")
+    def add_common(sp, *, seed=True, tol=None):
+        sp.add_argument("--format", choices=("human", "json", "csv"), default="human")
         if seed:
             sp.add_argument("--seed", type=int, default=0)
         if tol is not None:
@@ -257,7 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hilbert", help="harmonic conjugate of a map file")
     sp.add_argument("--input", required=True)
     sp.add_argument("--output", help="write the conjugate map JSON here")
-    add_common(sp, seed=False)
     sp.set_defaults(handler=_cmd_hilbert)
 
     sp = sub.add_parser("verify-lemma", help="grid-verify a pointwise inequality")

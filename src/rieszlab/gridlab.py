@@ -330,15 +330,24 @@ def _lin(lo, hi, n=8):
     return tuple(float(x) for x in np.linspace(lo, hi, n))
 
 
+def _pi_pm_pi_over_p(p):
+    """Verified locus of three lemmas: r = 1, t = pi -+ pi/p modulo 2 pi."""
+    return [(1.0, t) for t in _pm_mod_2pi([math.pi - math.pi / p, math.pi + math.pi / p], _EXT)]
+
+
+def _stated_pi_over_p_and_shift(p):
+    """Stated locus of two lemmas: r = 1, t = +-pi/p and +-(pi/p + pi) modulo 2 pi."""
+    return [
+        (1.0, t) for v in (math.pi / p, math.pi / p + math.pi) for t in _pm_mod_2pi([v], _EXT)
+    ]
+
+
 _REGISTRY: dict[InequalityId, _TagInfo] = {
     InequalityId.MIXED_BY_SUM_LOW: _TagInfo(
         2, 1.0, 2.0, False, True, _FORMS[InequalityId.MIXED_BY_SUM_LOW], _lin(1.1, 2.0),
         r_range=(0.0, 1.0), t_range=_EXT,
         loci=lambda p: [(1.0, t) for t in _pm_mod_2pi([math.pi / p], _EXT)],
-        stated_loci=lambda p: [
-            (1.0, t) for v in (math.pi / p, math.pi / p + math.pi)
-            for t in _pm_mod_2pi([v], _EXT)
-        ],
+        stated_loci=_stated_pi_over_p_and_shift,
     ),
     InequalityId.MIXED_BY_SUM_RADIAL: _TagInfo(
         2, 1.0, 2.0, False, False, _FORMS[InequalityId.MIXED_BY_SUM_RADIAL], _lin(1.1, 1.9),
@@ -349,19 +358,13 @@ _REGISTRY: dict[InequalityId, _TagInfo] = {
     InequalityId.MIXED_BY_SUM_MID: _TagInfo(
         2, 2.0, 4.0, True, True, _FORMS[InequalityId.MIXED_BY_SUM_MID], _lin(2.0, 4.0),
         r_range=(0.0, 1.0), t_range=_EXT,
-        loci=lambda p: [
-            (1.0, t)
-            for t in _pm_mod_2pi([math.pi - math.pi / p, math.pi + math.pi / p], _EXT)
-        ],
+        loci=_pi_pm_pi_over_p,
         stated_loci=lambda p: [(1.0, math.pi / p), (1.0, -math.pi / p)],
     ),
     InequalityId.MIXED_BY_SUM_HIGH: _TagInfo(
         2, 4.0, 64.0, True, True, _FORMS[InequalityId.MIXED_BY_SUM_HIGH], _geom(4.0, 64.0),
         r_range=(0.0, 1.0), t_range=_EXT,
-        loci=lambda p: [
-            (1.0, t)
-            for t in _pm_mod_2pi([math.pi - math.pi / p, math.pi + math.pi / p], _EXT)
-        ],
+        loci=_pi_pm_pi_over_p,
         stated_loci=lambda p: [
             (1.0, 0.5 * math.pi + math.pi / p),
             (1.0, -(0.5 * math.pi + math.pi / p)),
@@ -374,18 +377,12 @@ _REGISTRY: dict[InequalityId, _TagInfo] = {
             (1.0, t)
             for t in _pm_mod_2pi([math.pi / p, TWO_PI - math.pi / p], _EXT)
         ],
-        stated_loci=lambda p: [
-            (1.0, t) for v in (math.pi / p, math.pi / p + math.pi)
-            for t in _pm_mod_2pi([v], _EXT)
-        ],
+        stated_loci=_stated_pi_over_p_and_shift,
     ),
     InequalityId.SUM_BY_MIXED_LOW: _TagInfo(
         2, 1.0, 2.0, False, False, _FORMS[InequalityId.SUM_BY_MIXED_LOW], _lin(1.1, 1.9),
         r_range=(0.0, 1.0), t_range=_EXT,
-        loci=lambda p: [
-            (1.0, t)
-            for t in _pm_mod_2pi([math.pi - math.pi / p, math.pi + math.pi / p], _EXT)
-        ],
+        loci=_pi_pm_pi_over_p,
         stated_loci=lambda p: [
             (1.0, math.pi - math.pi / p),
             (1.0, -(math.pi - math.pi / p)),

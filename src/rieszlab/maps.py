@@ -556,9 +556,17 @@ def map_from_dict(data: dict) -> HarmonicMap:
             if (
                 not isinstance(pair, (list, tuple))
                 or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
             ):
                 raise ValueError(f"field '{key}' entry {i} is not a [re, im] pair")
-            coeffs.append(complex(pair[0], pair[1]))
+            try:
+                c = complex(pair[0], pair[1])
+            except OverflowError:  # an integer beyond the float range
+                c = complex(math.inf)
+            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                raise ValueError(
+                    f"field '{key}' entry {i} is not finite (NaN, infinite or too large)"
+                )
+            coeffs.append(c)
         polys[key] = TaylorPoly(coeffs)
     return HarmonicMap(polys["g"], polys["h"])

@@ -84,27 +84,21 @@ class VerificationReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        out: dict = {"id": self.id}
-        if self.p is not None:
-            out["p"] = self.p
-        if self.grid is not None:
-            out["grid"] = self.grid
-        out["min_slack"] = self.min_slack
-        if self.argmin is not None:
-            out["argmin"] = list(self.argmin)
-        out["violations"] = [
-            {"params": list(params), "slack": slack} for params, slack in self.violations
-        ]
-        if self.constant is not None:
-            out["constant"] = self.constant
-        if self.ratio_max is not None:
-            out["ratio_max"] = self.ratio_max
-        if self.seed is not None:
-            out["seed"] = self.seed
-        out["tolerance"] = self.tolerance
-        out["elapsed_ms"] = self.elapsed_ms
-        out["passed"] = self.passed
-        return out
+        out = {
+            "id": self.id,
+            "p": self.p,
+            "grid": self.grid,
+            "min_slack": self.min_slack,
+            "argmin": None if self.argmin is None else list(self.argmin),
+            "violations": [{"params": list(c), "slack": s} for c, s in self.violations],
+            "constant": self.constant,
+            "ratio_max": self.ratio_max,
+            "seed": self.seed,
+            "tolerance": self.tolerance,
+            "elapsed_ms": self.elapsed_ms,
+            "passed": self.passed,
+        }
+        return {k: v for k, v in out.items() if v is not None}
 
     # flat projection used by the CSV output
     CSV_FIELDS = (
@@ -122,19 +116,12 @@ class VerificationReport:
     )
 
     def to_csv_row(self) -> list:
-        return [
-            self.id,
-            "" if self.p is None else self.p,
-            self.min_slack,
-            "" if self.argmin is None else ";".join(repr(x) for x in self.argmin),
-            len(self.violations),
-            "" if self.constant is None else self.constant,
-            "" if self.ratio_max is None else self.ratio_max,
-            "" if self.seed is None else self.seed,
-            self.tolerance,
-            self.elapsed_ms,
-            self.passed,
-        ]
+        """to_dict() projected on CSV_FIELDS: argmin joined by ';', the
+        violation count, and '' for each omitted field."""
+        out = self.to_dict()
+        out["argmin"] = ";".join(repr(x) for x in out.get("argmin", ()))
+        out["n_violations"] = len(self.violations)
+        return [out.get(name, "") for name in self.CSV_FIELDS]
 
 
 class SlackAccumulator:

@@ -3,9 +3,10 @@ per-seed map drawing with numpy's own generator, the term-by-term Fourier
 series, the singular integral that evaluates its integrand once per
 quadrature visit, the three-cosine RE_BRANCH angle profile, the minorants
 with each angle profile written out where it is used, the six two-variable
-slack functions written out one by one, the 2-D scan over
-(r, t) column blocks of 32 t-nodes with a fresh array per temporary, and the
-isoperimetric chain from seven public power means (two transforms each)."""
+slack functions written out one by one, the equality loci written out per
+tag, the 2-D scan over (r, t) column blocks of 32 t-nodes with a fresh array
+per temporary, and the isoperimetric chain from seven public power means (two
+transforms each)."""
 
 import math
 
@@ -21,7 +22,7 @@ from rieszlab.constants import (
     theta_lower_reflected,
     theta_upper,
 )
-from rieszlab.gridlab import InequalityId, _first_min, _violated
+from rieszlab.gridlab import InequalityId, _first_min, _pm_mod_2pi, _violated
 from rieszlab.maps import Constraint, HarmonicMap, TaylorPoly
 from rieszlab.quadrature import (
     circle_power_mean,
@@ -269,6 +270,51 @@ SLACKS = {
     InequalityId.SUM_BY_MIXED_RADIAL: _slack_sum_by_mixed_high,
     InequalityId.SUM_BY_MIXED_LOW: _slack_sum_by_mixed_low,
 }
+
+# the equality loci with each repeated locus written out per tag: verified
+# (LOCI) and as stated alongside each bound (STATED_LOCI)
+TWO_PI = 2.0 * math.pi
+EXT = (-TWO_PI, TWO_PI)
+LOCI = {
+    InequalityId.MIXED_BY_SUM_LOW: lambda p: [
+        (1.0, t) for t in _pm_mod_2pi([math.pi / p], EXT)
+    ],
+    InequalityId.MIXED_BY_SUM_RADIAL: lambda p: [(1.0, math.pi / p), (1.0, -math.pi / p)],
+    InequalityId.MIXED_BY_SUM_MID: lambda p: [
+        (1.0, t) for t in _pm_mod_2pi([math.pi - math.pi / p, math.pi + math.pi / p], EXT)
+    ],
+    InequalityId.MIXED_BY_SUM_HIGH: lambda p: [
+        (1.0, t) for t in _pm_mod_2pi([math.pi - math.pi / p, math.pi + math.pi / p], EXT)
+    ],
+    InequalityId.SUM_BY_MIXED_HIGH: lambda p: [
+        (1.0, t) for t in _pm_mod_2pi([math.pi / p, TWO_PI - math.pi / p], EXT)
+    ],
+    InequalityId.SUM_BY_MIXED_LOW: lambda p: [
+        (1.0, t) for t in _pm_mod_2pi([math.pi - math.pi / p, math.pi + math.pi / p], EXT)
+    ],
+    InequalityId.VERBITSKY_COS: lambda p: [(math.pi / (2.0 * p),), (-math.pi / (2.0 * p),)],
+}
+LOCI[InequalityId.SUM_BY_MIXED_RADIAL] = LOCI[InequalityId.SUM_BY_MIXED_HIGH]
+STATED_LOCI = {
+    InequalityId.MIXED_BY_SUM_LOW: lambda p: [
+        (1.0, t) for v in (math.pi / p, math.pi / p + math.pi) for t in _pm_mod_2pi([v], EXT)
+    ],
+    InequalityId.MIXED_BY_SUM_RADIAL: lambda p: [(1.0, math.pi / p), (1.0, -math.pi / p)],
+    InequalityId.MIXED_BY_SUM_MID: lambda p: [(1.0, math.pi / p), (1.0, -math.pi / p)],
+    InequalityId.MIXED_BY_SUM_HIGH: lambda p: [
+        (1.0, 0.5 * math.pi + math.pi / p),
+        (1.0, -(0.5 * math.pi + math.pi / p)),
+    ],
+    InequalityId.SUM_BY_MIXED_HIGH: lambda p: [
+        (1.0, t) for v in (math.pi / p, math.pi / p + math.pi) for t in _pm_mod_2pi([v], EXT)
+    ],
+    InequalityId.SUM_BY_MIXED_LOW: lambda p: [
+        (1.0, math.pi - math.pi / p),
+        (1.0, -(math.pi - math.pi / p)),
+    ],
+    InequalityId.VERBITSKY_COS: lambda p: [(math.pi / (2.0 * p),), (-math.pi / (2.0 * p),)],
+}
+STATED_LOCI[InequalityId.SUM_BY_MIXED_RADIAL] = STATED_LOCI[InequalityId.SUM_BY_MIXED_HIGH]
 
 SCAN_COLUMNS = 32
 

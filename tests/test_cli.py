@@ -1,5 +1,6 @@
 """CLI contract tests: subcommands, exit codes, formats, determinism."""
 
+import argparse
 import io
 import json
 import math
@@ -8,10 +9,12 @@ import sys
 
 import pytest
 
-from rieszlab.cli import run
+from rieszlab import battery
+from rieszlab.cli import _build_parser, run
 from rieszlab.gridlab import InequalityId, _REGISTRY
 from rieszlab.maps import map_from_dict
 from rieszlab.quadrature import bergman_norm, bergman_triple_norm, hardy_norm, mp_radius, triple_norm
+from rieszlab.reporting import VerificationReport
 
 
 @pytest.fixture
@@ -52,7 +55,7 @@ def test_norms_human(cos_map_file):
     assert "hardy" in out and "0.707106781187" in out
 
 
-def test_norms_share_transforms_and_keep_the_public_values(cos_map_file):
+def test_norms_print_the_public_values(cos_map_file):
     argv = ["norms", "--input", cos_map_file, "--p", "3", "--r", "0.5", "--format", "json"]
     code, out = capture(argv)
     assert code == 0
@@ -124,7 +127,69 @@ def test_subharmonic_command():
     assert json.loads(out)[0]["passed"] is True
 
 
-def test_bad_arguments_exit_2(cos_map_file, capsys):
+def _stub_suite(**kwargs):
+    """Two reports in place of the full battery, so suite runs take no time."""
+    return [
+        VerificationReport(id="STUB", p=2.0, min_slack=0.5, argmin=(1.0, 0.25)),
+        VerificationReport(id="STUB_P_FREE", p=None, min_slack=-0.0, seed=0),
+    ]
+
+
+REPORT_HEADER = ",".join(VerificationReport.CSV_FIELDS)
+# each subcommand that takes --format: a quick invocation and its CSV header
+FORMAT_CASES = {
+    "constants": (["--p", "4"], "constant,value"),
+    "norms": (["--input", "{map}", "--p", "2", "--r", "0.5"], "norm,value"),
+    "verify-lemma": (["--id", "CSC_GAP", "--p", "2"], REPORT_HEADER),
+    "subharmonic": (["--id", "PHI_MID", "--p", "3", "--samples", "8"], REPORT_HEADER),
+    "verify-theorem": (["--id", "CONJUGATE_NORM", "--p", "3", "--samples", "10"], REPORT_HEADER),
+    "probe-sharpness": (
+        ["--id", "CONJUGATE_NORM", "--p", "1.5", "--gamma-frac", "0.5", "--gamma-frac", "0.9"],
+        "gamma_fraction,ratio",
+    ),
+    "suite": ([], REPORT_HEADER),
+}
+
+
+def test_format_cases_cover_every_command_with_a_format(cos_map_file, capsys):
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    with_format = {
+        name for name, sp in sub.choices.items()
+        if any("--format" in a.option_strings for a in sp._actions)
+    }
+    assert with_format == set(FORMAT_CASES) == set(sub.choices) - {"hilbert"}
+    # hilbert writes a map, as JSON only
+    assert capture(["hilbert", "--input", cos_map_file, "--format", "json"])[0] == 2
+    assert "--format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+@pytest.mark.parametrize("command", sorted(FORMAT_CASES))
+def test_format_contract(command, fmt, cos_map_file, monkeypatch):
+    monkeypatch.setattr(battery, "full_suite", _stub_suite)
+    args, header = FORMAT_CASES[command]
+    argv = [command] + [a.replace("{map}", cos_map_file) for a in args] + ["--format", fmt]
+    code, out = capture(argv)
+    assert code == 0, argv
+    if fmt == "json":
+        json.loads(out)
+    elif fmt == "csv":
+        assert out.splitlines()[0] == header
+    else:
+        with pytest.raises(ValueError):
+            json.loads(out)
+        assert out.splitlines()[0] != header
+
+
+def test_suite_argument_error_leaves_the_output_file_alone(tmp_path, capsys):
+    out = tmp_path / "suite.json"
+    out.write_text("earlier report\n")
+    assert capture(["suite", "--samples", "0", "--output", str(out)])[0] == 2
+    assert "samples" in capsys.readouterr().err
+    assert out.read_text() == "earlier report\n"
+
+
+def test_bad_arguments_exit_2(cos_map_file, tmp_path, monkeypatch, capsys):
     assert capture(["verify-lemma", "--id", "NOPE", "--p", "1.5"])[0] == 2
     assert capture(["verify-lemma"])[0] == 2
     assert capture(["norms", "--input", "/definitely/missing.json", "--p", "2"])[0] == 2
@@ -163,6 +228,32 @@ def test_bad_arguments_exit_2(cos_map_file, capsys):
     ):
         assert capture(argv)[0] == 2, argv
         assert field in capsys.readouterr().err, argv
+    # files that cannot be read or written, and map entries that are not
+    # finite numbers: one error line naming the path or the field
+    monkeypatch.setattr(battery, "full_suite", _stub_suite)
+    missing = tmp_path / "missing-dir" / "x.json"
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'\xff\xfe{"g": []}')
+    cases = [
+        (["norms", "--input", str(tmp_path), "--p", "2"], f"cannot read {tmp_path}"),
+        (["norms", "--input", str(binary), "--p", "2"], f"{binary} is not UTF-8 text (byte 0)"),
+        (["hilbert", "--input", cos_map_file, "--output", str(missing)], f"cannot write {missing}"),
+        (["suite", "--output", str(missing)], f"cannot write {missing}"),
+    ]
+    for name, entry in (
+        ("nan", "NaN"), ("inf", "Infinity"), ("true", "true"), ("huge", "1" + "0" * 400)
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(f'{{"g": [[0, 0]], "h": [[0, 0], [0.5, {entry}]]}}')
+        cases.append((["norms", "--input", str(path), "--p", "2"], f"{path}: field 'h' entry 1"))
+        cases.append((["hilbert", "--input", str(path)], f"{path}: field 'h' entry 1"))
+    for argv, message in cases:
+        code, out = capture(argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert message in err, (argv, err)
+        assert "Traceback" not in err
 
 
 def test_out_of_range_theorem_exponents_exit_2_naming_the_given_value(capsys):

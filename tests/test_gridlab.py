@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import legacy_reference as legacy
 from rieszlab.constants import Minorant
 from rieszlab.gridlab import (
     InequalityId,
@@ -338,3 +339,18 @@ def test_radial_low_scan_examples():
         assert report.min_slack >= -1e-9
         assert report.argmin[0] > 0.99
         assert abs(abs(report.argmin[1]) - math.pi / p) < 0.02
+
+
+@pytest.mark.parametrize("tag", list(InequalityId), ids=lambda tag: tag.value)
+def test_equality_loci_match_the_loci_written_out_per_tag(tag):
+    # the registry names each repeated locus once; every list stays element for element
+    for p in default_p_values(tag):
+        for loci, written_out in (
+            (equality_loci, legacy.LOCI),
+            (stated_equality_loci, legacy.STATED_LOCI),
+        ):
+            if tag in written_out:
+                assert loci(tag, p) == written_out[tag](p), (tag, p)
+            else:
+                with pytest.raises(ValueError, match="equality locus"):
+                    loci(tag, p)

@@ -260,6 +260,15 @@ def test_map_json_roundtrip():
         ({"g": "nope", "h": [[0, 0]]}, "g"),
         ({"g": [[0, 0, 0]], "h": [[0, 0]]}, "g"),
         ([1, 2], "g"),
+        # non-finite numbers, booleans and integers beyond the float range
+        (json.loads('{"g": [[0, 0], [NaN, 0]], "h": [[0, 0]]}'), "field 'g' entry 1"),
+        (json.loads('{"g": [[0, 0]], "h": [[0, Infinity]]}'), "field 'h' entry 0"),
+        (json.loads('{"g": [[0, 0]], "h": [[0, 0], [0, -Infinity]]}'), "field 'h' entry 1"),
+        (json.loads('{"g": [[1e400, 0]], "h": [[0, 0]]}'), "field 'g' entry 0"),
+        (json.loads('{"g": [[true, 0]], "h": [[0, 0]]}'), "field 'g' entry 0"),
+        ({"g": [[0, 0]], "h": [[0, 0], [0, 0], [1, False]]}, "field 'h' entry 2"),
+        ({"g": [[0, 0], [10**400, 0]], "h": [[0, 0]]}, "field 'g' entry 1"),
+        ({"g": [[0, 0]], "h": [[0, -(10**400)]]}, "field 'h' entry 0"),
     ],
 )
 def test_map_json_malformed(payload, field):
