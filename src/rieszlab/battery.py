@@ -35,7 +35,6 @@ from .maps import (
     FourierSeries,
     HarmonicMap,
     TaylorPoly,
-    _seed_streams,
     random_coefficients,
 )
 from .quadrature import (
@@ -134,15 +133,16 @@ def parseval_bridge_report(
     norms for the RE_ZERO class."""
     acc = SlackAccumulator(-0.0)
     # seeds seed + k for the maps, seed + samples + k for the RE_ZERO maps
-    streams = _seed_streams(range(seed, seed + 2 * samples))
+    plain = random_coefficients(degree, range(seed, seed + samples))
+    zeros = random_coefficients(
+        degree, range(seed + samples, seed + 2 * samples), Constraint.RE_ZERO
+    )
     rings = [partial(_map_ring, 2.0), partial(_pair_ring, 1.0)]
     spec = _spec_for(degree, 2.0, None)
     for start in range(0, samples, SAMPLE_BLOCK):
         ks = range(start, min(start + SAMPLE_BLOCK, samples))
-        g, h = random_coefficients(degree, streams[start : ks.stop], Constraint.NONE)
-        zero = random_coefficients(
-            degree, streams[samples + start : samples + ks.stop], Constraint.RE_ZERO
-        )
+        g, h = (rows[start : ks.stop] for rows in plain)
+        zero = [rows[start : ks.stop] for rows in zeros]
         hardy, mixed = _norms(2.0, rings, (g, h), spec)
         hardy_z, mixed_z = _norms(2.0, rings, zero, spec)
         rows = zip(ks, g[:, 0].tolist(), h[:, 0].tolist(), hardy, mixed, hardy_z, mixed_z)
@@ -382,14 +382,13 @@ def _relaxed_mixed_report(
 ) -> VerificationReport:
     """The MIXED_BY_HARDY battery with the hypothesis Re(g(0)h(0)) >= 0."""
     seeds = range(seed, seed + samples)
-    streams = _seed_streams(seeds)
+    g, h = random_coefficients(degree, seeds, Constraint.RE_NONNEG)
     _require_norm_p(p)
     rings = [partial(_pair_ring, p / 2.0), partial(_map_ring, p)]
     spec = _spec_for(degree, p, None)
 
     def sides(block: slice) -> list[list[float]]:
-        g, h = random_coefficients(degree, streams[block], Constraint.RE_NONNEG)
-        return _norms(p, rings, (g, h), spec)
+        return _norms(p, rings, (g[block], h[block]), spec)
 
     labels = [(s,) for s in seeds]
     return _sample_report(

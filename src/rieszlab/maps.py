@@ -8,14 +8,12 @@ with k = 0 receiving g_0 + conj(h_0).
 
 Random maps are drawn in blocks: random_coefficients turns a sequence of
 seeds into (k, degree + 1) coefficient arrays of g and h, one row per seed,
-from one stream per seed, and random_harmonic and random_poly are its
-one-seed calls.  A seed's stream is numpy's Generator(PCG64(seed)), computed
-in arrays for all seeds at once: SeedSequence's hash in uint32 arithmetic,
-PCG64's 128-bit steps and XSL-RR outputs in uint64 pairs, with the same
-bits.  A battery call seeds its whole seed range once (_seed_streams) and
-draws each block of samples from those states.  Batteries feed the arrays
-straight to _boundary_rows, so no per-sample polynomial objects are built;
-every row is bit-identical to the map drawn from its seed alone.  Fourier
+and random_harmonic and random_poly are its one-seed calls.  Each seed has
+one numpy generator, default_rng(seed).  A battery call draws its whole seed
+range once, and a two-entry memo (_draws) lets consecutive calls over the
+same seeds, one per p, share that draw.  Batteries feed the arrays straight
+to _boundary_rows, so no per-sample polynomial objects are built; every row
+is bit-identical to the map drawn from its seed alone.  Fourier
 series are evaluated as arrays: every term at once, summed left to right in
 the order of the coefficients.
 
@@ -31,6 +29,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -224,215 +223,57 @@ class Constraint(Enum):
     RE_NONPOS = "RE_NONPOS"
 
 
-# numpy's Generator(PCG64(seed)), computed in arrays for a vector of seeds.
-# numpy's SeedSequence hashes the seed's 32-bit words into a pool of 4 words
-# (INIT_A and MULT_A mix the pool, INIT_B and MULT_B read it out, MIX_MULT_L
-# and MIX_MULT_R combine two words), and PCG64 (O'Neill 2014) steps a 128-bit
-# state s -> M s + inc and outputs XSL-RR of each new state.
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_POOL_HASH = (0x43B0D7E5, 0x931E8875)
-_STATE_HASH = (0x8B51F9DD, 0x58F38DED)
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+@lru_cache(maxsize=2)
+def _draws(degree: int, seeds: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each seed's draws from numpy's default_rng(seed), one row per seed:
+    4*(degree+1) uniforms on [0, 1), then RE_ZERO's signed power of two.
 
-
-def _u128(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Python integers below 2^128 as a (high, low) pair of uint64 arrays."""
-    return (
-        np.array([v >> 64 for v in values], dtype=np.uint64),
-        np.array([v & 0xFFFFFFFFFFFFFFFF for v in values], dtype=np.uint64),
-    )
-
-
-def _mul128(x, a):
-    """x * a mod 2^128 for (high, low) pairs of uint64 arrays, elementwise;
-    the high half of the product of the low halves is formed from 32-bit
-    halves."""
-    (xh, xl), (ah, al) = x, a
-    x1, x0 = xl >> 32, xl & _MASK32
-    a1, a0 = al >> 32, al & _MASK32
-    t = x1 * a0 + (x0 * a0 >> 32)
-    w = (t & _MASK32) + x0 * a1
-    return x1 * a1 + (t >> 32) + (w >> 32) + xh * al + xl * ah, xl * al
-
-
-def _add128(x, y):
-    """x + y mod 2^128 for (high, low) pairs of uint64 arrays."""
-    lo = x[1] + y[1]
-    return x[0] + y[0] + (lo < y[1]), lo
-
-
-def _hasher(init: int, mult: int):
-    """SeedSequence's hash of 32-bit word arrays.  Its k-th call maps w to
-    v ^ (v >> 16), v = (w ^ c_k) * c_(k+1), where c_0 = init and
-    c_(k+1) = c_k * mult mod 2^32."""
-    c = init
-
-    def hash_words(words: np.ndarray) -> np.ndarray:
-        nonlocal c
-        xor, c = c, c * mult & _MASK32
-        v = (words ^ np.uint32(xor)) * np.uint32(c)
-        return v ^ (v >> 16)
-
-    return hash_words
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    v = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-    return v ^ (v >> 16)
-
-
-@dataclass(frozen=True)
-class _Streams:
-    """The PCG64 states (state, inc) of numpy's Generator(PCG64(seed)) before
-    any draw, one per seed; each 128-bit value is a (high, low) pair of
-    uint64 arrays.  A slice of the seeds is a _Streams of their states."""
-
-    state: tuple[np.ndarray, np.ndarray]
-    inc: tuple[np.ndarray, np.ndarray]
-
-    def __len__(self) -> int:
-        return len(self.inc[1])
-
-    def __getitem__(self, cases: slice) -> "_Streams":
-        return _Streams(
-            (self.state[0][cases], self.state[1][cases]), (self.inc[0][cases], self.inc[1][cases])
-        )
-
-
-def _seed_streams(seeds: Iterable[int]) -> _Streams:
-    """The streams of numpy's Generator(PCG64(s)) for the seeds s >= 0.
-
-    SeedSequence(s).generate_state(4, uint64) gives (initstate, initseq), and
-    PCG64 starts at inc = 2 initseq + 1, state = (inc + initstate) M + inc.
-    A seed of at most 4 words enters the pool zero-padded; each further word
-    is then mixed into every pool word, for the seeds that have it.
+    The arrays are read-only, so the memo cannot be changed by a caller.  It
+    holds the last two seed ranges: consecutive battery calls (one per p, or
+    the two seed ranges of PAIR_ISOPERIMETRIC) draw their seeds once.
     """
-    values = []
-    for seed in seeds:
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        try:
-            values.append(operator.index(seed))
-        except TypeError:
-            raise TypeError(f"seed must be an integer, got {seed!r}") from None
-    top = max(values, default=0)
-    if top >> 64:
-        width = max(4, (top.bit_length() + 31) // 32)
-        words = np.array(
-            [[v >> 32 * j & _MASK32 for j in range(width)] for v in values], dtype=np.uint32
-        ).T
-    else:
-        x = np.array(values, dtype=np.uint64)
-        zero = np.zeros(len(values), dtype=np.uint32)
-        words = [(x & _MASK32).astype(np.uint32), (x >> 32).astype(np.uint32), zero, zero]
-    hash_pool = _hasher(*_POOL_HASH)
-    pool = [hash_pool(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                pool[dst] = _mix(pool[dst], hash_pool(pool[src]))
-    for j in range(4, len(words)):
-        longer = np.array([v >> 32 * j > 0 for v in values], dtype=bool)
-        for dst in range(4):
-            pool[dst] = np.where(longer, _mix(pool[dst], hash_pool(words[j])), pool[dst])
-    hash_state = _hasher(*_STATE_HASH)
-    half = [hash_state(pool[k % 4]).astype(np.uint64) for k in range(8)]
-    v = [half[2 * k] | half[2 * k + 1] << 32 for k in range(4)]
-    inc = (v[2] << 1 | v[3] >> 63, v[3] << 1 | 1)
-    state = _add128(_mul128(_add128(inc, (v[0], v[1])), _u128([_PCG_MULT])), inc)
-    return _Streams(state, inc)
-
-
-def _outputs(streams: _Streams, count: int) -> np.ndarray:
-    """The first count 64-bit outputs of each stream, (len(streams), count).
-
-    Output k >= 1 is XSL-RR of the state after k steps,
-    M^k state + (M^(k-1) + ... + M + 1) inc: rotr64(high ^ low, high >> 58).
-    """
-    jumps, sums = [], []
-    power, total = 1, 0
-    for _ in range(count):
-        power, total = power * _PCG_MULT & _MASK128, total + power & _MASK128
-        jumps.append(power)
-        sums.append(total)
-    state = (streams.state[0][:, None], streams.state[1][:, None])
-    inc = (streams.inc[0][:, None], streams.inc[1][:, None])
-    hi, lo = _add128(_mul128(state, _u128(jumps)), _mul128(inc, _u128(sums)))
-    x = hi ^ lo
-    rot = hi >> 58
-    return x >> rot | x << (64 - rot & 63)
-
-
-def _uniforms(out: np.ndarray) -> np.ndarray:
-    """Generator.random's doubles on [0, 1) from 64-bit outputs: (x >> 11) 2^-53."""
-    return (out >> 11) * 2.0**-53
-
-
-def _re_zero_scales(streams: _Streams, out: np.ndarray, drawn: int) -> np.ndarray:
-    """rng.choice([-1.0, 1.0]) * 2.0 ** -rng.integers(0, 5) of each stream,
-    where out is the stream's output number drawn, the first one after the
-    uniforms.
-
-    numpy draws both by Lemire's method on buffered 32-bit halves.  choice
-    reads the low half; range 2 never rejects, so bit 31 picks the sign.
-    integers reads the buffered high half w and returns (5 w) >> 32, but it
-    rejects while 5 w = 0 mod 2^32, that is while w = 0, and then reads fresh
-    halves, low before high, of the outputs that follow.
-    """
-    sign = np.where(out & 1 << 31, 1.0, -1.0)
-    m = 5 * (out >> 32)
-    for row in np.flatnonzero(m == 0):  # rejected: the high half was 0
-        k, redraw = drawn, 0
-        while not redraw & _MASK32:
-            k += 1
-            x = int(_outputs(streams[row : row + 1], k)[0, -1])
-            redraw = 5 * (x & _MASK32)
-            if not redraw & _MASK32:
-                redraw = 5 * (x >> 32)
-        m[row] = redraw
-    return np.ldexp(sign, -(m >> 32).astype(np.int64))
+    u = np.empty((len(seeds), 4 * (degree + 1)))
+    scale = np.empty(len(seeds))
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        u[k] = rng.random(4 * (degree + 1))
+        scale[k] = rng.choice([-1.0, 1.0]) * 2.0 ** -rng.integers(0, 5)
+    u.flags.writeable = scale.flags.writeable = False
+    return u, scale
 
 
 def random_coefficients(
-    degree: int,
-    seeds: Sequence[int] | _Streams,
-    constraint: Constraint = Constraint.NONE,
-    *,
-    g_only: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
+    degree: int, seeds: Sequence[int], constraint: Constraint = Constraint.NONE
+) -> tuple[np.ndarray, np.ndarray]:
     """Taylor coefficients of g and h of random_harmonic(degree, s, constraint)
     for each seed s, as two (len(seeds), degree + 1) arrays, one row per seed.
 
-    Each seed has its own stream, that of numpy's Generator(PCG64(s)), and one
-    draw of 4*(degree+1) uniforms on [0, 1), read as the squared moduli and the
+    Each seed has its own generator, numpy's default_rng(s), and one draw of
+    4*(degree+1) uniforms on [0, 1), read as the squared moduli and the
     angles / (2 pi) of g's coefficients, then of h's.  uniform(lo, hi, n) is
     lo + (hi - lo) * random(n) on the same stream, so these are the values of
     four uniform calls, and each coefficient is uniform on the closed unit
     disk.  RE_ZERO then draws its sign and power of two from the same stream.
-    The streams are computed in arrays (_seed_streams, _outputs), bit for bit,
-    and seeds may also be streams seeded before.  Row k is bit-identical to
-    the map drawn from seeds[k] alone.  With g_only, only the first
-    2*(degree+1) uniforms are computed and h is None: the random_poly draws.
+    The draws come from _draws, so a seed range is drawn once for consecutive
+    calls; g and h are new arrays on every call.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     constraint = Constraint(constraint)
-    if g_only and constraint is not Constraint.NONE:
-        raise ValueError(f"a {constraint.value} draw needs h, so g_only takes no constraint")
-    streams = seeds if isinstance(seeds, _Streams) else _seed_streams(seeds)
+    checked = []
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        try:
+            checked.append(operator.index(seed))
+        except TypeError:
+            raise TypeError(f"seed must be an integer, got {seed!r}") from None
+    u, scale = _draws(degree, tuple(checked))
     n = degree + 1
-    count = (2 if g_only else 4) * n
-    out = _outputs(streams, count + (constraint is Constraint.RE_ZERO))
-    u = _uniforms(out[:, :count])
     g = np.sqrt(u[:, :n]) * np.exp(1j * (2.0 * math.pi * u[:, n : 2 * n]))
-    if g_only:
-        return g, None
     h = np.sqrt(u[:, 2 * n : 3 * n]) * np.exp(1j * (2.0 * math.pi * u[:, 3 * n :]))
     a, b = g[:, 0].real, g[:, 0].imag
     if constraint is Constraint.RE_ZERO:
-        scale = _re_zero_scales(streams, out[:, -1], count + 1)
         h.real[:, 0] = scale * b  # h(0) = i * s * conj(g(0))
         h.imag[:, 0] = scale * a
     elif constraint is not Constraint.NONE:
@@ -454,7 +295,7 @@ def _normalized_rows(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def random_poly(degree: int, seed: int) -> TaylorPoly:
     """Polynomial with coefficients i.i.d. uniform on the unit disk."""
-    return TaylorPoly(random_coefficients(degree, [seed], g_only=True)[0][0])
+    return TaylorPoly(random_coefficients(degree, [seed])[0][0])
 
 
 def random_harmonic(

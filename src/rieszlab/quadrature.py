@@ -22,6 +22,7 @@ refinement until the relative change drops below the requested tolerance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Sequence
@@ -73,12 +74,12 @@ class QuadratureSpec:
     adaptive_depth: int = 14
 
     def __post_init__(self):
-        if self.n_angle < 4:
-            raise ValueError("n_angle must be >= 4")
-        if self.n_radial < 1:
-            raise ValueError("n_radial must be >= 1")
-        if self.adaptive_depth < 1:
-            raise ValueError("adaptive_depth must be >= 1")
+        for name, least in (("n_angle", 4), ("n_radial", 1), ("adaptive_depth", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
 
 
 def auto_spec(degree: int, p: float) -> QuadratureSpec:
@@ -193,6 +194,7 @@ def _means(
 
 
 def _mean(
+    name: str,
     ring: Callable[..., np.ndarray],
     p: float,
     polys: Sequence[TaylorPoly],
@@ -201,24 +203,29 @@ def _mean(
     size: float = 1.0,
 ) -> float:
     """The mean of ring(p, ...) over the traces of polys, by the rule sized
-    for |f|^(size * p): _means of one row."""
+    for |f|^(size * p): _means of one row.  Every public mean and norm is
+    one of these; a mean that overflows raises ValueError naming it."""
     p = _require_positive_p(p)
     spec = _spec_for(max(q.degree for q in polys), size * p, spec)
-    return _means([partial(ring, p)], [q.coeffs for q in polys], spec, r)[0][0]
+    with np.errstate(all="ignore"):
+        mean = _means([partial(ring, p)], [q.coeffs for q in polys], spec, r)[0][0]
+    if not math.isfinite(mean):
+        raise ValueError(f"{name}(p={p:g}) is not finite ({mean}): the map's values overflow")
+    return mean
 
 
 def circle_power_mean(
     m: HarmonicMap, p: float, r: float = 1.0, spec: QuadratureSpec | None = None
 ) -> float:
     """int_T |f(r z)|^p dsigma(z); accepts any p > 0."""
-    return _mean(_map_ring, p, (m.g, m.h), spec, r)
+    return _mean("circle_power_mean", _map_ring, p, (m.g, m.h), spec, r)
 
 
 def disk_power_mean(
     m: HarmonicMap, p: float, spec: QuadratureSpec | None = None
 ) -> float:
     """int_U |f|^p dxdy/pi; accepts any p > 0."""
-    return _mean(_map_ring, p, (m.g, m.h), spec, None)
+    return _mean("disk_power_mean", _map_ring, p, (m.g, m.h), spec, None)
 
 
 def pair_circle_power_mean(
@@ -229,14 +236,14 @@ def pair_circle_power_mean(
     spec: QuadratureSpec | None = None,
 ) -> float:
     """int_T (|a|^2 + |b|^2)^p dsigma; accepts any p > 0."""
-    return _mean(_pair_ring, p, (a, b), spec, r, size=2.0)
+    return _mean("pair_circle_power_mean", _pair_ring, p, (a, b), spec, r, size=2.0)
 
 
 def pair_disk_power_mean(
     a: TaylorPoly, b: TaylorPoly, p: float, spec: QuadratureSpec | None = None
 ) -> float:
     """int_U (|a|^2 + |b|^2)^p dxdy/pi; accepts any p > 0."""
-    return _mean(_pair_ring, p, (a, b), spec, None, size=2.0)
+    return _mean("pair_disk_power_mean", _pair_ring, p, (a, b), spec, None, size=2.0)
 
 
 def product_circle_power_mean(
@@ -249,7 +256,7 @@ def product_circle_power_mean(
 ) -> float:
     """int_T (2|gh|)^p dsigma, or int_T |2 Re(gh)|^p with real_part=True."""
     ring = partial(_product_ring, real_part=real_part)
-    return _mean(ring, p, (g, h), spec, r, size=2.0)
+    return _mean("product_circle_power_mean", ring, p, (g, h), spec, r, size=2.0)
 
 
 def product_disk_power_mean(
@@ -261,7 +268,7 @@ def product_disk_power_mean(
 ) -> float:
     """int_U (2|gh|)^p dxdy/pi, or int_U |2 Re(gh)|^p with real_part=True."""
     ring = partial(_product_ring, real_part=real_part)
-    return _mean(ring, p, (g, h), spec, None, size=2.0)
+    return _mean("product_disk_power_mean", ring, p, (g, h), spec, None, size=2.0)
 
 
 def mp_radius(

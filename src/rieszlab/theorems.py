@@ -11,15 +11,15 @@ boundary ratios (sec, sin, tan of gamma) converge to the constants from
 below.
 
 Every tag's two sides come from one function, _block_sides, in blocks of
-SAMPLE_BLOCK = 32 cases.  A battery call seeds its whole seed range once
-(maps._seed_streams, numpy's stream of each seed computed in arrays); each
-block's samples are then drawn from those streams as coefficient arrays
-(maps.random_coefficients) and go straight to quadrature._means, the one
-rule behind every polynomial norm; no per-sample map objects are built.  On
-the circle each polynomial factor is transformed once per block, on the disk
-once per sample at all radii, and the rings of both sides share those
-traces; isoperimetric_chain takes its seven means from one circle and one
-disk transform of g and h.  Only the line tag evaluates one case at a time.
+SAMPLE_BLOCK = 32 cases.  A battery call draws its whole seed range once as
+coefficient arrays (maps.random_coefficients, one numpy generator per seed;
+a two-entry memo lets the calls for each p share one draw), and each block's
+rows go straight to quadrature._means, the one rule behind every polynomial
+norm; no per-sample map objects are built.  On the circle each polynomial
+factor is transformed once per block, on the disk once per sample at all
+radii, and the rings of both sides share those traces; isoperimetric_chain
+takes its seven means from one circle and one disk transform of g and h.
+Only the line tag evaluates one case at a time.
 Every LHS and RHS is bit-identical to drawing one sample at a time and
 evaluating it through the public norms.
 """
@@ -41,7 +41,6 @@ from .maps import (
     HarmonicMap,
     TaylorPoly,
     _normalized_rows,
-    _seed_streams,
     random_coefficients,
 )
 from .quadrature import (
@@ -147,10 +146,10 @@ def _block_sides(
     """(LHS values, RHS-without-constant values) of a tag, one per case of
     cases[block].
 
-    The cases are the line catalog for LINE_PAIRS, and otherwise the call's
-    seeds, seeded once (maps._seed_streams): PAIR_ISOPERIMETRIC's cases are
-    two such streams, of its seeds s and of s + 10_000_019.  A block's maps
-    are drawn as coefficient arrays, one row and one stream per seed.
+    The cases are the line catalog for LINE_PAIRS, and otherwise the
+    coefficient arrays (g, h) of the call's maps, one row per seed, drawn
+    once per call; PAIR_ISOPERIMETRIC's are the g of its seeds s and the g
+    of s + 10_000_019.
     """
     if tag is TheoremId.LINE_PAIRS:
         pairs = cases[block]
@@ -158,37 +157,34 @@ def _block_sides(
             [line_lp_norm(pair, p_or_n, transformed=True) for pair in pairs],
             [line_lp_norm(pair, p_or_n, transformed=False) for pair in pairs],
         )
+    g, h = (rows[block] for rows in cases)
     if tag is TheoremId.PAIR_ISOPERIMETRIC:
-        a, b = (random_coefficients(degree, streams[block], g_only=True)[0] for streams in cases)
-        return _pair_isoperimetric_sides(a, b, p_or_n, spec)
-    streams = cases[block]
+        return _pair_isoperimetric_sides(g, h, p_or_n, spec)
     if tag is TheoremId.BERGMAN_EMBEDDING:
         n, p = _require_norm_p(p_or_n), _require_norm_p(2 * p_or_n)
-        g, h = _normalized_rows(*random_coefficients(degree, streams))
+        g, h = _normalized_rows(g, h)
         [bergman] = _norms(p, [partial(_map_ring, p)], (g, h), _spec_for(degree, p, spec), None)
         [hardy] = _norms(n, [partial(_map_ring, n)], (g, h), _spec_for(degree, n, spec))
         return bergman, hardy
     if tag is TheoremId.STREBEL:
         # the map g + conj(0) has modulus |g|
-        g = random_coefficients(degree, streams, g_only=True)[0]
         [lhs] = _means([partial(_modulus_ring, 2.0)], (g,), _spec_for(degree, 2.0, spec), None)
         [rhs] = _means([partial(_modulus_ring, 1.0)], (g,), _spec_for(degree, 1.0, spec), 1.0)
         return lhs, [mean**2 for mean in rhs]
     p = _require_norm_p(p_or_n)
     spec = _spec_for(degree, p, spec)
     if tag in _MIXED_TAGS:
-        disk, mixed_lhs, hypothesis = _MIXED_TAGS[tag]
-        g, h = random_coefficients(degree, streams, hypothesis)
+        disk, mixed_lhs, _ = _MIXED_TAGS[tag]
         rings = [partial(_map_ring, p), partial(_pair_ring, p / 2.0)]
         norms, mixed = _norms(p, rings, (g, h), spec, None if disk else 1.0)
         return (mixed, norms) if mixed_lhs else (norms, mixed)
     if tag is TheoremId.CONJUGATE_NORM:
-        g, h = _normalized_rows(*random_coefficients(degree, streams))
+        g, h = _normalized_rows(g, h)
         # the conjugate of the normalized map is (-i g, -i h) (conjugate_map)
         [conjugate] = _norms(p, [partial(_map_ring, p)], (-1j * g, -1j * h), spec)
         [norm] = _norms(p, [partial(_map_ring, p)], (g, h), spec)
         return conjugate, norm
-    g = random_coefficients(degree, streams, g_only=True)[0]
+    g = g.copy()
     g.imag[:, 0] = 0.0  # analytic samples have Im g(0) = 0
     # the map g + conj(0) has modulus |g|
     [analytic] = _norms(p, [partial(_modulus_ring, p)], (g,), spec)
@@ -285,9 +281,10 @@ def verify_theorem(
     else:
         seeds = range(seed, seed + samples)
         labels = [(s,) for s in seeds]
-        cases = _seed_streams(seeds)
+        hypothesis = _MIXED_TAGS[tag][2] if tag in _MIXED_TAGS else Constraint.NONE
+        cases = random_coefficients(degree, seeds, hypothesis)
         if tag is TheoremId.PAIR_ISOPERIMETRIC:
-            cases = (cases, _seed_streams(s + 10_000_019 for s in seeds))
+            cases = (cases[0], random_coefficients(degree, [s + 10_000_019 for s in seeds])[0])
     sides = partial(_block_sides, tag, p_or_n, degree, spec, cases)
     return _sample_report(tag.value, p_or_n, constant, labels, sides, degree, seed, rel_tol)
 

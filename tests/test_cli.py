@@ -240,6 +240,10 @@ def test_bad_arguments_exit_2(cos_map_file, tmp_path, monkeypatch, capsys):
         (["hilbert", "--input", cos_map_file, "--output", str(missing)], f"cannot write {missing}"),
         (["suite", "--output", str(missing)], f"cannot write {missing}"),
     ]
+    # coefficients near the float limit make every norm overflow
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text('{"g": [[1e308, 0], [1e308, 0]], "h": [[0, 0]]}')
+    cases.append((["norms", "--input", str(overflow), "--p", "2"], "is not finite"))
     for name, entry in (
         ("nan", "NaN"), ("inf", "Infinity"), ("true", "true"), ("huge", "1" + "0" * 400)
     ):

@@ -3,11 +3,12 @@ blocks of random_coefficients, the array-valued FourierSeries, the singular
 integral with one integrand evaluation per node, and the sub-mean check with
 one origin profile integral per call must give exactly what the per-seed,
 term-by-term and per-radius implementations in legacy_reference give.  The
-streams computed in arrays must be numpy's own, output for output, including
-the redraw of its integers(0, 5) on a zero high half.
+memo of drawn seed ranges (maps._draws) must be read-only and must not change
+a report or a draw, whatever was drawn before.
 Every value comparison is on the bits (`view(np.uint64)`) or on the report
 payload with `==`."""
 
+import itertools
 import math
 
 import numpy as np
@@ -64,9 +65,7 @@ def test_block_draw_matches_per_seed_draw(constraint, degree):
         assert bits(one.g.coeffs) == bits(ref.g.coeffs)
         assert bits(one.h.coeffs) == bits(ref.h.coeffs)
     if constraint is Constraint.NONE:
-        # g alone is the prefix of the same stream
-        g_only, none = random_coefficients(degree, SEEDS, g_only=True)
-        assert none is None and bits(g_only) == bits(g)
+        # random_poly's coefficients are the prefix of the same stream
         for row, seed in enumerate(SEEDS):
             ref = bits(legacy.random_poly(degree, seed).coeffs)
             assert bits(random_poly(degree, seed).coeffs) == ref
@@ -83,96 +82,11 @@ def test_one_sided_constraints_match_on_a_thousand_seeds():
         assert bits(h0) == bits(ref), constraint
 
 
-def test_streams_are_numpys_streams_bit_for_bit():
-    seeds = [*EDGE_SEEDS, *np.random.default_rng(99).integers(0, 2**63, 10_000).tolist()]
-    ref = {s: np.random.default_rng(s).random(4 * (max(DEGREES) + 1)) for s in seeds}
-    for start in range(0, len(seeds), 1000):
-        block = seeds[start : start + 1000]
-        streams = maps._seed_streams(block)
-        for degree in DEGREES:
-            u = maps._uniforms(maps._outputs(streams, 4 * (degree + 1)))
-            expected = np.array([ref[s][: 4 * (degree + 1)] for s in block])
-            assert u.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), degree
-    # each edge seed alone, so that the seed vector's widest word does not
-    # decide the path, and a stream seeded in a longer range is the same stream
-    for seed in EDGE_SEEDS:
-        raw = np.random.default_rng(seed).bit_generator.random_raw(5)
-        assert maps._outputs(maps._seed_streams([seed]), 5).tolist() == [raw.tolist()], seed
-    streams = maps._seed_streams(range(5000, 5100))[40:50]
-    raw = [np.random.default_rng(s).bit_generator.random_raw(5) for s in range(5040, 5050)]
-    assert maps._outputs(streams, 5).tolist() == np.array(raw).tolist()
-
-
-PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
-MASK64 = (1 << 64) - 1
-
-
-def state_with_output(out: int, rot: int) -> int:
-    """A PCG64 state whose XSL-RR output is out: rotr64(hi ^ lo, hi >> 58) = out."""
-    hi = rot << 58 | 0x0123456789ABCDE
-    x = (out << rot | out >> (64 - rot)) & MASK64
-    return hi << 64 | hi ^ x
-
-
-def generator_at(state: int, inc: int) -> np.random.Generator:
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
-
-
-@pytest.mark.parametrize("degree", (0, 8))
-@pytest.mark.parametrize(
-    "following, redraws",
-    [
-        (0x9E3779B9_7F4A7C15, 1),  # low half nonzero: one redraw
-        (0x9E3779B9_00000000, 2),  # low half zero: the high half is read next
-        (0, 3),  # both zero: the low half of the output after it
-    ],
-)
-def test_re_zero_power_of_two_redraws_as_numpy_does(degree, following, redraws):
-    # numpy rejects integers(0, 5) only when the buffered high half of the
-    # output after the uniforms is 0.  Build a stream whose output number
-    # 4(degree+1)+1 has a zero high half (and bit 31 set: choice gives +1),
-    # then the next output, then step back to the start.
-    drawn = 4 * (degree + 1) + 1
-    first = state_with_output(0x00000000_8000_0001, 7)
-    second = state_with_output(following, 13)
-    inc = (second - first * PCG_MULT) % 2**128
-    if inc % 2 == 0:  # inc must be odd: flip the lowest bit of hi and lo alike
-        second ^= 1 << 64 | 1
-        inc = (second - first * PCG_MULT) % 2**128
-    start = first
-    inverse = pow(PCG_MULT, -1, 2**128)
-    for _ in range(drawn):
-        start = (start - inc) * inverse % 2**128
-    assert generator_at(start, inc).bit_generator.random_raw(drawn + 1)[-2:].tolist() == [
-        0x8000_0001,
-        following,
-    ]
-    rng = generator_at(start, inc)
-    ref = legacy.harmonic_from(rng, degree, Constraint.RE_ZERO)
-    # the redraws consumed the next output (and, for 3, one more)
-    assert rng.bit_generator.state["has_uint32"] == (1 if redraws != 2 else 0)
-    streams = maps._Streams(maps._u128([start]), maps._u128([inc]))
-    g, h = random_coefficients(degree, streams, Constraint.RE_ZERO)
-    assert bits(g[0]) == bits(ref.g.coeffs)
-    assert bits(h[0]) == bits(ref.h.coeffs)
-    # without the redraw the power would be (5 * 0) >> 32 = 0, so |h(0)| = |g(0)|
-    assert abs(h[0, 0]) != abs(g[0, 0])
-
-
 def test_block_draw_rejects_bad_seed_and_degree():
     with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
         random_coefficients(4, [2, -3, 5])
     with pytest.raises(TypeError, match="seed must be an integer, got 1.5"):
         random_coefficients(4, [2, 1.5, 5])
-    with pytest.raises(ValueError, match="RE_ZERO draw needs h"):
-        random_coefficients(3, [0], Constraint.RE_ZERO, g_only=True)
     for bad, error in ((1.5, TypeError), (-3, ValueError)):
         with pytest.raises(error):
             random_poly(4, bad)
@@ -186,6 +100,46 @@ def test_block_draw_rejects_bad_seed_and_degree():
         random_coefficients(-1, [0])
     g, h = random_coefficients(5, [])
     assert g.shape == h.shape == (0, 6)
+
+
+MEMO_TAGS = (
+    TheoremId.ANALYTIC_BY_RE,
+    TheoremId.IM_BY_ANALYTIC,
+    TheoremId.MIXED_BY_HARDY,
+    TheoremId.HARDY_BY_MIXED,
+    TheoremId.CONJUGATE_NORM,
+)
+
+
+def test_draw_memo_is_read_only():
+    u, scale = maps._draws(3, (4, 5))
+    assert u.shape == (2, 16) and scale.shape == (2,)
+    assert not u.flags.writeable and not scale.flags.writeable
+    # the memo hands out the same arrays, and random_coefficients new ones
+    assert maps._draws(3, (4, 5))[0] is u
+    g, h = random_coefficients(3, [4, 5], Constraint.RE_ZERO)
+    g[:] = h[:] = 0.0
+    assert bits(random_coefficients(3, [4, 5])[0][:, 0]) != bits(g[:, 0])
+
+
+@pytest.mark.parametrize("tag", MEMO_TAGS)
+def test_reports_do_not_depend_on_the_memo(tag):
+    # the analytic tags zero Im g(0) and the constrained ones flip or set
+    # h(0): neither may reach the memo and change a later tag's samples
+    kwargs = dict(samples=40, degree=8, seed=0)
+    maps._draws.cache_clear()
+    fresh = payload(verify_theorem(tag, 3.0, **kwargs))
+    for other in MEMO_TAGS:
+        if other is not tag:
+            verify_theorem(other, 3.0, **kwargs)
+    assert payload(verify_theorem(tag, 3.0, **kwargs)) == fresh
+    # and the draws, of the memo's seeds and of others, are still numpy's
+    for seeds, constraint in itertools.product((range(40), SEEDS), Constraint):
+        g, h = random_coefficients(8, seeds, constraint)
+        for row, seed in enumerate(seeds):
+            ref = legacy.random_harmonic(8, seed, constraint)
+            assert bits(g[row]) == bits(ref.g.coeffs), (seed, constraint)
+            assert bits(h[row]) == bits(ref.h.coeffs), (seed, constraint)
 
 
 def test_sample_batteries_build_no_per_sample_objects(monkeypatch):

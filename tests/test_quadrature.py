@@ -245,6 +245,35 @@ def test_spec_validation():
             norm()
 
 
+
+@pytest.mark.parametrize("field", ["n_angle", "n_radial", "adaptive_depth"])
+@pytest.mark.parametrize("bad", [256.5, 64.0, True, "64", None])
+def test_spec_fields_must_be_integers(field, bad):
+    # a float count would otherwise fail later, inside a norm, as TypeError
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {bad!r}"):
+        QuadratureSpec(**{field: bad})
+    assert QuadratureSpec(**{field: np.int64(300)}) == QuadratureSpec(**{field: 300})
+
+
+def test_overflowing_norms_raise_naming_the_mean():
+    # the traces of 1e308 + 1e308 z overflow; every norm and mean says so
+    # instead of returning inf or nan
+    big = HarmonicMap(TaylorPoly([1e308, 1e308]), TaylorPoly([0.0]))
+    for call, name in (
+        (lambda: hardy_norm(big, 2.0), "circle_power_mean"),
+        (lambda: mp_radius(big, 3.0, 1.0), "circle_power_mean"),
+        (lambda: triple_norm(big, 2.0), "pair_circle_power_mean"),
+        (lambda: bergman_norm(big, 2.0), "disk_power_mean"),
+        (lambda: bergman_triple_norm(big, 2.0), "pair_disk_power_mean"),
+        (lambda: product_circle_power_mean(big.g, big.g, 1.0), "product_circle_power_mean"),
+        (lambda: product_disk_power_mean(big.g, big.g, 1.0), "product_disk_power_mean"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name}\\(p=.*\\) is not finite"):
+            call()
+    # a map whose powers stay in range still has finite norms
+    assert math.isfinite(hardy_norm(HarmonicMap(TaylorPoly([1e150]), TaylorPoly([0.0])), 2.0))
+
+
 def test_pair_and_product_default_spec_is_auto_spec_at_twice_p():
     # (|a|^2 + |b|^2)^p and |2ab|^p are trigonometric polynomials of degree
     # 2p*degree, so spec=None sizes the rules as auto_spec(degree, 2p); at
