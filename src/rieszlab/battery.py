@@ -9,6 +9,7 @@ fixed seed reproduces every report byte for byte (elapsed fields aside).
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import replace
 from functools import partial
 
@@ -478,9 +479,12 @@ def full_suite(
     grid: GridSpec | None = None,
     samples: int = 200,
     degree: int = 8,
+    timings: dict | None = None,
 ) -> list[VerificationReport]:
     """Every acceptance check, in a deterministic order.  degree applies to the
-    Parseval, conjugate and theorem batteries; the isoperimetric ones keep 4."""
+    Parseval, conjugate and theorem batteries; the isoperimetric ones keep 4.
+    When timings is a dict, each stage's wall seconds are stored in it under
+    the stage's function name, in suite order."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if samples < 1:
@@ -488,20 +492,28 @@ def full_suite(
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     grid = grid or GridSpec()
+    stages = (
+        partial(constant_identity_report),
+        partial(parseval_bridge_report, min(samples, 100), degree, seed + 11),
+        partial(hilbert_multiplier_report, seed=seed + 23),
+        partial(hilbert_singular_report, seed=seed + 37),
+        partial(conjugate_bound_reports, samples=samples, degree=degree, seed=seed + 41),
+        partial(calderon_probe_report),
+        partial(calderon_monotone_report),
+        partial(lemma_grid_reports, grid),
+        partial(equality_location_reports, grid),
+        partial(stated_locus_reports),
+        partial(submean_reports, seed=seed + 53),
+        partial(pluri_line_reports, seed=seed + 67),
+        partial(theorem_reports, samples=samples, degree=degree, seed=seed + 71),
+        partial(isoperimetric_reports, samples=min(samples, 100), seed=seed + 83),
+        partial(typo_adjudication_report),
+    )
     reports: list[VerificationReport] = []
-    reports.append(constant_identity_report())
-    reports.append(parseval_bridge_report(min(samples, 100), degree, seed + 11))
-    reports.append(hilbert_multiplier_report(seed=seed + 23))
-    reports.append(hilbert_singular_report(seed=seed + 37))
-    reports.extend(conjugate_bound_reports(samples=samples, degree=degree, seed=seed + 41))
-    reports.append(calderon_probe_report())
-    reports.append(calderon_monotone_report())
-    reports.extend(lemma_grid_reports(grid))
-    reports.extend(equality_location_reports(grid))
-    reports.extend(stated_locus_reports())
-    reports.extend(submean_reports(seed=seed + 53))
-    reports.extend(pluri_line_reports(seed=seed + 67))
-    reports.extend(theorem_reports(samples=samples, degree=degree, seed=seed + 71))
-    reports.extend(isoperimetric_reports(samples=min(samples, 100), seed=seed + 83))
-    reports.append(typo_adjudication_report())
+    for stage in stages:
+        start = time.perf_counter()
+        out = stage()
+        reports.extend(out if isinstance(out, list) else [out])
+        if timings is not None:
+            timings[stage.func.__name__] = time.perf_counter() - start
     return reports

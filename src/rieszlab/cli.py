@@ -12,7 +12,8 @@ written.  Handlers raise ValueError on bad input (file errors included), and
 only run() turns it into "error: <message>" on stderr and exit code 2.
 Seeded reports carry their seed, and every report its effective parameters;
 with a fixed seed the JSON output is reproducible byte for byte except for
-the elapsed_ms fields.
+the elapsed_ms fields.  suite --timings prints each stage's wall seconds to
+stderr after the reports, outside the deterministic stream.
 """
 
 from __future__ import annotations
@@ -192,14 +193,20 @@ def _cmd_probe(args, stream) -> int:
 
 def _cmd_suite(args, stream) -> int:
     grid = GridSpec(r_nodes=args.grid_r, t_nodes=args.grid_t)
+    timings = {} if args.timings else None
     reports = battery.full_suite(
-        seed=args.seed, grid=grid, samples=args.samples, degree=args.degree
+        seed=args.seed, grid=grid, samples=args.samples, degree=args.degree, timings=timings
     )
     with _output(args.output, stream) as out:
         code = _emit_reports(reports, args.format, out)
         if args.format == "human":
             n_pass = sum(r.passed for r in reports)
             out.write(f"suite: {n_pass}/{len(reports)} checks passed\n")
+    if timings is not None:
+        stream.flush()
+        for name, seconds in timings.items():
+            print(f"{name:>28s} {seconds:8.3f} s", file=sys.stderr)
+        print(f"{'total':>28s} {sum(timings.values()):8.3f} s", file=sys.stderr)
     return code
 
 
@@ -280,6 +287,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-r", type=int, default=2000)
     sp.add_argument("--grid-t", type=int, default=4000)
     sp.add_argument("--output", help="write the report stream to a file")
+    sp.add_argument(
+        "--timings",
+        action="store_true",
+        help="after the reports, print each stage's wall seconds to stderr",
+    )
     add_common(sp)
     sp.set_defaults(handler=_cmd_suite)
 

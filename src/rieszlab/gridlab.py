@@ -19,29 +19,41 @@ they are given as data in one table and evaluated by one routine.  A 2-D scan
 evaluates that form in blocks of SCAN_COLUMNS t-nodes against the whole r
 row, laid out (t, r) so that every broadcast runs along a full row: the terms
 in r and the angle profile are computed once per scan, and each block writes
-into three buffers reused across blocks.  A scan runs on every usable CPU
-(os.sched_getaffinity, else os.cpu_count, and no more workers than blocks):
-the calling thread and one helper thread per further CPU take block starts
-from one shared iterator, so the blocks are handed out as workers free up,
-and each worker folds its blocks into a partial minimum and violation list.
-The calling thread allocates every worker's three buffers, so they come from
-its heap and not from a per-thread allocator arena.  Helpers run only the
-form's evaluator (or the given slack callable) and the private reduction,
-and they start and are joined within each scan.  The merged partials give
-the result of one row-major array whichever worker took which block: argmin
-is the first minimal node in row-major order (r outer), and the violations
-are the first MAX_VIOLATIONS in row-major order.  On two cores a scan takes
-about 20 % more CPU seconds for a third less wall time.  An np.errstate set
-by a caller does not reach the helpers (numpy keeps it per thread; no caller
-sets one).  lemma_grid_reports scans each distinct (slack, p, r_range, t_range)
-once, so SUM_BY_MIXED_RADIAL, which shares SUM_BY_MIXED_HIGH's slack, p grid
-and ranges, reuses its scans.  A slack that is NaN or infinite is a
-violation, in the scans and in the sub-mean checks alike.  The sub-mean and
-complex-line checks draw their centers and radii one circle at a time, then
-evaluate CIRCLE_BLOCK circles as one (k, angles) array and take the means
-along each row; that loop first allocates and frees one large array (see
-_keep_heap), so that the blocks reuse their temporaries' pages instead of
-faulting in new ones.
+into three buffers reused across blocks.  The sub-mean and complex-line
+checks draw their centers and radii one circle at a time, then evaluate
+blocks of circles as (k, angles) arrays and take the means along each row.
+Both run on every usable CPU (os.sched_getaffinity, else os.cpu_count, and
+no more workers than blocks) through one helper, _share_blocks: the calling
+thread and one helper thread per further CPU take block starts from one
+shared iterator, so the blocks are handed out as workers free up.  Helpers
+start and are joined within each call, and an exception raised in one
+reaches the caller.  A scan's worker folds its blocks into a partial minimum
+and violation list; the merged partials give the result of one row-major
+array whichever worker took which block: argmin is the first minimal node
+in row-major order (r outer), and the violations are the first
+MAX_VIOLATIONS in row-major order.  A circle block writes only its own rows
+of the means and estimates, so those too keep every bit.  On two cores a
+scan takes about 20 % more CPU seconds for a third less wall time.
+
+Which thread allocates what.  glibc gives each thread that allocates an
+arena of its own, and a freed block's pages stay in that arena for its
+next blocks.  The calling thread allocates every scan worker's three
+buffers, so they come from its heap; a scan's helpers allocate little.  A
+circle helper evaluates its blocks' nodes and minorant temporaries itself,
+since the minorants allocate their own, so its arena keeps about one block's
+temporaries.  An arena is handed on when its thread exits, and a helper
+that starts before the last one has fully exited gets a second arena, which
+then keeps as much.  So a circle block is small: CIRCLE_BLOCK // workers
+circles, so that at most CIRCLE_BLOCK circles are in flight; and the first
+block of each call is preceded by one large allocation (see _keep_heap), so
+that the blocks reuse their temporaries' pages instead of faulting in new
+ones.  An np.errstate set by a caller does not reach the helpers (numpy
+keeps it per thread; no caller sets one).
+
+lemma_grid_reports scans each distinct (slack, p, r_range, t_range) once, so
+SUM_BY_MIXED_RADIAL, which shares SUM_BY_MIXED_HIGH's slack, p grid and
+ranges, reuses its scans.  A slack that is NaN or infinite is a violation,
+in the scans and in the sub-mean checks alike.
 """
 
 from __future__ import annotations
@@ -533,7 +545,8 @@ def _violated(s, tol):
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on, the worker count of a 2-D scan."""
+    """CPUs this process may run on: the worker count of a 2-D scan and of
+    the circle means."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -547,6 +560,19 @@ def _taken(starts, lock):
         if j0 is None:
             return
         yield j0
+
+
+def _share_blocks(starts, works):
+    """[work(taken) for work in works], run at once: works[0] on the calling
+    thread and each further work on a helper thread of its own (no helper
+    for one work).  Each taken iterates over the block starts that its
+    worker takes from one shared iterator over starts, so the blocks are
+    handed out as workers free up.  Helpers are joined before this returns,
+    and an exception raised in one reaches the caller."""
+    shared, lock = iter(starts), threading.Lock()
+    with ThreadPoolExecutor(max(1, len(works) - 1)) as pool:
+        helpers = [pool.submit(work, _taken(shared, lock)) for work in works[1:]]
+        return [works[0](_taken(shared, lock))] + [helper.result() for helper in helpers]
 
 
 def _fold_2d(blocks, tol):
@@ -584,12 +610,11 @@ def _scan_2d(slack_fn, p, r_vals, t_vals, tol):
 
     The blocks of SCAN_COLUMNS t-nodes are a _Form's buffered blocks, or
     column blocks of any other elementwise callable.  The calling thread and
-    one helper per further usable CPU (no more workers than blocks) take
-    block starts from one shared iterator and fold their blocks into
-    partials (_fold_2d), merged here: the smallest (value, row, col) of the
-    partials, and the first MAX_VIOLATIONS of their violations.  That is the
-    row-major result whichever worker took which block.  Helpers are joined
-    before this returns, and an exception raised in one reaches the caller.
+    one helper per further usable CPU (no more workers than blocks) share
+    them (_share_blocks) and fold their blocks into partials (_fold_2d),
+    merged here: the smallest (value, row, col) of the partials, and the
+    first MAX_VIOLATIONS of their violations.  That is the row-major result
+    whichever worker took which block.
     """
     starts = range(0, len(t_vals), SCAN_COLUMNS)
     workers = min(_usable_cpus(), len(starts))
@@ -599,15 +624,11 @@ def _scan_2d(slack_fn, p, r_vals, t_vals, tol):
         r_row = r_vals[None, :]
         evaluators = [lambda j0: slack_fn(p, r_row, t_vals[j0 : j0 + SCAN_COLUMNS, None])]
         evaluators *= workers
-    shared, lock = iter(starts), threading.Lock()
 
-    def fold(evaluate):
-        return _fold_2d(((j0, evaluate(j0)) for j0 in _taken(shared, lock)), tol)
+    def fold(evaluate, taken):
+        return _fold_2d(((j0, evaluate(j0)) for j0 in taken), tol)
 
-    # with one worker nothing is submitted, so no helper thread starts
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        helpers = [pool.submit(fold, evaluate) for evaluate in evaluators[1:]]
-        partials = [fold(evaluators[0])] + [helper.result() for helper in helpers]
+    partials = _share_blocks(starts, [partial(fold, evaluate) for evaluate in evaluators])
     min_slack, i, j = min(best for best, _ in partials)
     bad = sorted(v for _, part in partials for v in part)[:MAX_VIOLATIONS]
     violations = [((float(r_vals[bi]), float(t_vals[bj])), sv) for bi, bj, sv in bad]
@@ -769,9 +790,10 @@ def unreduced_slack(tag: InequalityId, p: float, z: complex, w: complex) -> floa
 # ------------------------------ subharmonicity ------------------------------
 
 
-# circles per evaluation in the sub-mean checks: a block of 64 circles at the
-# default 1024 angles is 1 MB of complex nodes
-CIRCLE_BLOCK = 64
+# circles in flight in the sub-mean checks, CIRCLE_BLOCK // workers per
+# worker's block: a 16-circle block at the default 1024 angles is 256 KB of
+# complex nodes, and a circle helper's allocator arena keeps about 2 MB
+CIRCLE_BLOCK = 32
 
 
 def _check_angles(angles: int) -> None:
@@ -791,19 +813,32 @@ def _circle_means(values, centers, rhos, angles: int):
     """Trapezoid means over the circles |z - centers[k]| = rhos[k], plus
     their two-grid discretization-error estimates |mean - mean over every
     second node|.  values(rows, z) evaluates the circles in the slice rows
-    at their nodes z, a (k, angles) array; k is at most CIRCLE_BLOCK."""
+    at their nodes z, a (k, angles) array.
+
+    The blocks of CIRCLE_BLOCK // workers circles are shared by the calling
+    thread and one helper per further usable CPU (_share_blocks, no more
+    workers than blocks), so at most CIRCLE_BLOCK circles are in flight.
+    Each block writes only its own rows of the means and estimates, so the
+    result has the same bits whichever worker took which block."""
     nodes = np.exp(1j * (np.arange(angles) * (TWO_PI / angles)))
     centers = np.asarray(centers, dtype=complex)
     rhos = np.asarray(rhos, dtype=float)
     means = np.empty(len(rhos))
     errs = np.empty(len(rhos))
-    _keep_heap(8 * nodes.nbytes * min(CIRCLE_BLOCK, len(rhos)))  # eight node blocks
-    for k0 in range(0, len(rhos), CIRCLE_BLOCK):
-        rows = slice(k0, k0 + CIRCLE_BLOCK)
-        z = centers[rows, None] + rhos[rows, None] * nodes
-        vals = np.asarray(values(rows, z), dtype=float)
-        means[rows] = vals.mean(axis=1)
-        errs[rows] = np.abs(means[rows] - vals[:, ::2].mean(axis=1))
+    cpus = min(_usable_cpus(), CIRCLE_BLOCK)
+    block = CIRCLE_BLOCK // cpus
+    starts = range(0, len(rhos), block)
+    _keep_heap(8 * nodes.nbytes * min(block, len(rhos)))  # eight node blocks
+
+    def run(taken):
+        for k0 in taken:
+            rows = slice(k0, k0 + block)
+            z = centers[rows, None] + rhos[rows, None] * nodes
+            vals = np.asarray(values(rows, z), dtype=float)
+            means[rows] = vals.mean(axis=1)
+            errs[rows] = np.abs(means[rows] - vals[:, ::2].mean(axis=1))
+
+    _share_blocks(starts, [run] * min(cpus, len(starts)))
     return means, errs
 
 
@@ -860,9 +895,11 @@ def check_submean(
     deficit is cushioned by twice the two-grid discretization estimate, so
     exact-equality (harmonic) cases are not flagged by trapezoid noise while
     genuine violations, which are O(1), still surface; a non-finite deficit
-    is a violation.  The circles are evaluated in blocks of CIRCLE_BLOCK, so
-    a custom callable must act elementwise on a (k, angles) array.  seed must
-    be >= 0 and tolerance finite and > 0.
+    is a violation.  The circles are evaluated in blocks on every usable CPU
+    (see _circle_means), so a custom callable must act elementwise on a
+    (k, angles) array and be safe to call from several threads at once; it
+    runs on helper threads, which an np.errstate set by the caller does not
+    reach.  seed must be >= 0 and tolerance finite and > 0.
     """
     _check_angles(angles)
     if centers < 1 or radii < 1:
@@ -896,19 +933,21 @@ def check_submean(
         angles,
     )
 
+    # one 0-d call per center: an array call need not give the same bits
+    values = [float(np.real(fn(np.asarray(center)))) for center, _ in groups]
+    deficits = means - np.repeat(values, radii) + 2.0 * errs
+    violated = _violated(deficits, tolerance)
     k = 0
     for g, (center, rhos) in enumerate(groups):
-        value = float(np.real(fn(np.asarray(center))))
         for rho in rhos:
-            mean, err = float(means[k]), float(errs[k])
-            k += 1
-            deficit = mean - value + 2.0 * err
-            acc.add((center.real, center.imag, rho), deficit, _violated(deficit, tolerance))
+            acc.add((center.real, center.imag, rho), float(deficits[k]), violated[k])
             if g == centers and origin_reference is not None:
                 ref = origin_reference(rho)
+                mean, err = float(means[k]), float(errs[k])
                 allowance = 64.0 * max(1.0, abs(ref)) / angles**2 + 4.0 * err + 1e-10
                 if abs(mean - ref) > allowance:
                     acc.flag((0.0, 0.0, rho), float(mean - ref))
+            k += 1
 
     return acc.report(
         id=tag,
@@ -932,7 +971,9 @@ def check_pluri_lines(
     """Plurisubharmonicity probe: restrict the two-variable minorant to random
     complex lines tau -> (z0 + tau w1, w0 + tau w2) and run the sub-mean test
     on the restriction.  Constant lines give deficit 0 by construction.  The
-    circles of all lines are evaluated in blocks of CIRCLE_BLOCK."""
+    circles of all lines are evaluated in blocks on every usable CPU (see
+    _circle_means), so the minorant runs on helper threads too, which an
+    np.errstate set by the caller does not reach."""
     mid = Minorant(mid)
     if mid not in (Minorant.F_PAIR, Minorant.G_PAIR):
         raise ValueError("check_pluri_lines applies to the two-variable minorants")
@@ -964,14 +1005,17 @@ def check_pluri_lines(
         angles,
     )
 
+    values = []
+    for _, (z0, w0, w1, w2), c, _ in groups:
+        tau = np.asarray(c)  # one 0-d call per center: an array call need not give the same bits
+        values.append(float(np.real(two_var(z0 + tau * w1, w0 + tau * w2, p))))
+    deficits = means - np.repeat(values, radii) + 2.0 * errs
+    violated = _violated(deficits, tolerance)
     k = 0
-    for line, (z0, w0, w1, w2), c, rhos in groups:
-        tau = np.asarray(c)
-        value = float(np.real(two_var(z0 + tau * w1, w0 + tau * w2, p)))
+    for line, _, c, rhos in groups:
         for rho in rhos:
-            deficit = float(means[k]) - value + 2.0 * float(errs[k])
+            acc.add((line, c.real, c.imag, rho), float(deficits[k]), violated[k])
             k += 1
-            acc.add((line, c.real, c.imag, rho), deficit, _violated(deficit, tolerance))
     return acc.report(
         id=mid.value,
         p=p,

@@ -189,6 +189,20 @@ def test_suite_argument_error_leaves_the_output_file_alone(tmp_path, capsys):
     assert out.read_text() == "earlier report\n"
 
 
+def test_suite_timings_go_to_stderr_and_leave_stdout_alone(capsys):
+    argv = ["suite", "--grid-r", "16", "--grid-t", "16", "--samples", "4", "--degree", "2"]
+    plain = capture(argv)
+    assert capsys.readouterr().err == ""
+    assert capture(argv + ["--timings"]) == plain
+    lines = capsys.readouterr().err.splitlines()
+    names = [line.split()[0] for line in lines]
+    # one line per stage of full_suite, then the total
+    assert names[-1] == "total" and len(names) == len(set(names))
+    assert set(names[:-1]) == set(battery.__all__) - {"full_suite"}
+    seconds = [float(line.split()[1]) for line in lines]
+    assert min(seconds) >= 0.0 and seconds[-1] == pytest.approx(sum(seconds[:-1]), abs=0.01)
+
+
 def test_bad_arguments_exit_2(cos_map_file, tmp_path, monkeypatch, capsys):
     assert capture(["verify-lemma", "--id", "NOPE", "--p", "1.5"])[0] == 2
     assert capture(["verify-lemma"])[0] == 2

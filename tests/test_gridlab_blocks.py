@@ -5,10 +5,11 @@ must give what one verify_pointwise call per case gives, and the circle
 blocks of the sub-mean checks must give exactly what the one-circle-at-a-time
 checks give.  The one-cosine RE_BRANCH angle profile must give the bits of
 the three-cosine form, and the minorants read from the profile table the
-bits of the formulas written out per minorant.  A scan shared between workers must give the bits of
-the one-thread legacy scan whichever worker takes which block, and leave no
-thread running.  The per-case references below are kept here only as
-oracles."""
+bits of the formulas written out per minorant.  A scan shared between workers
+must give the bits of the one-thread legacy scan whichever worker takes which
+block, and leave no thread running; so must the circle blocks of the sub-mean
+and complex-line checks, against their one-worker reports.  The per-case
+references below are kept here only as oracles."""
 
 import dataclasses
 import math
@@ -46,6 +47,7 @@ from rieszlab.gridlab import (
     verify_pointwise,
 )
 from rieszlab.reporting import MAX_VIOLATIONS, GridSpec, SlackAccumulator
+from test_draw_blocks import _per_radius_submean
 
 TWO_PI = 2.0 * math.pi
 TWO_D_TAGS = [tag for tag in InequalityId if scan_ranges(tag)[0] is not None]
@@ -520,6 +522,99 @@ def test_no_thread_outlives_a_scan(monkeypatch):
         assert threading.active_count() == baseline
 
 
+# ------------------------- workers of the circle checks -------------------------
+
+# 20 centers x 4 radii + 4 origin circles, and 16 lines x 2 centers x 3 radii:
+# at least three blocks for every worker count below
+SUBMEAN_CASE = dict(centers=20, radii=4, angles=256, seed=53)
+PLURI_CASE = dict(n_lines=16, seed=67, centers=2, radii=3, angles=256)
+
+
+def _spread_blocks(fn, workers):
+    """fn, and the threads that evaluated a block of circles (a 2-D array)
+    with it.  Each thread's first block waits until `workers` threads hold
+    one, as in _spread, so the first `workers` blocks go to distinct workers.
+    Center values and origin means are 0-d calls and pass straight through."""
+    barrier = threading.Barrier(workers, timeout=10)
+    taken: set = set()
+    lock = threading.Lock()
+
+    def spread(*args):
+        if np.ndim(args[0]) == 2:
+            with lock:
+                first = threading.get_ident() not in taken
+                taken.add(threading.get_ident())
+            if first:
+                barrier.wait()
+        return fn(*args)
+
+    return spread, taken
+
+
+def _split_circle_payloads(monkeypatch, workers):
+    """The sub-mean and complex-line payloads of every battery case, with the
+    blocks spread over `workers` workers; and the threads that took blocks."""
+    monkeypatch.setattr(gridlab, "_usable_cpus", lambda: workers)
+    payloads, threads = [], set()
+    for mid, ps in SUBMEAN_P.items():
+        for p in ps:
+            spread, taken = _spread_blocks(_minorant_fn(mid, p), workers)
+            with monkeypatch.context() as patch:
+                patch.setattr(gridlab, "_minorant_fn", lambda mid_, p_: spread)
+                payloads.append(_payload(check_submean(mid, p, **SUBMEAN_CASE)))
+            assert len(taken) == workers, (mid, p)
+            threads |= taken
+    for mid, ps in PLURI_P.items():
+        name = "minorant_F" if mid is Minorant.F_PAIR else "minorant_G"
+        for p in ps:
+            spread, taken = _spread_blocks(getattr(gridlab, name), workers)
+            with monkeypatch.context() as patch:
+                patch.setattr(gridlab, name, spread)
+                payloads.append(_payload(check_pluri_lines(mid, p, **PLURI_CASE)))
+            assert len(taken) == workers, (mid, p)
+            threads |= taken
+    return payloads, threads
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_split_circle_checks_match_one_worker(monkeypatch, workers):
+    baseline = threading.active_count()
+    monkeypatch.setattr(gridlab, "_usable_cpus", lambda: 1)
+    one, _ = _split_circle_payloads(monkeypatch, 1)
+    # the per-circle deficit arithmetic of the one-worker checks
+    per_radius = [
+        _payload(_per_radius_submean(mid, p, origin_circle_mean, **SUBMEAN_CASE))
+        for mid, ps in SUBMEAN_P.items()
+        for p in ps
+    ]
+    assert _bits(one[: len(per_radius)]) == _bits(per_radius)
+
+    split, threads = _split_circle_payloads(monkeypatch, workers)
+    assert _bits(split) == _bits(one), workers
+    assert (threading.get_ident() in threads) and len(threads) >= workers
+    assert threading.active_count() == baseline
+
+
+def test_circle_check_exception_reaches_the_caller(monkeypatch):
+    # a custom callable that raises in the helper's block, or on the calling
+    # thread while the helper holds a block: the exception reaches the
+    # caller, and the helper is joined before it does
+    monkeypatch.setattr(gridlab, "_usable_cpus", lambda: 2)
+    baseline = threading.active_count()
+    caller = threading.get_ident()
+    for raising_on_helper in (True, False):
+        def fn(z):
+            if np.ndim(z) == 2 and (threading.get_ident() != caller) == raising_on_helper:
+                raise RuntimeError("minorant failed")
+            return np.abs(z) ** 1.5
+
+        spread, taken = _spread_blocks(fn, 2)
+        with pytest.raises(RuntimeError, match="minorant failed"):
+            check_submean(spread, 2.0, **SUBMEAN_CASE)
+        assert len(taken) == 2
+        assert threading.active_count() == baseline
+
+
 # -------------------------- non-finite slack checks --------------------------
 
 
@@ -581,7 +676,7 @@ def test_nan_deficits_fail_the_circle_checks(monkeypatch):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_blocked_submean_matches_per_circle_reference(seed):
-    # 20 centers x 4 radii + 4 origin circles: two blocks, the second short
+    # 20 centers x 4 radii + 4 origin circles: several blocks, the last short
     for mid, ps in SUBMEAN_P.items():
         for p in ps:
             blocked = check_submean(mid, p, centers=20, radii=4, angles=256, seed=seed)
