@@ -52,9 +52,9 @@ from .reporting import GridSpec, SlackAccumulator, VerificationReport
 from .theorems import (
     SAMPLE_BLOCK,
     TheoremId,
+    _chain_links,
     _norms,
     _sample_report,
-    isoperimetric_chain,
     sharpness_probe,
     verify_theorem,
 )
@@ -424,11 +424,11 @@ def isoperimetric_reports(
 
 
 def _chain_report(n: int, samples: int, degree: int, seed: int) -> VerificationReport:
+    """isoperimetric_chain(random_harmonic(degree, s), n) for each seed s,
+    evaluated as one block; a broken link is a violation."""
     acc = SlackAccumulator()
     g, h = random_coefficients(degree, range(seed, seed + samples))
-    for k in range(samples):
-        m = HarmonicMap(TaylorPoly(g[k]), TaylorPoly(h[k]))  # random_harmonic(degree, seed + k)
-        chain = isoperimetric_chain(m, n)
+    for k, chain in enumerate(_chain_links(g, h, n, None)):
         for (name_lo, lo), (name_hi, hi) in zip(chain, chain[1:]):
             gap = (hi - lo) / max(hi, 1e-300)
             acc.add((seed + k, name_lo, name_hi), gap, gap < -1e-9)

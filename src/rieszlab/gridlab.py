@@ -23,17 +23,18 @@ into three buffers reused across blocks.  The sub-mean and complex-line
 checks draw their centers and radii one circle at a time, then evaluate
 blocks of circles as (k, angles) arrays and take the means along each row.
 Both run on every usable CPU (os.sched_getaffinity, else os.cpu_count, and
-no more workers than blocks) through one helper, _share_blocks: the calling
-thread and one helper thread per further CPU take block starts from one
-shared iterator, so the blocks are handed out as workers free up.  Helpers
-start and are joined within each call, and an exception raised in one
-reaches the caller.  A scan's worker folds its blocks into a partial minimum
-and violation list; the merged partials give the result of one row-major
-array whichever worker took which block: argmin is the first minimal node
-in row-major order (r outer), and the violations are the first
-MAX_VIOLATIONS in row-major order.  A circle block writes only its own rows
-of the means and estimates, so those too keep every bit.  On two cores a
-scan takes about 20 % more CPU seconds for a third less wall time.
+no more workers than blocks) through one helper, maps._share_blocks: the
+calling thread and one helper thread per further CPU take block starts from
+one shared iterator, so the blocks are handed out as workers free up.
+Helpers start and are joined within each call, run under the caller's
+np.errstate, and an exception raised in one reaches the caller.  A scan's
+worker folds its blocks into a partial minimum and violation list; the
+merged partials give the result of one row-major array whichever worker
+took which block: argmin is the first minimal node in row-major order (r
+outer), and the violations are the first MAX_VIOLATIONS in row-major order.
+A circle block writes only its own rows of the means and estimates, so
+those too keep every bit.  On two cores a scan takes about 20 % more CPU
+seconds for a third less wall time.
 
 Which thread allocates what.  glibc gives each thread that allocates an
 arena of its own, and a freed block's pages stay in that arena for its
@@ -47,8 +48,7 @@ then keeps as much.  So a circle block is small: CIRCLE_BLOCK // workers
 circles, so that at most CIRCLE_BLOCK circles are in flight; and the first
 block of each call is preceded by one large allocation (see _keep_heap), so
 that the blocks reuse their temporaries' pages instead of faulting in new
-ones.  An np.errstate set by a caller does not reach the helpers (numpy
-keeps it per thread; no caller sets one).
+ones.
 
 lemma_grid_reports scans each distinct (slack, p, r_range, t_range) once, so
 SUM_BY_MIXED_RADIAL, which shares SUM_BY_MIXED_HIGH's slack, p grid and
@@ -59,9 +59,6 @@ in the scans and in the sub-mean checks alike.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -83,6 +80,7 @@ from .constants import (
     sharp_constant,
     theta_upper,
 )
+from .maps import _share_blocks, _usable_cpus
 from .reporting import MAX_VIOLATIONS, GridSpec, SlackAccumulator, VerificationReport
 
 __all__ = [
@@ -544,37 +542,6 @@ def _violated(s, tol):
     return ~np.isfinite(s) | (s < -tol)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: the worker count of a 2-D scan and of
-    the circle means."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _taken(starts, lock):
-    """The items of the shared iterator starts that this worker takes."""
-    while True:
-        with lock:
-            j0 = next(starts, None)
-        if j0 is None:
-            return
-        yield j0
-
-
-def _share_blocks(starts, works):
-    """[work(taken) for work in works], run at once: works[0] on the calling
-    thread and each further work on a helper thread of its own (no helper
-    for one work).  Each taken iterates over the block starts that its
-    worker takes from one shared iterator over starts, so the blocks are
-    handed out as workers free up.  Helpers are joined before this returns,
-    and an exception raised in one reaches the caller."""
-    shared, lock = iter(starts), threading.Lock()
-    with ThreadPoolExecutor(max(1, len(works) - 1)) as pool:
-        helpers = [pool.submit(work, _taken(shared, lock)) for work in works[1:]]
-        return [works[0](_taken(shared, lock))] + [helper.result() for helper in helpers]
-
-
 def _fold_2d(blocks, tol):
     """Partial (best, bad) over (j0, s) blocks, where s[j, i] is the slack at
     grid node (i, j0 + j): best is the smallest (value, row, col) and bad the
@@ -897,9 +864,8 @@ def check_submean(
     genuine violations, which are O(1), still surface; a non-finite deficit
     is a violation.  The circles are evaluated in blocks on every usable CPU
     (see _circle_means), so a custom callable must act elementwise on a
-    (k, angles) array and be safe to call from several threads at once; it
-    runs on helper threads, which an np.errstate set by the caller does not
-    reach.  seed must be >= 0 and tolerance finite and > 0.
+    (k, angles) array and be safe to call from several threads at once.
+    seed must be >= 0 and tolerance finite and > 0.
     """
     _check_angles(angles)
     if centers < 1 or radii < 1:
@@ -972,8 +938,7 @@ def check_pluri_lines(
     complex lines tau -> (z0 + tau w1, w0 + tau w2) and run the sub-mean test
     on the restriction.  Constant lines give deficit 0 by construction.  The
     circles of all lines are evaluated in blocks on every usable CPU (see
-    _circle_means), so the minorant runs on helper threads too, which an
-    np.errstate set by the caller does not reach."""
+    _circle_means)."""
     mid = Minorant(mid)
     if mid not in (Minorant.F_PAIR, Minorant.G_PAIR):
         raise ValueError("check_pluri_lines applies to the two-variable minorants")

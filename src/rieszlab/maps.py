@@ -17,6 +17,12 @@ is bit-identical to the map drawn from its seed alone.  Fourier
 series are evaluated as arrays: every term at once, summed left to right in
 the order of the coefficients.
 
+Block work is shared among threads by one helper, _share_blocks: the
+calling thread and one helper thread per further usable CPU (_usable_cpus)
+take block starts from one shared iterator.  gridlab's scans and circle
+checks and quadrature's disk rule use it.  It lives here because both of
+those modules import this one, and this one imports neither.
+
 The Calderon extremal family g(z) = ((1+z)/(1-z))^(2*gamma/pi) (principal
 branch, |arg (1+z)/(1-z)| <= pi/2) is the sharpness witness for the conjugate
 function constants; on the boundary (1+e^{it})/(1-e^{it}) = i*cot(t/2), so the
@@ -27,6 +33,9 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -58,19 +67,63 @@ def _as_complex_tuple(coeffs: Iterable[complex]) -> tuple[complex, ...]:
     return out if out else (0j,)
 
 
-def _boundary_rows(coeffs: np.ndarray, n: int) -> np.ndarray:
+def _boundary_rows(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Values at the n uniform circle nodes exp(2*pi*i*j/n) of the polynomial
     in each row of coeffs, from a single transform along the last axis.
 
     f(e^{i t_j}) = sum_k a_k e^{i k t_j} is n * ifft of the coefficients
     zero-padded to length n; each row is bit-identical to its own transform.
+    With out, a complex array of the result's shape, the values are written
+    there and out is returned.
     """
-    return np.fft.ifft(coeffs, n, axis=-1) * n
+    values = np.fft.ifft(coeffs, n, axis=-1, out=out)
+    values *= n
+    return values
 
 
 def _radius_powers(r, length: int) -> np.ndarray:
     """r^k for k < length, one row per radius of a 1-D array r."""
     return np.asarray(r, dtype=float)[..., None] ** np.arange(length)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the worker count of _share_blocks'
+    callers (os.sched_getaffinity, else os.cpu_count)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _taken(starts, lock):
+    """The items of the shared iterator starts that this worker takes."""
+    while True:
+        with lock:
+            j0 = next(starts, None)
+        if j0 is None:
+            return
+        yield j0
+
+
+def _share_blocks(starts, works):
+    """[work(taken) for work in works], run at once: works[0] on the calling
+    thread and each further work on a helper thread of its own (no helper
+    for one work).  Each taken iterates over the block starts that its
+    worker takes from one shared iterator over starts, so the blocks are
+    handed out as workers free up.  The helpers run under the caller's
+    np.errstate (numpy keeps it per thread).  Helpers are joined before this
+    returns, and an exception raised in one reaches the caller."""
+    shared, lock = iter(starts), threading.Lock()
+    if len(works) <= 1:
+        return [work(shared) for work in works]
+    settings = np.geterr()
+
+    def run(work):
+        with np.errstate(**settings):
+            return work(_taken(shared, lock))
+
+    with ThreadPoolExecutor(len(works) - 1) as pool:
+        helpers = [pool.submit(run, work) for work in works[1:]]
+        return [works[0](_taken(shared, lock))] + [helper.result() for helper in helpers]
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,12 @@ coefficient arrays (maps.random_coefficients, one numpy generator per seed;
 a two-entry memo lets the calls for each p share one draw), and each block's
 rows go straight to quadrature._means, the one rule behind every polynomial
 norm; no per-sample map objects are built.  On the circle each polynomial
-factor is transformed once per block, on the disk once per sample at all
-radii, and the rings of both sides share those traces; isoperimetric_chain
-takes its seven means from one circle and one disk transform of g and h.
-Only the line tag evaluates one case at a time.
+factor is transformed once per block; on the disk once per sample at all
+radii, with the samples shared among every usable CPU; and the rings of both
+sides share those traces.  isoperimetric_chain takes its seven means from
+one circle and one disk _means call of g and h, and the battery's chain
+report makes the same two calls for a block of maps (_chain_links).  Only
+the line tag evaluates one case at a time.
 Every LHS and RHS is bit-identical to drawing one sample at a time and
 evaluating it through the public norms.
 """
@@ -327,6 +329,50 @@ def verify_pair_isoperimetric(
     )
 
 
+def _chain_links(g, h, n: int, spec: QuadratureSpec | None) -> list[list[tuple[str, float]]]:
+    """The links of isoperimetric_chain(m, n) for the map of each row pair of
+    coefficient arrays (g, h), unchecked: one list of (name, value) per row.
+
+    Every disk mean is sized for |f|^{2n} and every circle mean for |f|^n,
+    so one disk and one circle _means call of g and h serve all seven means
+    of all the rows.
+    """
+    g, h = _normalized_rows(np.atleast_2d(g), np.atleast_2d(h))
+    degree = max(g.shape[-1], h.shape[-1]) - 1
+    e_n = math.cos(math.pi / (2.0 * n))
+    disk_rings = [
+        partial(_map_ring, 2.0 * n),
+        partial(_pair_ring, float(n)),
+        partial(_product_ring, float(n), real_part=True),
+        partial(_product_ring, float(n), real_part=False),
+    ]
+    circle_rings = [
+        partial(_pair_ring, 0.5 * n),
+        partial(_product_ring, 0.5 * n, real_part=False),
+        partial(_map_ring, float(n)),
+    ]
+    disk = _means(disk_rings, (g, h), _spec_for(degree, 2.0 * n, spec), None)
+    circle = _means(circle_rings, (g, h), _spec_for(degree, float(n), spec), 1.0)
+
+    def binomial_sum(x: float, y: float) -> float:
+        total = 0.0
+        for k in range(n + 1):
+            total += math.comb(n, k) * x ** (k / n) * y ** ((n - k) / n)
+        return total
+
+    return [
+        [
+            ("L", big_l),
+            ("holder", binomial_sum(disk_s, disk_re)),
+            ("cosine", binomial_sum(disk_s, e_n**n * disk_abs)),
+            ("square", binomial_sum(circ_s**2, e_n**n * circ_abs**2)),
+            ("am_gm", (1.0 + e_n) ** n * circ_s**2),
+            ("final", (1.0 + e_n) ** n * (1.0 - math.cos(math.pi / n)) ** (-n) * circ_f**2),
+        ]
+        for big_l, disk_s, disk_re, disk_abs, circ_s, circ_abs, circ_f in zip(*disk, *circle)
+    ]
+
+
 def isoperimetric_chain(
     m: HarmonicMap, n: int, spec: QuadratureSpec | None = None, rel_tol: float = 1e-9
 ) -> list[tuple[str, float]]:
@@ -345,55 +391,13 @@ def isoperimetric_chain(
     (the cosine link needs Re((2gh)(0)) = 0).  Each link must dominate the
     previous one; a violation beyond rel_tol raises ValueError.  final equals
     ((1/2) csc(pi/(4n)))^{2n} (int_T |f|^n)^2 by the half-angle identity.
+    This is the one-row call of _chain_links, which the battery calls on a
+    block of maps.
     """
     if n != int(n) or not 2 <= n <= P_MAX / 2:
         # L is a mean of the 2n-th power
         raise ValueError(f"n must be an integer in [2, {P_MAX / 2:g}], got {n}")
-    n = int(n)
-    m = m.normalized()
-    e_n = math.cos(math.pi / (2.0 * n))
-
-    # every disk mean below is sized for |f|^{2n} and every circle mean for
-    # |f|^n, so one disk and one circle transform of g and h serve all seven
-    factors = (m.g.coeffs, m.h.coeffs)
-    disk_rings = [
-        partial(_map_ring, 2.0 * n),
-        partial(_pair_ring, float(n)),
-        partial(_product_ring, float(n), real_part=True),
-        partial(_product_ring, float(n), real_part=False),
-    ]
-    circle_rings = [
-        partial(_pair_ring, 0.5 * n),
-        partial(_product_ring, 0.5 * n, real_part=False),
-        partial(_map_ring, float(n)),
-    ]
-    [big_l], [disk_s], [disk_re], [disk_abs] = _means(
-        disk_rings, factors, _spec_for(m.degree, 2.0 * n, spec), None
-    )
-    [circ_s], [circ_abs], [circ_f] = _means(
-        circle_rings, factors, _spec_for(m.degree, float(n), spec), 1.0
-    )
-
-    def binomial_sum(x: float, y: float) -> float:
-        total = 0.0
-        for k in range(n + 1):
-            total += math.comb(n, k) * x ** (k / n) * y ** ((n - k) / n)
-        return total
-
-    holder = binomial_sum(disk_s, disk_re)
-    cosine = binomial_sum(disk_s, e_n**n * disk_abs)
-    square = binomial_sum(circ_s**2, e_n**n * circ_abs**2)
-    am_gm = (1.0 + e_n) ** n * circ_s**2
-    final = (1.0 + e_n) ** n * (1.0 - math.cos(math.pi / n)) ** (-n) * circ_f**2
-
-    chain = [
-        ("L", big_l),
-        ("holder", holder),
-        ("cosine", cosine),
-        ("square", square),
-        ("am_gm", am_gm),
-        ("final", final),
-    ]
+    [chain] = _chain_links(m.g.coeffs, m.h.coeffs, int(n), spec)
     for (name_lo, lo), (name_hi, hi) in zip(chain, chain[1:]):
         if lo > hi * (1.0 + rel_tol):
             raise ValueError(

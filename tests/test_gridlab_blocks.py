@@ -531,10 +531,11 @@ PLURI_CASE = dict(n_lines=16, seed=67, centers=2, radii=3, angles=256)
 
 
 def _spread_blocks(fn, workers):
-    """fn, and the threads that evaluated a block of circles (a 2-D array)
-    with it.  Each thread's first block waits until `workers` threads hold
-    one, as in _spread, so the first `workers` blocks go to distinct workers.
-    Center values and origin means are 0-d calls and pass straight through."""
+    """fn, and the threads that evaluated a block (a 2-D array: circles, or
+    the radii of a disk row) with it.  Each thread's first block waits until
+    `workers` threads hold one, as in _spread, so the first `workers` blocks
+    go to distinct workers.  Center values and origin means are 0-d calls
+    and pass straight through."""
     barrier = threading.Barrier(workers, timeout=10)
     taken: set = set()
     lock = threading.Lock()
@@ -613,6 +614,30 @@ def test_circle_check_exception_reaches_the_caller(monkeypatch):
             check_submean(spread, 2.0, **SUBMEAN_CASE)
         assert len(taken) == 2
         assert threading.active_count() == baseline
+
+
+def test_callers_errstate_reaches_the_circle_helpers(monkeypatch):
+    # a custom callable that overflows only in the helper's blocks: under the
+    # caller's np.errstate(all="raise") the helper raises FloatingPointError,
+    # and under all="ignore" the check runs to the end
+    monkeypatch.setattr(gridlab, "_usable_cpus", lambda: 2)
+    baseline = threading.active_count()
+    caller = threading.get_ident()
+
+    def fn(z):
+        if np.ndim(z) == 2 and threading.get_ident() != caller:
+            return np.exp(1e3 * np.abs(z))
+        return np.abs(z) ** 1.5
+
+    spread, taken = _spread_blocks(fn, 2)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        check_submean(spread, 2.0, **SUBMEAN_CASE)
+    assert len(taken) == 2
+    assert threading.active_count() == baseline
+    spread, taken = _spread_blocks(fn, 2)
+    with np.errstate(all="ignore"):
+        check_submean(spread, 2.0, **SUBMEAN_CASE)
+    assert len(taken) == 2
 
 
 # -------------------------- non-finite slack checks --------------------------

@@ -1,24 +1,34 @@
-"""Tests for the norm quadrature: closed forms, exactness, and the Calderon rules."""
+"""Tests for the norm quadrature: closed forms, exactness, the disk rows
+shared among workers, and the Calderon rules."""
 
 import inspect
 import math
+import sys
+import threading
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rieszlab import battery, maps, quadrature
 from rieszlab.maps import (
     CalderonFamily,
     Constraint,
     HarmonicMap,
     TaylorPoly,
     boundary_series,
+    random_coefficients,
     random_harmonic,
 )
 from rieszlab.quadrature import (
     QuadratureConvergenceError,
     QuadratureSpec,
     _gl01,
+    _map_ring,
+    _means,
+    _pair_ring,
+    _product_ring,
     auto_spec,
     bergman_norm,
     bergman_triple_norm,
@@ -34,6 +44,8 @@ from rieszlab.quadrature import (
     product_disk_power_mean,
     triple_norm,
 )
+from rieszlab.theorems import TheoremId, verify_theorem
+from test_gridlab_blocks import _spread_blocks
 
 Z_MAP = HarmonicMap(TaylorPoly([0, 1]), TaylorPoly([0]))
 ONE_PLUS_Z = HarmonicMap(TaylorPoly([1, 1]), TaylorPoly([0]))
@@ -173,6 +185,95 @@ def test_circle_means_are_bit_identical_to_object_traces(p, r):
             assert product_circle_power_mean(m.g, m.h, p, real_part, r) == float(
                 np.mean(base**p)
             )
+
+
+# ------------------------ disk rows on every usable CPU ------------------------
+
+
+DISK_RINGS = [
+    partial(_map_ring, 1.25),
+    partial(_pair_ring, 3.0),
+    partial(_product_ring, 2.0, real_part=True),
+]
+
+
+@pytest.mark.parametrize("rows", [1, 3, 9])
+def test_disk_rows_are_bit_identical_for_any_worker_count(monkeypatch, rows):
+    # 3 rows with 4 or 8 workers: no more workers than rows
+    g, h = random_coefficients(8, range(40, 40 + rows), Constraint.RE_ZERO)
+    spec = QuadratureSpec(n_angle=256, n_radial=48)
+    monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 1)
+    one = _means(DISK_RINGS, (g, h), spec, None)
+    # each row's means are those of the row alone
+    assert [_means(DISK_RINGS, (g[k], h[k]), spec, None) for k in range(rows)] == [
+        [[means[k]] for means in one] for k in range(rows)
+    ]
+    baseline = threading.active_count()
+    # more workers than cores, switching threads often: a row that no worker
+    # wrote would keep its 0.0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (2, 4, 8):
+            monkeypatch.setattr(quadrature, "_usable_cpus", lambda: workers)
+            first, taken = _spread_blocks(DISK_RINGS[0], min(workers, rows))
+            assert _means([first, *DISK_RINGS[1:]], (g, h), spec, None) == one, workers
+            assert len(taken) == min(workers, rows)
+            assert threading.active_count() == baseline
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_disk_row_starts_no_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-row disk rule started a helper")
+
+    monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(maps, "ThreadPoolExecutor", no_pool)
+    m = random_harmonic(8, 3)
+    caller = threading.get_ident()
+    seen = set()
+
+    def ring(g, h):
+        seen.add(threading.get_ident())
+        return _map_ring(1.5, g, h)
+
+    assert _means([ring], (m.g.coeffs, m.h.coeffs), auto_spec(8, 1.5), None) == [
+        [disk_power_mean(m, 1.5)]
+    ]
+    assert bergman_triple_norm(m, 3.0) > 0.0
+    assert seen == {caller}
+
+
+def test_disk_ring_exception_reaches_the_caller(monkeypatch):
+    # a ring that raises in a helper's row, or on the calling thread while
+    # the helper holds a row: the exception reaches the caller, and the
+    # helper is joined before it does
+    monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 2)
+    g, h = random_coefficients(4, range(6))
+    baseline = threading.active_count()
+    caller = threading.get_ident()
+    for raising_on_helper in (True, False):
+        def ring(g, h):
+            if (threading.get_ident() != caller) == raising_on_helper:
+                raise RuntimeError("ring failed")
+            return _map_ring(2.0, g, h)
+
+        spread, taken = _spread_blocks(ring, 2)
+        with pytest.raises(RuntimeError, match="ring failed"):
+            _means([spread], (g, h), QuadratureSpec(), None)
+        assert len(taken) == 2
+        assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("p", battery.THEOREM_P_VALUES)
+def test_bergman_payloads_do_not_depend_on_the_worker_count(monkeypatch, p):
+    payloads = []
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(quadrature, "_usable_cpus", lambda: workers)
+        report = verify_theorem(TheoremId.BERGMAN_MIXED_BY_NORM, p, 100, 8, 71)
+        payloads.append({k: v for k, v in report.to_dict().items() if k != "elapsed_ms"})
+    assert payloads[1] == payloads[0] and payloads[2] == payloads[0]
 
 
 def test_bergman_radial_resolution_consistency():

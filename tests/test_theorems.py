@@ -187,6 +187,38 @@ def test_chain_is_bit_identical_to_seven_public_means():
                 assert isoperimetric_chain(m, n, spec) == legacy.isoperimetric_chain(m, n, spec)
 
 
+def per_sample_chain_report(n, samples, degree, seed):
+    """battery._chain_report as one isoperimetric_chain call per sample."""
+    acc = SlackAccumulator()
+    for k in range(samples):
+        chain = isoperimetric_chain(random_harmonic(degree, seed + k), n)
+        for (name_lo, lo), (name_hi, hi) in zip(chain, chain[1:]):
+            gap = (hi - lo) / max(hi, 1e-300)
+            acc.add((seed + k, name_lo, name_hi), gap, gap < -1e-9)
+    return acc.report(
+        id="ISOPERIMETRIC_CHAIN",
+        p=n,
+        grid={"samples": samples, "degree": degree},
+        seed=seed,
+        tolerance=1e-9,
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_chain_block_equals_per_sample_chains(monkeypatch, n):
+    # the battery's block of 25 samples: every link of every row is the
+    # per-sample isoperimetric_chain value, from one circle transform per
+    # factor and one disk transform per factor and sample
+    samples, degree, seed = 25, 4, 83
+    g, h = random_coefficients(degree, range(seed, seed + samples))
+    chains = [isoperimetric_chain(random_harmonic(degree, seed + k), n) for k in range(samples)]
+    calls = count_transforms(monkeypatch)
+    assert theorems._chain_links(g, h, n, None) == chains
+    assert len(calls) == 2 + 2 * samples
+    expected = per_sample_chain_report(n, samples, degree, seed)
+    assert payload(battery._chain_report(n, samples, degree, seed)) == payload(expected)
+
+
 def count_transforms(monkeypatch):
     """Count the calls of np.fft.ifft, the transform behind every trace."""
     calls = []
