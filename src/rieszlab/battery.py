@@ -42,7 +42,6 @@ from .quadrature import (
     QuadratureSpec,
     _map_ring,
     _pair_ring,
-    _require_norm_p,
     _spec_for,
     circle_power_mean,
     disk_power_mean,
@@ -52,6 +51,7 @@ from .reporting import GridSpec, SlackAccumulator, VerificationReport
 from .theorems import (
     SAMPLE_BLOCK,
     TheoremId,
+    _block_sides,
     _chain_links,
     _norms,
     _sample_report,
@@ -383,14 +383,8 @@ def _relaxed_mixed_report(
 ) -> VerificationReport:
     """The MIXED_BY_HARDY battery with the hypothesis Re(g(0)h(0)) >= 0."""
     seeds = range(seed, seed + samples)
-    g, h = random_coefficients(degree, seeds, Constraint.RE_NONNEG)
-    _require_norm_p(p)
-    rings = [partial(_pair_ring, p / 2.0), partial(_map_ring, p)]
-    spec = _spec_for(degree, p, None)
-
-    def sides(block: slice) -> list[list[float]]:
-        return _norms(p, rings, (g[block], h[block]), spec)
-
+    cases = random_coefficients(degree, seeds, Constraint.RE_NONNEG)
+    sides = partial(_block_sides, TheoremId.MIXED_BY_HARDY, p, degree, None, cases)
     labels = [(s,) for s in seeds]
     return _sample_report(
         "MIXED_BY_HARDY_RELAXED", p, sharp_constant(SC.A, p), labels, sides, degree, seed, 1e-9

@@ -344,29 +344,27 @@ def psi_value(zeta, p: float):
 def minorant_F(z, w, p: float):
     """Plurisubharmonic minorant of the lower bound: Re((z w)^{p/2}) for
     1 < p <= 2, Phi_p(z w) for p > 2.  Vanishes when z = 0 or w = 0."""
-    if p <= 1.0:
-        raise ValueError(f"p must be > 1, got {p}")
+    p = _check_minorant_p(Minorant.F_PAIR, p)
     zw = np.asarray(z, dtype=complex) * np.asarray(w, dtype=complex)
     return _polar(_MINORANTS[Minorant.F_PAIR][0], zw, p)
 
 
 def minorant_G(z, w, p: float):
     """Plurisubharmonic minorant of the upper bound: Psi_p(z w), p != 2."""
-    if p <= 1.0:
-        raise ValueError(f"p must be > 1, got {p}")
-    if p == 2.0:
-        raise ValueError("the upper-bound minorant is undefined at p = 2")
+    p = _check_minorant_p(Minorant.G_PAIR, p)
     zw = np.asarray(z, dtype=complex) * np.asarray(w, dtype=complex)
     return _polar(_MINORANTS[Minorant.G_PAIR][0], zw, p)
 
 
 def _check_minorant_p(mid: Minorant, p: float) -> float:
+    """p as a float, or ValueError when p is outside the minorant's range;
+    a range that reaches infinity is open there."""
     lo, hi, lo_inc, skip_two = _MINORANTS[mid][1]
-    ok = (p >= lo if lo_inc else p > lo) and p <= hi
+    ok = (p >= lo if lo_inc else p > lo) and p <= hi and math.isfinite(p)
     if skip_two and p == 2.0:
         ok = False
     if not ok:
-        bounds = f"{'[' if lo_inc else '('}{lo}, {hi}]"
+        bounds = f"{'[' if lo_inc else '('}{lo}, {hi}{']' if math.isfinite(hi) else ')'}"
         extra = ", p != 2" if skip_two else ""
         raise ValueError(f"{mid.value} requires p in {bounds}{extra}, got {p}")
     return float(p)

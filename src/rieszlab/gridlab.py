@@ -19,36 +19,32 @@ they are given as data in one table and evaluated by one routine.  A 2-D scan
 evaluates that form in blocks of SCAN_COLUMNS t-nodes against the whole r
 row, laid out (t, r) so that every broadcast runs along a full row: the terms
 in r and the angle profile are computed once per scan, and each block writes
-into three buffers reused across blocks.  The sub-mean and complex-line
-checks draw their centers and radii one circle at a time, then evaluate
-blocks of circles as (k, angles) arrays and take the means along each row.
-Both run on every usable CPU (os.sched_getaffinity, else os.cpu_count, and
-no more workers than blocks) through one helper, maps._share_blocks: the
-calling thread and one helper thread per further CPU take block starts from
-one shared iterator, so the blocks are handed out as workers free up.
-Helpers start and are joined within each call, run under the caller's
-np.errstate, and an exception raised in one reaches the caller.  A scan's
-worker folds its blocks into a partial minimum and violation list; the
-merged partials give the result of one row-major array whichever worker
-took which block: argmin is the first minimal node in row-major order (r
-outer), and the violations are the first MAX_VIOLATIONS in row-major order.
-A circle block writes only its own rows of the means and estimates, so
-those too keep every bit.  On two cores a scan takes about 20 % more CPU
+into its worker's three buffers, reused across blocks.  The sub-mean and
+complex-line checks draw their centers and radii one circle at a time, then
+evaluate blocks of CIRCLE_BLOCK circles as (k, angles) arrays and take the
+means along each row.  Both are per-block functions mapped over the block
+starts on every usable CPU by maps._share_blocks (see its module docstring
+for the workers, the scratch buffers, np.errstate and exceptions).  A scan
+folds each block into its own minimum and violation list, and the blocks
+are merged once: argmin is the first minimal node in row-major order (r
+outer), and the violations are the first MAX_VIOLATIONS in row-major order,
+as if the grid were one array.  A circle block returns its own means and
+estimates, joined in block order.  So every result keeps its bits whichever
+worker took which block.  On two cores a scan takes about 20 % more CPU
 seconds for a third less wall time.
 
 Which thread allocates what.  glibc gives each thread that allocates an
 arena of its own, and a freed block's pages stay in that arena for its
-next blocks.  The calling thread allocates every scan worker's three
-buffers, so they come from its heap; a scan's helpers allocate little.  A
-circle helper evaluates its blocks' nodes and minorant temporaries itself,
-since the minorants allocate their own, so its arena keeps about one block's
-temporaries.  An arena is handed on when its thread exits, and a helper
-that starts before the last one has fully exited gets a second arena, which
-then keeps as much.  So a circle block is small: CIRCLE_BLOCK // workers
-circles, so that at most CIRCLE_BLOCK circles are in flight; and the first
-block of each call is preceded by one large allocation (see _keep_heap), so
-that the blocks reuse their temporaries' pages instead of faulting in new
-ones.
+next blocks.  A scan's buffers for all its workers are one array made on
+the calling thread (its scratch), so they come from its heap; a scan's
+helpers allocate little.  A circle helper evaluates its blocks' nodes and
+minorant temporaries itself, since the minorants allocate their own, so its
+arena keeps about one block's temporaries.  An arena is handed on when its
+thread exits, and a helper that starts before the last one has fully
+exited gets a second arena, which then keeps as much.  So a circle block is
+small, CIRCLE_BLOCK circles; and the first block of each call is preceded
+by one large allocation (see _keep_heap), so that the blocks reuse their
+temporaries' pages instead of faulting in new ones.
 
 lemma_grid_reports scans each distinct (slack, p, r_range, t_range) once, so
 SUM_BY_MIXED_RADIAL, which shares SUM_BY_MIXED_HIGH's slack, p grid and
@@ -61,7 +57,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,6 +65,7 @@ from scipy import integrate
 from .constants import (
     Minorant,
     SharpConstant as SC,
+    _check_minorant_p,
     minorant_F,
     minorant_G,
     minorant_value,
@@ -80,7 +76,7 @@ from .constants import (
     sharp_constant,
     theta_upper,
 )
-from .maps import _share_blocks, _usable_cpus
+from .maps import _share_blocks
 from .reporting import MAX_VIOLATIONS, GridSpec, SlackAccumulator, VerificationReport
 
 __all__ = [
@@ -146,7 +142,7 @@ class _Form:
     A form is called elementwise as slack(p, r, t), 0-d inputs included.  The
     2-D scan instead evaluates its terms in r once per scan, its terms in t
     once per scan, and each block into its worker's three reused buffers (see
-    block_evaluators); both run _evaluate, so they give the same bits.
+    block_evaluator); both run _evaluate, so they give the same bits.
     """
 
     mixed: bool
@@ -198,13 +194,17 @@ class _Form:
     def __call__(self, p, r, t):
         return self._evaluate(p, *self._terms(p, r, t))
 
-    def block_evaluators(self, p, r_vals, t_vals, workers):
-        """One evaluator per worker: evaluate(j0) is the slack s on the block
-        of SCAN_COLUMNS t-nodes from j0, s[j, i] at (r_vals[i], t_vals[j0 + j]).
-        s is that worker's reused buffer, valid until its next call.  The
-        terms and all the buffers are made here, on the calling thread."""
+    def block_evaluator(self, p, r_vals, t_vals):
+        """(evaluate, scratch) for maps._share_blocks: evaluate(bufs, j0) is
+        the slack s on the block of SCAN_COLUMNS t-nodes from j0, s[j, i] at
+        (r_vals[i], t_vals[j0 + j]), written into one worker's three buffers
+        bufs and valid until its next call; scratch(workers) makes every
+        worker's buffers as one array.  The terms are made here, on the
+        calling thread."""
         consts, r_terms, (cos_t, prof) = self._terms(p, r_vals, t_vals)
-        buffers = np.empty((workers, 3, min(SCAN_COLUMNS, len(t_vals)), len(r_vals)))
+
+        def scratch(workers):
+            return np.empty((workers, 3, min(SCAN_COLUMNS, len(t_vals)), len(r_vals)))
 
         def evaluate(bufs, j0):
             cols = slice(j0, j0 + SCAN_COLUMNS)
@@ -212,7 +212,7 @@ class _Form:
             n = len(t_terms[0])
             return self._evaluate(p, consts, r_terms, t_terms, *(buf[:n] for buf in bufs))
 
-        return [partial(evaluate, bufs) for bufs in buffers]
+        return evaluate, scratch
 
 
 def _mixed_consts(k_s, k_2):
@@ -542,33 +542,24 @@ def _violated(s, tol):
     return ~np.isfinite(s) | (s < -tol)
 
 
-def _fold_2d(blocks, tol):
-    """Partial (best, bad) over (j0, s) blocks, where s[j, i] is the slack at
-    grid node (i, j0 + j): best is the smallest (value, row, col) and bad the
-    first MAX_VIOLATIONS (row, col, slack) violations in row-major order (r
-    outer), as if the blocks were one array.
+def _fold_block(j0, s, tol):
+    """(best, bad) of the block s, where s[j, i] is the slack at grid node
+    (i, j0 + j): best is its smallest (value, row, col) and bad its first
+    MAX_VIOLATIONS (row, col, slack) violations in row-major order (r outer).
 
-    A block's first minimum is its first r with the smallest per-r minimum,
-    then the first t in that column with that value; NaN never sets it.  A
-    block whose minimum is at least -tol and whose maximum is finite holds no
-    violation and is not searched; the others give their first MAX_VIOLATIONS
-    violations.  Each block is used up before the next is drawn.
+    The first minimum is the first r with the smallest per-r minimum, then
+    the first t in that column with that value; NaN never sets it.  A block
+    whose minimum is at least -tol and whose maximum is finite holds no
+    violation and is not searched.
     """
-    best = (math.inf, 0, 0)
-    bad: list = []
-    for j0, s in blocks:
-        i, v = _first_min(np.fmin.reduce(s, axis=0))
-        j = int(np.argmax(s[:, i] == v))  # 0 when the block is all NaN
-        if v < math.inf:
-            v = float(s[j, i])  # fmin may return either zero; keep this node's sign
-        best = min(best, (v, i, j0 + j))
-        if v >= -tol and math.isfinite(v) and math.isfinite(s.max()):
-            continue
-        for bi, bj in np.argwhere(_violated(s.T, tol))[:MAX_VIOLATIONS]:
-            bad.append((int(bi), j0 + int(bj), float(s[bj, bi])))
-        bad.sort()
-        del bad[MAX_VIOLATIONS:]
-    return best, bad
+    i, v = _first_min(np.fmin.reduce(s, axis=0))
+    j = int(np.argmax(s[:, i] == v))  # 0 when the block is all NaN
+    if v < math.inf:
+        v = float(s[j, i])  # fmin may return either zero; keep this node's sign
+    if v >= -tol and math.isfinite(v) and math.isfinite(s.max()):
+        return (v, i, j0 + j), []
+    nodes = np.argwhere(_violated(s.T, tol))[:MAX_VIOLATIONS]
+    return (v, i, j0 + j), [(int(bi), j0 + int(bj), float(s[bj, bi])) for bi, bj in nodes]
 
 
 def _scan_2d(slack_fn, p, r_vals, t_vals, tol):
@@ -576,28 +567,27 @@ def _scan_2d(slack_fn, p, r_vals, t_vals, tol):
     grid, all in row-major order (r outer), as if the grid were one array.
 
     The blocks of SCAN_COLUMNS t-nodes are a _Form's buffered blocks, or
-    column blocks of any other elementwise callable.  The calling thread and
-    one helper per further usable CPU (no more workers than blocks) share
-    them (_share_blocks) and fold their blocks into partials (_fold_2d),
-    merged here: the smallest (value, row, col) of the partials, and the
-    first MAX_VIOLATIONS of their violations.  That is the row-major result
-    whichever worker took which block.
+    column blocks of any other elementwise callable.  Each is evaluated and
+    folded on its own (_fold_block, mapped by maps._share_blocks), and the
+    blocks are merged once: the smallest (value, row, col), and the first
+    MAX_VIOLATIONS of their violations.
     """
-    starts = range(0, len(t_vals), SCAN_COLUMNS)
-    workers = min(_usable_cpus(), len(starts))
     if isinstance(slack_fn, _Form):
-        evaluators = slack_fn.block_evaluators(p, r_vals, t_vals, workers)
+        evaluate, scratch = slack_fn.block_evaluator(p, r_vals, t_vals)
     else:
         r_row = r_vals[None, :]
-        evaluators = [lambda j0: slack_fn(p, r_row, t_vals[j0 : j0 + SCAN_COLUMNS, None])]
-        evaluators *= workers
+        scratch = None
 
-    def fold(evaluate, taken):
-        return _fold_2d(((j0, evaluate(j0)) for j0 in taken), tol)
+        def evaluate(_, j0):
+            return slack_fn(p, r_row, t_vals[j0 : j0 + SCAN_COLUMNS, None])
 
-    partials = _share_blocks(starts, [partial(fold, evaluate) for evaluate in evaluators])
-    min_slack, i, j = min(best for best, _ in partials)
-    bad = sorted(v for _, part in partials for v in part)[:MAX_VIOLATIONS]
+    def fold(bufs, j0):
+        return _fold_block(j0, evaluate(bufs, j0), tol)
+
+    blocks = _share_blocks(range(0, len(t_vals), SCAN_COLUMNS), fold, scratch)
+    # a grid without a finite minimum reports its first node
+    min_slack, i, j = min([(math.inf, 0, 0)] + [best for best, _ in blocks])
+    bad = sorted(v for _, part in blocks for v in part)[:MAX_VIOLATIONS]
     violations = [((float(r_vals[bi]), float(t_vals[bj])), sv) for bi, bj, sv in bad]
     return min_slack, (float(r_vals[i]), float(t_vals[j])), violations
 
@@ -757,10 +747,10 @@ def unreduced_slack(tag: InequalityId, p: float, z: complex, w: complex) -> floa
 # ------------------------------ subharmonicity ------------------------------
 
 
-# circles in flight in the sub-mean checks, CIRCLE_BLOCK // workers per
-# worker's block: a 16-circle block at the default 1024 angles is 256 KB of
-# complex nodes, and a circle helper's allocator arena keeps about 2 MB
-CIRCLE_BLOCK = 32
+# circles per block of the sub-mean checks: a 16-circle block at the default
+# 1024 angles is 256 KB of complex nodes, and a circle helper's allocator
+# arena keeps about 2 MB
+CIRCLE_BLOCK = 16
 
 
 def _check_angles(angles: int) -> None:
@@ -782,39 +772,33 @@ def _circle_means(values, centers, rhos, angles: int):
     second node|.  values(rows, z) evaluates the circles in the slice rows
     at their nodes z, a (k, angles) array.
 
-    The blocks of CIRCLE_BLOCK // workers circles are shared by the calling
-    thread and one helper per further usable CPU (_share_blocks, no more
-    workers than blocks), so at most CIRCLE_BLOCK circles are in flight.
-    Each block writes only its own rows of the means and estimates, so the
-    result has the same bits whichever worker took which block."""
+    Each block of CIRCLE_BLOCK circles returns its own means and estimates
+    (mapped by maps._share_blocks), joined here in block order."""
     nodes = np.exp(1j * (np.arange(angles) * (TWO_PI / angles)))
     centers = np.asarray(centers, dtype=complex)
     rhos = np.asarray(rhos, dtype=float)
-    means = np.empty(len(rhos))
-    errs = np.empty(len(rhos))
-    cpus = min(_usable_cpus(), CIRCLE_BLOCK)
-    block = CIRCLE_BLOCK // cpus
-    starts = range(0, len(rhos), block)
-    _keep_heap(8 * nodes.nbytes * min(block, len(rhos)))  # eight node blocks
+    _keep_heap(8 * nodes.nbytes * min(CIRCLE_BLOCK, len(rhos)))  # eight node blocks
 
-    def run(taken):
-        for k0 in taken:
-            rows = slice(k0, k0 + block)
-            z = centers[rows, None] + rhos[rows, None] * nodes
-            vals = np.asarray(values(rows, z), dtype=float)
-            means[rows] = vals.mean(axis=1)
-            errs[rows] = np.abs(means[rows] - vals[:, ::2].mean(axis=1))
+    def block(_, k0):
+        rows = slice(k0, k0 + CIRCLE_BLOCK)
+        z = centers[rows, None] + rhos[rows, None] * nodes
+        vals = np.asarray(values(rows, z), dtype=float)
+        means = vals.mean(axis=1)
+        return means, np.abs(means - vals[:, ::2].mean(axis=1))
 
-    _share_blocks(starts, [run] * min(cpus, len(starts)))
-    return means, errs
+    means, errs = zip(*_share_blocks(range(0, len(rhos), CIRCLE_BLOCK), block))
+    return np.concatenate(means), np.concatenate(errs)
 
 
 def _minorant_fn(mid: Minorant, p: float) -> Callable:
+    """z -> minorant_value(mid, z, p), for a single-variable minorant and a p
+    in its range (ValueError otherwise)."""
     mid = Minorant(mid)
     if mid in (Minorant.F_PAIR, Minorant.G_PAIR):
         raise ValueError(
             f"{mid.value} is a two-variable minorant; use check_pluri_lines"
         )
+    _check_minorant_p(mid, p)
     return lambda z: minorant_value(mid, z, p)
 
 
@@ -825,8 +809,12 @@ def origin_circle_mean(mid: Minorant, p: float, rho: float) -> float:
         mean = +/- 2 sin(p pi / 2) / (p pi) * rho^{p/2},
 
     adaptive quadrature of the angular profile for the theta-based ones.
+    p must lie in the minorant's range and rho must be >= 0.
     """
     mid = Minorant(mid)
+    fn = _minorant_fn(mid, p)
+    if not rho >= 0.0:
+        raise ValueError(f"rho must be >= 0, got {rho}")
     scale = rho ** (0.5 * p)
     if mid is Minorant.RE_BRANCH:
         return 2.0 * math.sin(0.5 * p * math.pi) / (p * math.pi) * scale
@@ -834,8 +822,6 @@ def origin_circle_mean(mid: Minorant, p: float, rho: float) -> float:
         return -2.0 * math.sin(0.5 * p * math.pi) / (p * math.pi) * scale
     if mid is Minorant.PSI and p < 2.0:
         return 2.0 * math.sin(0.5 * p * math.pi) / (p * math.pi) * scale
-
-    fn = _minorant_fn(mid, p)
 
     def profile(theta: float) -> float:
         return float(fn(np.exp(1j * theta)))
@@ -863,7 +849,7 @@ def check_submean(
     exact-equality (harmonic) cases are not flagged by trapezoid noise while
     genuine violations, which are O(1), still surface; a non-finite deficit
     is a violation.  The circles are evaluated in blocks on every usable CPU
-    (see _circle_means), so a custom callable must act elementwise on a
+    (see maps._share_blocks), so a custom callable must act elementwise on a
     (k, angles) array and be safe to call from several threads at once.
     seed must be >= 0 and tolerance finite and > 0.
     """
@@ -938,7 +924,7 @@ def check_pluri_lines(
     complex lines tau -> (z0 + tau w1, w0 + tau w2) and run the sub-mean test
     on the restriction.  Constant lines give deficit 0 by construction.  The
     circles of all lines are evaluated in blocks on every usable CPU (see
-    _circle_means)."""
+    maps._share_blocks)."""
     mid = Minorant(mid)
     if mid not in (Minorant.F_PAIR, Minorant.G_PAIR):
         raise ValueError("check_pluri_lines applies to the two-variable minorants")

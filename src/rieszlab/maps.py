@@ -17,11 +17,21 @@ is bit-identical to the map drawn from its seed alone.  Fourier
 series are evaluated as arrays: every term at once, summed left to right in
 the order of the coefficients.
 
-Block work is shared among threads by one helper, _share_blocks: the
-calling thread and one helper thread per further usable CPU (_usable_cpus)
-take block starts from one shared iterator.  gridlab's scans and circle
-checks and quadrature's disk rule use it.  It lives here because both of
-those modules import this one, and this one imports neither.
+Block work is shared among threads by one ordered parallel map,
+_share_blocks(starts, work, scratch): it returns [work(own, start) for start
+in starts] in start order.  It alone decides the worker count,
+min(_usable_cpus(), len(starts)): the calling thread and one helper thread
+per further worker take the starts from one shared iterator, so the blocks
+are handed out as workers free up.  scratch(workers), called once on the
+calling thread, gives each worker its own buffers (own), so they come from
+the caller's heap, not from per-thread allocator arenas.  Helpers start and
+are joined within each call, run under the caller's np.errstate, and an
+exception raised in one reaches the caller.  Since each block's result is
+kept apart and returned in start order, whatever the blocks compute has the
+same bits whichever worker took which block.  gridlab's scans and circle
+checks and quadrature's disk rule use it, and no other module starts a
+thread or counts CPUs.  It lives here because both of those modules import
+this one, and this one imports neither.
 
 The Calderon extremal family g(z) = ((1+z)/(1-z))^(2*gamma/pi) (principal
 branch, |arg (1+z)/(1-z)| <= pi/2) is the sharpness witness for the conjugate
@@ -87,43 +97,49 @@ def _radius_powers(r, length: int) -> np.ndarray:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: the worker count of _share_blocks'
-    callers (os.sched_getaffinity, else os.cpu_count)."""
+    """CPUs this process may run on: the most workers _share_blocks starts
+    (os.sched_getaffinity, else os.cpu_count)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _taken(starts, lock):
-    """The items of the shared iterator starts that this worker takes."""
+def _taken(shared, lock):
+    """The items of the shared iterator that this worker takes."""
     while True:
         with lock:
-            j0 = next(starts, None)
-        if j0 is None:
+            item = next(shared, None)
+        if item is None:
             return
-        yield j0
+        yield item
 
 
-def _share_blocks(starts, works):
-    """[work(taken) for work in works], run at once: works[0] on the calling
-    thread and each further work on a helper thread of its own (no helper
-    for one work).  Each taken iterates over the block starts that its
-    worker takes from one shared iterator over starts, so the blocks are
-    handed out as workers free up.  The helpers run under the caller's
-    np.errstate (numpy keeps it per thread).  Helpers are joined before this
-    returns, and an exception raised in one reaches the caller."""
-    shared, lock = iter(starts), threading.Lock()
-    if len(works) <= 1:
-        return [work(shared) for work in works]
+def _share_blocks(starts, work, scratch=None):
+    """[work(own, start) for start in starts], in start order, run by
+    min(_usable_cpus(), len(starts)) workers: the calling thread and one
+    helper thread per further worker (none for one worker).  own is the
+    worker's item of scratch(workers), which runs once, on the calling
+    thread; None for every worker without scratch.  See the module
+    docstring."""
+    workers = min(_usable_cpus(), len(starts))
+    owns = [None] * workers if scratch is None else scratch(workers)
+    if workers <= 1:
+        return [work(owns[0], start) for start in starts]
+    results = [None] * len(starts)
+    shared, lock = iter(enumerate(starts)), threading.Lock()
     settings = np.geterr()
 
-    def run(work):
+    def run(own):
         with np.errstate(**settings):
-            return work(_taken(shared, lock))
+            for k, start in _taken(shared, lock):
+                results[k] = work(own, start)
 
-    with ThreadPoolExecutor(len(works) - 1) as pool:
-        helpers = [pool.submit(run, work) for work in works[1:]]
-        return [works[0](_taken(shared, lock))] + [helper.result() for helper in helpers]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(run, own) for own in owns[1:]]
+        run(owns[0])
+        for helper in helpers:
+            helper.result()
+    return results
 
 
 @dataclass(frozen=True)

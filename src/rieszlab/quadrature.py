@@ -5,13 +5,14 @@ measure on the unit circle.  Disk integrals use the normalized area measure
 dxdy/pi in polar form, int_0^1 2r * (circle average at radius r) dr, with
 Gauss-Legendre nodes in r; all radii of a disk rule are evaluated in one
 batched transform per polynomial factor.  The rows of a block of disk means
-run on every usable CPU, each transformed into trace buffers that the
-calling thread allocates (see _means).  For a polynomial map, |f|^p is a
-trigonometric (and radial) polynomial only at even integer p, and the rules
-are exact there once the node counts exceed its degree (auto_spec).  At other
-p, |f|^p is not smooth at the zeros of f, and wherever f has zeros the rules
-converge only algebraically in the node count (Trefethen & Weideman, "The
-exponentially convergent trapezoidal rule", SIAM Review 2014).
+are mapped over every usable CPU by maps._share_blocks, each transformed
+into its worker's trace buffers (see _means).  For a polynomial map, |f|^p
+is a trigonometric (and radial) polynomial only at even integer p, and the
+rules are exact there once the node counts exceed its degree (auto_spec).
+At other p, |f|^p is not smooth at the zeros of f, and wherever f has zeros
+the rules converge only algebraically in the node count (Trefethen &
+Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
+2014).
 
 Boundary traces of the Calderon extremal family behave like t^(-a) near t = 0
 with a = 2*gamma*p/pi < 1; a shrinking-arc exclusion cannot converge there
@@ -38,7 +39,6 @@ from .maps import (
     _boundary_rows,
     _radius_powers,
     _share_blocks,
-    _usable_cpus,
 )
 
 __all__ = [
@@ -179,15 +179,13 @@ def _means(
     transformed once for all its rows.  With r=None they are over the disk,
     int_0^1 2r * (circle mean at radius r) dr, and each factor is transformed
     once per row at all radii (all rows at once would hold rows x radii x
-    angles values).  The disk rows are shared by the calling thread and one
-    helper per further usable CPU (maps._share_blocks, no more workers than
-    rows, so one row starts no thread).  Each worker transforms its rows
-    into (n_radial, n_angle) trace buffers, one per factor, that the calling
-    thread allocates, and writes only its rows' means.  Each mean is
-    finished as a Python float, and the disk rule sums its weighted radii
-    left to right (cumsum, not a pairwise sum), so a row's mean is
-    bit-identical to evaluating that row alone, one radius at a time, on
-    any worker.
+    angles values).  Each disk row returns its ring means, mapped over the
+    rows by maps._share_blocks (so one row starts no thread), and each
+    worker transforms its rows into its own (n_radial, n_angle) trace
+    buffers, one per factor (the scratch).  Each mean is finished as a
+    Python float, and the disk rule sums its weighted radii left to right
+    (cumsum, not a pairwise sum), so a row's mean is bit-identical to
+    evaluating that row alone, one radius at a time, on any worker.
     """
     n = spec.n_angle
     factors = [np.atleast_2d(np.asarray(c, dtype=complex)) for c in factors]
@@ -201,21 +199,18 @@ def _means(
     weights = weights * 2.0 * nodes
     powers = [_radius_powers(nodes, c.shape[-1]) for c in factors]
     rows = min(len(c) for c in factors)
-    out = [[0.0] * rows for _ in rings]
 
-    def run(traces, taken):
-        for k in taken:
-            for c, pw, trace in zip(factors, powers, traces):
-                _boundary_rows(c[k] * pw, n, out=trace)
-            for ring, means in zip(rings, out):
-                means[k] = float(np.cumsum(weights * np.mean(ring(*traces), axis=-1))[-1])
+    def row_means(traces, k):
+        for c, pw, trace in zip(factors, powers, traces):
+            _boundary_rows(c[k] * pw, n, out=trace)
+        return [float(np.cumsum(weights * np.mean(ring(*traces), axis=-1))[-1]) for ring in rings]
 
-    buffers = [
-        [np.empty((spec.n_radial, n), dtype=complex) for _ in factors]
-        for _ in range(min(_usable_cpus(), rows))
-    ]
-    _share_blocks(range(rows), [partial(run, traces) for traces in buffers])
-    return out
+    def scratch(workers):
+        shape = (spec.n_radial, n)
+        return [[np.empty(shape, dtype=complex) for _ in factors] for _ in range(workers)]
+
+    per_row = _share_blocks(range(rows), row_means, scratch)
+    return [[means[j] for means in per_row] for j in range(len(rings))]
 
 
 def _mean(

@@ -294,6 +294,21 @@ def test_minorant_value_ranges():
         minorant_value(Minorant.F_PAIR, 1.0, 1.5)
 
 
+@pytest.mark.parametrize("mid", [Minorant.PHI_HIGH, Minorant.PSI, Minorant.THETA_UPPER])
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_minorant_value_rejects_an_infinite_or_nan_p(mid, p):
+    # the table's upper end at infinity is open: a NaN profile is no value
+    with pytest.raises(ValueError, match=rf"{mid.value} requires p in .*, inf\)"):
+        minorant_value(mid, 0.5 + 0.5j, p)
+
+
+@pytest.mark.parametrize("two_var", [minorant_F, minorant_G])
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_two_variable_minorants_reject_an_infinite_or_nan_p(two_var, p):
+    with pytest.raises(ValueError, match=r"requires p in \(1.0, inf\)"):
+        two_var(0.5 + 0.1j, 0.3j, p)
+
+
 def test_minorant_seam_continuity_across_negative_axis():
     rng = np.random.default_rng(5)
     for mid, p in (

@@ -283,6 +283,21 @@ def test_origin_circle_mean_closed_forms():
     assert origin_circle_mean(Minorant.PSI, p, rho) == pytest.approx(expected)
 
 
+@pytest.mark.parametrize(
+    "mid, p, rho, match",
+    [
+        (Minorant.RE_BRANCH, 3.0, 1.0, "RE_BRANCH requires p"),
+        (Minorant.PHI_MID, 5.0, 1.0, "PHI_MID requires p"),
+        (Minorant.PSI, 1.5, -1.0, "rho must be >= 0"),
+        (Minorant.PSI, 1.5, math.nan, "rho must be >= 0"),
+    ],
+)
+def test_origin_circle_mean_rejects_what_the_minorant_does_not_cover(mid, p, rho, match):
+    # checked before any closed form, as the quadrature branch does
+    with pytest.raises(ValueError, match=match):
+        origin_circle_mean(mid, p, rho)
+
+
 def test_origin_circle_mean_matches_dense_trapezoid():
     from rieszlab.constants import minorant_value
 

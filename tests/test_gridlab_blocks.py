@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import legacy_reference as legacy
-from rieszlab import battery, gridlab
+from rieszlab import battery, gridlab, maps
 from rieszlab.battery import PLURI_P, SUBMEAN_P, lemma_grid_reports
 from rieszlab.constants import (
     Minorant,
@@ -346,7 +346,7 @@ def _split_matches_legacy(monkeypatch, slack, r_vals, t_vals, tol, workers):
     """Scan with `workers` workers, check the bits against the legacy scan
     and return the owner of each block."""
     blocks = -(-len(t_vals) // SCAN_COLUMNS)
-    monkeypatch.setattr(gridlab, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: workers)
     spread, taken = _spread(slack, min(workers, blocks))
     split = _scan_2d(spread, 2.0, r_vals, t_vals, tol)
     assert _bits(split) == _bits(legacy._scan_2d(slack, 2.0, r_vals, t_vals, tol)), workers
@@ -442,7 +442,7 @@ def test_grid_narrower_than_one_block_runs_on_the_calling_thread(monkeypatch, wo
 @pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("tag", TWO_D_TAGS, ids=lambda tag: tag.value)
 def test_split_form_scan_matches_legacy(monkeypatch, tag, workers):
-    monkeypatch.setattr(gridlab, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: workers)
     info = _REGISTRY[tag]
     r_vals = _axis(*info.r_range, 97, open_lo=True)
     t_vals = _axis(*info.t_range, 389)
@@ -456,7 +456,7 @@ def test_split_form_scan_matches_legacy(monkeypatch, tag, workers):
 def test_split_scan_hands_out_every_block_once_under_stress(monkeypatch):
     # more workers than cores and a switch interval of a microsecond: a block
     # start handed out twice or lost would change the partials
-    monkeypatch.setattr(gridlab, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: 8)
     r_vals, t_vals = np.linspace(0.1, 1.0, 7), np.linspace(-3.0, 3.0, 200 * SCAN_COLUMNS + 1)
     starts = []
 
@@ -478,12 +478,12 @@ def test_split_scan_hands_out_every_block_once_under_stress(monkeypatch):
 
 def test_worker_count_is_the_usable_cpus(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
-        assert gridlab._usable_cpus() == len(os.sched_getaffinity(0))
+        assert maps._usable_cpus() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert gridlab._usable_cpus() == 3
+    assert maps._usable_cpus() == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert gridlab._usable_cpus() == 1
+    assert maps._usable_cpus() == 1
 
 
 def test_no_thread_outlives_a_scan(monkeypatch):
@@ -491,7 +491,7 @@ def test_no_thread_outlives_a_scan(monkeypatch):
     info = _REGISTRY[InequalityId.MIXED_BY_SUM_MID]
     r_vals, t_vals = _axis(*info.r_range, 60, open_lo=True), _axis(*info.t_range, 8 * SCAN_COLUMNS)
     # with one CPU every block runs on the calling thread, and no helper starts
-    monkeypatch.setattr(gridlab, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: 1)
     seen = set()
 
     def counted(p, r, t):
@@ -501,7 +501,7 @@ def test_no_thread_outlives_a_scan(monkeypatch):
     _scan_2d(counted, 3.0, r_vals, t_vals, 1e-9)
     assert seen == {(threading.get_ident(), baseline)}
 
-    monkeypatch.setattr(gridlab, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: 2)
     _scan_2d(info.slack, 3.0, r_vals, t_vals, 1e-9)
     assert threading.active_count() == baseline
 
@@ -555,7 +555,7 @@ def _spread_blocks(fn, workers):
 def _split_circle_payloads(monkeypatch, workers):
     """The sub-mean and complex-line payloads of every battery case, with the
     blocks spread over `workers` workers; and the threads that took blocks."""
-    monkeypatch.setattr(gridlab, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: workers)
     payloads, threads = [], set()
     for mid, ps in SUBMEAN_P.items():
         for p in ps:
@@ -580,7 +580,7 @@ def _split_circle_payloads(monkeypatch, workers):
 @pytest.mark.parametrize("workers", WORKERS)
 def test_split_circle_checks_match_one_worker(monkeypatch, workers):
     baseline = threading.active_count()
-    monkeypatch.setattr(gridlab, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: 1)
     one, _ = _split_circle_payloads(monkeypatch, 1)
     # the per-circle deficit arithmetic of the one-worker checks
     per_radius = [
@@ -600,7 +600,7 @@ def test_circle_check_exception_reaches_the_caller(monkeypatch):
     # a custom callable that raises in the helper's block, or on the calling
     # thread while the helper holds a block: the exception reaches the
     # caller, and the helper is joined before it does
-    monkeypatch.setattr(gridlab, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: 2)
     baseline = threading.active_count()
     caller = threading.get_ident()
     for raising_on_helper in (True, False):
@@ -620,7 +620,7 @@ def test_callers_errstate_reaches_the_circle_helpers(monkeypatch):
     # a custom callable that overflows only in the helper's blocks: under the
     # caller's np.errstate(all="raise") the helper raises FloatingPointError,
     # and under all="ignore" the check runs to the end
-    monkeypatch.setattr(gridlab, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: 2)
     baseline = threading.active_count()
     caller = threading.get_ident()
 

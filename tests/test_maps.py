@@ -2,11 +2,24 @@
 
 import json
 import math
+import sys
+import threading
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rieszlab import maps
+from rieszlab.constants import Minorant
+from rieszlab.gridlab import (
+    SCAN_COLUMNS,
+    InequalityId,
+    check_pluri_lines,
+    check_submean,
+    verify_pointwise,
+)
 from rieszlab.maps import (
     CalderonFamily,
     Constraint,
@@ -18,9 +31,12 @@ from rieszlab.maps import (
     eval_harmonic,
     map_from_dict,
     map_to_dict,
+    random_coefficients,
     random_harmonic,
     series_to_map,
 )
+from rieszlab.quadrature import QuadratureSpec, _map_ring, _means
+from rieszlab.reporting import GridSpec
 
 TWO_PI = 2.0 * math.pi
 
@@ -282,3 +298,90 @@ def test_random_harmonic_degree_and_disk(degree, seed):
     m = random_harmonic(degree, seed)
     assert m.g.degree == degree and m.h.degree == degree
     assert all(abs(c) <= 1.0 + 1e-12 for c in m.g.coeffs + m.h.coeffs)
+
+
+# ------------------------- the one parallel map of blocks -------------------------
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4, 8])
+def test_share_blocks_returns_results_in_start_order(monkeypatch, workers):
+    # each worker's first block waits until `workers` workers hold one, and the
+    # threads switch often, so the blocks finish out of order
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: workers)
+    baseline = threading.active_count()
+    starts = range(5, 500, 7)
+    barrier = threading.Barrier(workers, timeout=10)
+    taken: dict = {}
+    lock = threading.Lock()
+
+    def work(own, start):
+        with lock:
+            first = threading.get_ident() not in taken
+            taken.setdefault(threading.get_ident(), []).append(start)
+        if first:
+            barrier.wait()
+        return own, start * start
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results = maps._share_blocks(starts, work)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [(None, start * start) for start in starts]
+    assert len(taken) == workers and threading.get_ident() in taken
+    assert sorted(start for own in taken.values() for start in own) == list(starts)
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("usable, starts", [(1, 5), (2, 5), (4, 3), (8, 1), (2, 0)])
+def test_share_blocks_makes_scratch_once_on_the_calling_thread(monkeypatch, usable, starts):
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: usable)
+    workers = min(usable, starts)
+    made, owns = [], []
+
+    def scratch(count):
+        made.append((count, threading.get_ident()))
+        owns.extend([] for _ in range(count))
+        return owns
+
+    def work(own, start):
+        own.append(start)
+        return start + 1
+
+    assert maps._share_blocks(range(starts), work, scratch) == list(range(1, starts + 1))
+    assert made == [(workers, threading.get_ident())]
+    assert sorted(start for own in owns for start in own) == list(range(starts))
+
+
+def test_share_blocks_of_no_starts_is_empty(monkeypatch):
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: 4)
+    assert maps._share_blocks([], lambda own, start: start) == []
+    assert maps._share_blocks(range(0), lambda own, start: start, lambda workers: []) == []
+
+
+def test_one_usable_cpu_starts_no_thread_in_any_loop(monkeypatch):
+    # maps._usable_cpus is the one worker count of the scan, circle and disk
+    # loops: pinning it to 1 keeps every block on the calling thread
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a helper thread was started")
+
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(maps, "ThreadPoolExecutor", no_pool)
+    baseline = threading.active_count()
+    grid = GridSpec(r_nodes=40, t_nodes=5 * SCAN_COLUMNS)
+    verify_pointwise(InequalityId.MIXED_BY_SUM_MID, 3.0, grid)
+    check_submean(Minorant.PHI_MID, 3.0, centers=20, radii=4, angles=256)
+    check_pluri_lines(Minorant.G_PAIR, 3.0, n_lines=16, centers=2, radii=3, angles=256)
+    g, h = random_coefficients(8, range(9))
+    [means] = _means([partial(_map_ring, 1.5)], (g, h), QuadratureSpec(), None)
+    assert len(means) == 9
+    assert threading.active_count() == baseline
+
+
+def test_only_maps_starts_threads_or_counts_cpus():
+    # the worker count and the threads stay behind maps._share_blocks
+    for path in sorted(Path(maps.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for name in ("ThreadPoolExecutor", "threading", "_usable_cpus"):
+            assert (name in text) == (path.name == "maps.py"), (path.name, name)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszlab import battery, maps, quadrature
+from rieszlab import battery, maps
 from rieszlab.maps import (
     CalderonFamily,
     Constraint,
@@ -202,20 +202,20 @@ def test_disk_rows_are_bit_identical_for_any_worker_count(monkeypatch, rows):
     # 3 rows with 4 or 8 workers: no more workers than rows
     g, h = random_coefficients(8, range(40, 40 + rows), Constraint.RE_ZERO)
     spec = QuadratureSpec(n_angle=256, n_radial=48)
-    monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: 1)
     one = _means(DISK_RINGS, (g, h), spec, None)
     # each row's means are those of the row alone
     assert [_means(DISK_RINGS, (g[k], h[k]), spec, None) for k in range(rows)] == [
         [[means[k]] for means in one] for k in range(rows)
     ]
     baseline = threading.active_count()
-    # more workers than cores, switching threads often: a row that no worker
-    # wrote would keep its 0.0
+    # more workers than cores, switching threads often: a row lost, taken
+    # twice or returned out of order would change the means
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for workers in (2, 4, 8):
-            monkeypatch.setattr(quadrature, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(maps, "_usable_cpus", lambda: workers)
             first, taken = _spread_blocks(DISK_RINGS[0], min(workers, rows))
             assert _means([first, *DISK_RINGS[1:]], (g, h), spec, None) == one, workers
             assert len(taken) == min(workers, rows)
@@ -228,7 +228,7 @@ def test_one_disk_row_starts_no_thread(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-row disk rule started a helper")
 
-    monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(maps, "ThreadPoolExecutor", no_pool)
     m = random_harmonic(8, 3)
     caller = threading.get_ident()
@@ -249,7 +249,7 @@ def test_disk_ring_exception_reaches_the_caller(monkeypatch):
     # a ring that raises in a helper's row, or on the calling thread while
     # the helper holds a row: the exception reaches the caller, and the
     # helper is joined before it does
-    monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: 2)
     g, h = random_coefficients(4, range(6))
     baseline = threading.active_count()
     caller = threading.get_ident()
@@ -270,7 +270,7 @@ def test_disk_ring_exception_reaches_the_caller(monkeypatch):
 def test_bergman_payloads_do_not_depend_on_the_worker_count(monkeypatch, p):
     payloads = []
     for workers in (1, 2, 4):
-        monkeypatch.setattr(quadrature, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(maps, "_usable_cpus", lambda: workers)
         report = verify_theorem(TheoremId.BERGMAN_MIXED_BY_NORM, p, 100, 8, 71)
         payloads.append({k: v for k, v in report.to_dict().items() if k != "elapsed_ms"})
     assert payloads[1] == payloads[0] and payloads[2] == payloads[0]
