@@ -23,16 +23,28 @@ of principal arguments):
 
 Each Minorant is |zeta|^{p/2} times one of these profiles at arg zeta (with
 zeta = z w for the pairs); one table holds its profile and its p-range.
+
+Exponent ranges.  PRange is the one range type of the package: the ranges of
+the constants and minorants here, of the lemma tags (gridlab), the norms and
+means (quadrature), the theorem tags and probes (theorems), the Calderon
+family (maps) and the line pairs (hilbert) are all PRange values, and
+PRange.check is the one place where an exponent is compared with its bounds.
+Its message is the one range message:
+
+    <what> requires <p | an integer n> in <interval>, got <value as given>
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
+    "PRange",
     "SharpConstant",
     "Minorant",
     "conjugate_exponent_bar",
@@ -54,11 +66,52 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
+@dataclass(frozen=True)
+class PRange:
+    """The exponents from lo to hi, each end closed or open; integer ranges
+    hold the integers n in it, and excludes is one exponent left out."""
+
+    lo: float
+    hi: float
+    lo_closed: bool
+    hi_closed: bool
+    integer: bool = False
+    excludes: float | None = None
+
+    def __str__(self) -> str:
+        lo, hi = "[" if self.lo_closed else "(", "]" if self.hi_closed else ")"
+        text = f"{lo}{self.lo}, {self.hi}{hi}"
+        return text if self.excludes is None else f"{text}, p != {self.excludes:g}"
+
+    def check(self, what: str, value):
+        """value as a float (an int for an integer range), or ValueError with
+        the one range message, naming what and the value as given.  NaN, and
+        anything float() rejects (None included), is outside every range."""
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            x = math.nan
+        ok = (x >= self.lo if self.lo_closed else x > self.lo) and (
+            x <= self.hi if self.hi_closed else x < self.hi
+        )
+        if self.integer:
+            ok = ok and math.isfinite(x) and x == int(x)
+        if not ok or x == self.excludes:
+            kind = "an integer n" if self.integer else "p"
+            raise ValueError(f"{what} requires {kind} in {self}, got {value}")
+        return int(x) if self.integer else x
+
+
+RIESZ_P = PRange(1.0, math.inf, False, False)  # 1 < p < inf
+_LOW_P = PRange(1.0, 2.0, False, True)  # 1 < p <= 2
+_HIGH_P = PRange(2.0, math.inf, False, False)  # p > 2
+_REFLECTED_P = PRange(4.0, math.inf, True, False)  # p >= 4
+_PSI_P = PRange(1.0, math.inf, False, False, excludes=2.0)  # p > 1, p != 2
+
+
 def conjugate_exponent_bar(p: float) -> float:
     """pbar = max{p, p/(p-1)} for p > 1."""
-    p = float(p)
-    if p <= 1.0:
-        raise ValueError(f"p must be > 1, got {p}")
+    p = RIESZ_P.check("conjugate_exponent_bar", p)
     return max(p, p / (p - 1.0))
 
 
@@ -83,47 +136,33 @@ class SharpConstant(Enum):
     VERBITSKY_B = "VERBITSKY_B"    # tan(pi/(2p)), 1 < p <= 2
     ISOP = "ISOP"                  # (1/2) csc(pi/(4n)), integer n >= 2
 
-_P_RANGES: dict[SharpConstant, tuple[float, float, bool, bool]] = {
-    # (lo, hi, lo_open, hi_open) in p; ISOP is integer-n and handled separately
-    SharpConstant.A: (1.0, math.inf, True, True),
-    SharpConstant.B: (1.0, math.inf, True, True),
-    SharpConstant.HILBERT_NORM: (1.0, math.inf, True, True),
-    SharpConstant.PICHORIDES: (1.0, math.inf, True, True),
-    SharpConstant.VERBITSKY_CSC: (1.0, math.inf, True, True),
-    SharpConstant.VERBITSKY_SEC: (1.0, math.inf, True, True),
-    SharpConstant.A_LOW_P: (1.0, 2.0, True, False),
-    SharpConstant.B_LOW_P: (1.0, 2.0, True, False),
-    SharpConstant.A_HIGH_P: (2.0, math.inf, True, True),
-    SharpConstant.B_HIGH_P: (2.0, math.inf, True, True),
-    SharpConstant.C_HIGH_P: (2.0, math.inf, True, True),
-    SharpConstant.D_HIGH_P: (2.0, math.inf, True, True),
-    SharpConstant.C_LOW_P: (1.0, 2.0, True, True),
-    SharpConstant.D_LOW_P: (1.0, 2.0, True, True),
-    SharpConstant.VERBITSKY_A: (1.0, 2.0, True, False),
-    SharpConstant.VERBITSKY_B: (1.0, 2.0, True, False),
+_P_RANGES: dict[SharpConstant, PRange] = {
+    SharpConstant.A: RIESZ_P,
+    SharpConstant.B: RIESZ_P,
+    SharpConstant.HILBERT_NORM: RIESZ_P,
+    SharpConstant.PICHORIDES: RIESZ_P,
+    SharpConstant.VERBITSKY_CSC: RIESZ_P,
+    SharpConstant.VERBITSKY_SEC: RIESZ_P,
+    SharpConstant.A_LOW_P: _LOW_P,
+    SharpConstant.B_LOW_P: _LOW_P,
+    SharpConstant.A_HIGH_P: _HIGH_P,
+    SharpConstant.B_HIGH_P: _HIGH_P,
+    SharpConstant.C_HIGH_P: _HIGH_P,
+    SharpConstant.D_HIGH_P: _HIGH_P,
+    SharpConstant.C_LOW_P: PRange(1.0, 2.0, False, False),
+    SharpConstant.D_LOW_P: PRange(1.0, 2.0, False, False),
+    SharpConstant.VERBITSKY_A: _LOW_P,
+    SharpConstant.VERBITSKY_B: _LOW_P,
+    SharpConstant.ISOP: PRange(2, math.inf, True, False, integer=True),
 }
-
-
-def _check_p(kind: SharpConstant, p: float) -> float:
-    lo, hi, lo_open, hi_open = _P_RANGES[kind]
-    ok_lo = p > lo if lo_open else p >= lo
-    ok_hi = p < hi if hi_open else p <= hi
-    if not (ok_lo and ok_hi and math.isfinite(p)):
-        raise ValueError(f"{kind.value} is defined for p in "
-                         f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}, got {p}")
-    return float(p)
 
 
 def sharp_constant(kind: SharpConstant, p: float | None = None, n: int | None = None) -> float:
     """Evaluate a named constant at exponent p (or order n for ISOP)."""
     kind = SharpConstant(kind)
     if kind is SharpConstant.ISOP:
-        if n is None or n != int(n) or int(n) < 2:
-            raise ValueError(f"ISOP requires an integer n >= 2, got {n}")
-        return 0.5 / math.sin(math.pi / (4.0 * int(n)))
-    if p is None:
-        raise ValueError(f"{kind.value} requires an exponent p")
-    p = _check_p(kind, float(p))
+        return 0.5 / math.sin(math.pi / (4.0 * _P_RANGES[kind].check(kind.value, n)))
+    p = _P_RANGES[kind].check(kind.value, p)
     half = math.pi / (2.0 * p)
     if kind is SharpConstant.A:
         return 1.0 / (math.sqrt(2.0) * math.sin(math.pi / (2.0 * conjugate_exponent_bar(p))))
@@ -194,9 +233,7 @@ def re_branch_power(zeta, p: float):
 
     Returns 0 at zeta = 0.  Accepts scalars or arrays.
     """
-    if not 1.0 < p <= 2.0:
-        raise ValueError(f"re_branch_power requires 1 < p <= 2, got {p}")
-    return _polar(re_branch_angle, zeta, p)
+    return _polar(re_branch_angle, zeta, _LOW_P.check("re_branch_power", p))
 
 
 def _phi_reflected(x: np.ndarray, p: float) -> np.ndarray:
@@ -217,10 +254,8 @@ def theta_lower_reflected(theta, p: float):
     Even, symmetric about pi/2, hence pi-periodic; used with the -pi/2 angle
     shift in the p >= 4 lower bound and in the PHI_HIGH minorant.
     """
-    if p < 4.0:
-        raise ValueError(f"the reflected construction requires p >= 4, got {p}")
-    theta = np.asarray(theta, dtype=float)
-    m = _fold_pi(theta)
+    p = _REFLECTED_P.check("theta_lower_reflected", p)
+    m = _fold_pi(np.asarray(theta, dtype=float))
     m = np.minimum(m, math.pi - m)  # symmetry about pi/2
     out = _phi_reflected(m, p)
     return out if out.shape else float(out)
@@ -250,8 +285,7 @@ def theta_lower(theta, p: float):
     while for 2 < p <= 4 a pi-shift extension would break the lower bound
     beyond |theta| = pi.
     """
-    if p <= 2.0:
-        raise ValueError(f"theta_lower requires p > 2, got {p}")
+    p = _HIGH_P.check("theta_lower", p)
     return phi_mid_angle(theta, p) if p <= 4.0 else theta_lower_reflected(theta, p)
 
 
@@ -262,8 +296,7 @@ def theta_upper(theta, p: float):
     -cos(p theta/2) on [0, 2 pi/p]; the mirrored cosine on
     [2 pi - 2 pi/p, 2 pi]; the max of the two cosine moduli between.
     """
-    if p <= 2.0:
-        raise ValueError(f"theta_upper requires p > 2, got {p}")
+    p = _HIGH_P.check("theta_upper", p)
     theta = np.asarray(theta, dtype=float)
     m = np.mod(np.abs(theta), TWO_PI)
     band = TWO_PI / p
@@ -277,8 +310,7 @@ def theta_upper(theta, p: float):
 def psi_angle(theta, p: float):
     """Angular factor of the upper-bound minorant: cos((p/2)(pi - |theta|))
     for p < 2, theta_upper for p > 2.  Undefined at p = 2."""
-    if p == 2.0:
-        raise ValueError("the upper-bound minorant profile is undefined at p = 2")
+    p = _PSI_P.check("psi_angle", p)
     theta = np.asarray(theta, dtype=float)
     if p > 2.0:
         return theta_upper(theta, p)
@@ -311,17 +343,17 @@ def _f_angle(theta, p: float):
     return phi_mid_angle(theta, p) if p <= 4.0 else phi_high_angle(theta, p)
 
 
-# minorant -> (profile, p-range (lo, hi, lo_inclusive, excludes_two)); the
-# minorant is |zeta|^{p/2} profile(arg zeta, p), with zeta = z w for the pairs
-_MINORANTS: dict[Minorant, tuple] = {
-    Minorant.RE_BRANCH: (re_branch_angle, (1.0, 2.0, False, False)),
-    Minorant.PHI_MID: (phi_mid_angle, (2.0, 4.0, True, False)),
-    Minorant.PHI_HIGH: (phi_high_angle, (4.0, math.inf, True, False)),
-    Minorant.THETA_LOWER: (theta_lower, (2.0, math.inf, False, False)),
-    Minorant.THETA_UPPER: (theta_upper, (2.0, math.inf, False, False)),
-    Minorant.PSI: (psi_angle, (1.0, math.inf, False, True)),
-    Minorant.F_PAIR: (_f_angle, (1.0, math.inf, False, False)),
-    Minorant.G_PAIR: (psi_angle, (1.0, math.inf, False, True)),
+# minorant -> (profile, p-range); the minorant is |zeta|^{p/2} profile(arg
+# zeta, p), with zeta = z w for the pairs
+_MINORANTS: dict[Minorant, tuple[Callable, PRange]] = {
+    Minorant.RE_BRANCH: (re_branch_angle, _LOW_P),
+    Minorant.PHI_MID: (phi_mid_angle, PRange(2.0, 4.0, True, True)),
+    Minorant.PHI_HIGH: (phi_high_angle, _REFLECTED_P),
+    Minorant.THETA_LOWER: (theta_lower, _HIGH_P),
+    Minorant.THETA_UPPER: (theta_upper, _HIGH_P),
+    Minorant.PSI: (psi_angle, _PSI_P),
+    Minorant.F_PAIR: (_f_angle, RIESZ_P),
+    Minorant.G_PAIR: (psi_angle, _PSI_P),
 }
 
 
@@ -336,38 +368,24 @@ def _polar(profile, zeta, p: float):
 
 def psi_value(zeta, p: float):
     """Psi_p(zeta) = |zeta|^{p/2} * psi_angle(arg zeta); subharmonic, p != 2."""
-    if p == 2.0:
-        raise ValueError("Psi is undefined at p = 2")
-    return _polar(psi_angle, zeta, p)
+    return _polar(psi_angle, zeta, _PSI_P.check("psi_value", p))
+
+
+def _pair(mid: Minorant, z, w, p: float):
+    profile, p_range = _MINORANTS[mid]
+    p = p_range.check(mid.value, p)
+    return _polar(profile, np.asarray(z, dtype=complex) * np.asarray(w, dtype=complex), p)
 
 
 def minorant_F(z, w, p: float):
     """Plurisubharmonic minorant of the lower bound: Re((z w)^{p/2}) for
     1 < p <= 2, Phi_p(z w) for p > 2.  Vanishes when z = 0 or w = 0."""
-    p = _check_minorant_p(Minorant.F_PAIR, p)
-    zw = np.asarray(z, dtype=complex) * np.asarray(w, dtype=complex)
-    return _polar(_MINORANTS[Minorant.F_PAIR][0], zw, p)
+    return _pair(Minorant.F_PAIR, z, w, p)
 
 
 def minorant_G(z, w, p: float):
     """Plurisubharmonic minorant of the upper bound: Psi_p(z w), p != 2."""
-    p = _check_minorant_p(Minorant.G_PAIR, p)
-    zw = np.asarray(z, dtype=complex) * np.asarray(w, dtype=complex)
-    return _polar(_MINORANTS[Minorant.G_PAIR][0], zw, p)
-
-
-def _check_minorant_p(mid: Minorant, p: float) -> float:
-    """p as a float, or ValueError when p is outside the minorant's range;
-    a range that reaches infinity is open there."""
-    lo, hi, lo_inc, skip_two = _MINORANTS[mid][1]
-    ok = (p >= lo if lo_inc else p > lo) and p <= hi and math.isfinite(p)
-    if skip_two and p == 2.0:
-        ok = False
-    if not ok:
-        bounds = f"{'[' if lo_inc else '('}{lo}, {hi}{']' if math.isfinite(hi) else ')'}"
-        extra = ", p != 2" if skip_two else ""
-        raise ValueError(f"{mid.value} requires p in {bounds}{extra}, got {p}")
-    return float(p)
+    return _pair(Minorant.G_PAIR, z, w, p)
 
 
 def minorant_value(mid: Minorant, zeta, p: float):
@@ -377,7 +395,8 @@ def minorant_value(mid: Minorant, zeta, p: float):
     complex-line restriction tests) for those.
     """
     mid = Minorant(mid)
-    p = _check_minorant_p(mid, p)
+    profile, p_range = _MINORANTS[mid]
+    p = p_range.check(mid.value, p)
     if mid in (Minorant.F_PAIR, Minorant.G_PAIR):
         raise ValueError(f"{mid.value} is a two-variable minorant; use minorant_F/minorant_G")
-    return _polar(_MINORANTS[mid][0], zeta, p)
+    return _polar(profile, zeta, p)

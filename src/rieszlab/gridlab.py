@@ -63,9 +63,10 @@ import numpy as np
 from scipy import integrate
 
 from .constants import (
+    _MINORANTS,
     Minorant,
+    PRange,
     SharpConstant as SC,
-    _check_minorant_p,
     minorant_F,
     minorant_G,
     minorant_value,
@@ -237,22 +238,6 @@ def _radial_consts(p):
     return 1.0, 1.0 + math.cos(math.pi / p), 1.0, 2.0 ** (0.5 * p), math.tan(math.pi / (2.0 * p))
 
 
-_FORMS = {
-    InequalityId.MIXED_BY_SUM_LOW: _Form(
-        True, _mixed_consts(SC.A_LOW_P, SC.B_LOW_P), re_branch_angle
-    ),
-    InequalityId.MIXED_BY_SUM_RADIAL: _Form(True, _radial_consts, _radial_profile),
-    InequalityId.MIXED_BY_SUM_MID: _Form(True, _mid_consts, phi_mid_angle),
-    InequalityId.MIXED_BY_SUM_HIGH: _Form(
-        True, _mixed_consts(SC.A_HIGH_P, SC.B_HIGH_P), phi_high_angle
-    ),
-    InequalityId.SUM_BY_MIXED_HIGH: _Form(
-        False, _sum_consts(SC.C_HIGH_P, SC.D_HIGH_P), theta_upper
-    ),
-    InequalityId.SUM_BY_MIXED_LOW: _Form(False, _sum_consts(SC.C_LOW_P, SC.D_LOW_P), psi_angle),
-}
-
-
 def _slack_verbitsky_cos(p, x):
     a = sharp_constant(SC.VERBITSKY_A, p)
     b = sharp_constant(SC.VERBITSKY_B, p)
@@ -317,10 +302,7 @@ def _pm_mod_2pi(values: Sequence[float], domain: tuple[float, float]) -> list[fl
 @dataclass(frozen=True)
 class _TagInfo:
     arity: int                    # 2: (r, t); 1: (x,); 0: scalar in p
-    p_lo: float
-    p_hi: float
-    lo_closed: bool
-    hi_closed: bool
+    p_range: PRange
     slack: Callable
     p_values: tuple
     r_range: tuple[float, float] | None = None
@@ -354,25 +336,28 @@ def _stated_pi_over_p_and_shift(p):
 
 _REGISTRY: dict[InequalityId, _TagInfo] = {
     InequalityId.MIXED_BY_SUM_LOW: _TagInfo(
-        2, 1.0, 2.0, False, True, _FORMS[InequalityId.MIXED_BY_SUM_LOW], _lin(1.1, 2.0),
+        2, PRange(1.0, 2.0, False, True),
+        _Form(True, _mixed_consts(SC.A_LOW_P, SC.B_LOW_P), re_branch_angle), _lin(1.1, 2.0),
         r_range=(0.0, 1.0), t_range=_EXT,
         loci=lambda p: [(1.0, t) for t in _pm_mod_2pi([math.pi / p], _EXT)],
         stated_loci=_stated_pi_over_p_and_shift,
     ),
     InequalityId.MIXED_BY_SUM_RADIAL: _TagInfo(
-        2, 1.0, 2.0, False, False, _FORMS[InequalityId.MIXED_BY_SUM_RADIAL], _lin(1.1, 1.9),
+        2, PRange(1.0, 2.0, False, False),
+        _Form(True, _radial_consts, _radial_profile), _lin(1.1, 1.9),
         r_range=(0.0, 1.0), t_range=(-math.pi, math.pi),
         loci=lambda p: [(1.0, math.pi / p), (1.0, -math.pi / p)],
         stated_loci=lambda p: [(1.0, math.pi / p), (1.0, -math.pi / p)],
     ),
     InequalityId.MIXED_BY_SUM_MID: _TagInfo(
-        2, 2.0, 4.0, True, True, _FORMS[InequalityId.MIXED_BY_SUM_MID], _lin(2.0, 4.0),
+        2, PRange(2.0, 4.0, True, True), _Form(True, _mid_consts, phi_mid_angle), _lin(2.0, 4.0),
         r_range=(0.0, 1.0), t_range=_EXT,
         loci=_pi_pm_pi_over_p,
         stated_loci=lambda p: [(1.0, math.pi / p), (1.0, -math.pi / p)],
     ),
     InequalityId.MIXED_BY_SUM_HIGH: _TagInfo(
-        2, 4.0, 64.0, True, True, _FORMS[InequalityId.MIXED_BY_SUM_HIGH], _geom(4.0, 64.0),
+        2, PRange(4.0, 64.0, True, True),
+        _Form(True, _mixed_consts(SC.A_HIGH_P, SC.B_HIGH_P), phi_high_angle), _geom(4.0, 64.0),
         r_range=(0.0, 1.0), t_range=_EXT,
         loci=_pi_pm_pi_over_p,
         stated_loci=lambda p: [
@@ -381,7 +366,8 @@ _REGISTRY: dict[InequalityId, _TagInfo] = {
         ],
     ),
     InequalityId.SUM_BY_MIXED_HIGH: _TagInfo(
-        2, 2.0, 64.0, False, True, _FORMS[InequalityId.SUM_BY_MIXED_HIGH], _geom(2.25, 64.0),
+        2, PRange(2.0, 64.0, False, True),
+        _Form(False, _sum_consts(SC.C_HIGH_P, SC.D_HIGH_P), theta_upper), _geom(2.25, 64.0),
         r_range=(0.0, 1.0), t_range=_EXT,
         loci=lambda p: [
             (1.0, t)
@@ -390,7 +376,8 @@ _REGISTRY: dict[InequalityId, _TagInfo] = {
         stated_loci=_stated_pi_over_p_and_shift,
     ),
     InequalityId.SUM_BY_MIXED_LOW: _TagInfo(
-        2, 1.0, 2.0, False, False, _FORMS[InequalityId.SUM_BY_MIXED_LOW], _lin(1.1, 1.9),
+        2, PRange(1.0, 2.0, False, False),
+        _Form(False, _sum_consts(SC.C_LOW_P, SC.D_LOW_P), psi_angle), _lin(1.1, 1.9),
         r_range=(0.0, 1.0), t_range=_EXT,
         loci=_pi_pm_pi_over_p,
         stated_loci=lambda p: [
@@ -399,36 +386,36 @@ _REGISTRY: dict[InequalityId, _TagInfo] = {
         ],
     ),
     InequalityId.VERBITSKY_COS: _TagInfo(
-        1, 1.0, 2.0, False, True, _slack_verbitsky_cos, _lin(1.1, 2.0),
+        1, PRange(1.0, 2.0, False, True), _slack_verbitsky_cos, _lin(1.1, 2.0),
         t_range=(-0.5 * math.pi, 0.5 * math.pi),
         loci=lambda p: [(math.pi / (2.0 * p),), (-math.pi / (2.0 * p),)],
         stated_loci=lambda p: [(math.pi / (2.0 * p),), (-math.pi / (2.0 * p),)],
     ),
     InequalityId.CSC_GAP: _TagInfo(
-        1, 1.0, 64.0, False, True, _slack_csc_gap, _lin(1.5, 8.0),
+        1, PRange(1.0, 64.0, False, True), _slack_csc_gap, _lin(1.5, 8.0),
         t_range=(1e-4, 0.25 * math.pi),
     ),
     InequalityId.COT_GAP: _TagInfo(
-        1, 1.0, 64.0, False, True, _slack_cot_gap, _lin(1.5, 8.0),
+        1, PRange(1.0, 64.0, False, True), _slack_cot_gap, _lin(1.5, 8.0),
         t_range=(1e-4, 0.25 * math.pi),
     ),
     InequalityId.FACTOR_X: _TagInfo(
-        0, 1.0, 2.0, False, False, _slack_factor_x, _lin(1.05, 1.95)
+        0, PRange(1.0, 2.0, False, False), _slack_factor_x, _lin(1.05, 1.95)
     ),
     InequalityId.FACTOR_Y: _TagInfo(
-        0, 1.0, 2.0, False, False, _slack_factor_y, _lin(1.05, 1.95)
+        0, PRange(1.0, 2.0, False, False), _slack_factor_y, _lin(1.05, 1.95)
     ),
     InequalityId.ROOT_GAP_COS: _TagInfo(
-        0, 4.0, 64.0, True, True, _slack_root_gap_cos, _geom(4.0, 64.0)
+        0, PRange(4.0, 64.0, True, True), _slack_root_gap_cos, _geom(4.0, 64.0)
     ),
     InequalityId.ROOT_GAP_SIN: _TagInfo(
-        0, 4.0, 64.0, True, True, _slack_root_gap_sin, _geom(4.0, 64.0)
+        0, PRange(4.0, 64.0, True, True), _slack_root_gap_sin, _geom(4.0, 64.0)
     ),
     InequalityId.ROOT_GAP_PRODUCT: _TagInfo(
-        0, 4.0, 64.0, True, True, _slack_root_gap_product, _geom(4.0, 64.0)
+        0, PRange(4.0, 64.0, True, True), _slack_root_gap_product, _geom(4.0, 64.0)
     ),
     InequalityId.ROOT_GAP_ANGLE: _TagInfo(
-        0, 4.0, 64.0, True, True, _slack_root_gap_angle, _geom(4.0, 64.0)
+        0, PRange(4.0, 64.0, True, True), _slack_root_gap_angle, _geom(4.0, 64.0)
     ),
 }
 # SUM_BY_MIXED_RADIAL is the same inequality as SUM_BY_MIXED_HIGH, under its own id
@@ -436,8 +423,8 @@ _REGISTRY[InequalityId.SUM_BY_MIXED_RADIAL] = _REGISTRY[InequalityId.SUM_BY_MIXE
 
 
 def inequality_range(tag: InequalityId) -> tuple[float, float, bool, bool]:
-    info = _REGISTRY[InequalityId(tag)]
-    return info.p_lo, info.p_hi, info.lo_closed, info.hi_closed
+    r = _REGISTRY[InequalityId(tag)].p_range
+    return r.lo, r.hi, r.lo_closed, r.hi_closed
 
 
 def default_p_values(tag: InequalityId) -> tuple:
@@ -490,19 +477,6 @@ def cell_diagonal(tag: InequalityId, grid: GridSpec) -> float:
     dr = (r_hi - r_lo) / (grid.r_nodes - 1)
     dt = (t_hi - t_lo) / (grid.t_nodes - 1)
     return math.hypot(dr, dt)
-
-
-def _check_tag_p(tag: InequalityId, p: float) -> float:
-    info = _REGISTRY[tag]
-    ok_lo = p >= info.p_lo if info.lo_closed else p > info.p_lo
-    ok_hi = p <= info.p_hi if info.hi_closed else p < info.p_hi
-    if not (ok_lo and ok_hi):
-        lo_b = "[" if info.lo_closed else "("
-        hi_b = "]" if info.hi_closed else ")"
-        raise ValueError(
-            f"{tag.value} is valid for p in {lo_b}{info.p_lo}, {info.p_hi}{hi_b}, got {p}"
-        )
-    return float(p)
 
 
 # t-nodes per block of the 2-D scan: a block is (SCAN_COLUMNS, whole r row),
@@ -615,7 +589,7 @@ def verify_pointwise(
     around the minimum; report min_slack, argmin, and any violations."""
     tag = InequalityId(tag)
     info = _REGISTRY[tag]
-    p = _check_tag_p(tag, p)
+    p = info.p_range.check(tag.value, p)
     grid = grid or GridSpec()
     acc = SlackAccumulator()
 
@@ -672,7 +646,7 @@ def locate_equality(tag: InequalityId, p: float) -> tuple[tuple, float]:
     """
     tag = InequalityId(tag)
     info = _REGISTRY[tag]
-    p = _check_tag_p(tag, p)
+    p = info.p_range.check(tag.value, p)
     if info.arity == 0:
         return (p,), float(info.slack(p))
 
@@ -721,7 +695,7 @@ def unreduced_slack(tag: InequalityId, p: float, z: complex, w: complex) -> floa
     """Slack evaluated directly on complex (z, w) through the two-variable
     minorants, bypassing the (r, t) reduction; used to validate the reduction."""
     tag = InequalityId(tag)
-    p = _check_tag_p(tag, p)
+    p = _REGISTRY[tag].p_range.check(tag.value, p)
     z, w = complex(z), complex(w)
     mod_sum = abs(z + w.conjugate()) ** p
     mixed = (abs(z) ** 2 + abs(w) ** 2) ** (0.5 * p)
@@ -798,7 +772,7 @@ def _minorant_fn(mid: Minorant, p: float) -> Callable:
         raise ValueError(
             f"{mid.value} is a two-variable minorant; use check_pluri_lines"
         )
-    _check_minorant_p(mid, p)
+    _MINORANTS[mid][1].check(mid.value, p)
     return lambda z: minorant_value(mid, z, p)
 
 
@@ -928,6 +902,7 @@ def check_pluri_lines(
     mid = Minorant(mid)
     if mid not in (Minorant.F_PAIR, Minorant.G_PAIR):
         raise ValueError("check_pluri_lines applies to the two-variable minorants")
+    _MINORANTS[mid][1].check(mid.value, p)
     if n_lines < 16:
         raise ValueError("n_lines must be >= 16")
     if centers < 1 or radii < 1:

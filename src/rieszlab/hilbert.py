@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy import integrate
 
+from .constants import RIESZ_P
 from .maps import FourierSeries, HarmonicMap
 from .quadrature import QuadratureSpec, hardy_norm
 
@@ -183,8 +184,7 @@ def line_lp_norm(pair: LinePair, p: float, transformed: bool = False) -> float:
     quad's variable transformation; the indicator transform has integrable
     logarithmic singularities at +/-1, passed as breakpoints.
     """
-    if p <= 1.0:
-        raise ValueError(f"p must be > 1, got {p}")
+    p = RIESZ_P.check("line_lp_norm", p)
     idx = 1 if transformed else 0
 
     def f(t: float) -> float:

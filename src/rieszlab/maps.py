@@ -53,6 +53,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .constants import RIESZ_P
+
 __all__ = [
     "TaylorPoly",
     "HarmonicMap",
@@ -395,8 +397,7 @@ class CalderonFamily:
     p: float
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ValueError(f"p must be > 1, got {self.p}")
+        RIESZ_P.check("CalderonFamily", self.p)
         if not 0.0 < self.gamma < math.pi / (2.0 * self.p):
             raise ValueError(
                 f"gamma must lie in (0, pi/(2p)) = (0, {math.pi / (2 * self.p):.6g}), "

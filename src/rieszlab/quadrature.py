@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .constants import RIESZ_P, PRange
 from .maps import (
     CalderonFamily,
     HarmonicMap,
@@ -61,6 +62,9 @@ __all__ = [
 ]
 
 P_MAX = 64.0
+# the exponents of the norms and of the means (a mean is a norm's p-th power)
+_NORM_P = PRange(1.0, P_MAX, True, True)
+_MEAN_P = PRange(0.0, P_MAX, False, True)
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -113,20 +117,6 @@ def _spec_for(degree: int, p: float, spec: QuadratureSpec | None) -> QuadratureS
             "required for polynomial boundary traces"
         )
     return spec
-
-
-def _require_norm_p(p: float) -> float:
-    p = float(p)
-    if not 1.0 <= p <= P_MAX:
-        raise ValueError(f"p must lie in [1, {P_MAX:g}], got {p}")
-    return p
-
-
-def _require_positive_p(p: float) -> float:
-    p = float(p)
-    if not 0.0 < p <= P_MAX:
-        raise ValueError(f"p must lie in (0, {P_MAX:g}], got {p}")
-    return p
 
 
 @lru_cache(maxsize=32)
@@ -225,7 +215,7 @@ def _mean(
     """The mean of ring(p, ...) over the traces of polys, by the rule sized
     for |f|^(size * p): _means of one row.  Every public mean and norm is
     one of these; a mean that overflows raises ValueError naming it."""
-    p = _require_positive_p(p)
+    p = _MEAN_P.check(name, p)
     spec = _spec_for(max(q.degree for q in polys), size * p, spec)
     with np.errstate(all="ignore"):
         mean = _means([partial(ring, p)], [q.coeffs for q in polys], spec, r)[0][0]
@@ -295,7 +285,7 @@ def mp_radius(
     m: HarmonicMap, p: float, r: float, spec: QuadratureSpec | None = None
 ) -> float:
     """M_p(f, r) = (int_T |f(r zeta)|^p dsigma)^{1/p} for 0 <= r <= 1."""
-    p = _require_norm_p(p)
+    p = _NORM_P.check("mp_radius", p)
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must lie in [0, 1], got {r}")
     return circle_power_mean(m, p, r, spec) ** (1.0 / p)
@@ -315,14 +305,14 @@ def hardy_norm(
     if isinstance(m, CalderonFamily):
         depth = (spec or QuadratureSpec()).adaptive_depth
         return calderon_norm(m, p, max_refinements=depth)
-    return mp_radius(m, p, 1.0, spec)
+    return mp_radius(m, _NORM_P.check("hardy_norm", p), 1.0, spec)
 
 
 def triple_norm(
     m: HarmonicMap, p: float, spec: QuadratureSpec | None = None
 ) -> float:
     """Mixed norm (int_T (|g|^2 + |h|^2)^{p/2} dsigma)^{1/p}."""
-    p = _require_norm_p(p)
+    p = _NORM_P.check("triple_norm", p)
     return pair_circle_power_mean(m.g, m.h, p / 2.0, 1.0, spec) ** (1.0 / p)
 
 
@@ -330,7 +320,7 @@ def bergman_norm(
     m: HarmonicMap, p: float, spec: QuadratureSpec | None = None
 ) -> float:
     """Bergman norm (int_U |f|^p dxdy/pi)^{1/p}."""
-    p = _require_norm_p(p)
+    p = _NORM_P.check("bergman_norm", p)
     return disk_power_mean(m, p, spec) ** (1.0 / p)
 
 
@@ -338,7 +328,7 @@ def bergman_triple_norm(
     m: HarmonicMap, p: float, spec: QuadratureSpec | None = None
 ) -> float:
     """(int_U (|g|^2 + |h|^2)^{p/2} dxdy/pi)^{1/p}."""
-    p = _require_norm_p(p)
+    p = _NORM_P.check("bergman_triple_norm", p)
     return pair_disk_power_mean(m.g, m.h, p / 2.0, spec) ** (1.0 / p)
 
 
@@ -371,9 +361,7 @@ def calderon_power_mean(
     converge raises QuadratureConvergenceError carrying the achieved
     tolerance.
     """
-    p = params.p if p is None else float(p)
-    if p <= 1.0:
-        raise ValueError(f"p must be > 1, got {p}")
+    p = RIESZ_P.check("calderon_power_mean", params.p if p is None else p)
     a = 2.0 * params.gamma * p / math.pi
     if a >= 1.0:
         raise ValueError(

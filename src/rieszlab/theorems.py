@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import SharpConstant as SC, sharp_constant
+from .constants import RIESZ_P, PRange, SharpConstant as SC, sharp_constant
 from .hilbert import LineKind, LinePair, line_lp_norm
 from .maps import (
     CalderonFamily,
@@ -53,8 +53,6 @@ from .quadrature import (
     _modulus_ring,
     _pair_ring,
     _product_ring,
-    _require_norm_p,
-    _require_positive_p,
     _spec_for,
     calderon_norm,
 )
@@ -94,6 +92,20 @@ _MIXED_TAGS = {
     TheoremId.BERGMAN_MIXED_BY_NORM: (True, True, Constraint.RE_ZERO),
     TheoremId.BERGMAN_NORM_BY_MIXED: (True, False, Constraint.RE_NONPOS),
 }
+
+# the exponent of each tag: the norms are defined up to P_MAX, and the disk
+# sides of BERGMAN_EMBEDDING and PAIR_ISOPERIMETRIC are means of the 2n-th and
+# 2p-th powers; STREBEL compares |f|^2 with |f|, at p = 1
+_NORM_TAG = PRange(1.0, P_MAX, False, True)
+_TAG_RANGES = {tag: _NORM_TAG for tag in TheoremId} | {
+    TheoremId.LINE_PAIRS: RIESZ_P,
+    TheoremId.BERGMAN_EMBEDDING: PRange(2, int(P_MAX / 2), True, True, integer=True),
+    TheoremId.STREBEL: PRange(1.0, 1.0, True, True),
+    TheoremId.PAIR_ISOPERIMETRIC: PRange(0.0, P_MAX / 2, False, True),
+}
+
+# the Calderon probes approach their constants from below for p < 2 only
+_PROBE_P = PRange(1.0, 2.0, False, False)
 
 _LINE_CATALOG = (
     LinePair(LineKind.POISSON_KERNEL, 1.0),
@@ -163,7 +175,7 @@ def _block_sides(
     if tag is TheoremId.PAIR_ISOPERIMETRIC:
         return _pair_isoperimetric_sides(g, h, p_or_n, spec)
     if tag is TheoremId.BERGMAN_EMBEDDING:
-        n, p = _require_norm_p(p_or_n), _require_norm_p(2 * p_or_n)
+        n, p = float(p_or_n), 2.0 * p_or_n
         g, h = _normalized_rows(g, h)
         [bergman] = _norms(p, [partial(_map_ring, p)], (g, h), _spec_for(degree, p, spec), None)
         [hardy] = _norms(n, [partial(_map_ring, n)], (g, h), _spec_for(degree, n, spec))
@@ -173,7 +185,7 @@ def _block_sides(
         [lhs] = _means([partial(_modulus_ring, 2.0)], (g,), _spec_for(degree, 2.0, spec), None)
         [rhs] = _means([partial(_modulus_ring, 1.0)], (g,), _spec_for(degree, 1.0, spec), 1.0)
         return lhs, [mean**2 for mean in rhs]
-    p = _require_norm_p(p_or_n)
+    p = float(p_or_n)
     spec = _spec_for(degree, p, spec)
     if tag in _MIXED_TAGS:
         disk, mixed_lhs, _ = _MIXED_TAGS[tag]
@@ -249,33 +261,18 @@ def verify_theorem(
 
     min_slack is the worst relative slack (RHS_total - LHS)/RHS_total;
     ratio_max the largest observed LHS/RHS_total (a sharpness statistic).
+    p_or_n must lie in the tag's range (_TAG_RANGES), checked before any draw.
     """
     tag = TheoremId(tag)
+    _TAG_RANGES[tag].check(tag.value, p_or_n)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
-    if tag is TheoremId.BERGMAN_EMBEDDING:
-        # the Bergman side is a 2n-norm
-        n = int(p_or_n)
-        if n != p_or_n or not 2 <= n <= P_MAX / 2:
-            raise ValueError(
-                f"BERGMAN_EMBEDDING requires an integer n in [2, {P_MAX / 2:g}], got {p_or_n}"
-            )
-        constant = theorem_constant(tag, n=n)
-    elif tag is TheoremId.PAIR_ISOPERIMETRIC:
-        # the disk side is a mean of the 2p-th power
-        if not 0 < p_or_n <= P_MAX / 2:
-            raise ValueError(f"PAIR_ISOPERIMETRIC requires p in (0, {P_MAX / 2:g}], got {p_or_n}")
-        constant = 1.0
-    elif tag is TheoremId.STREBEL:
-        constant = 1.0
-    else:
-        if not p_or_n > 1:
-            raise ValueError(f"{tag.value} requires p > 1, got {p_or_n}")
-        constant = theorem_constant(tag, p=p_or_n)
+    # p_or_n is the n of BERGMAN_EMBEDDING
+    constant = theorem_constant(tag, p=p_or_n, n=p_or_n)
 
     if tag is TheoremId.LINE_PAIRS:
         labels = [(pair.kind.value, pair.parameter) for pair in _LINE_CATALOG]
@@ -298,7 +295,7 @@ def _pair_isoperimetric_sides(
     pair of coefficient arrays (a, b) (a 1-D sequence is one row); both sides
     share the traces of a and b (one circle transform per factor, and one
     disk transform per row)."""
-    p, twice = _require_positive_p(p), _require_positive_p(2.0 * p)
+    p, twice = float(p), 2.0 * p
     degree = max(np.shape(a)[-1], np.shape(b)[-1]) - 1
     disk, circle = _spec_for(degree, 2.0 * twice, spec), _spec_for(degree, 2.0 * p, spec)
     [lhs] = _means([partial(_pair_ring, twice)], (a, b), disk, None)
@@ -314,8 +311,7 @@ def verify_pair_isoperimetric(
     rel_tol: float = 1e-9,
 ) -> VerificationReport:
     """int_U (|a|^2+|b|^2)^{2p} <= (int_T (|a|^2+|b|^2)^p)^2 for p > 0."""
-    if not 0 < p <= P_MAX / 2:
-        raise ValueError(f"p must lie in (0, {P_MAX / 2:g}], got {p}")
+    _TAG_RANGES[TheoremId.PAIR_ISOPERIMETRIC].check("verify_pair_isoperimetric", p)
     acc = SlackAccumulator()
     (lhs,), (rhs,) = _pair_isoperimetric_sides(a.coeffs, b.coeffs, p, spec)
     slack = (rhs - lhs) / rhs if rhs else math.inf
@@ -394,10 +390,8 @@ def isoperimetric_chain(
     This is the one-row call of _chain_links, which the battery calls on a
     block of maps.
     """
-    if n != int(n) or not 2 <= n <= P_MAX / 2:
-        # L is a mean of the 2n-th power
-        raise ValueError(f"n must be an integer in [2, {P_MAX / 2:g}], got {n}")
-    [chain] = _chain_links(m.g.coeffs, m.h.coeffs, int(n), spec)
+    n = _TAG_RANGES[TheoremId.BERGMAN_EMBEDDING].check("isoperimetric_chain", n)
+    [chain] = _chain_links(m.g.coeffs, m.h.coeffs, n, spec)
     for (name_lo, lo), (name_hi, hi) in zip(chain, chain[1:]):
         if lo > hi * (1.0 + rel_tol):
             raise ValueError(
@@ -430,8 +424,7 @@ def sharpness_probe(
         TheoremId.IM_BY_ANALYTIC,
     ):
         raise ValueError(f"no Calderon probe for {tag.value}")
-    if not 1.0 < p < 2.0:
-        raise ValueError(f"the Calderon probes run in the 1 < p < 2 regime, got p={p}")
+    _PROBE_P.check("sharpness_probe", p)
     ratios = []
     for frac in gamma_fractions:
         if not 0.0 < frac < 1.0:

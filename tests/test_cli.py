@@ -234,11 +234,11 @@ def test_bad_arguments_exit_2(cos_map_file, tmp_path, monkeypatch, capsys):
         (["suite", "--seed", "-3"], "seed must be >= 0, got -3"),
         # the grid scan draws nothing at random, so it takes no seed
         (["verify-lemma", "--id", "CSC_GAP", "--p", "2", "--seed", "0"], "--seed"),
-        (["norms", "--input", cos_map_file, "--p", "0.5"], "p must lie in [1, 64]"),
+        (["norms", "--input", cos_map_file, "--p", "0.5"], "requires p in [1.0, 64.0]"),
         (["norms", "--input", cos_map_file, "--p", "2", "--r", "2"], "r must lie in [0, 1]"),
         (["probe-sharpness", "--id", "NOPE", "--p", "2"], "choose from"),
         (["subharmonic", "--id", "NOPE", "--p", "2"], "choose from"),
-        (["constants", "--n", "1"], "ISOP requires an integer n >= 2"),
+        (["constants", "--n", "1"], "ISOP requires an integer n in [2, inf)"),
     ):
         assert capture(argv)[0] == 2, argv
         assert field in capsys.readouterr().err, argv
@@ -283,6 +283,24 @@ def test_out_of_range_theorem_exponents_exit_2_naming_the_given_value(capsys):
         assert capture(argv)[0] == 2, argv
         err = capsys.readouterr().err
         assert "40" in err and "80" not in err, argv
+
+
+def test_infinite_nan_or_unequal_theorem_exponents_exit_2(capsys):
+    # an infinite or NaN n is outside the integer range (no OverflowError
+    # traceback), and STREBEL holds at p = 1 only
+    for argv, message in (
+        (["verify-theorem", "--id", "BERGMAN_EMBEDDING", "--p", "inf"],
+         "BERGMAN_EMBEDDING requires an integer n in [2, 32], got inf"),
+        (["verify-theorem", "--id", "BERGMAN_EMBEDDING", "--p", "nan"],
+         "BERGMAN_EMBEDDING requires an integer n in [2, 32], got nan"),
+        (["verify-theorem", "--id", "STREBEL", "--p", "nan"],
+         "STREBEL requires p in [1.0, 1.0], got nan"),
+        (["verify-theorem", "--id", "STREBEL", "--p", "2"],
+         "STREBEL requires p in [1.0, 1.0], got 2.0"),
+    ):
+        assert capture(argv) == (2, ""), argv
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n", argv
 
 
 def test_malformed_map_file_diagnostics(tmp_path):

@@ -273,6 +273,33 @@ def test_out_of_range_exponents_name_the_callers_value(monkeypatch):
     isoperimetric_chain(HarmonicMap(TaylorPoly([1.0, 0.5]), TaylorPoly([0.0])), 32)
 
 
+def test_theorem_exponents_are_checked_before_any_draw(monkeypatch):
+    # each tag's range is checked once, at the top of verify_theorem, so an
+    # exponent that no rule can take draws no seed and runs no transform
+    calls = count_transforms(monkeypatch)
+    draws = []
+    monkeypatch.setattr(theorems, "random_coefficients", lambda *a, **k: draws.append(a))
+    for tag, given, interval in (
+        (TheoremId.CONJUGATE_NORM, 100, "(1.0, 64.0]"),
+        (TheoremId.MIXED_BY_HARDY, 64.5, "(1.0, 64.0]"),
+        (TheoremId.BERGMAN_MIXED_BY_NORM, 1, "(1.0, 64.0]"),
+        (TheoremId.LINE_PAIRS, math.inf, "(1.0, inf)"),
+        (TheoremId.STREBEL, 2.0, "[1.0, 1.0]"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            verify_theorem(tag, given, samples=5)
+        assert str(exc.value) == f"{tag.value} requires p in {interval}, got {given}"
+    assert calls == [] and draws == []
+
+
+def test_strebel_holds_at_p_one_only():
+    assert verify_theorem(TheoremId.STREBEL, 1.0, samples=2, degree=2).passed
+    assert verify_theorem(TheoremId.STREBEL, 1, samples=2, degree=2).p == 1
+    for p in (0.5, 2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="STREBEL requires p in"):
+            verify_theorem(TheoremId.STREBEL, p, samples=2)
+
+
 def test_pair_isoperimetric_examples():
     # a = 1, b = 0: both sides equal 1
     one, zero = np.array([[1.0 + 0j]]), np.array([[0j]])
