@@ -8,6 +8,16 @@ only on the moduli and the angle sum and is homogeneous of degree p, so
 |w| = 1, r in (0, 1] loses nothing (a direct 4-parameter random scan is kept
 as a test of this reduction, see unreduced_slack).
 
+One path per job.  A scalar tag is evaluated once; every other tag is
+scanned and refined by one path over its axes, (t,) or (r, t), and located by
+one zoom loop over the same axes.  A one-variable scan is the one-column case
+of the 2-D scan's block fold (_fold_block), so both arities keep one rule for
+the minimum and the violations.  check_submean and check_pluri_lines draw
+their own circles and hand them to one deficit core (_add_deficits), which
+takes the circle means, forms the cushioned deficits and adds them; the
+origin comparison of check_submean is a hook that runs right after each
+origin circle's deficit.
+
 For the homogeneous two-variable tags the slack is reported relative to the
 sum of the absolute values of its three terms: raw terms reach ~1e19 at
 p = 64, where an absolute -1e-9 acceptance would be swamped by roundoff,
@@ -494,6 +504,12 @@ def _keep_heap(nbytes: int) -> None:
     Below those thresholds a block's freed temporaries stay on the heap for
     the next block, where otherwise every block returns them to the kernel
     and faults them in again.  Other allocators ignore it.
+
+    Measured on the circle path (battery.submean_reports and
+    pluri_line_reports at their defaults, 6 alternating pairs of fresh
+    processes, 2 CPUs): without it the two stages took 296k-366k minor page
+    faults instead of about 970, and 1.01-1.72 s instead of 0.76-1.55 s (5
+    of 6 pairs slower); ru_maxrss stayed at about 85.5 MB either way.
     """
     np.empty(nbytes, dtype=np.uint8)
 
@@ -567,13 +583,9 @@ def _scan_2d(slack_fn, p, r_vals, t_vals, tol):
 
 
 def _scan_1d(slack_fn, p, x_vals, tol):
-    s = slack_fn(p, x_vals)
-    j, v = _first_min(s)
-    violations = [
-        ((float(x_vals[k]),), float(s[k]))
-        for k in np.flatnonzero(_violated(s, tol))[:MAX_VIOLATIONS]
-    ]
-    return v, (float(x_vals[j]),), violations
+    """_scan_2d's result for a one-variable slack: the one-column block."""
+    (min_slack, _, j), bad = _fold_block(0, slack_fn(p, x_vals)[:, None], tol)
+    return min_slack, (float(x_vals[j]),), [((float(x_vals[k]),), s) for _, k, s in bad]
 
 
 def _axis(lo, hi, n, open_lo=False):
@@ -582,11 +594,26 @@ def _axis(lo, hi, n, open_lo=False):
     return np.linspace(lo, hi, n)
 
 
+def _scan_axes(ranges, nodes):
+    """The scan axes over ranges, (t,) or (r, t), and the scanner for them.
+    nodes gives the (r, t) node counts; an r axis from 0 leaves r = 0 out."""
+    axes = [
+        _axis(lo, hi, n, open_lo=(k < len(ranges) - 1 and lo == 0.0))
+        for k, ((lo, hi), n) in enumerate(zip(ranges, nodes[-len(ranges) :]))
+    ]
+    return axes, (_scan_1d if len(axes) == 1 else _scan_2d)
+
+
 def verify_pointwise(
     tag: InequalityId, p: float, grid: GridSpec | None = None
 ) -> VerificationReport:
     """Scan the tag's slack on the full grid plus one local refinement pass
-    around the minimum; report min_slack, argmin, and any violations."""
+    around the minimum; report min_slack, argmin, and any violations.
+
+    A scalar tag is evaluated once.  Otherwise the scan and its refinement
+    are one path over the tag's axes, (t,) or (r, t): the refinement takes
+    2 refine_factor + 1 nodes per axis within one cell of the minimum,
+    clamped to the axis."""
     tag = InequalityId(tag)
     info = _REGISTRY[tag]
     p = info.p_range.check(tag.value, p)
@@ -598,41 +625,19 @@ def verify_pointwise(
         acc.add((p,), s, bool(_violated(s, grid.tolerance)))
         return acc.report(id=tag.value, p=p, grid={"kind": "scalar"}, tolerance=grid.tolerance)
 
+    ranges = [axis for axis in scan_ranges(tag, grid) if axis]
+    axes, scan = _scan_axes(ranges, (grid.r_nodes, grid.t_nodes))
+    names = "rt"[-len(axes) :]
+    scan_grid = {f"{x}_nodes": len(v) for x, v in zip(names, axes)}
+    for x, (lo, hi), v in zip(names, ranges, axes):
+        scan_grid[f"{x}_range"] = [float(v[0]), float(hi)] if x == "r" else [lo, hi]
     # the full-grid scan sets the minimum; the refinement pass can only lower it
-    if info.arity == 1:
-        _, (lo, hi) = scan_ranges(tag, grid)
-        x_vals = _axis(lo, hi, grid.t_nodes)
-        acc.min_slack, acc.argmin, acc.violations = _scan_1d(
-            info.slack, p, x_vals, grid.tolerance
-        )
-        dx = (hi - lo) / (grid.t_nodes - 1)
-        x_ref = np.linspace(
-            max(lo, acc.argmin[0] - dx), min(hi, acc.argmin[0] + dx), 2 * grid.refine_factor + 1
-        )
-        refined = _scan_1d(info.slack, p, x_ref, grid.tolerance)
-        scan_grid = {"t_nodes": grid.t_nodes, "t_range": [lo, hi]}
-    else:
-        (r_lo, r_hi), (t_lo, t_hi) = scan_ranges(tag, grid)
-        r_vals = _axis(r_lo, r_hi, grid.r_nodes, open_lo=(r_lo == 0.0))
-        t_vals = _axis(t_lo, t_hi, grid.t_nodes)
-        acc.min_slack, acc.argmin, acc.violations = _scan_2d(
-            info.slack, p, r_vals, t_vals, grid.tolerance
-        )
-        r0, t0 = acc.argmin
-        dr = (r_vals[-1] - r_vals[0]) / (grid.r_nodes - 1)
-        dt = (t_hi - t_lo) / (grid.t_nodes - 1)
-        r_ref = np.linspace(
-            max(r_vals[0], r0 - dr), min(r_hi, r0 + dr), 2 * grid.refine_factor + 1
-        )
-        t_ref = np.linspace(max(t_lo, t0 - dt), min(t_hi, t0 + dt), 2 * grid.refine_factor + 1)
-        refined = _scan_2d(info.slack, p, r_ref, t_ref, grid.tolerance)
-        scan_grid = {
-            "r_nodes": grid.r_nodes,
-            "t_nodes": grid.t_nodes,
-            "r_range": [float(r_vals[0]), float(r_hi)],
-            "t_range": [t_lo, t_hi],
-        }
-    m2, a2, v2 = refined
+    acc.min_slack, acc.argmin, acc.violations = scan(info.slack, p, *axes, grid.tolerance)
+    refined = []
+    for v, a in zip(axes, acc.argmin):
+        d = (v[-1] - v[0]) / (len(v) - 1)
+        refined.append(np.linspace(max(v[0], a - d), min(v[-1], a + d), 2 * grid.refine_factor + 1))
+    m2, a2, v2 = scan(info.slack, p, *refined, grid.tolerance)
     acc.add(a2, m2)
     for label, s in v2:
         acc.flag(label, s)
@@ -640,9 +645,11 @@ def verify_pointwise(
 
 
 def locate_equality(tag: InequalityId, p: float) -> tuple[tuple, float]:
-    """Coarse-to-fine minimization of the slack (three zoom passes).
+    """Coarse-to-fine minimization of the slack over the tag's default
+    domain: a 1024-node (t) or 512 x 1024 (r, t) grid, then three zoom
+    passes of 129 (t) or 65 x 65 nodes within two cells of the last minimum.
 
-    Returns (minimizer, slack at minimizer).
+    Returns (minimizer, slack at minimizer) of the last pass.
     """
     tag = InequalityId(tag)
     info = _REGISTRY[tag]
@@ -650,33 +657,17 @@ def locate_equality(tag: InequalityId, p: float) -> tuple[tuple, float]:
     if info.arity == 0:
         return (p,), float(info.slack(p))
 
-    if info.arity == 1:
-        lo, hi = info.t_range
-        x = _axis(lo, hi, 1024)
-        for _ in range(3):
-            s = info.slack(p, x)
-            j = int(np.argmin(s))
-            dx = x[1] - x[0]
-            x = np.linspace(max(lo, x[j] - 2 * dx), min(hi, x[j] + 2 * dx), 129)
-        s = info.slack(p, x)
-        j = int(np.argmin(s))
-        return (float(x[j]),), float(s[j])
-
-    r_lo, r_hi = info.r_range
-    t_lo, t_hi = info.t_range
-    r = _axis(r_lo, r_hi, 512, open_lo=(r_lo == 0.0))
-    t = _axis(t_lo, t_hi, 1024)
-    best = ((float(r[-1]), float(t[0])), math.inf)
+    ranges = [axis for axis in scan_ranges(tag) if axis]
+    axes, scan = _scan_axes(ranges, (512, 1024))
+    zoom = 129 if len(axes) == 1 else 65
     for _ in range(3):
-        m, a, _v = _scan_2d(info.slack, p, r, t, math.inf)
-        best = (a, m)
-        dr, dt = r[1] - r[0], t[1] - t[0]
-        r = np.linspace(max(r_lo, a[0] - 2 * dr), min(r_hi, a[0] + 2 * dr), 65)
-        t = np.linspace(max(t_lo, a[1] - 2 * dt), min(t_hi, a[1] + 2 * dt), 65)
-    m, a, _v = _scan_2d(info.slack, p, r, t, math.inf)
-    if m < best[1]:
-        best = (a, m)
-    return best
+        _, a, _ = scan(info.slack, p, *axes, math.inf)
+        axes = [
+            np.linspace(max(lo, x - 2 * (v[1] - v[0])), min(hi, x + 2 * (v[1] - v[0])), zoom)
+            for (lo, hi), v, x in zip(ranges, axes, a)
+        ]
+    m, a, _ = scan(info.slack, p, *axes, math.inf)
+    return a, m
 
 
 _UNREDUCED_LOW = (InequalityId.MIXED_BY_SUM_LOW, InequalityId.MIXED_BY_SUM_RADIAL)
@@ -727,13 +718,13 @@ def unreduced_slack(tag: InequalityId, p: float, z: complex, w: complex) -> floa
 CIRCLE_BLOCK = 16
 
 
-def _check_angles(angles: int) -> None:
+def _check_circles(centers: int, radii: int, angles: int, seed: int, tolerance: float) -> None:
+    """The arguments both circle checks share, checked in this order."""
+    if centers < 1 or radii < 1:
+        raise ValueError("centers and radii must be >= 1")
     # the two-grid estimate averages every second node, so the count is even
     if angles < 256 or angles % 2:
         raise ValueError(f"angles must be an even number >= 256, got {angles}")
-
-
-def _check_seed_and_tolerance(seed: int, tolerance: float) -> None:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if not (math.isfinite(tolerance) and tolerance > 0.0):
@@ -762,6 +753,33 @@ def _circle_means(values, centers, rhos, angles: int):
 
     means, errs = zip(*_share_blocks(range(0, len(rhos), CIRCLE_BLOCK), block))
     return np.concatenate(means), np.concatenate(errs)
+
+
+def _add_deficits(acc, groups, center_values, values, angles, tolerance, on_circle=None):
+    """The sub-mean deficits of both circle checks, added to acc.
+
+    groups are (label, center, radii): circle k of a group has the label
+    label + (radii[k],), and center_values holds each group's value at its
+    center.  values(rows, z) evaluates the circles as in _circle_means.  A
+    deficit is mean - center value + 2 err, cushioned by twice the two-grid
+    estimate err; below -tolerance or not finite, it is a violation.
+    on_circle(g, rho, mean, err), if given, runs right after the deficit of
+    each circle of group g."""
+    means, errs = _circle_means(
+        values,
+        [center for _, center, rhos in groups for _ in rhos],
+        [rho for *_, rhos in groups for rho in rhos],
+        angles,
+    )
+    deficits = means - np.repeat(center_values, [len(rhos) for *_, rhos in groups]) + 2.0 * errs
+    violated = _violated(deficits, tolerance)
+    k = 0
+    for g, (label, _, rhos) in enumerate(groups):
+        for rho in rhos:
+            acc.add(label + (rho,), float(deficits[k]), violated[k])
+            if on_circle is not None:
+                on_circle(g, rho, float(means[k]), float(errs[k]))
+            k += 1
 
 
 def _minorant_fn(mid: Minorant, p: float) -> Callable:
@@ -827,15 +845,12 @@ def check_submean(
     (k, angles) array and be safe to call from several threads at once.
     seed must be >= 0 and tolerance finite and > 0.
     """
-    _check_angles(angles)
-    if centers < 1 or radii < 1:
-        raise ValueError("centers and radii must be >= 1")
-    _check_seed_and_tolerance(seed, tolerance)
+    _check_circles(centers, radii, angles, seed, tolerance)
     acc = SlackAccumulator()
+    on_circle = None
     if callable(minorant_or_fn):
         fn = minorant_or_fn
         tag = getattr(minorant_or_fn, "__name__", "custom")
-        origin_reference = None
     else:
         mid = Minorant(minorant_or_fn)
         fn = _minorant_fn(mid, p)
@@ -843,38 +858,25 @@ def check_submean(
         # the origin mean scales as rho^{p/2}, so one profile integral serves
         # every radius: unit * rho^{p/2} is origin_circle_mean(mid, p, rho)
         unit = origin_circle_mean(mid, p, 1.0)
-        origin_reference = lambda rho: unit * rho ** (0.5 * p)  # noqa: E731
 
-    rng = np.random.default_rng(seed)
-    groups = []  # (center, its circle radii), drawn centers first, the origin last
-    for _ in range(centers):
-        z0 = complex(2.0 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, TWO_PI)))
-        groups.append((z0, [abs(z0) * rng.uniform(1e-3, 1.0) for _ in range(radii)]))
-    # explicit origin pass with the independent mean comparison
-    groups.append((0.0 + 0.0j, [2.0 * rng.uniform(1e-3, 1.0) for _ in range(radii)]))
-    means, errs = _circle_means(
-        lambda rows, z: fn(z),
-        [center for center, rhos in groups for _ in rhos],
-        [rho for _, rhos in groups for rho in rhos],
-        angles,
-    )
-
-    # one 0-d call per center: an array call need not give the same bits
-    values = [float(np.real(fn(np.asarray(center)))) for center, _ in groups]
-    deficits = means - np.repeat(values, radii) + 2.0 * errs
-    violated = _violated(deficits, tolerance)
-    k = 0
-    for g, (center, rhos) in enumerate(groups):
-        for rho in rhos:
-            acc.add((center.real, center.imag, rho), float(deficits[k]), violated[k])
-            if g == centers and origin_reference is not None:
-                ref = origin_reference(rho)
-                mean, err = float(means[k]), float(errs[k])
+        def on_circle(g, rho, mean, err):
+            if g == centers:  # the origin, compared with its independent mean
+                ref = unit * rho ** (0.5 * p)
                 allowance = 64.0 * max(1.0, abs(ref)) / angles**2 + 4.0 * err + 1e-10
                 if abs(mean - ref) > allowance:
                     acc.flag((0.0, 0.0, rho), float(mean - ref))
-            k += 1
 
+    rng = np.random.default_rng(seed)
+    groups = []  # (label, center, its circle radii), drawn centers first, the origin last
+    for _ in range(centers):
+        z0 = complex(2.0 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, TWO_PI)))
+        rhos = [abs(z0) * rng.uniform(1e-3, 1.0) for _ in range(radii)]
+        groups.append(((z0.real, z0.imag), z0, rhos))
+    # explicit origin pass with the independent mean comparison
+    groups.append(((0.0, 0.0), 0.0 + 0.0j, [2.0 * rng.uniform(1e-3, 1.0) for _ in range(radii)]))
+    # one 0-d call per center: an array call need not give the same bits
+    values = [float(np.real(fn(np.asarray(center)))) for _, center, _ in groups]
+    _add_deficits(acc, groups, values, lambda rows, z: fn(z), angles, tolerance, on_circle)
     return acc.report(
         id=tag,
         p=p,
@@ -905,14 +907,11 @@ def check_pluri_lines(
     _MINORANTS[mid][1].check(mid.value, p)
     if n_lines < 16:
         raise ValueError("n_lines must be >= 16")
-    if centers < 1 or radii < 1:
-        raise ValueError("centers and radii must be >= 1")
-    _check_angles(angles)
-    _check_seed_and_tolerance(seed, tolerance)
+    _check_circles(centers, radii, angles, seed, tolerance)
     two_var = minorant_F if mid is Minorant.F_PAIR else minorant_G
     acc = SlackAccumulator()
     rng = np.random.default_rng(seed)
-    groups = []  # (line, (z0, w0, w1, w2), center, its circle radii)
+    groups, lines = [], []  # (label, center, its circle radii), and each group's line
     for line in range(n_lines):
         coeffs = tuple(
             complex(math.sqrt(rng.uniform()) * 1.25 * np.exp(1j * rng.uniform(0, TWO_PI)))
@@ -920,28 +919,21 @@ def check_pluri_lines(
         )
         for _ in range(centers):
             c = complex(math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, TWO_PI)))
-            groups.append((line, coeffs, c, [0.75 * rng.uniform(1e-3, 1.0) for _ in range(radii)]))
-
-    # each circle's line coefficients, as (circles, 1) columns
-    z0s, w0s, w1s, w2s = np.array([cs for _, cs, _, rhos in groups for _ in rhos]).T[:, :, None]
-    means, errs = _circle_means(
-        lambda rows, tau: two_var(z0s[rows] + tau * w1s[rows], w0s[rows] + tau * w2s[rows], p),
-        [c for _, _, c, rhos in groups for _ in rhos],
-        [rho for *_, rhos in groups for rho in rhos],
-        angles,
-    )
+            rhos = [0.75 * rng.uniform(1e-3, 1.0) for _ in range(radii)]
+            groups.append(((line, c.real, c.imag), c, rhos))
+            lines.append(coeffs)
 
     values = []
-    for _, (z0, w0, w1, w2), c, _ in groups:
+    for (z0, w0, w1, w2), (_, c, _) in zip(lines, groups):
         tau = np.asarray(c)  # one 0-d call per center: an array call need not give the same bits
         values.append(float(np.real(two_var(z0 + tau * w1, w0 + tau * w2, p))))
-    deficits = means - np.repeat(values, radii) + 2.0 * errs
-    violated = _violated(deficits, tolerance)
-    k = 0
-    for line, _, c, rhos in groups:
-        for rho in rhos:
-            acc.add((line, c.real, c.imag, rho), float(deficits[k]), violated[k])
-            k += 1
+    # each circle's line coefficients, as (circles, 1) columns
+    z0s, w0s, w1s, w2s = np.repeat(lines, radii, axis=0).T[:, :, None]
+
+    def restricted(rows, tau):
+        return two_var(z0s[rows] + tau * w1s[rows], w0s[rows] + tau * w2s[rows], p)
+
+    _add_deficits(acc, groups, values, restricted, angles, tolerance)
     return acc.report(
         id=mid.value,
         p=p,

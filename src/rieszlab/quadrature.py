@@ -304,7 +304,7 @@ def hardy_norm(
     """
     if isinstance(m, CalderonFamily):
         depth = (spec or QuadratureSpec()).adaptive_depth
-        return calderon_norm(m, p, max_refinements=depth)
+        return calderon_norm(m, RIESZ_P.check("hardy_norm", p), max_refinements=depth)
     return mp_radius(m, _NORM_P.check("hardy_norm", p), 1.0, spec)
 
 
@@ -441,7 +441,7 @@ def calderon_norm(
     real and imaginary parts, 'conjugate' for the harmonic conjugate of the
     real part (whose square modulus is v^2 + 1 under this normalization).
     """
-    p = params.p if p is None else float(p)
+    p = RIESZ_P.check("calderon_norm", params.p if p is None else p)
     cg, sg = math.cos(params.gamma), math.sin(params.gamma)
     table = {
         "analytic": (1.0, 0.0),

@@ -116,8 +116,10 @@ _LINE_CATALOG = (
 
 
 def theorem_constant(tag: TheoremId, p: float | None = None, n: int | None = None) -> float:
-    """The constant appearing on the right-hand side of a tag's bound."""
+    """The constant appearing on the right-hand side of a tag's bound.  p
+    (n for BERGMAN_EMBEDDING) must lie in the tag's range (_TAG_RANGES)."""
     tag = TheoremId(tag)
+    _TAG_RANGES[tag].check(tag.value, n if tag is TheoremId.BERGMAN_EMBEDDING else p)
     if tag in (TheoremId.MIXED_BY_HARDY, TheoremId.BERGMAN_MIXED_BY_NORM):
         return sharp_constant(SC.A, p)
     if tag is TheoremId.HARDY_BY_MIXED:
@@ -264,15 +266,14 @@ def verify_theorem(
     p_or_n must lie in the tag's range (_TAG_RANGES), checked before any draw.
     """
     tag = TheoremId(tag)
-    _TAG_RANGES[tag].check(tag.value, p_or_n)
+    # p_or_n is the n of BERGMAN_EMBEDDING
+    constant = theorem_constant(tag, p=p_or_n, n=p_or_n)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
-    # p_or_n is the n of BERGMAN_EMBEDDING
-    constant = theorem_constant(tag, p=p_or_n, n=p_or_n)
 
     if tag is TheoremId.LINE_PAIRS:
         labels = [(pair.kind.value, pair.parameter) for pair in _LINE_CATALOG]

@@ -5,7 +5,9 @@ quadrature visit, the three-cosine RE_BRANCH angle profile, the minorants
 with each angle profile written out where it is used, the six two-variable
 slack functions written out one by one, the equality loci written out per
 tag, the 2-D scan over (r, t) column blocks of 32 t-nodes with a fresh array
-per temporary, and the isoperimetric chain from seven public power means (two
+per temporary, verify_pointwise and locate_equality with a branch of their
+own per arity (and a one-variable scan with its own minimum and violation
+code), and the isoperimetric chain from seven public power means (two
 transforms each)."""
 
 import math
@@ -22,7 +24,15 @@ from rieszlab.constants import (
     theta_lower_reflected,
     theta_upper,
 )
-from rieszlab.gridlab import InequalityId, _first_min, _pm_mod_2pi, _violated
+from rieszlab.gridlab import (
+    _REGISTRY,
+    InequalityId,
+    _axis,
+    _first_min,
+    _pm_mod_2pi,
+    _violated,
+    scan_ranges,
+)
 from rieszlab.maps import Constraint, HarmonicMap, TaylorPoly
 from rieszlab.quadrature import (
     circle_power_mean,
@@ -32,7 +42,7 @@ from rieszlab.quadrature import (
     product_circle_power_mean,
     product_disk_power_mean,
 )
-from rieszlab.reporting import MAX_VIOLATIONS
+from rieszlab.reporting import MAX_VIOLATIONS, GridSpec, SlackAccumulator
 
 
 def _disk_samples(rng, n):
@@ -338,6 +348,107 @@ def _scan_2d(slack_fn, p, r_vals, t_vals, tol):
     min_slack, i, j = best
     violations = [((float(r_vals[bi]), float(t_vals[bj])), sv) for bi, bj, sv in bad]
     return min_slack, (float(r_vals[i]), float(t_vals[j])), violations
+
+
+def _scan_1d(slack_fn, p, x_vals, tol):
+    s = slack_fn(p, x_vals)
+    j, v = _first_min(s)
+    violations = [
+        ((float(x_vals[k]),), float(s[k]))
+        for k in np.flatnonzero(_violated(s, tol))[:MAX_VIOLATIONS]
+    ]
+    return v, (float(x_vals[j]),), violations
+
+
+def verify_pointwise(tag, p, grid=None):
+    """gridlab.verify_pointwise with one branch per arity."""
+    tag = InequalityId(tag)
+    info = _REGISTRY[tag]
+    p = info.p_range.check(tag.value, p)
+    grid = grid or GridSpec()
+    acc = SlackAccumulator()
+
+    if info.arity == 0:
+        s = float(info.slack(p))
+        acc.add((p,), s, bool(_violated(s, grid.tolerance)))
+        return acc.report(id=tag.value, p=p, grid={"kind": "scalar"}, tolerance=grid.tolerance)
+
+    if info.arity == 1:
+        _, (lo, hi) = scan_ranges(tag, grid)
+        x_vals = _axis(lo, hi, grid.t_nodes)
+        acc.min_slack, acc.argmin, acc.violations = _scan_1d(
+            info.slack, p, x_vals, grid.tolerance
+        )
+        dx = (hi - lo) / (grid.t_nodes - 1)
+        x_ref = np.linspace(
+            max(lo, acc.argmin[0] - dx), min(hi, acc.argmin[0] + dx), 2 * grid.refine_factor + 1
+        )
+        refined = _scan_1d(info.slack, p, x_ref, grid.tolerance)
+        scan_grid = {"t_nodes": grid.t_nodes, "t_range": [lo, hi]}
+    else:
+        (r_lo, r_hi), (t_lo, t_hi) = scan_ranges(tag, grid)
+        r_vals = _axis(r_lo, r_hi, grid.r_nodes, open_lo=(r_lo == 0.0))
+        t_vals = _axis(t_lo, t_hi, grid.t_nodes)
+        acc.min_slack, acc.argmin, acc.violations = _scan_2d(
+            info.slack, p, r_vals, t_vals, grid.tolerance
+        )
+        r0, t0 = acc.argmin
+        dr = (r_vals[-1] - r_vals[0]) / (grid.r_nodes - 1)
+        dt = (t_hi - t_lo) / (grid.t_nodes - 1)
+        r_ref = np.linspace(
+            max(r_vals[0], r0 - dr), min(r_hi, r0 + dr), 2 * grid.refine_factor + 1
+        )
+        t_ref = np.linspace(max(t_lo, t0 - dt), min(t_hi, t0 + dt), 2 * grid.refine_factor + 1)
+        refined = _scan_2d(info.slack, p, r_ref, t_ref, grid.tolerance)
+        scan_grid = {
+            "r_nodes": grid.r_nodes,
+            "t_nodes": grid.t_nodes,
+            "r_range": [float(r_vals[0]), float(r_hi)],
+            "t_range": [t_lo, t_hi],
+        }
+    m2, a2, v2 = refined
+    acc.add(a2, m2)
+    for label, s in v2:
+        acc.flag(label, s)
+    return acc.report(id=tag.value, p=p, grid=scan_grid, tolerance=grid.tolerance)
+
+
+def locate_equality(tag, p):
+    """gridlab.locate_equality with one branch per arity; the two-variable
+    branch returns the better of its last two passes."""
+    tag = InequalityId(tag)
+    info = _REGISTRY[tag]
+    p = info.p_range.check(tag.value, p)
+    if info.arity == 0:
+        return (p,), float(info.slack(p))
+
+    if info.arity == 1:
+        lo, hi = info.t_range
+        x = _axis(lo, hi, 1024)
+        for _ in range(3):
+            s = info.slack(p, x)
+            j = int(np.argmin(s))
+            dx = x[1] - x[0]
+            x = np.linspace(max(lo, x[j] - 2 * dx), min(hi, x[j] + 2 * dx), 129)
+        s = info.slack(p, x)
+        j = int(np.argmin(s))
+        return (float(x[j]),), float(s[j])
+
+    r_lo, r_hi = info.r_range
+    t_lo, t_hi = info.t_range
+    r = _axis(r_lo, r_hi, 512, open_lo=(r_lo == 0.0))
+    t = _axis(t_lo, t_hi, 1024)
+    best = ((float(r[-1]), float(t[0])), math.inf)
+    for _ in range(3):
+        m, a, _v = _scan_2d(info.slack, p, r, t, math.inf)
+        best = (a, m)
+        dr, dt = r[1] - r[0], t[1] - t[0]
+        r = np.linspace(max(r_lo, a[0] - 2 * dr), min(r_hi, a[0] + 2 * dr), 65)
+        t = np.linspace(max(t_lo, a[1] - 2 * dt), min(t_hi, a[1] + 2 * dt), 65)
+    m, a, _v = _scan_2d(info.slack, p, r, t, math.inf)
+    if m < best[1]:
+        best = (a, m)
+    return best
 
 
 def isoperimetric_chain(m, n, spec=None, rel_tol=1e-9):

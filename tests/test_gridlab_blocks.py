@@ -3,15 +3,19 @@ buffered (t, r) block scan must give the same bits as the six slack functions
 and the (r, t) column-block scan kept in legacy_reference, lemma_grid_reports
 must give what one verify_pointwise call per case gives, and the circle
 blocks of the sub-mean checks must give exactly what the one-circle-at-a-time
-checks give.  The one-cosine RE_BRANCH angle profile must give the bits of
-the three-cosine form, and the minorants read from the profile table the
-bits of the formulas written out per minorant.  A scan shared between workers
+checks give.  The one scan-and-refine path and the one zoom must give the
+reports and minimizers of the branch per arity kept in legacy_reference, and
+the one deficit core the violation order of the loop per circle.  The
+one-cosine RE_BRANCH angle profile must give the bits of the three-cosine
+form, and the minorants read from the profile table the bits of the formulas
+written out per minorant.  A scan shared between workers
 must give the bits of the one-thread legacy scan whichever worker takes which
 block, and leave no thread running; so must the circle blocks of the sub-mean
 and complex-line checks, against their one-worker reports.  The per-case
 references below are kept here only as oracles."""
 
 import dataclasses
+import json
 import math
 import os
 import sys
@@ -42,6 +46,7 @@ from rieszlab.gridlab import (
     check_pluri_lines,
     check_submean,
     default_p_values,
+    locate_equality,
     origin_circle_mean,
     scan_ranges,
     verify_pointwise,
@@ -307,6 +312,66 @@ def test_column_scan_keeps_first_violations_in_row_major_order():
     assert np.count_nonzero(s < -0.5) > MAX_VIOLATIONS
     cols = {t for (_, t), _ in blocked[2]}
     assert len({int(np.searchsorted(t_vals, t)) // SCAN_COLUMNS for t in cols}) > 1
+
+
+# ------------------------- one scan-and-refine path -------------------------
+
+# the tag's default ranges, and float and int overrides; the int t_range puts
+# a node at t = 0, where the gap slacks are not finite
+RANGE_OVERRIDES = {
+    "default": {},
+    "float": {"r_range": (0.25, 0.75), "t_range": (-1.5, 2.5)},
+    "int": {"r_range": (0, 1), "t_range": (-3, 3)},
+}
+
+
+@pytest.mark.parametrize("ranges", RANGE_OVERRIDES)
+@pytest.mark.parametrize("tag", list(InequalityId), ids=lambda tag: tag.value)
+def test_one_scan_path_gives_the_reports_of_a_branch_per_arity(tag, ranges):
+    grid = GridSpec(r_nodes=97, t_nodes=389, **RANGE_OVERRIDES[ranges])
+    with np.errstate(all="ignore"):
+        for p in default_p_values(tag):
+            new = json.dumps(_payload(verify_pointwise(tag, p, grid)))
+            assert new == json.dumps(_payload(legacy.verify_pointwise(tag, p, grid))), p
+
+
+@pytest.mark.parametrize("tag", list(InequalityId), ids=lambda tag: tag.value)
+def test_one_zoom_gives_the_minimizers_of_a_branch_per_arity(tag):
+    # the default exponents and the seven midpoints between them: 240 cases
+    ps = default_p_values(tag)
+    for p in ps + tuple(0.5 * (a + b) for a, b in zip(ps, ps[1:])):
+        assert _bits(locate_equality(tag, p)) == _bits(legacy.locate_equality(tag, p)), p
+
+
+def test_one_variable_scan_is_the_one_column_fold():
+    x = np.linspace(-1.0, 1.0, 3 * MAX_VIOLATIONS + 1)
+    slacks = [
+        lambda p, x: np.where(x < -0.5, np.nan, x * x - 0.25),  # NaN before the minimum
+        lambda p, x: np.where(x < 0.0, 1.0, np.where(x < 0.5, -0.0, 0.0)),  # signed zeros
+        lambda p, x: np.where(x < 0.0, 0.0, np.where(x < 0.5, -0.0, 1.0)),
+        lambda p, x: np.where(x == x[3], np.inf, np.cos(9.0 * x)),
+        lambda p, x: x + np.nan,
+        lambda p, x: x + np.inf,
+    ]
+    for slack in slacks:
+        for tol in (1e-9, 0.5, -2.0):
+            new, old = _scan_1d(slack, 2.0, x, tol), legacy._scan_1d(slack, 2.0, x, tol)
+            assert _bits(new) == _bits(old), tol
+
+
+def test_origin_flag_follows_its_circles_deficit(monkeypatch):
+    # -|z|^2 is superharmonic, so every deficit is a violation, and an origin
+    # mean with a wrong unit flags every origin circle as well
+    monkeypatch.setattr(gridlab, "minorant_value", lambda mid, z, p: -np.abs(z) ** 2)
+    monkeypatch.setattr(gridlab, "origin_circle_mean", lambda mid, p, rho: 5.0 * rho ** (0.5 * p))
+    kwargs = {"centers": 3, "radii": 4, "angles": 256, "seed": 11}
+    report = check_submean(Minorant.RE_BRANCH, 1.5, **kwargs)
+    origin = [label for label, _ in report.violations[3 * 4 :]]
+    # each origin circle's deficit, then its origin flag, circle by circle
+    assert len(origin) == 2 * 4 and origin[::2] == origin[1::2]
+    assert all(label[:2] == (0.0, 0.0) for label in origin)
+    ref = _per_radius_submean(Minorant.RE_BRANCH, 1.5, gridlab.origin_circle_mean, **kwargs)
+    assert _bits(_payload(report)) == _bits(_payload(ref))
 
 
 # ----------------------------- workers of a scan -----------------------------

@@ -77,7 +77,7 @@ CASES = [
     ("C_HIGH_P", lambda p: sharp_constant(SC.C_HIGH_P, p), 2.0, None),
     ("VERBITSKY_A", lambda p: sharp_constant(SC.VERBITSKY_A, p), 0.5, 2.1),
     ("ISOP", lambda n: sharp_constant(SC.ISOP, n=n), 1, None),
-    ("ISOP", lambda n: theorem_constant(TheoremId.BERGMAN_EMBEDDING, n=n), 1, None),
+    ("BERGMAN_EMBEDDING", lambda n: theorem_constant(TheoremId.BERGMAN_EMBEDDING, n=n), 1, 33),
     ("re_branch_power", lambda p: re_branch_power(0.5j, p), 1.0, 2.5),
     ("theta_lower_reflected", lambda p: theta_lower_reflected(0.3, p), 3.9, None),
     ("theta_lower", lambda p: theta_lower(0.3, p), 2.0, None),
@@ -119,7 +119,7 @@ CASES = [
     ("product_circle_power_mean", lambda p: product_circle_power_mean(Z, ONE, p), 0.0, 65.0),
     ("product_disk_power_mean", lambda p: product_disk_power_mean(Z, ONE, p), 0.0, 65.0),
     ("calderon_power_mean", lambda p: calderon_power_mean(FAMILY, 1.0, 0.0, p), 1.0, None),
-    ("calderon_power_mean", lambda p: calderon_norm(FAMILY, p), 1.0, None),
+    ("calderon_norm", lambda p: calderon_norm(FAMILY, p), 1.0, None),
     ("CalderonFamily", lambda p: CalderonFamily(gamma=0.1, p=p), 1.0, None),
     ("line_lp_norm", lambda p: line_lp_norm(LinePair(LineKind.LORENTZIAN), p), 1.0, None),
     ("isoperimetric_chain", lambda n: isoperimetric_chain(Z_MAP, n), 1, 33),
@@ -141,6 +141,13 @@ for tag in InequalityId:
     lo, hi, lo_closed, hi_closed = inequality_range(tag)
     below, above = lo - 0.5 if lo_closed else lo, hi + 1.0 if hi_closed else hi
     CASES.append((tag.value, lambda p, tag=tag: verify_pointwise(tag, p), below, above))
+# a Calderon family's Hardy norm names the function called, not its inner rule
+CASES.append(("hardy_norm", lambda p: hardy_norm(FAMILY, p), 1.0, None))
+# every other theorem tag's constant, in the range verify_theorem checks
+for tag in TheoremId:
+    if tag is not TheoremId.BERGMAN_EMBEDDING:
+        below, above = THEOREM_BOUNDS.get(tag, (1.0, 65.0))
+        CASES.append((tag.value, lambda p, tag=tag: theorem_constant(tag, p), below, above))
 
 PARAMS = [
     pytest.param(what, call, value, id=f"{k}-{what}-{value}")
