@@ -48,16 +48,7 @@ from .quadrature import (
     hardy_norm,
 )
 from .reporting import GridSpec, SlackAccumulator, VerificationReport
-from .theorems import (
-    SAMPLE_BLOCK,
-    TheoremId,
-    _block_sides,
-    _chain_links,
-    _norms,
-    _sample_report,
-    sharpness_probe,
-    verify_theorem,
-)
+from .theorems import SAMPLE_BLOCK, TheoremId, _chain_links, _norms, sharpness_probe, verify_theorem
 
 __all__ = [
     "constant_identity_report",
@@ -370,25 +361,11 @@ def theorem_reports(
     ):
         for p in THEOREM_P_VALUES:
             out.append(verify_theorem(tag, p, samples, degree, seed))
-    # the relaxed RE_NONNEG variant of the mixed bound holds for p <= 3 only
     for p in (1.5, 2.0, 2.5, 3.0):
-        out.append(_relaxed_mixed_report(p, samples, degree, seed))
+        out.append(verify_theorem(TheoremId.MIXED_BY_HARDY_RELAXED, p, samples, degree, seed))
     for p in THEOREM_P_VALUES:
         out.append(verify_theorem(TheoremId.LINE_PAIRS, p))
     return out
-
-
-def _relaxed_mixed_report(
-    p: float, samples: int, degree: int, seed: int
-) -> VerificationReport:
-    """The MIXED_BY_HARDY battery with the hypothesis Re(g(0)h(0)) >= 0."""
-    seeds = range(seed, seed + samples)
-    cases = random_coefficients(degree, seeds, Constraint.RE_NONNEG)
-    sides = partial(_block_sides, TheoremId.MIXED_BY_HARDY, p, degree, None, cases)
-    labels = [(s,) for s in seeds]
-    return _sample_report(
-        "MIXED_BY_HARDY_RELAXED", p, sharp_constant(SC.A, p), labels, sides, degree, seed, 1e-9
-    )
 
 
 def isoperimetric_reports(

@@ -21,8 +21,11 @@ of principal arguments):
   from these profiles, vanishing when either argument is zero and positively
   homogeneous of degree p/2 in |z w|.
 
-Each Minorant is |zeta|^{p/2} times one of these profiles at arg zeta (with
-zeta = z w for the pairs); one table holds its profile and its p-range.
+Two tables hold the catalogs, one row per entry.  Each SharpConstant is a row
+of _CONSTANTS, its range and its formula: sharp_constant checks p (n for
+ISOP) against the range and calls the formula.  Each Minorant is
+|zeta|^{p/2} times one of these profiles at arg zeta (with zeta = z w for
+the pairs); a row of _MINORANTS holds its profile and its p-range.
 
 Exponent ranges.  PRange is the one range type of the package: the ranges of
 the constants and minorants here, of the lemma tags (gridlab), the norms and
@@ -136,71 +139,68 @@ class SharpConstant(Enum):
     VERBITSKY_B = "VERBITSKY_B"    # tan(pi/(2p)), 1 < p <= 2
     ISOP = "ISOP"                  # (1/2) csc(pi/(4n)), integer n >= 2
 
-_P_RANGES: dict[SharpConstant, PRange] = {
-    SharpConstant.A: RIESZ_P,
-    SharpConstant.B: RIESZ_P,
-    SharpConstant.HILBERT_NORM: RIESZ_P,
-    SharpConstant.PICHORIDES: RIESZ_P,
-    SharpConstant.VERBITSKY_CSC: RIESZ_P,
-    SharpConstant.VERBITSKY_SEC: RIESZ_P,
-    SharpConstant.A_LOW_P: _LOW_P,
-    SharpConstant.B_LOW_P: _LOW_P,
-    SharpConstant.A_HIGH_P: _HIGH_P,
-    SharpConstant.B_HIGH_P: _HIGH_P,
-    SharpConstant.C_HIGH_P: _HIGH_P,
-    SharpConstant.D_HIGH_P: _HIGH_P,
-    SharpConstant.C_LOW_P: PRange(1.0, 2.0, False, False),
-    SharpConstant.D_LOW_P: PRange(1.0, 2.0, False, False),
-    SharpConstant.VERBITSKY_A: _LOW_P,
-    SharpConstant.VERBITSKY_B: _LOW_P,
-    SharpConstant.ISOP: PRange(2, math.inf, True, False, integer=True),
+
+def _bar(p: float) -> float:
+    """pi/(2 pbar), the angle of the constants stated through pbar."""
+    return math.pi / (2.0 * conjugate_exponent_bar(p))
+
+
+def _half(p: float) -> float:
+    """pi/(2p), the angle of the constants stated through p."""
+    return math.pi / (2.0 * p)
+
+
+def _cot_bar(p: float) -> float:
+    """cot(pi/(2 pbar)), as cos over sin."""
+    x = _bar(p)
+    return math.cos(x) / math.sin(x)
+
+
+# constant -> (range of p, or of the integer n for ISOP; formula at the
+# checked p or n)
+_CONSTANTS: dict[SharpConstant, tuple[PRange, Callable[[float], float]]] = {
+    SharpConstant.A: (RIESZ_P, lambda p: 1.0 / (math.sqrt(2.0) * math.sin(_bar(p)))),
+    SharpConstant.B: (RIESZ_P, lambda p: math.sqrt(2.0) * math.cos(_bar(p))),
+    SharpConstant.HILBERT_NORM: (RIESZ_P, _cot_bar),
+    SharpConstant.PICHORIDES: (RIESZ_P, _cot_bar),
+    SharpConstant.VERBITSKY_CSC: (RIESZ_P, lambda p: 1.0 / math.sin(_bar(p))),
+    SharpConstant.VERBITSKY_SEC: (RIESZ_P, lambda p: 1.0 / math.cos(_bar(p))),
+    # (1 + cos(pi/p))^{-p/2} = (2 cos^2(pi/(2p)))^{-p/2}
+    SharpConstant.A_LOW_P: (_LOW_P, lambda p: (2.0 * math.cos(_half(p)) ** 2) ** (-0.5 * p)),
+    SharpConstant.B_LOW_P: (_LOW_P, lambda p: 2.0 ** (0.5 * p) * math.tan(_half(p))),
+    # (1 - cos(pi/p))^{-p/2} = (2 sin^2(pi/(2p)))^{-p/2}
+    SharpConstant.A_HIGH_P: (_HIGH_P, lambda p: (2.0 * math.sin(_half(p)) ** 2) ** (-0.5 * p)),
+    SharpConstant.B_HIGH_P: (_HIGH_P, lambda p: 2.0 ** (0.5 * p) / math.tan(_half(p))),
+    SharpConstant.C_HIGH_P: (_HIGH_P, lambda p: (math.sqrt(2.0) * math.cos(_half(p))) ** p),
+    # tangent to 2^p cos^p(t/2) at t = pi/p; the 2^p factor restores the
+    # scaling of the unscaled |sin s|^p bound
+    SharpConstant.D_HIGH_P: (
+        _HIGH_P,
+        lambda p: 2.0**p * math.cos(_half(p)) ** (p - 1.0) * math.sin(_half(p)),
+    ),
+    SharpConstant.C_LOW_P: (
+        PRange(1.0, 2.0, False, False),
+        lambda p: (math.sqrt(2.0) * math.sin(_half(p))) ** p,
+    ),
+    # (2 - 2 cos(pi/p))^{p/2} cot(pi/(2p)) = 2^p sin^{p-1}(pi/(2p)) cos(pi/(2p))
+    SharpConstant.D_LOW_P: (
+        PRange(1.0, 2.0, False, False),
+        lambda p: 2.0**p * math.sin(_half(p)) ** (p - 1.0) * math.cos(_half(p)),
+    ),
+    SharpConstant.VERBITSKY_A: (_LOW_P, lambda p: math.cos(_half(p)) ** (-p)),
+    SharpConstant.VERBITSKY_B: (_LOW_P, lambda p: math.tan(_half(p))),
+    SharpConstant.ISOP: (
+        PRange(2, math.inf, True, False, integer=True),
+        lambda n: 0.5 / math.sin(math.pi / (4.0 * n)),
+    ),
 }
 
 
 def sharp_constant(kind: SharpConstant, p: float | None = None, n: int | None = None) -> float:
     """Evaluate a named constant at exponent p (or order n for ISOP)."""
     kind = SharpConstant(kind)
-    if kind is SharpConstant.ISOP:
-        return 0.5 / math.sin(math.pi / (4.0 * _P_RANGES[kind].check(kind.value, n)))
-    p = _P_RANGES[kind].check(kind.value, p)
-    half = math.pi / (2.0 * p)
-    if kind is SharpConstant.A:
-        return 1.0 / (math.sqrt(2.0) * math.sin(math.pi / (2.0 * conjugate_exponent_bar(p))))
-    if kind is SharpConstant.B:
-        return math.sqrt(2.0) * math.cos(math.pi / (2.0 * conjugate_exponent_bar(p)))
-    if kind in (SharpConstant.HILBERT_NORM, SharpConstant.PICHORIDES):
-        x = math.pi / (2.0 * conjugate_exponent_bar(p))
-        return math.cos(x) / math.sin(x)
-    if kind is SharpConstant.VERBITSKY_CSC:
-        return 1.0 / math.sin(math.pi / (2.0 * conjugate_exponent_bar(p)))
-    if kind is SharpConstant.VERBITSKY_SEC:
-        return 1.0 / math.cos(math.pi / (2.0 * conjugate_exponent_bar(p)))
-    if kind is SharpConstant.A_LOW_P:
-        # (1 + cos(pi/p))^{-p/2} = (2 cos^2(pi/(2p)))^{-p/2}
-        return (2.0 * math.cos(half) ** 2) ** (-0.5 * p)
-    if kind is SharpConstant.B_LOW_P:
-        return 2.0 ** (0.5 * p) * math.tan(half)
-    if kind is SharpConstant.A_HIGH_P:
-        # (1 - cos(pi/p))^{-p/2} = (2 sin^2(pi/(2p)))^{-p/2}
-        return (2.0 * math.sin(half) ** 2) ** (-0.5 * p)
-    if kind is SharpConstant.B_HIGH_P:
-        return 2.0 ** (0.5 * p) / math.tan(half)
-    if kind is SharpConstant.C_HIGH_P:
-        return (math.sqrt(2.0) * math.cos(half)) ** p
-    if kind is SharpConstant.D_HIGH_P:
-        # tangent to 2^p cos^p(t/2) at t = pi/p; the 2^p factor restores the
-        # scaling of the unscaled |sin s|^p bound
-        return 2.0**p * math.cos(half) ** (p - 1.0) * math.sin(half)
-    if kind is SharpConstant.C_LOW_P:
-        return (math.sqrt(2.0) * math.sin(half)) ** p
-    if kind is SharpConstant.D_LOW_P:
-        # (2 - 2 cos(pi/p))^{p/2} cot(pi/(2p)) = 2^p sin^{p-1}(pi/(2p)) cos(pi/(2p))
-        return 2.0**p * math.sin(half) ** (p - 1.0) * math.cos(half)
-    if kind is SharpConstant.VERBITSKY_A:
-        return math.cos(half) ** (-p)
-    if kind is SharpConstant.VERBITSKY_B:
-        return math.tan(half)
-    raise AssertionError(f"unhandled constant {kind}")
+    p_range, formula = _CONSTANTS[kind]
+    return formula(p_range.check(kind.value, n if p_range.integer else p))
 
 
 # ------------------------------ angle profiles ------------------------------

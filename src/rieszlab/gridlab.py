@@ -629,8 +629,8 @@ def verify_pointwise(
     axes, scan = _scan_axes(ranges, (grid.r_nodes, grid.t_nodes))
     names = "rt"[-len(axes) :]
     scan_grid = {f"{x}_nodes": len(v) for x, v in zip(names, axes)}
-    for x, (lo, hi), v in zip(names, ranges, axes):
-        scan_grid[f"{x}_range"] = [float(v[0]), float(hi)] if x == "r" else [lo, hi]
+    for x, (_, hi), v in zip(names, ranges, axes):
+        scan_grid[f"{x}_range"] = [float(v[0]), float(hi)]
     # the full-grid scan sets the minimum; the refinement pass can only lower it
     acc.min_slack, acc.argmin, acc.violations = scan(info.slack, p, *axes, grid.tolerance)
     refined = []

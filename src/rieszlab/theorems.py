@@ -10,6 +10,14 @@ a quantitative approach claim, and only for p < 2, where the family's
 boundary ratios (sec, sin, tan of gamma) converge to the constants from
 below.
 
+Two tables hold the catalogs, one row per entry.  A row of _TAGS holds a
+tag's exponent range, its constant, the class of g(0)h(0) its maps are drawn
+from and, for a mixed-norm tag, its layout (disk norms?, mixed norm on the
+left?).  MIXED_BY_HARDY_RELAXED is the row of MIXED_BY_HARDY with the
+hypothesis Re(g(0)h(0)) >= 0, under which the bound holds for p <= 3 only.
+A row of _PROBES holds the two components of the Calderon family's trace
+whose norms a probe tag compares.
+
 Every tag's two sides come from one function, _block_sides, in blocks of
 SAMPLE_BLOCK = 32 cases.  A battery call draws its whole seed range once as
 coefficient arrays (maps.random_coefficients, one numpy generator per seed;
@@ -70,6 +78,7 @@ __all__ = [
 
 class TheoremId(Enum):
     MIXED_BY_HARDY = "MIXED_BY_HARDY"            # |||f|||_p <= A_p ||f||_p, Re(g0 h0) = 0
+    MIXED_BY_HARDY_RELAXED = "MIXED_BY_HARDY_RELAXED"  # the same for Re(g0 h0) >= 0, p <= 3
     HARDY_BY_MIXED = "HARDY_BY_MIXED"            # ||f||_p <= B_p |||f|||_p, Re(g0 h0) <= 0
     CONJUGATE_NORM = "CONJUGATE_NORM"            # ||f~||_p <= cot(pi/2pbar) ||f||_p
     ANALYTIC_BY_RE = "ANALYTIC_BY_RE"            # ||g||_p <= csc(pi/2pbar) ||Re g||_p, Im g(0)=0
@@ -85,27 +94,58 @@ class TheoremId(Enum):
 # samples per block of a battery (see the module docstring)
 SAMPLE_BLOCK = 32
 
-# mixed-norm tags: (disk norms?, mixed norm on the left?, class of g(0)h(0))
-_MIXED_TAGS = {
-    TheoremId.MIXED_BY_HARDY: (False, True, Constraint.RE_ZERO),
-    TheoremId.HARDY_BY_MIXED: (False, False, Constraint.RE_NONPOS),
-    TheoremId.BERGMAN_MIXED_BY_NORM: (True, True, Constraint.RE_ZERO),
-    TheoremId.BERGMAN_NORM_BY_MIXED: (True, False, Constraint.RE_NONPOS),
-}
-
 # the exponent of each tag: the norms are defined up to P_MAX, and the disk
 # sides of BERGMAN_EMBEDDING and PAIR_ISOPERIMETRIC are means of the 2n-th and
 # 2p-th powers; STREBEL compares |f|^2 with |f|, at p = 1
 _NORM_TAG = PRange(1.0, P_MAX, False, True)
-_TAG_RANGES = {tag: _NORM_TAG for tag in TheoremId} | {
-    TheoremId.LINE_PAIRS: RIESZ_P,
-    TheoremId.BERGMAN_EMBEDDING: PRange(2, int(P_MAX / 2), True, True, integer=True),
-    TheoremId.STREBEL: PRange(1.0, 1.0, True, True),
-    TheoremId.PAIR_ISOPERIMETRIC: PRange(0.0, P_MAX / 2, False, True),
+_A, _B = partial(sharp_constant, SC.A), partial(sharp_constant, SC.B)
+_COT = partial(sharp_constant, SC.HILBERT_NORM)
+
+# tag -> (range of p, or of the integer n; constant at the checked p or n;
+# class of g(0)h(0) of the sampled maps; (disk norms?, mixed norm on the
+# left?) for the mixed-norm tags, else None)
+_TAGS: dict[TheoremId, tuple[PRange, Callable, Constraint, tuple[bool, bool] | None]] = {
+    TheoremId.MIXED_BY_HARDY: (_NORM_TAG, _A, Constraint.RE_ZERO, (False, True)),
+    # the relaxed hypothesis holds for p <= 3 only
+    TheoremId.MIXED_BY_HARDY_RELAXED: (
+        PRange(1.0, 3.0, False, True), _A, Constraint.RE_NONNEG, (False, True)
+    ),
+    TheoremId.HARDY_BY_MIXED: (_NORM_TAG, _B, Constraint.RE_NONPOS, (False, False)),
+    TheoremId.CONJUGATE_NORM: (_NORM_TAG, _COT, Constraint.NONE, None),
+    # csc(pi/(2 pbar)); the sec variant fails numerically for p != 2
+    TheoremId.ANALYTIC_BY_RE: (
+        _NORM_TAG, partial(sharp_constant, SC.VERBITSKY_CSC), Constraint.NONE, None
+    ),
+    # cos(pi/(2 pbar)) (= 1/VERBITSKY_SEC); the sin variant is falsified
+    TheoremId.IM_BY_ANALYTIC: (
+        _NORM_TAG, lambda p: 1.0 / sharp_constant(SC.VERBITSKY_SEC, p), Constraint.NONE, None
+    ),
+    TheoremId.BERGMAN_MIXED_BY_NORM: (_NORM_TAG, _A, Constraint.RE_ZERO, (True, True)),
+    # sqrt(2) cos(pi/(2 pbar)); the sqrt(2) sin variant is falsified by f = z
+    # at p = 4 (regression-locked in the tests)
+    TheoremId.BERGMAN_NORM_BY_MIXED: (_NORM_TAG, _B, Constraint.RE_NONPOS, (True, False)),
+    TheoremId.LINE_PAIRS: (RIESZ_P, _COT, Constraint.NONE, None),
+    TheoremId.BERGMAN_EMBEDDING: (
+        PRange(2, int(P_MAX / 2), True, True, integer=True),
+        lambda n: sharp_constant(SC.ISOP, n=n),
+        Constraint.NONE,
+        None,
+    ),
+    TheoremId.STREBEL: (PRange(1.0, 1.0, True, True), lambda p: 1.0, Constraint.NONE, None),
+    TheoremId.PAIR_ISOPERIMETRIC: (
+        PRange(0.0, P_MAX / 2, False, True), lambda p: 1.0, Constraint.NONE, None
+    ),
 }
 
 # the Calderon probes approach their constants from below for p < 2 only
 _PROBE_P = PRange(1.0, 2.0, False, False)
+# probe tag -> (numerator, denominator): the components of the family's trace
+# whose p-norms the ratio compares (calderon_norm's part)
+_PROBES = {
+    TheoremId.CONJUGATE_NORM: ("im", "re"),
+    TheoremId.ANALYTIC_BY_RE: ("analytic", "re"),
+    TheoremId.IM_BY_ANALYTIC: ("im", "analytic"),
+}
 
 _LINE_CATALOG = (
     LinePair(LineKind.POISSON_KERNEL, 1.0),
@@ -117,30 +157,10 @@ _LINE_CATALOG = (
 
 def theorem_constant(tag: TheoremId, p: float | None = None, n: int | None = None) -> float:
     """The constant appearing on the right-hand side of a tag's bound.  p
-    (n for BERGMAN_EMBEDDING) must lie in the tag's range (_TAG_RANGES)."""
+    (n for BERGMAN_EMBEDDING) must lie in the tag's range (_TAGS)."""
     tag = TheoremId(tag)
-    _TAG_RANGES[tag].check(tag.value, n if tag is TheoremId.BERGMAN_EMBEDDING else p)
-    if tag in (TheoremId.MIXED_BY_HARDY, TheoremId.BERGMAN_MIXED_BY_NORM):
-        return sharp_constant(SC.A, p)
-    if tag is TheoremId.HARDY_BY_MIXED:
-        return sharp_constant(SC.B, p)
-    if tag is TheoremId.BERGMAN_NORM_BY_MIXED:
-        # sqrt(2) cos(pi/(2 pbar)); the sqrt(2) sin variant is falsified by
-        # f = z at p = 4 (regression-locked in the tests)
-        return sharp_constant(SC.B, p)
-    if tag in (TheoremId.CONJUGATE_NORM, TheoremId.LINE_PAIRS):
-        return sharp_constant(SC.HILBERT_NORM, p)
-    if tag is TheoremId.ANALYTIC_BY_RE:
-        # csc(pi/(2 pbar)); the sec variant fails numerically for p != 2
-        return sharp_constant(SC.VERBITSKY_CSC, p)
-    if tag is TheoremId.IM_BY_ANALYTIC:
-        # cos(pi/(2 pbar)) (= 1/VERBITSKY_SEC); the sin variant is falsified
-        return 1.0 / sharp_constant(SC.VERBITSKY_SEC, p)
-    if tag is TheoremId.BERGMAN_EMBEDDING:
-        return sharp_constant(SC.ISOP, n=n)
-    if tag in (TheoremId.STREBEL, TheoremId.PAIR_ISOPERIMETRIC):
-        return 1.0
-    raise AssertionError(tag)
+    p_range, constant, _, _ = _TAGS[tag]
+    return constant(p_range.check(tag.value, n if p_range.integer else p))
 
 
 def _norms(
@@ -189,8 +209,9 @@ def _block_sides(
         return lhs, [mean**2 for mean in rhs]
     p = float(p_or_n)
     spec = _spec_for(degree, p, spec)
-    if tag in _MIXED_TAGS:
-        disk, mixed_lhs, _ = _MIXED_TAGS[tag]
+    layout = _TAGS[tag][3]
+    if layout:
+        disk, mixed_lhs = layout
         rings = [partial(_map_ring, p), partial(_pair_ring, p / 2.0)]
         norms, mixed = _norms(p, rings, (g, h), spec, None if disk else 1.0)
         return (mixed, norms) if mixed_lhs else (norms, mixed)
@@ -263,7 +284,7 @@ def verify_theorem(
 
     min_slack is the worst relative slack (RHS_total - LHS)/RHS_total;
     ratio_max the largest observed LHS/RHS_total (a sharpness statistic).
-    p_or_n must lie in the tag's range (_TAG_RANGES), checked before any draw.
+    p_or_n must lie in the tag's range (_TAGS), checked before any draw.
     """
     tag = TheoremId(tag)
     # p_or_n is the n of BERGMAN_EMBEDDING
@@ -281,8 +302,7 @@ def verify_theorem(
     else:
         seeds = range(seed, seed + samples)
         labels = [(s,) for s in seeds]
-        hypothesis = _MIXED_TAGS[tag][2] if tag in _MIXED_TAGS else Constraint.NONE
-        cases = random_coefficients(degree, seeds, hypothesis)
+        cases = random_coefficients(degree, seeds, _TAGS[tag][2])
         if tag is TheoremId.PAIR_ISOPERIMETRIC:
             cases = (cases[0], random_coefficients(degree, [s + 10_000_019 for s in seeds])[0])
     sides = partial(_block_sides, tag, p_or_n, degree, spec, cases)
@@ -312,7 +332,7 @@ def verify_pair_isoperimetric(
     rel_tol: float = 1e-9,
 ) -> VerificationReport:
     """int_U (|a|^2+|b|^2)^{2p} <= (int_T (|a|^2+|b|^2)^p)^2 for p > 0."""
-    _TAG_RANGES[TheoremId.PAIR_ISOPERIMETRIC].check("verify_pair_isoperimetric", p)
+    _TAGS[TheoremId.PAIR_ISOPERIMETRIC][0].check("verify_pair_isoperimetric", p)
     acc = SlackAccumulator()
     (lhs,), (rhs,) = _pair_isoperimetric_sides(a.coeffs, b.coeffs, p, spec)
     slack = (rhs - lhs) / rhs if rhs else math.inf
@@ -391,7 +411,7 @@ def isoperimetric_chain(
     This is the one-row call of _chain_links, which the battery calls on a
     block of maps.
     """
-    n = _TAG_RANGES[TheoremId.BERGMAN_EMBEDDING].check("isoperimetric_chain", n)
+    n = _TAGS[TheoremId.BERGMAN_EMBEDDING][0].check("isoperimetric_chain", n)
     [chain] = _chain_links(m.g.coeffs, m.h.coeffs, n, spec)
     for (name_lo, lo), (name_hi, hi) in zip(chain, chain[1:]):
         if lo > hi * (1.0 + rel_tol):
@@ -419,26 +439,16 @@ def sharpness_probe(
     the mean-normalized conjugate of u).  The returned sequence is increasing.
     """
     tag = TheoremId(tag)
-    if tag not in (
-        TheoremId.CONJUGATE_NORM,
-        TheoremId.ANALYTIC_BY_RE,
-        TheoremId.IM_BY_ANALYTIC,
-    ):
+    if tag not in _PROBES:
         raise ValueError(f"no Calderon probe for {tag.value}")
     _PROBE_P.check("sharpness_probe", p)
-    ratios = []
+    families = []  # every fraction is checked before the first quadrature
     for frac in gamma_fractions:
         if not 0.0 < frac < 1.0:
             raise ValueError(f"gamma fractions must lie in (0, 1), got {frac}")
-        fam = CalderonFamily(gamma=frac * math.pi / (2.0 * p), p=p)
-        if tag is TheoremId.CONJUGATE_NORM:
-            num = calderon_norm(fam, p, "im", rel_tol)
-            den = calderon_norm(fam, p, "re", rel_tol)
-        elif tag is TheoremId.ANALYTIC_BY_RE:
-            num = calderon_norm(fam, p, "analytic", rel_tol)
-            den = calderon_norm(fam, p, "re", rel_tol)
-        else:
-            num = calderon_norm(fam, p, "im", rel_tol)
-            den = calderon_norm(fam, p, "analytic", rel_tol)
-        ratios.append(num / den)
-    return ratios
+        families.append(CalderonFamily(gamma=frac * math.pi / (2.0 * p), p=p))
+    num, den = _PROBES[tag]
+    return [
+        calderon_norm(fam, p, num, rel_tol) / calderon_norm(fam, p, den, rel_tol)
+        for fam in families
+    ]

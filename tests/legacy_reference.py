@@ -7,8 +7,9 @@ slack functions written out one by one, the equality loci written out per
 tag, the 2-D scan over (r, t) column blocks of 32 t-nodes with a fresh array
 per temporary, verify_pointwise and locate_equality with a branch of their
 own per arity (and a one-variable scan with its own minimum and violation
-code), and the isoperimetric chain from seven public power means (two
-transforms each)."""
+code), the isoperimetric chain from seven public power means (two
+transforms each), and sharp_constant and theorem_constant as a range table
+and an if-chain each (the theorem tags before MIXED_BY_HARDY_RELAXED)."""
 
 import math
 
@@ -16,8 +17,11 @@ import numpy as np
 from scipy import integrate
 
 from rieszlab.constants import (
+    RIESZ_P,
     Minorant,
+    PRange,
     SharpConstant as SC,
+    conjugate_exponent_bar,
     psi_angle,
     re_branch_angle,
     sharp_constant,
@@ -35,6 +39,7 @@ from rieszlab.gridlab import (
 )
 from rieszlab.maps import Constraint, HarmonicMap, TaylorPoly
 from rieszlab.quadrature import (
+    P_MAX,
     circle_power_mean,
     disk_power_mean,
     pair_circle_power_mean,
@@ -43,6 +48,7 @@ from rieszlab.quadrature import (
     product_disk_power_mean,
 )
 from rieszlab.reporting import MAX_VIOLATIONS, GridSpec, SlackAccumulator
+from rieszlab.theorems import TheoremId
 
 
 def _disk_samples(rng, n):
@@ -501,3 +507,101 @@ def isoperimetric_chain(m, n, spec=None, rel_tol=1e-9):
                 f"chain link broken: {name_lo} = {lo:.12g} > {name_hi} = {hi:.12g}"
             )
     return chain
+
+
+_LOW_P = PRange(1.0, 2.0, False, True)
+_HIGH_P = PRange(2.0, math.inf, False, False)
+CHAIN_P_RANGES = {
+    SC.A: RIESZ_P,
+    SC.B: RIESZ_P,
+    SC.HILBERT_NORM: RIESZ_P,
+    SC.PICHORIDES: RIESZ_P,
+    SC.VERBITSKY_CSC: RIESZ_P,
+    SC.VERBITSKY_SEC: RIESZ_P,
+    SC.A_LOW_P: _LOW_P,
+    SC.B_LOW_P: _LOW_P,
+    SC.A_HIGH_P: _HIGH_P,
+    SC.B_HIGH_P: _HIGH_P,
+    SC.C_HIGH_P: _HIGH_P,
+    SC.D_HIGH_P: _HIGH_P,
+    SC.C_LOW_P: PRange(1.0, 2.0, False, False),
+    SC.D_LOW_P: PRange(1.0, 2.0, False, False),
+    SC.VERBITSKY_A: _LOW_P,
+    SC.VERBITSKY_B: _LOW_P,
+    SC.ISOP: PRange(2, math.inf, True, False, integer=True),
+}
+
+
+def chain_sharp_constant(kind, p=None, n=None):
+    """constants.sharp_constant as a range table and one branch per constant."""
+    kind = SC(kind)
+    if kind is SC.ISOP:
+        return 0.5 / math.sin(math.pi / (4.0 * CHAIN_P_RANGES[kind].check(kind.value, n)))
+    p = CHAIN_P_RANGES[kind].check(kind.value, p)
+    half = math.pi / (2.0 * p)
+    if kind is SC.A:
+        return 1.0 / (math.sqrt(2.0) * math.sin(math.pi / (2.0 * conjugate_exponent_bar(p))))
+    if kind is SC.B:
+        return math.sqrt(2.0) * math.cos(math.pi / (2.0 * conjugate_exponent_bar(p)))
+    if kind in (SC.HILBERT_NORM, SC.PICHORIDES):
+        x = math.pi / (2.0 * conjugate_exponent_bar(p))
+        return math.cos(x) / math.sin(x)
+    if kind is SC.VERBITSKY_CSC:
+        return 1.0 / math.sin(math.pi / (2.0 * conjugate_exponent_bar(p)))
+    if kind is SC.VERBITSKY_SEC:
+        return 1.0 / math.cos(math.pi / (2.0 * conjugate_exponent_bar(p)))
+    if kind is SC.A_LOW_P:
+        return (2.0 * math.cos(half) ** 2) ** (-0.5 * p)
+    if kind is SC.B_LOW_P:
+        return 2.0 ** (0.5 * p) * math.tan(half)
+    if kind is SC.A_HIGH_P:
+        return (2.0 * math.sin(half) ** 2) ** (-0.5 * p)
+    if kind is SC.B_HIGH_P:
+        return 2.0 ** (0.5 * p) / math.tan(half)
+    if kind is SC.C_HIGH_P:
+        return (math.sqrt(2.0) * math.cos(half)) ** p
+    if kind is SC.D_HIGH_P:
+        return 2.0**p * math.cos(half) ** (p - 1.0) * math.sin(half)
+    if kind is SC.C_LOW_P:
+        return (math.sqrt(2.0) * math.sin(half)) ** p
+    if kind is SC.D_LOW_P:
+        return 2.0**p * math.sin(half) ** (p - 1.0) * math.cos(half)
+    if kind is SC.VERBITSKY_A:
+        return math.cos(half) ** (-p)
+    if kind is SC.VERBITSKY_B:
+        return math.tan(half)
+    raise AssertionError(f"unhandled constant {kind}")
+
+
+_NORM_TAG = PRange(1.0, P_MAX, False, True)
+CHAIN_TAGS = [tag for tag in TheoremId if tag is not TheoremId.MIXED_BY_HARDY_RELAXED]
+CHAIN_TAG_RANGES = {tag: _NORM_TAG for tag in CHAIN_TAGS} | {
+    TheoremId.LINE_PAIRS: RIESZ_P,
+    TheoremId.BERGMAN_EMBEDDING: PRange(2, int(P_MAX / 2), True, True, integer=True),
+    TheoremId.STREBEL: PRange(1.0, 1.0, True, True),
+    TheoremId.PAIR_ISOPERIMETRIC: PRange(0.0, P_MAX / 2, False, True),
+}
+
+
+def chain_theorem_constant(tag, p=None, n=None):
+    """theorems.theorem_constant as a range table and one branch per tag,
+    for the tags of CHAIN_TAGS."""
+    tag = TheoremId(tag)
+    CHAIN_TAG_RANGES[tag].check(tag.value, n if tag is TheoremId.BERGMAN_EMBEDDING else p)
+    if tag in (TheoremId.MIXED_BY_HARDY, TheoremId.BERGMAN_MIXED_BY_NORM):
+        return chain_sharp_constant(SC.A, p)
+    if tag is TheoremId.HARDY_BY_MIXED:
+        return chain_sharp_constant(SC.B, p)
+    if tag is TheoremId.BERGMAN_NORM_BY_MIXED:
+        return chain_sharp_constant(SC.B, p)
+    if tag in (TheoremId.CONJUGATE_NORM, TheoremId.LINE_PAIRS):
+        return chain_sharp_constant(SC.HILBERT_NORM, p)
+    if tag is TheoremId.ANALYTIC_BY_RE:
+        return chain_sharp_constant(SC.VERBITSKY_CSC, p)
+    if tag is TheoremId.IM_BY_ANALYTIC:
+        return 1.0 / chain_sharp_constant(SC.VERBITSKY_SEC, p)
+    if tag is TheoremId.BERGMAN_EMBEDDING:
+        return chain_sharp_constant(SC.ISOP, n=n)
+    if tag in (TheoremId.STREBEL, TheoremId.PAIR_ISOPERIMETRIC):
+        return 1.0
+    raise AssertionError(tag)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import legacy_reference as legacy
 from rieszlab.constants import (
+    _CONSTANTS,
     Minorant,
     SharpConstant as SC,
     conjugate_exponent_bar,
@@ -88,6 +90,40 @@ def test_constant_validity_ranges():
         sharp_constant(SC.A, 1.0)
     with pytest.raises(ValueError):
         sharp_constant(SC.A)
+
+
+# a dense p sweep: (1, 64] in steps of 1/64 (so every integer and half
+# integer, where formulas and ranges meet), 1000 random exponents, the floats
+# next to the range ends, and values outside every range
+SWEEP_P = [
+    *np.linspace(1.0, 64.0, 63 * 64 + 1).tolist(),
+    *np.random.default_rng(0).uniform(1.0, 64.0, 1000).tolist(),
+    *(float(np.nextafter(end, side)) for end in (1.0, 2.0, 4.0) for side in (0.0, 8.0)),
+    -1.0, 0.0, 0.5, 64.5, 100.0, 1e6, math.inf, -math.inf, math.nan, 2, 3, None, "2.5",
+]
+SWEEP_N = [*range(1, 41), 2.0, 2.5, math.inf, math.nan, None]
+
+
+def outcome(fn, *args, **kwargs):
+    """The bits of fn's value, or the type and message of what it raised."""
+    try:
+        return float(fn(*args, **kwargs)).hex()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_constant_table_holds_every_constant():
+    assert set(_CONSTANTS) == set(SC)
+
+
+def test_constant_table_gives_the_bits_and_messages_of_the_chain():
+    for kind in SC:
+        for p in SWEEP_P:
+            new = outcome(sharp_constant, kind, p)
+            assert new == outcome(legacy.chain_sharp_constant, kind, p), (kind, p)
+        for n in SWEEP_N:
+            new = outcome(sharp_constant, kind, n=n)
+            assert new == outcome(legacy.chain_sharp_constant, kind, n=n), (kind, n)
 
 
 # ------------------------------- re branch -------------------------------

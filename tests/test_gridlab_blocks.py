@@ -331,8 +331,15 @@ def test_one_scan_path_gives_the_reports_of_a_branch_per_arity(tag, ranges):
     grid = GridSpec(r_nodes=97, t_nodes=389, **RANGE_OVERRIDES[ranges])
     with np.errstate(all="ignore"):
         for p in default_p_values(tag):
-            new = json.dumps(_payload(verify_pointwise(tag, p, grid)))
-            assert new == json.dumps(_payload(legacy.verify_pointwise(tag, p, grid))), p
+            new = _payload(verify_pointwise(tag, p, grid))
+            old = _payload(legacy.verify_pointwise(tag, p, grid))
+            # every range end is a float, an int override's included; the
+            # branch per arity reported a t_range override's ends as given
+            ends = [end for key in ("r_range", "t_range") for end in new["grid"].get(key, ())]
+            assert all(type(end) is float for end in ends), (p, ends)
+            if "t_range" in old["grid"]:
+                old["grid"]["t_range"] = [float(end) for end in old["grid"]["t_range"]]
+            assert json.dumps(new) == json.dumps(old), p
 
 
 @pytest.mark.parametrize("tag", list(InequalityId), ids=lambda tag: tag.value)

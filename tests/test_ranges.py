@@ -3,6 +3,7 @@ value below its range, above it, inf and NaN with the one range message."""
 
 import math
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -68,45 +69,52 @@ FAMILY = CalderonFamily(gamma=0.3, p=1.5)
 # (what the message names, call of the exponent, a value below the range, a
 # value above it or None when the range reaches infinity); each also takes inf
 # and NaN, so an integer range must test finiteness before int(), where inf
-# raised OverflowError and NaN a message naming no field
+# raised OverflowError and NaN a message naming no field.  A case's id is what
+# and the value, or a row's optional fifth field, the name of its call, where
+# what alone would not tell two rows apart; no row's position enters an id.
 CASES = [
     ("conjugate_exponent_bar", conjugate_exponent_bar, 1.0, None),
-    ("A", lambda p: sharp_constant(SC.A, p), 1.0, None),
-    ("A_LOW_P", lambda p: sharp_constant(SC.A_LOW_P, p), 1.0, 2.5),
-    ("C_LOW_P", lambda p: sharp_constant(SC.C_LOW_P, p), 1.0, 2.0),
-    ("C_HIGH_P", lambda p: sharp_constant(SC.C_HIGH_P, p), 2.0, None),
-    ("VERBITSKY_A", lambda p: sharp_constant(SC.VERBITSKY_A, p), 0.5, 2.1),
-    ("ISOP", lambda n: sharp_constant(SC.ISOP, n=n), 1, None),
-    ("BERGMAN_EMBEDDING", lambda n: theorem_constant(TheoremId.BERGMAN_EMBEDDING, n=n), 1, 33),
+    ("A", lambda p: sharp_constant(SC.A, p), 1.0, None, "sharp_constant[A]"),
+    ("A_LOW_P", lambda p: sharp_constant(SC.A_LOW_P, p), 1.0, 2.5, "sharp_constant[A_LOW_P]"),
+    ("C_LOW_P", lambda p: sharp_constant(SC.C_LOW_P, p), 1.0, 2.0, "sharp_constant[C_LOW_P]"),
+    ("C_HIGH_P", lambda p: sharp_constant(SC.C_HIGH_P, p), 2.0, None, "sharp_constant[C_HIGH_P]"),
+    ("VERBITSKY_A", lambda p: sharp_constant(SC.VERBITSKY_A, p), 0.5, 2.1,
+     "sharp_constant[VERBITSKY_A]"),
+    ("ISOP", lambda n: sharp_constant(SC.ISOP, n=n), 1, None, "sharp_constant[ISOP]"),
+    ("BERGMAN_EMBEDDING", lambda n: theorem_constant(TheoremId.BERGMAN_EMBEDDING, n=n), 1, 33,
+     "theorem_constant[BERGMAN_EMBEDDING]"),
     ("re_branch_power", lambda p: re_branch_power(0.5j, p), 1.0, 2.5),
     ("theta_lower_reflected", lambda p: theta_lower_reflected(0.3, p), 3.9, None),
     ("theta_lower", lambda p: theta_lower(0.3, p), 2.0, None),
     ("theta_upper", lambda p: theta_upper(0.3, p), 2.0, None),
     ("psi_angle", lambda p: psi_angle(0.3, p), 1.0, None),
     ("psi_value", lambda p: psi_value(0.5j, p), 1.0, None),
-    ("F_PAIR", lambda p: minorant_F(0.5, 0.3j, p), 1.0, None),
-    ("G_PAIR", lambda p: minorant_G(0.5, 0.3j, p), 1.0, None),
-    ("RE_BRANCH", lambda p: minorant_value(Minorant.RE_BRANCH, 0.5j, p), 1.0, 2.5),
-    ("PHI_MID", lambda p: minorant_value(Minorant.PHI_MID, 0.5j, p), 1.5, 4.5),
-    ("PHI_HIGH", lambda p: minorant_value(Minorant.PHI_HIGH, 0.5j, p), 3.5, None),
-    ("THETA_LOWER", lambda p: minorant_value(Minorant.THETA_LOWER, 0.5j, p), 2.0, None),
-    ("THETA_UPPER", lambda p: minorant_value(Minorant.THETA_UPPER, 0.5j, p), 2.0, None),
-    ("PSI", lambda p: minorant_value(Minorant.PSI, 0.5j, p), 1.0, None),
-    ("PHI_MID", lambda p: origin_circle_mean(Minorant.PHI_MID, p, 1.0), 1.5, 4.5),
-    ("PHI_MID", lambda p: check_submean(Minorant.PHI_MID, p, centers=1, radii=1), 1.5, 4.5),
-    (
-        "G_PAIR",
-        lambda p: check_pluri_lines(Minorant.G_PAIR, p, n_lines=16, centers=1, radii=1),
-        1.0,
-        None,
-    ),
-    ("MIXED_BY_SUM_MID", lambda p: locate_equality(InequalityId.MIXED_BY_SUM_MID, p), 1.5, 4.5),
-    (
-        "SUM_BY_MIXED_HIGH",
-        lambda p: unreduced_slack(InequalityId.SUM_BY_MIXED_HIGH, p, 0.5, 1.0),
-        2.0,
-        65.0,
-    ),
+    ("F_PAIR", lambda p: minorant_F(0.5, 0.3j, p), 1.0, None, "minorant_F"),
+    ("G_PAIR", lambda p: minorant_G(0.5, 0.3j, p), 1.0, None, "minorant_G"),
+]
+# every single-variable minorant through minorant_value
+MINORANT_BOUNDS = {
+    Minorant.RE_BRANCH: (1.0, 2.5),
+    Minorant.PHI_MID: (1.5, 4.5),
+    Minorant.PHI_HIGH: (3.5, None),
+    Minorant.THETA_LOWER: (2.0, None),
+    Minorant.THETA_UPPER: (2.0, None),
+    Minorant.PSI: (1.0, None),
+}
+for mid, (below, above) in MINORANT_BOUNDS.items():
+    call = partial(minorant_value, mid, 0.5j)
+    CASES.append((mid.value, call, below, above, f"minorant_value[{mid.value}]"))
+CASES += [
+    ("PHI_MID", lambda p: origin_circle_mean(Minorant.PHI_MID, p, 1.0), 1.5, 4.5,
+     "origin_circle_mean[PHI_MID]"),
+    ("PHI_MID", lambda p: check_submean(Minorant.PHI_MID, p, centers=1, radii=1), 1.5, 4.5,
+     "check_submean[PHI_MID]"),
+    ("G_PAIR", lambda p: check_pluri_lines(Minorant.G_PAIR, p, n_lines=16, centers=1, radii=1),
+     1.0, None, "check_pluri_lines[G_PAIR]"),
+    ("MIXED_BY_SUM_MID", lambda p: locate_equality(InequalityId.MIXED_BY_SUM_MID, p), 1.5, 4.5,
+     "locate_equality[MIXED_BY_SUM_MID]"),
+    ("SUM_BY_MIXED_HIGH", lambda p: unreduced_slack(InequalityId.SUM_BY_MIXED_HIGH, p, 0.5, 1.0),
+     2.0, 65.0, "unreduced_slack[SUM_BY_MIXED_HIGH]"),
     ("hardy_norm", lambda p: hardy_norm(Z_MAP, p), 0.5, 65.0),
     ("triple_norm", lambda p: triple_norm(Z_MAP, p), 0.5, 65.0),
     ("bergman_norm", lambda p: bergman_norm(Z_MAP, p), 0.5, 65.0),
@@ -128,6 +136,7 @@ CASES = [
 ]
 # every theorem tag, at the top of verify_theorem
 THEOREM_BOUNDS = {
+    TheoremId.MIXED_BY_HARDY_RELAXED: (1.0, 3.5),
     TheoremId.LINE_PAIRS: (1.0, None),
     TheoremId.BERGMAN_EMBEDDING: (1, 33),
     TheoremId.STREBEL: (0.5, 1.5),
@@ -135,25 +144,37 @@ THEOREM_BOUNDS = {
 }
 for tag in TheoremId:
     below, above = THEOREM_BOUNDS.get(tag, (1.0, 65.0))
-    CASES.append((tag.value, lambda p, tag=tag: verify_theorem(tag, p, samples=2), below, above))
+    call = partial(verify_theorem, tag, samples=2)
+    CASES.append((tag.value, call, below, above, f"verify_theorem[{tag.value}]"))
 # every lemma tag, through its public range
 for tag in InequalityId:
     lo, hi, lo_closed, hi_closed = inequality_range(tag)
     below, above = lo - 0.5 if lo_closed else lo, hi + 1.0 if hi_closed else hi
-    CASES.append((tag.value, lambda p, tag=tag: verify_pointwise(tag, p), below, above))
+    call = partial(verify_pointwise, tag)
+    CASES.append((tag.value, call, below, above, f"verify_pointwise[{tag.value}]"))
 # a Calderon family's Hardy norm names the function called, not its inner rule
-CASES.append(("hardy_norm", lambda p: hardy_norm(FAMILY, p), 1.0, None))
+CASES.append(
+    ("hardy_norm", lambda p: hardy_norm(FAMILY, p), 1.0, None, "hardy_norm[CalderonFamily]")
+)
 # every other theorem tag's constant, in the range verify_theorem checks
 for tag in TheoremId:
     if tag is not TheoremId.BERGMAN_EMBEDDING:
         below, above = THEOREM_BOUNDS.get(tag, (1.0, 65.0))
-        CASES.append((tag.value, lambda p, tag=tag: theorem_constant(tag, p), below, above))
+        call = partial(theorem_constant, tag)
+        CASES.append((tag.value, call, below, above, f"theorem_constant[{tag.value}]"))
 
 PARAMS = [
-    pytest.param(what, call, value, id=f"{k}-{what}-{value}")
-    for k, (what, call, below, above) in enumerate(CASES)
+    pytest.param(what, call, value, id=f"{name[0] if name else what}-{value}")
+    for what, call, below, above, *name in CASES
     for value in dict.fromkeys(v for v in (below, above, math.inf, math.nan) if v is not None)
 ]
+
+
+def test_range_case_ids_are_unique():
+    ids = [param.id for param in PARAMS]
+    assert len(set(ids)) == len(ids)
+    assert "verify_theorem[MIXED_BY_HARDY]-65.0" in ids
+    assert "theorem_constant[MIXED_BY_HARDY]-65.0" in ids
 
 
 def assert_range_message(message: str, what: str, value) -> None:

@@ -1,7 +1,9 @@
 """Tests for the theorem batteries, the isoperimetric chain, and the probes."""
 
+import ast
 import inspect
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -47,6 +49,7 @@ from rieszlab.theorems import (
 )
 
 import legacy_reference as legacy
+from test_constants import SWEEP_N, SWEEP_P, outcome
 
 Z_MAP = HarmonicMap(TaylorPoly([0, 1]), TaylorPoly([0]))
 
@@ -363,6 +366,60 @@ def test_sharpness_probe_validation():
         sharpness_probe(TheoremId.STREBEL, 1.5, [0.5])
 
 
+@pytest.mark.parametrize("fractions", [[0.5, 1.5], [0.5, 0.9, math.nan]])
+def test_sharpness_probe_checks_every_fraction_before_any_quadrature(fractions, monkeypatch):
+    def no_quadrature(*args):
+        raise AssertionError("ran a quadrature before checking the fractions")
+
+    monkeypatch.setattr(theorems, "calderon_norm", no_quadrature)
+    message = rf"^gamma fractions must lie in \(0, 1\), got {re.escape(str(fractions[-1]))}$"
+    with pytest.raises(ValueError, match=message):
+        sharpness_probe(TheoremId.CONJUGATE_NORM, 1.5, fractions)
+
+
+def test_tag_tables_hold_every_tag():
+    assert set(theorems._TAGS) == set(TheoremId)
+    assert set(theorems._PROBES) == {
+        TheoremId.CONJUGATE_NORM,
+        TheoremId.ANALYTIC_BY_RE,
+        TheoremId.IM_BY_ANALYTIC,
+    }
+
+
+def test_tag_table_gives_the_bits_and_messages_of_the_chain():
+    for tag in legacy.CHAIN_TAGS:
+        for value in SWEEP_P + SWEEP_N:
+            for kwargs in ({"p": value}, {"n": value}, {"p": value, "n": value}):
+                new = outcome(theorem_constant, tag, **kwargs)
+                assert new == outcome(legacy.chain_theorem_constant, tag, **kwargs), (tag, kwargs)
+    # the relaxed tag: MIXED_BY_HARDY's constant on (1, 3], its own message outside
+    for p in SWEEP_P:
+        try:
+            inside = 1.0 < float(p) <= 3.0
+        except (TypeError, ValueError):
+            inside = False
+        expected = (
+            outcome(legacy.chain_theorem_constant, TheoremId.MIXED_BY_HARDY, p=p)
+            if inside
+            else ("ValueError", f"MIXED_BY_HARDY_RELAXED requires p in (1.0, 3.0], got {p}")
+        )
+        assert outcome(theorem_constant, TheoremId.MIXED_BY_HARDY_RELAXED, p=p) == expected, p
+
+
+def test_battery_builds_no_sample_battery_of_its_own():
+    # sample batteries are built in theorems only; battery calls verify_theorem
+    tree = ast.parse(inspect.getsource(battery))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "theorems"
+        for alias in node.names
+    }
+    assert "verify_theorem" in imported
+    assert not imported & {"_block_sides", "_sample_report"}
+    assert not hasattr(battery, "_relaxed_mixed_report")
+
+
 def test_verify_theorem_validation():
     with pytest.raises(ValueError):
         verify_theorem(TheoremId.MIXED_BY_HARDY, 1.0, samples=5)
@@ -383,7 +440,8 @@ CIRCLE_TAGS = (
     TheoremId.ANALYTIC_BY_RE,
     TheoremId.IM_BY_ANALYTIC,
 )
-RELAXED = "MIXED_BY_HARDY_RELAXED"
+RELAXED = TheoremId.MIXED_BY_HARDY_RELAXED
+RELAXED_P_VALUES = (1.25, 1.5, 2.0, 2.5, 3.0)
 
 
 def reference_sample_sides(tag, p, degree, seed):
@@ -394,7 +452,7 @@ def reference_sample_sides(tag, p, degree, seed):
     if tag is TheoremId.HARDY_BY_MIXED:
         m = legacy.random_harmonic(degree, seed, Constraint.RE_NONPOS)
         return hardy_norm(m, p), triple_norm(m, p)
-    if tag == RELAXED:
+    if tag is RELAXED:
         m = legacy.random_harmonic(degree, seed, Constraint.RE_NONNEG)
         return triple_norm(m, p), hardy_norm(m, p)
     if tag is TheoremId.CONJUGATE_NORM:
@@ -456,18 +514,18 @@ def test_batched_battery_is_bit_identical_to_sample_loop(monkeypatch):
     counts = (1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 100)
     blocks = []
     monkeypatch.setattr(theorems, "_sample_report", recording_sample_report(blocks))
-    monkeypatch.setattr(battery, "_sample_report", recording_sample_report(blocks))
     for tag in (*CIRCLE_TAGS, RELAXED):
-        for p in battery.THEOREM_P_VALUES:
+        # the relaxed tag at every battery exponent inside its range (1, 3]
+        ps = RELAXED_P_VALUES if tag is RELAXED else battery.THEOREM_P_VALUES
+        for p in ps:
             for seed in (0, 7, 1000):
                 ref = [reference_sample_sides(tag, p, degree, seed + k) for k in range(100)]
                 for count in counts:
                     blocks.clear()
-                    if tag == RELAXED:
-                        report = battery._relaxed_mixed_report(p, count, degree, seed)
+                    report = verify_theorem(tag, p, count, degree, seed)
+                    if tag is RELAXED:
                         constant = sharp_constant(SharpConstant.A, p)
                     else:
-                        report = verify_theorem(tag, p, count, degree, seed)
                         constant = theorem_constant(tag, p=p)
                     assert [len(b) for b in blocks] == [
                         min(SAMPLE_BLOCK, count - start) for start in range(0, count, SAMPLE_BLOCK)
