@@ -16,8 +16,6 @@ from .constants import (
     minorant_F,
     minorant_G,
     minorant_value,
-    psi_value,
-    re_branch_power,
     sharp_constant,
     theta_lower,
     theta_upper,
@@ -36,8 +34,6 @@ from .hilbert import (
     LineKind,
     LinePair,
     conjugate_map,
-    empirical_hilbert_ratio,
-    line_hilbert_pv,
     line_pair_values,
     periodic_hilbert,
     singular_hilbert_at,
@@ -49,13 +45,11 @@ from .maps import (
     HarmonicMap,
     TaylorPoly,
     boundary_series,
-    calderon_boundary,
     calderon_taylor,
     eval_harmonic,
     map_from_dict,
     map_to_dict,
     random_harmonic,
-    series_to_map,
 )
 from .quadrature import (
     QuadratureConvergenceError,
@@ -98,7 +92,6 @@ __all__ = [
     "bergman_norm",
     "bergman_triple_norm",
     "boundary_series",
-    "calderon_boundary",
     "calderon_norm",
     "calderon_taylor",
     "check_pluri_lines",
@@ -106,12 +99,10 @@ __all__ = [
     "conjugate_exponent_bar",
     "conjugate_map",
     "default_p_values",
-    "empirical_hilbert_ratio",
     "equality_loci",
     "eval_harmonic",
     "hardy_norm",
     "isoperimetric_chain",
-    "line_hilbert_pv",
     "line_pair_values",
     "locate_equality",
     "map_from_dict",
@@ -122,10 +113,7 @@ __all__ = [
     "mp_radius",
     "origin_circle_mean",
     "periodic_hilbert",
-    "psi_value",
     "random_harmonic",
-    "re_branch_power",
-    "series_to_map",
     "sharp_constant",
     "sharpness_probe",
     "singular_hilbert_at",

@@ -9,8 +9,9 @@ Angle-minorant zoo (theta arguments accepted on [-2 pi, 2 pi], and reduced by
 the even 2 pi-periodic extension, since the minorants are composed with sums
 of principal arguments):
 
-* re_branch_power: Re(zeta^{p/2}) with the branch that keeps the power
-  continuous across the negative real axis, subharmonic for 1 < p <= 2;
+* re_branch_angle: the angular factor of Re(zeta^{p/2}) with the branch
+  that keeps the power continuous across the negative real axis, whose
+  minorant (Minorant.RE_BRANCH) is subharmonic for 1 < p <= 2;
 * phi_mid_angle / phi_high_angle: the cosine form and the pi/2-shifted
   reflected two-band construction;
 * theta_lower(theta, p): the angular factor of the lower-bound minorant for
@@ -52,7 +53,6 @@ __all__ = [
     "Minorant",
     "conjugate_exponent_bar",
     "sharp_constant",
-    "re_branch_power",
     "re_branch_angle",
     "phi_mid_angle",
     "phi_high_angle",
@@ -60,7 +60,6 @@ __all__ = [
     "theta_lower_reflected",
     "theta_upper",
     "psi_angle",
-    "psi_value",
     "minorant_F",
     "minorant_G",
     "minorant_value",
@@ -228,14 +227,6 @@ def re_branch_angle(theta, p: float):
     return out if out.shape else float(out)
 
 
-def re_branch_power(zeta, p: float):
-    """Re(zeta^{p/2}) with the continuous branch; subharmonic for 1 < p <= 2.
-
-    Returns 0 at zeta = 0.  Accepts scalars or arrays.
-    """
-    return _polar(re_branch_angle, zeta, _LOW_P.check("re_branch_power", p))
-
-
 def _phi_reflected(x: np.ndarray, p: float) -> np.ndarray:
     """Two-band profile on [0, pi/2] for p >= 4.
 
@@ -364,11 +355,6 @@ def _polar(profile, zeta, p: float):
     prof = profile(np.angle(zeta), p)
     out = np.abs(zeta) ** (0.5 * p) * prof
     return out if out.shape else float(out)
-
-
-def psi_value(zeta, p: float):
-    """Psi_p(zeta) = |zeta|^{p/2} * psi_angle(arg zeta); subharmonic, p != 2."""
-    return _polar(psi_angle, zeta, _PSI_P.check("psi_value", p))
 
 
 def _pair(mid: Minorant, z, w, p: float):

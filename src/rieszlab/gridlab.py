@@ -5,8 +5,8 @@ Every inequality is wired to a slack function (RHS minus LHS) whose
 nonnegativity is the claim.  Two-variable inequalities in (z, w) are scanned
 in reduced coordinates (r, t) = (|z|/|w|, arg z + arg w): every slack depends
 only on the moduli and the angle sum and is homogeneous of degree p, so
-|w| = 1, r in (0, 1] loses nothing (a direct 4-parameter random scan is kept
-as a test of this reduction, see unreduced_slack).
+|w| = 1, r in (0, 1] loses nothing (the tests check this reduction against
+the slacks taken directly on random complex (z, w)).
 
 One path per job.  A scalar tag is evaluated once; every other tag is
 scanned and refined by one path over its axes, (t,) or (r, t), and located by
@@ -101,7 +101,6 @@ __all__ = [
     "cell_diagonal",
     "verify_pointwise",
     "locate_equality",
-    "unreduced_slack",
     "check_submean",
     "check_pluri_lines",
     "origin_circle_mean",
@@ -477,16 +476,14 @@ def scan_ranges(tag: InequalityId, grid: GridSpec | None = None) -> tuple:
 
 def cell_diagonal(tag: InequalityId, grid: GridSpec) -> float:
     """Diagonal of one cell of the grid over the tag's default domain (the
-    cell width for one-variable tags)."""
-    info = _REGISTRY[InequalityId(tag)]
-    if info.arity == 1:
-        lo, hi = info.t_range
-        return (hi - lo) / (grid.t_nodes - 1)
-    r_lo, r_hi = info.r_range
-    t_lo, t_hi = info.t_range
-    dr = (r_hi - r_lo) / (grid.r_nodes - 1)
-    dt = (t_hi - t_lo) / (grid.t_nodes - 1)
-    return math.hypot(dr, dt)
+    cell width for one-variable tags); a scalar tag has no cell."""
+    tag = InequalityId(tag)
+    info = _REGISTRY[tag]
+    cells = ((info.r_range, grid.r_nodes), (info.t_range, grid.t_nodes))
+    widths = [(axis[1] - axis[0]) / (n - 1) for axis, n in cells if axis]
+    if not widths:
+        raise ValueError(f"{tag.value} is a scalar inequality with no grid cell")
+    return math.hypot(*widths)
 
 
 # t-nodes per block of the 2-D scan: a block is (SCAN_COLUMNS, whole r row),
@@ -668,45 +665,6 @@ def locate_equality(tag: InequalityId, p: float) -> tuple[tuple, float]:
         ]
     m, a, _ = scan(info.slack, p, *axes, math.inf)
     return a, m
-
-
-_UNREDUCED_LOW = (InequalityId.MIXED_BY_SUM_LOW, InequalityId.MIXED_BY_SUM_RADIAL)
-_UNREDUCED_MIXED = _UNREDUCED_LOW + (
-    InequalityId.MIXED_BY_SUM_MID,
-    InequalityId.MIXED_BY_SUM_HIGH,
-)
-_UNREDUCED_SUM = (
-    InequalityId.SUM_BY_MIXED_HIGH,
-    InequalityId.SUM_BY_MIXED_RADIAL,
-    InequalityId.SUM_BY_MIXED_LOW,
-)
-
-
-def unreduced_slack(tag: InequalityId, p: float, z: complex, w: complex) -> float:
-    """Slack evaluated directly on complex (z, w) through the two-variable
-    minorants, bypassing the (r, t) reduction; used to validate the reduction."""
-    tag = InequalityId(tag)
-    p = _REGISTRY[tag].p_range.check(tag.value, p)
-    z, w = complex(z), complex(w)
-    mod_sum = abs(z + w.conjugate()) ** p
-    mixed = (abs(z) ** 2 + abs(w) ** 2) ** (0.5 * p)
-    if tag in _UNREDUCED_MIXED:
-        low = tag in _UNREDUCED_LOW
-        a = sharp_constant(SC.A_LOW_P if low else SC.A_HIGH_P, p)
-        b = sharp_constant(SC.B_LOW_P if low else SC.B_HIGH_P, p)
-        t1 = a * mod_sum
-        t2 = b * minorant_F(z, w, p)
-        t3 = mixed
-    elif tag in _UNREDUCED_SUM:
-        low = tag is InequalityId.SUM_BY_MIXED_LOW
-        c = sharp_constant(SC.C_LOW_P if low else SC.C_HIGH_P, p)
-        d = sharp_constant(SC.D_LOW_P if low else SC.D_HIGH_P, p)
-        t1 = c * mixed
-        t2 = d * minorant_G(z, w, p)
-        t3 = mod_sum
-    else:
-        raise ValueError(f"{tag.value} has no two-variable form")
-    return float((t1 - t2 - t3) / (abs(t1) + abs(t2) + abs(t3)))
 
 
 # ------------------------------ subharmonicity ------------------------------

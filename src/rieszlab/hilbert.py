@@ -10,7 +10,8 @@ series coefficient by coefficient.
 
 The line transform H[phi](x) = (1/pi) p.v. int phi(t)/(x-t) dt is exercised
 through a catalog of closed-form pairs (conjugate Poisson kernel, Lorentzian,
-interval indicator), with a direct principal-value quadrature as cross-check.
+interval indicator); the tests check the catalog against a direct
+principal-value quadrature.
 
 Series values come from FourierSeries.__call__, which sums the terms left to
 right as arrays; the singular integral evaluates its complex integrand once
@@ -22,14 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 from scipy import integrate
 
 from .constants import RIESZ_P
 from .maps import FourierSeries, HarmonicMap
-from .quadrature import QuadratureSpec, hardy_norm
 
 __all__ = [
     "periodic_hilbert",
@@ -38,9 +37,7 @@ __all__ = [
     "LineKind",
     "LinePair",
     "line_pair_values",
-    "line_hilbert_pv",
     "line_lp_norm",
-    "empirical_hilbert_ratio",
 ]
 
 
@@ -150,33 +147,6 @@ def line_pair_values(pair: LinePair, x):
     return float(phi), float(phit)
 
 
-def line_hilbert_pv(pair: LinePair, x: float) -> float:
-    """Principal-value quadrature of (1/pi) int phi(t)/(x-t) dt (cross-check).
-
-    Uses the odd-difference form -(1/pi) int_0^inf (phi(x+t) - phi(x-t))/t dt,
-    whose integrand is bounded at t = 0.
-    """
-    x = float(x)
-
-    def phi(t: float) -> float:
-        return line_pair_values(pair, t)[0] if pair.kind is not LineKind.INDICATOR \
-            else (1.0 if abs(t) <= 1.0 else 0.0)
-
-    def integrand(t: float) -> float:
-        return (phi(x + t) - phi(x - t)) / t
-
-    if pair.kind is LineKind.INDICATOR:
-        # integrand jumps where x +/- t crosses +/-1; beyond both supports it is 0
-        breaks = sorted({abs(x - 1.0), abs(x + 1.0)})
-        upper = abs(x) + 2.0
-        val, _ = integrate.quad(
-            integrand, 1e-12, upper, points=breaks, limit=400, epsabs=1e-10
-        )
-    else:
-        val, _ = integrate.quad(integrand, 0.0, np.inf, limit=400, epsabs=1e-10)
-    return -val / math.pi
-
-
 def line_lp_norm(pair: LinePair, p: float, transformed: bool = False) -> float:
     """||phi||_{L^p(R)} or ||phi~||_{L^p(R)} by adaptive quadrature.
 
@@ -211,23 +181,3 @@ def line_lp_norm(pair: LinePair, p: float, transformed: bool = False) -> float:
     val, _ = integrate.quad(f, -np.inf, np.inf, limit=500, epsabs=1e-12)
     return val ** (1.0 / p)
 
-
-def empirical_hilbert_ratio(
-    p: float,
-    maps: Sequence[HarmonicMap],
-    spec: QuadratureSpec | None = None,
-) -> float:
-    """max over maps of ||f~||_p / ||f||_p, a lower bound for the operator norm.
-
-    Maps are expected normalized to h(0) = 0 (conjugate_map normalizes anyway;
-    the ratio is insensitive to it since f itself is unchanged).
-    """
-    if not maps:
-        raise ValueError("empirical_hilbert_ratio needs at least one map")
-    best = 0.0
-    for m in maps:
-        denom = hardy_norm(m, p, spec)
-        if denom == 0.0:
-            continue
-        best = max(best, hardy_norm(conjugate_map(m), p, spec) / denom)
-    return best

@@ -63,11 +63,9 @@ __all__ = [
     "Constraint",
     "eval_harmonic",
     "boundary_series",
-    "series_to_map",
     "random_coefficients",
     "random_harmonic",
     "random_poly",
-    "calderon_boundary",
     "calderon_taylor",
     "map_to_dict",
     "map_from_dict",
@@ -157,13 +155,6 @@ class TaylorPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def trimmed(self) -> "TaylorPoly":
-        """Drop trailing zero coefficients (degree 0 is kept)."""
-        n = len(self.coeffs)
-        while n > 1 and self.coeffs[n - 1] == 0:
-            n -= 1
-        return TaylorPoly(self.coeffs[:n])
-
     def __call__(self, z):
         """Horner evaluation; accepts scalars or numpy arrays."""
         z = np.asarray(z, dtype=complex)
@@ -242,10 +233,6 @@ class FourierSeries:
         object.__setattr__(self, "_re", c.real.copy())
         object.__setattr__(self, "_im", c.imag.copy())
 
-    @property
-    def degree(self) -> int:
-        return max((abs(k) for k in self.coeffs), default=0)
-
     def __call__(self, tau):
         """sum_k c_k exp(i k tau), elementwise in tau.
 
@@ -263,9 +250,6 @@ class FourierSeries:
         acc = np.add.accumulate(terms, axis=-1)[..., -1]
         return acc.copy() if acc.shape else complex(acc)
 
-    def mean(self) -> complex:
-        return self.coeffs.get(0, 0j)
-
 
 def boundary_series(m: HarmonicMap) -> FourierSeries:
     """Boundary trace coefficients: g_k at k >= 0, conj(h_k) at -k, merged at 0."""
@@ -275,14 +259,6 @@ def boundary_series(m: HarmonicMap) -> FourierSeries:
     for k, c in enumerate(m.h.coeffs):
         coeffs[-k] = coeffs.get(-k, 0j) + c.conjugate()
     return FourierSeries(coeffs)
-
-
-def series_to_map(series: FourierSeries) -> HarmonicMap:
-    """Inverse of boundary_series under the h(0) = 0 convention."""
-    n = series.degree
-    g = [series.coeffs.get(k, 0j) for k in range(n + 1)]
-    h = [0j] + [series.coeffs.get(-k, 0j).conjugate() for k in range(1, n + 1)]
-    return HarmonicMap(TaylorPoly(g), TaylorPoly(h))
 
 
 class Constraint(Enum):
@@ -403,26 +379,6 @@ class CalderonFamily:
                 f"gamma must lie in (0, pi/(2p)) = (0, {math.pi / (2 * self.p):.6g}), "
                 f"got {self.gamma}"
             )
-
-    @property
-    def modulus_exponent(self) -> float:
-        """a = 2*gamma*p/pi, the growth exponent of |g|^p at t = 0; a < 1."""
-        return 2.0 * self.gamma * self.p / math.pi
-
-
-def calderon_boundary(params: CalderonFamily, t):
-    """Boundary values g(e^{it}) = |cot(t/2)|^(2*gamma/pi) * exp(+/- i*gamma).
-
-    The sign of the argument follows sign(cot(t/2)).  Undefined at t = 0
-    (mod 2*pi) where the trace blows up.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(np.isclose(np.mod(t, 2.0 * math.pi), 0.0, atol=1e-15)):
-        raise ValueError("calderon_boundary is singular at t = 0 (mod 2*pi)")
-    c = 2.0 * params.gamma / math.pi
-    cot = 1.0 / np.tan(t / 2.0)
-    val = np.abs(cot) ** c * np.exp(1j * params.gamma * np.sign(cot))
-    return val if val.shape else complex(val)
 
 
 def calderon_taylor(gamma: float, degree: int) -> TaylorPoly:

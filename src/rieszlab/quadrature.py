@@ -214,8 +214,11 @@ def _mean(
 ) -> float:
     """The mean of ring(p, ...) over the traces of polys, by the rule sized
     for |f|^(size * p): _means of one row.  Every public mean and norm is
-    one of these; a mean that overflows raises ValueError naming it."""
+    one of these; a circle radius r outside [0, 1] and a mean that
+    overflows raise ValueError."""
     p = _MEAN_P.check(name, p)
+    if r is not None and not 0.0 <= r <= 1.0:
+        raise ValueError(f"r must lie in [0, 1], got {r}")
     spec = _spec_for(max(q.degree for q in polys), size * p, spec)
     with np.errstate(all="ignore"):
         mean = _means([partial(ring, p)], [q.coeffs for q in polys], spec, r)[0][0]
@@ -286,8 +289,6 @@ def mp_radius(
 ) -> float:
     """M_p(f, r) = (int_T |f(r zeta)|^p dsigma)^{1/p} for 0 <= r <= 1."""
     p = _NORM_P.check("mp_radius", p)
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must lie in [0, 1], got {r}")
     return circle_power_mean(m, p, r, spec) ** (1.0 / p)
 
 

@@ -44,11 +44,15 @@ class GridSpec:
             bounds = getattr(self, name)
             if bounds is None:
                 continue
-            if not (
-                len(bounds) == 2
-                and all(math.isfinite(x) for x in bounds)
-                and bounds[0] < bounds[1]
-            ):
+            try:
+                valid = (
+                    len(bounds) == 2
+                    and all(math.isfinite(x) for x in bounds)
+                    and bounds[0] < bounds[1]
+                )
+            except (TypeError, OverflowError):  # not a pair of real numbers
+                valid = False
+            if not valid:
                 raise ValueError(f"{name} must be two finite values lo < hi, got {bounds}")
         if self.r_range is not None and self.r_range[0] < 0.0:
             raise ValueError(f"r_range must start at r >= 0, got {self.r_range}")

@@ -124,7 +124,7 @@ def theta_lower(theta, p):
 
 
 def _polar_power(profile, zeta, p):
-    """re_branch_power and psi_value without their p checks."""
+    """The RE_BRANCH and PSI minorants of minorant_value without their p checks."""
     zeta = np.asarray(zeta, dtype=complex)
     prof = profile(np.angle(zeta), p)
     out = np.abs(zeta) ** (0.5 * p) * prof

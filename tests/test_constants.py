@@ -17,7 +17,6 @@ from rieszlab.constants import (
     minorant_value,
     psi_angle,
     re_branch_angle,
-    re_branch_power,
     sharp_constant,
     theta_lower,
     theta_lower_reflected,
@@ -130,16 +129,16 @@ def test_constant_table_gives_the_bits_and_messages_of_the_chain():
 
 
 def test_re_branch_point_values():
-    assert re_branch_power(1.0, 1.5) == pytest.approx(1.0)
+    assert minorant_value(Minorant.RE_BRANCH, 1.0, 1.5) == pytest.approx(1.0)
     for p in (1.2, 1.5, 2.0):
         zeta = np.exp(1j * math.pi / p)
-        assert abs(re_branch_power(zeta, p)) < 1e-13
-    assert re_branch_power(0.0, 1.5) == 0.0
+        assert abs(minorant_value(Minorant.RE_BRANCH, zeta, p)) < 1e-13
+    assert minorant_value(Minorant.RE_BRANCH, 0.0, 1.5) == 0.0
 
 
 def test_re_branch_rejects_out_of_range():
     with pytest.raises(ValueError):
-        re_branch_power(1.0, 2.5)
+        minorant_value(Minorant.RE_BRANCH, 1.0, 2.5)
 
 
 @given(

@@ -1,14 +1,16 @@
 """Tests for the grid verification lab: scans, equality location, submean."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import legacy_reference as legacy
-from rieszlab.constants import Minorant
+from rieszlab.constants import Minorant, SharpConstant as SC, minorant_F, minorant_G, sharp_constant
 from rieszlab.gridlab import (
     InequalityId,
+    cell_diagonal,
     check_pluri_lines,
     check_submean,
     default_p_values,
@@ -16,9 +18,9 @@ from rieszlab.gridlab import (
     inequality_range,
     locate_equality,
     origin_circle_mean,
+    scan_ranges,
     slack_function,
     stated_equality_loci,
-    unreduced_slack,
     verify_pointwise,
 )
 from rieszlab.reporting import GridSpec
@@ -64,10 +66,29 @@ def test_gridspec_range_overrides_are_validated():
     ):
         with pytest.raises(ValueError, match=field):
             GridSpec(**{field: bounds})
+    # a bound that is not a pair of numbers used to raise TypeError
+    for field, bounds in (("r_range", 5.0), ("t_range", (0, "a"))):
+        message = f"{field} must be two finite values lo < hi, got {bounds}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GridSpec(**{field: bounds})
     grid = GridSpec(r_nodes=64, t_nodes=128, r_range=(0.0, 1.5), t_range=(-1.0, 1.0))
     report = verify_pointwise(InequalityId.SUM_BY_MIXED_HIGH, 3.0, grid)
     assert report.grid["t_range"] == [-1.0, 1.0] and report.grid["r_range"][1] == 1.5
     assert -1.0 <= report.argmin[1] <= 1.0
+
+
+@pytest.mark.parametrize("tag", list(InequalityId), ids=lambda tag: tag.value)
+def test_cell_diagonal_spans_the_tag_axes(tag):
+    grid = GridSpec(r_nodes=17, t_nodes=33)
+    r, t = scan_ranges(tag)
+    if t is None:
+        # a scalar tag used to raise TypeError
+        with pytest.raises(ValueError, match=f"^{tag.value} is a scalar inequality"):
+            cell_diagonal(tag, grid)
+        return
+    dt = (t[1] - t[0]) / 32
+    expected = dt if r is None else math.hypot((r[1] - r[0]) / 16, dt)
+    assert cell_diagonal(tag, grid) == expected
 
 
 def test_out_of_range_p_rejected():
@@ -153,6 +174,43 @@ def test_stated_high_range_loci_are_not_minima():
             assert float(slack_fn(p, np.asarray(r), np.asarray(t))) > 1e-2
         for r, t in equality_loci(tag, p):
             assert abs(float(slack_fn(p, np.asarray(r), np.asarray(t)))) < 1e-13
+
+
+_UNREDUCED_LOW = (InequalityId.MIXED_BY_SUM_LOW, InequalityId.MIXED_BY_SUM_RADIAL)
+_UNREDUCED_MIXED = _UNREDUCED_LOW + (
+    InequalityId.MIXED_BY_SUM_MID,
+    InequalityId.MIXED_BY_SUM_HIGH,
+)
+_UNREDUCED_SUM = (
+    InequalityId.SUM_BY_MIXED_HIGH,
+    InequalityId.SUM_BY_MIXED_RADIAL,
+    InequalityId.SUM_BY_MIXED_LOW,
+)
+
+
+def unreduced_slack(tag: InequalityId, p: float, z: complex, w: complex) -> float:
+    """Slack evaluated directly on complex (z, w) through the two-variable
+    minorants, bypassing the (r, t) reduction: the reference for the reduction."""
+    z, w = complex(z), complex(w)
+    mod_sum = abs(z + w.conjugate()) ** p
+    mixed = (abs(z) ** 2 + abs(w) ** 2) ** (0.5 * p)
+    if tag in _UNREDUCED_MIXED:
+        low = tag in _UNREDUCED_LOW
+        a = sharp_constant(SC.A_LOW_P if low else SC.A_HIGH_P, p)
+        b = sharp_constant(SC.B_LOW_P if low else SC.B_HIGH_P, p)
+        t1 = a * mod_sum
+        t2 = b * minorant_F(z, w, p)
+        t3 = mixed
+    elif tag in _UNREDUCED_SUM:
+        low = tag is InequalityId.SUM_BY_MIXED_LOW
+        c = sharp_constant(SC.C_LOW_P if low else SC.C_HIGH_P, p)
+        d = sharp_constant(SC.D_LOW_P if low else SC.D_HIGH_P, p)
+        t1 = c * mixed
+        t2 = d * minorant_G(z, w, p)
+        t3 = mod_sum
+    else:
+        raise ValueError(f"{tag.value} has no two-variable form")
+    return float((t1 - t2 - t3) / (abs(t1) + abs(t2) + abs(t3)))
 
 
 def test_homogeneity_reduction_matches_full_scan():

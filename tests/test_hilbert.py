@@ -1,18 +1,20 @@
 """Tests for the periodic Hilbert transform, conjugation, and line pairs."""
 
+import ast
+import inspect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
+from rieszlab import hilbert
 from rieszlab.hilbert import (
     LineKind,
     LinePair,
     conjugate_map,
-    empirical_hilbert_ratio,
-    line_hilbert_pv,
     line_lp_norm,
     line_pair_values,
     periodic_hilbert,
@@ -29,6 +31,7 @@ from rieszlab.maps import (
 )
 from rieszlab.quadrature import hardy_norm, triple_norm
 from rieszlab.constants import SharpConstant, sharp_constant
+from rieszlab.theorems import TheoremId, verify_theorem
 
 TWO_PI = 2.0 * math.pi
 COS_SERIES = FourierSeries({-1: 0.5, 1: 0.5})
@@ -198,6 +201,34 @@ def test_line_pair_parameter_validation():
         LinePair(LineKind.POISSON_KERNEL, -1.0)
 
 
+def line_hilbert_pv(pair: LinePair, x: float) -> float:
+    """Principal-value quadrature of (1/pi) int phi(t)/(x-t) dt, the reference
+    for the closed-form catalog.
+
+    Uses the odd-difference form -(1/pi) int_0^inf (phi(x+t) - phi(x-t))/t dt,
+    whose integrand is bounded at t = 0.
+    """
+    x = float(x)
+
+    def phi(t: float) -> float:
+        return line_pair_values(pair, t)[0] if pair.kind is not LineKind.INDICATOR \
+            else (1.0 if abs(t) <= 1.0 else 0.0)
+
+    def integrand(t: float) -> float:
+        return (phi(x + t) - phi(x - t)) / t
+
+    if pair.kind is LineKind.INDICATOR:
+        # integrand jumps where x +/- t crosses +/-1; beyond both supports it is 0
+        breaks = sorted({abs(x - 1.0), abs(x + 1.0)})
+        upper = abs(x) + 2.0
+        val, _ = integrate.quad(
+            integrand, 1e-12, upper, points=breaks, limit=400, epsabs=1e-10
+        )
+    else:
+        val, _ = integrate.quad(integrand, 0.0, np.inf, limit=400, epsabs=1e-10)
+    return -val / math.pi
+
+
 @pytest.mark.parametrize(
     "pair",
     [
@@ -232,19 +263,14 @@ def test_line_lp_norm_closed_forms():
 
 
 def test_empirical_ratio_is_one_at_p2():
-    maps = [random_harmonic(8, 700 + k).normalized() for k in range(20)]
-    ratio = empirical_hilbert_ratio(2.0, maps)
-    assert abs(ratio - 1.0) < 1e-10
+    report = verify_theorem(TheoremId.CONJUGATE_NORM, 2.0, 20, 8, 700)
+    assert abs(report.ratio_max - 1.0) < 1e-10
 
 
 def test_empirical_ratio_cosine_p4():
     half = TaylorPoly([0, 0.5])
-    assert empirical_hilbert_ratio(4.0, [HarmonicMap(half, half)]) == pytest.approx(1.0)
-
-
-def test_empirical_ratio_requires_maps():
-    with pytest.raises(ValueError):
-        empirical_hilbert_ratio(2.0, [])
+    m = HarmonicMap(half, half)
+    assert hardy_norm(conjugate_map(m), 4.0) / hardy_norm(m, 4.0) == pytest.approx(1.0)
 
 
 def test_empirical_ratio_calderon_truncations_increase_toward_limit():
@@ -256,6 +282,17 @@ def test_empirical_ratio_calderon_truncations_increase_toward_limit():
     for order in (1024, 4096, 16384):
         g = calderon_taylor(gamma, order)
         half = g.scaled(0.5)
-        ratios.append(empirical_hilbert_ratio(1.5, [HarmonicMap(half, half)]))
+        m = HarmonicMap(half, half)
+        ratios.append(hardy_norm(conjugate_map(m), 1.5) / hardy_norm(m, 1.5))
     assert ratios[0] < ratios[1] < ratios[2] < math.tan(gamma)
     assert ratios[1] >= 1.40  # frozen from the measured convergence profile
+
+
+def test_hilbert_depends_only_on_constants_and_maps():
+    # the conjugate-function bound is measured by the CONJUGATE_NORM battery,
+    # so the transforms need no quadrature of their own
+    tree = ast.parse(inspect.getsource(hilbert))
+    package_modules = {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+    }
+    assert package_modules == {"constants", "maps"}

@@ -323,6 +323,21 @@ def test_p_validation():
     assert hardy_norm(Z_MAP, 1.0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("r", [math.nan, 2.0])
+@pytest.mark.parametrize(
+    "mean",
+    [
+        lambda r: circle_power_mean(Z_MAP, 2.0, r),
+        lambda r: pair_circle_power_mean(Z_MAP.g, Z_MAP.h, 2.0, r),
+        lambda r: product_circle_power_mean(Z_MAP.g, Z_MAP.h, 2.0, False, r),
+    ],
+    ids=["circle_power_mean", "pair_circle_power_mean", "product_circle_power_mean"],
+)
+def test_circle_means_reject_a_radius_outside_the_disk(mean, r):
+    with pytest.raises(ValueError, match=rf"^r must lie in \[0, 1\], got {r}$"):
+        mean(r)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(n_angle=2)
@@ -397,7 +412,7 @@ def test_calderon_mean_matches_secant_closed_form():
     # int_T |cot(t/2)|^a dsigma = sec(pi a / 2) for 0 < a < 1
     for gamma, p in ((0.2, 1.5), (0.45, 2.5), (0.995 * math.pi / 3.0, 1.5)):
         fam = CalderonFamily(gamma=gamma, p=p)
-        a = fam.modulus_exponent
+        a = 2.0 * gamma * p / math.pi
         mean = calderon_power_mean(fam, 1.0, 0.0)
         assert abs(mean - 1.0 / math.cos(math.pi * a / 2.0)) < 1e-8 / math.cos(
             math.pi * a / 2.0

@@ -19,8 +19,6 @@ from rieszlab.constants import (
     minorant_G,
     minorant_value,
     psi_angle,
-    psi_value,
-    re_branch_power,
     sharp_constant,
     theta_lower,
     theta_lower_reflected,
@@ -33,7 +31,6 @@ from rieszlab.gridlab import (
     inequality_range,
     locate_equality,
     origin_circle_mean,
-    unreduced_slack,
     verify_pointwise,
 )
 from rieszlab.hilbert import LineKind, LinePair, line_lp_norm
@@ -83,12 +80,10 @@ CASES = [
     ("ISOP", lambda n: sharp_constant(SC.ISOP, n=n), 1, None, "sharp_constant[ISOP]"),
     ("BERGMAN_EMBEDDING", lambda n: theorem_constant(TheoremId.BERGMAN_EMBEDDING, n=n), 1, 33,
      "theorem_constant[BERGMAN_EMBEDDING]"),
-    ("re_branch_power", lambda p: re_branch_power(0.5j, p), 1.0, 2.5),
     ("theta_lower_reflected", lambda p: theta_lower_reflected(0.3, p), 3.9, None),
     ("theta_lower", lambda p: theta_lower(0.3, p), 2.0, None),
     ("theta_upper", lambda p: theta_upper(0.3, p), 2.0, None),
     ("psi_angle", lambda p: psi_angle(0.3, p), 1.0, None),
-    ("psi_value", lambda p: psi_value(0.5j, p), 1.0, None),
     ("F_PAIR", lambda p: minorant_F(0.5, 0.3j, p), 1.0, None, "minorant_F"),
     ("G_PAIR", lambda p: minorant_G(0.5, 0.3j, p), 1.0, None, "minorant_G"),
 ]
@@ -113,8 +108,6 @@ CASES += [
      1.0, None, "check_pluri_lines[G_PAIR]"),
     ("MIXED_BY_SUM_MID", lambda p: locate_equality(InequalityId.MIXED_BY_SUM_MID, p), 1.5, 4.5,
      "locate_equality[MIXED_BY_SUM_MID]"),
-    ("SUM_BY_MIXED_HIGH", lambda p: unreduced_slack(InequalityId.SUM_BY_MIXED_HIGH, p, 0.5, 1.0),
-     2.0, 65.0, "unreduced_slack[SUM_BY_MIXED_HIGH]"),
     ("hardy_norm", lambda p: hardy_norm(Z_MAP, p), 0.5, 65.0),
     ("triple_norm", lambda p: triple_norm(Z_MAP, p), 0.5, 65.0),
     ("bergman_norm", lambda p: bergman_norm(Z_MAP, p), 0.5, 65.0),
