@@ -42,7 +42,7 @@ from .quadrature import (
     QuadratureSpec,
     _map_ring,
     _pair_ring,
-    _spec_for,
+    auto_spec,
     circle_power_mean,
     disk_power_mean,
     hardy_norm,
@@ -89,11 +89,11 @@ LOCUS_CASES = (
 )
 
 
-def constant_identity_report(
-    n_points: int = 70, lo: float = 1.1, hi: float = 8.0, tol: float = 1e-12
-) -> VerificationReport:
+def constant_identity_report() -> VerificationReport:
     """A_p B_p = cot(pi/(2 pbar)), sqrt(2) A_p = csc(pi/(2 pbar)), and the
-    duality symmetry of the conjugation norm, across the exponent range."""
+    duality symmetry of the conjugation norm, at 70 exponents from 1.1 to 8;
+    an error above 1e-12 is a violation."""
+    n_points, lo, hi, tol = 70, 1.1, 8.0, 1e-12
     acc = SlackAccumulator(-0.0)  # error-style: min_slack is minus the largest error
     for p in np.linspace(lo, hi, n_points):
         p = float(p)
@@ -119,10 +119,11 @@ def constant_identity_report(
 
 
 def parseval_bridge_report(
-    samples: int = 100, degree: int = 8, seed: int = 11, tol: float = 1e-10
+    samples: int = 100, degree: int = 8, seed: int = 11
 ) -> VerificationReport:
     """||f||_2^2 = |||f|||_2^2 + 2 Re(g(0) h(0)), and equality of the two
-    norms for the RE_ZERO class."""
+    norms for the RE_ZERO class; an error above 1e-10 is a violation."""
+    tol = 1e-10
     acc = SlackAccumulator(-0.0)
     # seeds seed + k for the maps, seed + samples + k for the RE_ZERO maps
     plain = random_coefficients(degree, range(seed, seed + samples))
@@ -130,7 +131,7 @@ def parseval_bridge_report(
         degree, range(seed + samples, seed + 2 * samples), Constraint.RE_ZERO
     )
     rings = [partial(_map_ring, 2.0), partial(_pair_ring, 1.0)]
-    spec = _spec_for(degree, 2.0, None)
+    spec = auto_spec(degree, 2.0)
     for start in range(0, samples, SAMPLE_BLOCK):
         ks = range(start, min(start + SAMPLE_BLOCK, samples))
         g, h = (rows[start : ks.stop] for rows in plain)
@@ -170,11 +171,13 @@ def _random_series(
     return FourierSeries(coeffs)
 
 
-def hilbert_multiplier_report(n_series: int = 50, seed: int = 23) -> VerificationReport:
-    """H[cos] = sin exactly on coefficients and H^2 = -Id under sign(0) = 1.
+def hilbert_multiplier_report(seed: int = 23) -> VerificationReport:
+    """H[cos] = sin exactly on coefficients and H^2 = -Id under sign(0) = 1,
+    the latter on 50 random series.
 
     Any nonzero involution error is a violation.  The cosine error seeds the
     minimum but is not itself flagged."""
+    n_series = 50
     cos_series = FourierSeries({-1: 0.5, 1: 0.5})
     sin_series = FourierSeries({-1: 0.5j, 1: -0.5j})
     cos_err = max(
@@ -196,14 +199,10 @@ def hilbert_multiplier_report(n_series: int = 50, seed: int = 23) -> Verificatio
     )
 
 
-def hilbert_singular_report(
-    n_series: int = 10,
-    degree: int = 16,
-    epsilon: float = 1e-6,
-    seed: int = 37,
-    tol: float = 1e-6,
-) -> VerificationReport:
-    """Truncated singular integral vs multiplier form on zero-mean traces."""
+def hilbert_singular_report(n_series: int = 10, seed: int = 37) -> VerificationReport:
+    """Truncated singular integral, at epsilon = 1e-6, vs multiplier form on
+    zero-mean traces of degree 16; an error above 1e-6 is a violation."""
+    degree, epsilon, tol = 16, 1e-6, 1e-6
     acc = SlackAccumulator(-0.0)
     taus = (0.3, 2.2)
     for k in range(n_series):
@@ -230,10 +229,10 @@ def conjugate_bound_reports(
     ]
 
 
-def calderon_probe_report(
-    p: float = 1.5, fraction: float = 0.995, floor: float = 0.9 * math.sqrt(3.0)
-) -> VerificationReport:
-    """The conjugate-ratio probe must clear the stated floor."""
+def calderon_probe_report() -> VerificationReport:
+    """The conjugate-ratio probe at p = 1.5 and gamma fraction 0.995 must
+    clear the floor 0.9 sqrt(3) (nine tenths of its limit tan(pi/3))."""
+    p, fraction, floor = 1.5, 0.995, 0.9 * math.sqrt(3.0)
     acc = SlackAccumulator()
     ratio = sharpness_probe(TheoremId.CONJUGATE_NORM, p, [fraction])[0]
     slack = ratio - floor
@@ -241,11 +240,10 @@ def calderon_probe_report(
     return acc.report(id="CALDERON_PROBE", p=p, ratio_max=ratio, constant=floor, tolerance=1e-12)
 
 
-def calderon_monotone_report(
-    p: float = 1.5, fractions: tuple = (0.5, 0.9, 0.99)
-) -> VerificationReport:
-    """Probe ratios must increase with gamma, for all three probe tags; a
-    gap <= 0 is a violation."""
+def calderon_monotone_report() -> VerificationReport:
+    """Probe ratios at p = 1.5 must increase with gamma over the fractions
+    0.5, 0.9 and 0.99, for all three probe tags; a gap <= 0 is a violation."""
+    p, fractions = 1.5, (0.5, 0.9, 0.99)
     acc = SlackAccumulator()
     for tag in (TheoremId.CONJUGATE_NORM, TheoremId.ANALYTIC_BY_RE, TheoremId.IM_BY_ANALYTIC):
         ratios = sharpness_probe(tag, p, fractions)
@@ -259,7 +257,7 @@ def calderon_monotone_report(
 
 def lemma_grid_reports(grid: GridSpec | None = None) -> list[VerificationReport]:
     """Every inequality tag at its eight default exponents.  Each distinct
-    (slack, p, r_range, t_range) is scanned once: a tag that repeats one
+    (slack, p, domain) is scanned once: a tag that repeats one
     (SUM_BY_MIXED_RADIAL repeats SUM_BY_MIXED_HIGH) gets a copy of the first
     report, elapsed_ms included, under its own id."""
     grid = grid or GridSpec()
@@ -267,7 +265,7 @@ def lemma_grid_reports(grid: GridSpec | None = None) -> list[VerificationReport]
     scanned: dict = {}
     for tag in InequalityId:
         for p in default_p_values(tag):
-            key = (slack_function(tag), p, scan_ranges(tag, grid))
+            key = (slack_function(tag), p, scan_ranges(tag))
             if key not in scanned:
                 scanned[key] = verify_pointwise(tag, p, grid)
                 out.append(scanned[key])
@@ -399,7 +397,7 @@ def _chain_report(n: int, samples: int, degree: int, seed: int) -> VerificationR
     evaluated as one block; a broken link is a violation."""
     acc = SlackAccumulator()
     g, h = random_coefficients(degree, range(seed, seed + samples))
-    for k, chain in enumerate(_chain_links(g, h, n, None)):
+    for k, chain in enumerate(_chain_links(g, h, n)):
         for (name_lo, lo), (name_hi, hi) in zip(chain, chain[1:]):
             gap = (hi - lo) / max(hi, 1e-300)
             acc.add((seed + k, name_lo, name_hi), gap, gap < -1e-9)

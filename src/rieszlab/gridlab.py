@@ -56,7 +56,7 @@ small, CIRCLE_BLOCK circles; and the first block of each call is preceded
 by one large allocation (see _keep_heap), so that the blocks reuse their
 temporaries' pages instead of faulting in new ones.
 
-lemma_grid_reports scans each distinct (slack, p, r_range, t_range) once, so
+lemma_grid_reports scans each distinct (slack, p, domain) once, so
 SUM_BY_MIXED_RADIAL, which shares SUM_BY_MIXED_HIGH's slack, p grid and
 ranges, reuses its scans.  A slack that is NaN or infinite is a violation,
 in the scans and in the sub-mean checks alike.
@@ -465,21 +465,19 @@ def slack_function(tag: InequalityId) -> Callable:
     return _REGISTRY[InequalityId(tag)].slack
 
 
-def scan_ranges(tag: InequalityId, grid: GridSpec | None = None) -> tuple:
-    """(r_range, t_range) that verify_pointwise scans: the grid's overrides,
-    else the tag's default domain.  None where the tag has no such axis."""
+def scan_ranges(tag: InequalityId) -> tuple:
+    """(r_range, t_range), the tag's domain, which verify_pointwise,
+    locate_equality and cell_diagonal scan.  None where the tag has no such
+    axis."""
     info = _REGISTRY[InequalityId(tag)]
-    grid = grid or GridSpec()
-    r, t = info.r_range, info.t_range
-    return r and (grid.r_range or r), t and (grid.t_range or t)
+    return info.r_range, info.t_range
 
 
 def cell_diagonal(tag: InequalityId, grid: GridSpec) -> float:
-    """Diagonal of one cell of the grid over the tag's default domain (the
-    cell width for one-variable tags); a scalar tag has no cell."""
+    """Diagonal of one cell of the grid over the tag's domain (the cell
+    width for one-variable tags); a scalar tag has no cell."""
     tag = InequalityId(tag)
-    info = _REGISTRY[tag]
-    cells = ((info.r_range, grid.r_nodes), (info.t_range, grid.t_nodes))
+    cells = zip(scan_ranges(tag), (grid.r_nodes, grid.t_nodes))
     widths = [(axis[1] - axis[0]) / (n - 1) for axis, n in cells if axis]
     if not widths:
         raise ValueError(f"{tag.value} is a scalar inequality with no grid cell")
@@ -622,7 +620,7 @@ def verify_pointwise(
         acc.add((p,), s, bool(_violated(s, grid.tolerance)))
         return acc.report(id=tag.value, p=p, grid={"kind": "scalar"}, tolerance=grid.tolerance)
 
-    ranges = [axis for axis in scan_ranges(tag, grid) if axis]
+    ranges = [axis for axis in scan_ranges(tag) if axis]
     axes, scan = _scan_axes(ranges, (grid.r_nodes, grid.t_nodes))
     names = "rt"[-len(axes) :]
     scan_grid = {f"{x}_nodes": len(v) for x, v in zip(names, axes)}

@@ -67,6 +67,8 @@ def singular_hilbert_at(series: FourierSeries, tau: float, epsilon: float) -> co
     """
     if not 0.0 < epsilon < math.pi:
         raise ValueError(f"epsilon must lie in (0, pi), got {epsilon}")
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     values: dict[float, complex] = {}
 
     def integrand(t: float) -> complex:

@@ -225,6 +225,9 @@ class FourierSeries:
     coeffs: dict
 
     def __init__(self, coeffs: Mapping[int, complex]):
+        for k in coeffs:
+            if isinstance(k, bool) or not hasattr(type(k), "__index__"):
+                raise ValueError(f"frequency {k!r} is not an integer")
         object.__setattr__(
             self, "coeffs", {int(k): complex(v) for k, v in coeffs.items()}
         )
@@ -385,10 +388,13 @@ def calderon_taylor(gamma: float, degree: int) -> TaylorPoly:
     """Taylor truncation of ((1+z)/(1-z))^(2*gamma/pi).
 
     From g'/g = 2c/(1-z^2) with c = 2*gamma/pi the coefficients satisfy
-    (k+1) a_{k+1} = (k-1) a_{k-1} + 2c a_k, a_0 = 1, a_1 = 2c.
+    (k+1) a_{k+1} = (k-1) a_{k-1} + 2c a_k, a_0 = 1, a_1 = 2c.  gamma must
+    be finite with 0 < gamma < pi/2, and degree an integer >= 0.
     """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
+    if not 0.0 < gamma < 0.5 * math.pi:
+        raise ValueError(f"gamma must lie in (0, pi/2), got {gamma!r}")
+    if isinstance(degree, bool) or not hasattr(type(degree), "__index__") or degree < 0:
+        raise ValueError(f"degree must be an integer >= 0, got {degree!r}")
     c = 2.0 * gamma / math.pi
     a = np.zeros(degree + 1)
     a[0] = 1.0

@@ -79,16 +79,14 @@ class QuadratureConvergenceError(RuntimeError):
 class QuadratureSpec:
     """Node counts for the circle/disk rules.
 
-    n_angle uniform circle nodes, n_radial Gauss-Legendre nodes on [0, 1];
-    adaptive_depth caps panel refinement.
+    n_angle uniform circle nodes, n_radial Gauss-Legendre nodes on [0, 1].
     """
 
     n_angle: int = 256
     n_radial: int = 64
-    adaptive_depth: int = 14
 
     def __post_init__(self):
-        for name, least in (("n_angle", 4), ("n_radial", 1), ("adaptive_depth", 1)):
+        for name, least in (("n_angle", 4), ("n_radial", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -106,17 +104,6 @@ def auto_spec(degree: int, p: float) -> QuadratureSpec:
     n_angle = max(256, need_angle)
     n_radial = max(64, (int(math.ceil(p)) * degree) // 2 + 2)
     return QuadratureSpec(n_angle=n_angle, n_radial=n_radial)
-
-
-def _spec_for(degree: int, p: float, spec: QuadratureSpec | None) -> QuadratureSpec:
-    if spec is None:
-        return auto_spec(degree, p)
-    if spec.n_angle < 4 * degree + 1:
-        raise ValueError(
-            f"n_angle={spec.n_angle} is below 4*degree+1 = {4 * degree + 1} "
-            "required for polynomial boundary traces"
-        )
-    return spec
 
 
 @lru_cache(maxsize=32)
@@ -212,14 +199,21 @@ def _mean(
     r: float | None,
     size: float = 1.0,
 ) -> float:
-    """The mean of ring(p, ...) over the traces of polys, by the rule sized
-    for |f|^(size * p): _means of one row.  Every public mean and norm is
-    one of these; a circle radius r outside [0, 1] and a mean that
-    overflows raise ValueError."""
+    """The mean of ring(p, ...) over the traces of polys, by spec or else
+    the rule sized for |f|^(size * p): _means of one row.  Every public mean
+    and norm is one of these; a circle radius r outside [0, 1], a spec with
+    n_angle below 4*degree+1 and a mean that overflows raise ValueError."""
     p = _MEAN_P.check(name, p)
     if r is not None and not 0.0 <= r <= 1.0:
         raise ValueError(f"r must lie in [0, 1], got {r}")
-    spec = _spec_for(max(q.degree for q in polys), size * p, spec)
+    degree = max(q.degree for q in polys)
+    if spec is None:
+        spec = auto_spec(degree, size * p)
+    elif spec.n_angle < 4 * degree + 1:
+        raise ValueError(
+            f"n_angle={spec.n_angle} is below 4*degree+1 = {4 * degree + 1} "
+            "required for polynomial boundary traces"
+        )
     with np.errstate(all="ignore"):
         mean = _means([partial(ring, p)], [q.coeffs for q in polys], spec, r)[0][0]
     if not math.isfinite(mean):
@@ -292,20 +286,13 @@ def mp_radius(
     return circle_power_mean(m, p, r, spec) ** (1.0 / p)
 
 
-def hardy_norm(
-    m: HarmonicMap | CalderonFamily, p: float, spec: QuadratureSpec | None = None
-) -> float:
+def hardy_norm(m: HarmonicMap, p: float, spec: QuadratureSpec | None = None) -> float:
     """Hardy norm ||f||_p.
 
     Polynomial boundary traces are continuous, so the supremum over radii is
-    the boundary value M_p(f, 1).  For the Calderon family the boundary trace
-    is singular at t = 0 and the norm is computed by the substitution-based
-    adaptive rule (see calderon_power_mean); spec.adaptive_depth caps its
-    refinement.
+    the boundary value M_p(f, 1).  The Calderon family's trace is singular at
+    t = 0; its norm is calderon_norm's.
     """
-    if isinstance(m, CalderonFamily):
-        depth = (spec or QuadratureSpec()).adaptive_depth
-        return calderon_norm(m, RIESZ_P.check("hardy_norm", p), max_refinements=depth)
     return mp_radius(m, _NORM_P.check("hardy_norm", p), 1.0, spec)
 
 
@@ -342,7 +329,7 @@ def calderon_power_mean(
     offset: float,
     p: float | None = None,
     rel_tol: float = 1e-8,
-    max_refinements: int = QuadratureSpec().adaptive_depth,
+    max_refinements: int = 14,
 ) -> float:
     """int_T (coeff_sq * cot(t/2)^{4 gamma/pi} + offset)^{p/2} dsigma.
 
@@ -379,9 +366,7 @@ def calderon_power_mean(
         tpow = t**c2
         return (coeff_sq * tcot**c2 + offset * tpow) ** (0.5 * p)
 
-    integral, achieved = _adaptive_gl(
-        psi, 0.0, 1.0, rel_tol, max_depth=4 * max_refinements
-    )
+    integral, achieved = _adaptive_gl(psi, 0.0, 1.0, rel_tol, 4 * max_refinements)
     if achieved > rel_tol * max(abs(integral), 1e-300):
         raise QuadratureConvergenceError(
             "Calderon boundary quadrature did not converge",
@@ -395,7 +380,7 @@ def _adaptive_gl(
     lo: float,
     hi: float,
     rel_tol: float,
-    max_depth: int = 56,
+    max_depth: int,
 ) -> tuple[float, float]:
     """Adaptive bisection with 16-point Gauss panels.
 
@@ -433,8 +418,6 @@ def calderon_norm(
     params: CalderonFamily,
     p: float | None = None,
     component: str = "analytic",
-    rel_tol: float = 1e-8,
-    max_refinements: int = QuadratureSpec().adaptive_depth,
 ) -> float:
     """L^p boundary norm of a component of the Calderon family.
 
@@ -453,7 +436,4 @@ def calderon_norm(
     if component not in table:
         raise ValueError(f"unknown component {component!r}; expected one of {sorted(table)}")
     coeff_sq, offset = table[component]
-    mean = calderon_power_mean(
-        params, coeff_sq, offset, p, rel_tol=rel_tol, max_refinements=max_refinements
-    )
-    return mean ** (1.0 / p)
+    return calderon_power_mean(params, coeff_sq, offset, p) ** (1.0 / p)

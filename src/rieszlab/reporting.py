@@ -20,16 +20,12 @@ class GridSpec:
     r_nodes x t_nodes grid over the tag's domain, one local refinement pass
     that zooms refine_factor-fold into the cell neighborhood of the minimum,
     and the slack acceptance tolerance (min_slack >= -tolerance passes).
-    Optional range overrides replace the tag's default axis ranges; each is
-    two finite values lo < hi, and r_range starts at r >= 0.
     """
 
     r_nodes: int = 2000
     t_nodes: int = 4000
     refine_factor: int = 16
     tolerance: float = 1e-9
-    r_range: tuple[float, float] | None = None
-    t_range: tuple[float, float] | None = None
 
     def __post_init__(self):
         for name, least in (("r_nodes", 16), ("t_nodes", 16), ("refine_factor", 2)):
@@ -40,22 +36,6 @@ class GridSpec:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        for name in ("r_range", "t_range"):
-            bounds = getattr(self, name)
-            if bounds is None:
-                continue
-            try:
-                valid = (
-                    len(bounds) == 2
-                    and all(math.isfinite(x) for x in bounds)
-                    and bounds[0] < bounds[1]
-                )
-            except (TypeError, OverflowError):  # not a pair of real numbers
-                valid = False
-            if not valid:
-                raise ValueError(f"{name} must be two finite values lo < hi, got {bounds}")
-        if self.r_range is not None and self.r_range[0] < 0.0:
-            raise ValueError(f"r_range must start at r >= 0, got {self.r_range}")
 
 
 @dataclass

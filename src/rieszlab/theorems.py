@@ -61,7 +61,7 @@ from .quadrature import (
     _modulus_ring,
     _pair_ring,
     _product_ring,
-    _spec_for,
+    auto_spec,
     calderon_norm,
 )
 from .reporting import SlackAccumulator, VerificationReport
@@ -93,6 +93,9 @@ class TheoremId(Enum):
 
 # samples per block of a battery (see the module docstring)
 SAMPLE_BLOCK = 32
+# relative slack tolerance of the one-map checks (verify_pair_isoperimetric
+# and the links of isoperimetric_chain)
+REL_TOL = 1e-9
 
 # the exponent of each tag: the norms are defined up to P_MAX, and the disk
 # sides of BERGMAN_EMBEDDING and PAIR_ISOPERIMETRIC are means of the 2n-th and
@@ -175,7 +178,6 @@ def _block_sides(
     tag: TheoremId,
     p_or_n,
     degree: int,
-    spec: QuadratureSpec | None,
     cases,
     block: slice,
 ) -> tuple[Sequence[float], Sequence[float]]:
@@ -195,20 +197,20 @@ def _block_sides(
         )
     g, h = (rows[block] for rows in cases)
     if tag is TheoremId.PAIR_ISOPERIMETRIC:
-        return _pair_isoperimetric_sides(g, h, p_or_n, spec)
+        return _pair_isoperimetric_sides(g, h, p_or_n)
     if tag is TheoremId.BERGMAN_EMBEDDING:
         n, p = float(p_or_n), 2.0 * p_or_n
         g, h = _normalized_rows(g, h)
-        [bergman] = _norms(p, [partial(_map_ring, p)], (g, h), _spec_for(degree, p, spec), None)
-        [hardy] = _norms(n, [partial(_map_ring, n)], (g, h), _spec_for(degree, n, spec))
+        [bergman] = _norms(p, [partial(_map_ring, p)], (g, h), auto_spec(degree, p), None)
+        [hardy] = _norms(n, [partial(_map_ring, n)], (g, h), auto_spec(degree, n))
         return bergman, hardy
     if tag is TheoremId.STREBEL:
         # the map g + conj(0) has modulus |g|
-        [lhs] = _means([partial(_modulus_ring, 2.0)], (g,), _spec_for(degree, 2.0, spec), None)
-        [rhs] = _means([partial(_modulus_ring, 1.0)], (g,), _spec_for(degree, 1.0, spec), 1.0)
+        [lhs] = _means([partial(_modulus_ring, 2.0)], (g,), auto_spec(degree, 2.0), None)
+        [rhs] = _means([partial(_modulus_ring, 1.0)], (g,), auto_spec(degree, 1.0), 1.0)
         return lhs, [mean**2 for mean in rhs]
     p = float(p_or_n)
-    spec = _spec_for(degree, p, spec)
+    spec = auto_spec(degree, p)
     layout = _TAGS[tag][3]
     if layout:
         disk, mixed_lhs = layout
@@ -278,7 +280,6 @@ def verify_theorem(
     degree: int = 8,
     seed: int = 0,
     rel_tol: float = 1e-9,
-    spec: QuadratureSpec | None = None,
 ) -> VerificationReport:
     """Check LHS <= constant * RHS * (1 + rel_tol) over the sample battery.
 
@@ -305,48 +306,41 @@ def verify_theorem(
         cases = random_coefficients(degree, seeds, _TAGS[tag][2])
         if tag is TheoremId.PAIR_ISOPERIMETRIC:
             cases = (cases[0], random_coefficients(degree, [s + 10_000_019 for s in seeds])[0])
-    sides = partial(_block_sides, tag, p_or_n, degree, spec, cases)
+    sides = partial(_block_sides, tag, p_or_n, degree, cases)
     return _sample_report(tag.value, p_or_n, constant, labels, sides, degree, seed, rel_tol)
 
 
-def _pair_isoperimetric_sides(
-    a, b, p: float, spec: QuadratureSpec | None
-) -> tuple[list[float], list[float]]:
+def _pair_isoperimetric_sides(a, b, p: float) -> tuple[list[float], list[float]]:
     """int_U (|a|^2+|b|^2)^{2p} and (int_T (|a|^2+|b|^2)^p)^2 of each row
     pair of coefficient arrays (a, b) (a 1-D sequence is one row); both sides
     share the traces of a and b (one circle transform per factor, and one
     disk transform per row)."""
     p, twice = float(p), 2.0 * p
     degree = max(np.shape(a)[-1], np.shape(b)[-1]) - 1
-    disk, circle = _spec_for(degree, 2.0 * twice, spec), _spec_for(degree, 2.0 * p, spec)
+    disk, circle = auto_spec(degree, 2.0 * twice), auto_spec(degree, 2.0 * p)
     [lhs] = _means([partial(_pair_ring, twice)], (a, b), disk, None)
     [rhs] = _means([partial(_pair_ring, p)], (a, b), circle, 1.0)
     return lhs, [mean**2 for mean in rhs]
 
 
-def verify_pair_isoperimetric(
-    a: TaylorPoly,
-    b: TaylorPoly,
-    p: float,
-    spec: QuadratureSpec | None = None,
-    rel_tol: float = 1e-9,
-) -> VerificationReport:
-    """int_U (|a|^2+|b|^2)^{2p} <= (int_T (|a|^2+|b|^2)^p)^2 for p > 0."""
+def verify_pair_isoperimetric(a: TaylorPoly, b: TaylorPoly, p: float) -> VerificationReport:
+    """int_U (|a|^2+|b|^2)^{2p} <= (int_T (|a|^2+|b|^2)^p)^2 for p > 0; a
+    relative slack below -REL_TOL is a violation."""
     _TAGS[TheoremId.PAIR_ISOPERIMETRIC][0].check("verify_pair_isoperimetric", p)
     acc = SlackAccumulator()
-    (lhs,), (rhs,) = _pair_isoperimetric_sides(a.coeffs, b.coeffs, p, spec)
+    (lhs,), (rhs,) = _pair_isoperimetric_sides(a.coeffs, b.coeffs, p)
     slack = (rhs - lhs) / rhs if rhs else math.inf
-    acc.add(("pair",), slack, slack < -rel_tol)
+    acc.add(("pair",), slack, slack < -REL_TOL)
     return acc.report(
         id="PAIR_ISOPERIMETRIC",
         p=p,
         ratio_max=lhs / rhs if rhs else math.inf,
         constant=1.0,
-        tolerance=rel_tol,
+        tolerance=REL_TOL,
     )
 
 
-def _chain_links(g, h, n: int, spec: QuadratureSpec | None) -> list[list[tuple[str, float]]]:
+def _chain_links(g, h, n: int) -> list[list[tuple[str, float]]]:
     """The links of isoperimetric_chain(m, n) for the map of each row pair of
     coefficient arrays (g, h), unchecked: one list of (name, value) per row.
 
@@ -368,8 +362,8 @@ def _chain_links(g, h, n: int, spec: QuadratureSpec | None) -> list[list[tuple[s
         partial(_product_ring, 0.5 * n, real_part=False),
         partial(_map_ring, float(n)),
     ]
-    disk = _means(disk_rings, (g, h), _spec_for(degree, 2.0 * n, spec), None)
-    circle = _means(circle_rings, (g, h), _spec_for(degree, float(n), spec), 1.0)
+    disk = _means(disk_rings, (g, h), auto_spec(degree, 2.0 * n), None)
+    circle = _means(circle_rings, (g, h), auto_spec(degree, float(n)), 1.0)
 
     def binomial_sum(x: float, y: float) -> float:
         total = 0.0
@@ -390,9 +384,7 @@ def _chain_links(g, h, n: int, spec: QuadratureSpec | None) -> list[list[tuple[s
     ]
 
 
-def isoperimetric_chain(
-    m: HarmonicMap, n: int, spec: QuadratureSpec | None = None, rel_tol: float = 1e-9
-) -> list[tuple[str, float]]:
+def isoperimetric_chain(m: HarmonicMap, n: int) -> list[tuple[str, float]]:
     """The inequality chain behind the Bergman embedding, link by link.
 
     Returns the ordered quantities
@@ -406,15 +398,15 @@ def isoperimetric_chain(
 
     with S = |g|^2 + |h|^2, E_n = cos(pi/(2n)), after normalizing h(0) = 0
     (the cosine link needs Re((2gh)(0)) = 0).  Each link must dominate the
-    previous one; a violation beyond rel_tol raises ValueError.  final equals
+    previous one; a violation beyond REL_TOL raises ValueError.  final equals
     ((1/2) csc(pi/(4n)))^{2n} (int_T |f|^n)^2 by the half-angle identity.
     This is the one-row call of _chain_links, which the battery calls on a
     block of maps.
     """
     n = _TAGS[TheoremId.BERGMAN_EMBEDDING][0].check("isoperimetric_chain", n)
-    [chain] = _chain_links(m.g.coeffs, m.h.coeffs, n, spec)
+    [chain] = _chain_links(m.g.coeffs, m.h.coeffs, n)
     for (name_lo, lo), (name_hi, hi) in zip(chain, chain[1:]):
-        if lo > hi * (1.0 + rel_tol):
+        if lo > hi * (1.0 + REL_TOL):
             raise ValueError(
                 f"chain link broken: {name_lo} = {lo:.12g} > {name_hi} = {hi:.12g}"
             )
@@ -425,7 +417,6 @@ def sharpness_probe(
     tag: TheoremId,
     p: float,
     gamma_fractions: Sequence[float],
-    rel_tol: float = 1e-8,
 ) -> list[float]:
     """Calderon-family ratios approaching a tag's constant from below (p < 2).
 
@@ -448,7 +439,4 @@ def sharpness_probe(
             raise ValueError(f"gamma fractions must lie in (0, 1), got {frac}")
         families.append(CalderonFamily(gamma=frac * math.pi / (2.0 * p), p=p))
     num, den = _PROBES[tag]
-    return [
-        calderon_norm(fam, p, num, rel_tol) / calderon_norm(fam, p, den, rel_tol)
-        for fam in families
-    ]
+    return [calderon_norm(fam, p, num) / calderon_norm(fam, p, den) for fam in families]

@@ -380,7 +380,7 @@ def verify_pointwise(tag, p, grid=None):
         return acc.report(id=tag.value, p=p, grid={"kind": "scalar"}, tolerance=grid.tolerance)
 
     if info.arity == 1:
-        _, (lo, hi) = scan_ranges(tag, grid)
+        _, (lo, hi) = scan_ranges(tag)
         x_vals = _axis(lo, hi, grid.t_nodes)
         acc.min_slack, acc.argmin, acc.violations = _scan_1d(
             info.slack, p, x_vals, grid.tolerance
@@ -392,7 +392,7 @@ def verify_pointwise(tag, p, grid=None):
         refined = _scan_1d(info.slack, p, x_ref, grid.tolerance)
         scan_grid = {"t_nodes": grid.t_nodes, "t_range": [lo, hi]}
     else:
-        (r_lo, r_hi), (t_lo, t_hi) = scan_ranges(tag, grid)
+        (r_lo, r_hi), (t_lo, t_hi) = scan_ranges(tag)
         r_vals = _axis(r_lo, r_hi, grid.r_nodes, open_lo=(r_lo == 0.0))
         t_vals = _axis(t_lo, t_hi, grid.t_nodes)
         acc.min_slack, acc.argmin, acc.violations = _scan_2d(

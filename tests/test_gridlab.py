@@ -1,7 +1,6 @@
 """Tests for the grid verification lab: scans, equality location, submean."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -51,30 +50,17 @@ def test_gridspec_accepts_numpy_integer_counts():
     assert verify_pointwise(InequalityId.SUM_BY_MIXED_HIGH, 3.0, grid).passed
 
 
-def test_gridspec_range_overrides_are_validated():
-    # a reversed range used to PASS with an argmin outside it, and a NaN range
-    # to FAIL with NaN "violations"; both now raise, naming the field
-    for field, bounds in (
-        ("t_range", (1.0, -1.0)),
-        ("t_range", (0.5, 0.5)),
-        ("t_range", (math.nan, 1.0)),
-        ("t_range", (-1.0, math.inf)),
-        ("t_range", (0.0, 1.0, 2.0)),
-        ("r_range", (0.9, 0.1)),
-        ("r_range", (0.0, math.nan)),
-        ("r_range", (-0.5, 1.0)),
-    ):
-        with pytest.raises(ValueError, match=field):
-            GridSpec(**{field: bounds})
-    # a bound that is not a pair of numbers used to raise TypeError
-    for field, bounds in (("r_range", 5.0), ("t_range", (0, "a"))):
-        message = f"{field} must be two finite values lo < hi, got {bounds}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            GridSpec(**{field: bounds})
-    grid = GridSpec(r_nodes=64, t_nodes=128, r_range=(0.0, 1.5), t_range=(-1.0, 1.0))
-    report = verify_pointwise(InequalityId.SUM_BY_MIXED_HIGH, 3.0, grid)
-    assert report.grid["t_range"] == [-1.0, 1.0] and report.grid["r_range"][1] == 1.5
-    assert -1.0 <= report.argmin[1] <= 1.0
+def test_scan_cell_and_zoom_share_the_tag_domain():
+    # GridSpec took range overrides that verify_pointwise honoured but
+    # cell_diagonal and locate_equality ignored; now all three take the
+    # tag's domain from scan_ranges
+    tag, grid = InequalityId.SUM_BY_MIXED_HIGH, GridSpec(r_nodes=64, t_nodes=128)
+    (r_lo, r_hi), (t_lo, t_hi) = scan_ranges(tag)
+    report = verify_pointwise(tag, 3.0, grid)
+    assert report.grid["t_range"] == [t_lo, t_hi] and report.grid["r_range"][1] == r_hi
+    assert cell_diagonal(tag, grid) == math.hypot((r_hi - r_lo) / 63, (t_hi - t_lo) / 127)
+    (r, t), _ = locate_equality(tag, 3.0)
+    assert r_lo <= r <= r_hi and t_lo <= t <= t_hi
 
 
 @pytest.mark.parametrize("tag", list(InequalityId), ids=lambda tag: tag.value)

@@ -222,23 +222,15 @@ def test_column_scan_matches_row_scan_on_every_two_variable_tag(tag, r_nodes, t_
 
 
 @pytest.mark.parametrize("tag", TWO_D_TAGS, ids=lambda tag: tag.value)
-def test_scan_with_range_overrides_matches_legacy(monkeypatch, tag):
+def test_scan_with_range_overrides_matches_legacy(tag):
     # ranges beyond the default domain: r > 1 and |t| > 2 pi
-    r_range, t_range = (0.2, 1.3), (-7.0, 7.0)
-    r_vals, t_vals = _axis(*r_range, 97), _axis(*t_range, 389)
-    grid = GridSpec(r_nodes=97, t_nodes=389, r_range=r_range, t_range=t_range)
+    r_vals, t_vals = _axis(0.2, 1.3, 97), _axis(-7.0, 7.0, 389)
     info = _REGISTRY[tag]
     for p in default_p_values(tag):
         for tol in (1e-9, -0.5, -2.0):
             blocked = _scan_2d(info.slack, p, r_vals, t_vals, tol)
             old = legacy._scan_2d(legacy.SLACKS[tag], p, r_vals, t_vals, tol)
             assert _bits(blocked) == _bits(old), (tag, p, tol)
-        report = verify_pointwise(tag, p, grid)
-        with monkeypatch.context() as m:
-            m.setitem(_REGISTRY, tag, dataclasses.replace(info, slack=legacy.SLACKS[tag]))
-            m.setattr(gridlab, "_scan_2d", legacy._scan_2d)
-            old_report = verify_pointwise(tag, p, grid)
-        assert _bits(_payload(report)) == _bits(_payload(old_report)), (tag, p)
 
 
 def test_lemma_grid_scans_each_distinct_case_once(monkeypatch):
@@ -316,8 +308,9 @@ def test_column_scan_keeps_first_violations_in_row_major_order():
 
 # ------------------------- one scan-and-refine path -------------------------
 
-# the tag's default ranges, and float and int overrides; the int t_range puts
-# a node at t = 0, where the gap slacks are not finite
+# the tag's domain, and float and int domains put in its registry row (for
+# the axes it has); the int t_range puts a node at t = 0, where the gap
+# slacks are not finite
 RANGE_OVERRIDES = {
     "default": {},
     "float": {"r_range": (0.25, 0.75), "t_range": (-1.5, 2.5)},
@@ -327,14 +320,17 @@ RANGE_OVERRIDES = {
 
 @pytest.mark.parametrize("ranges", RANGE_OVERRIDES)
 @pytest.mark.parametrize("tag", list(InequalityId), ids=lambda tag: tag.value)
-def test_one_scan_path_gives_the_reports_of_a_branch_per_arity(tag, ranges):
-    grid = GridSpec(r_nodes=97, t_nodes=389, **RANGE_OVERRIDES[ranges])
+def test_one_scan_path_gives_the_reports_of_a_branch_per_arity(monkeypatch, tag, ranges):
+    grid = GridSpec(r_nodes=97, t_nodes=389)
+    info = _REGISTRY[tag]
+    axes = {axis: bounds for axis, bounds in RANGE_OVERRIDES[ranges].items() if getattr(info, axis)}
+    monkeypatch.setitem(_REGISTRY, tag, dataclasses.replace(info, **axes))
     with np.errstate(all="ignore"):
         for p in default_p_values(tag):
             new = _payload(verify_pointwise(tag, p, grid))
             old = _payload(legacy.verify_pointwise(tag, p, grid))
-            # every range end is a float, an int override's included; the
-            # branch per arity reported a t_range override's ends as given
+            # every range end is a float, an int domain's included; the
+            # branch per arity reported an int t_range's ends as given
             ends = [end for key in ("r_range", "t_range") for end in new["grid"].get(key, ())]
             assert all(type(end) is float for end in ends), (p, ends)
             if "t_range" in old["grid"]:

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,16 @@ def test_singular_epsilon_validation():
         singular_hilbert_at(COS_SERIES, 0.0, 0.0)
     with pytest.raises(ValueError):
         singular_hilbert_at(COS_SERIES, 0.0, 4.0)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_singular_tau_must_be_finite(tau):
+    # a NaN tau returned nan+nanj after two scipy IntegrationWarnings; the
+    # check now comes before any quad, so no warning is emitted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^tau must be finite, got {tau}$"):
+            singular_hilbert_at(COS_SERIES, tau, 1e-6)
 
 
 # -------------------------------- line pairs --------------------------------

@@ -23,6 +23,7 @@ from rieszlab.gridlab import (
 from rieszlab.maps import (
     CalderonFamily,
     Constraint,
+    FourierSeries,
     HarmonicMap,
     TaylorPoly,
     boundary_series,
@@ -201,6 +202,26 @@ def test_calderon_taylor_matches_principal_power_inside():
     w = (1.0 + z) / (1.0 - z)  # Re w > 0 inside the disk: principal power
     expected = w**c
     assert np.max(np.abs(poly(z) - expected)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "gamma, degree, name",
+    [(5.0, 3, "gamma"), (math.nan, 3, "gamma"), (0.0, 3, "gamma"),
+     (0.3, 2.5, "degree"), (0.3, -1, "degree"), (0.3, True, "degree")],
+)
+def test_calderon_taylor_checks_its_arguments(gamma, degree, name):
+    # gamma = 5 gave the coefficients 1, 6.37, 20.3, ..., a NaN gamma NaN
+    # ones, and degree 2.5 raised numpy's TypeError
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        calderon_taylor(gamma, degree)
+
+
+@pytest.mark.parametrize("key", [0.5, 1.0, "1", True])
+def test_fourier_series_rejects_a_non_integer_frequency(key):
+    # {0.5: 1} used to become {0: 1}
+    with pytest.raises(ValueError, match=f"^frequency {key!r} is not an integer$"):
+        FourierSeries({3: 0.5, key: 1.0})
+    assert FourierSeries({np.int64(2): 1.0}).coeffs == {2: 1.0}
 
 
 def test_map_json_roundtrip():

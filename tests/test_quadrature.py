@@ -1,7 +1,6 @@
 """Tests for the norm quadrature: closed forms, exactness, the disk rows
 shared among workers, and the Calderon rules."""
 
-import inspect
 import math
 import sys
 import threading
@@ -341,8 +340,6 @@ def test_circle_means_reject_a_radius_outside_the_disk(mean, r):
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(n_angle=2)
-    with pytest.raises(ValueError):
-        QuadratureSpec(adaptive_depth=0)
     m = random_harmonic(64, 4)
     spec = QuadratureSpec(n_angle=128)
     # every norm rejects a spec too coarse for the traces, not only the
@@ -362,7 +359,7 @@ def test_spec_validation():
 
 
 
-@pytest.mark.parametrize("field", ["n_angle", "n_radial", "adaptive_depth"])
+@pytest.mark.parametrize("field", ["n_angle", "n_radial"])
 @pytest.mark.parametrize("bad", [256.5, 64.0, True, "64", None])
 def test_spec_fields_must_be_integers(field, bad):
     # a float count would otherwise fail later, inside a norm, as TypeError
@@ -428,17 +425,6 @@ def test_calderon_component_relations():
     assert abs(v / u - math.tan(0.35)) < 1e-9
     assert abs(g / u - 1.0 / math.cos(0.35)) < 1e-9
     assert conj >= v  # |v - i| >= |v| pointwise
-
-
-def test_calderon_depth_defaults_to_the_spec_default():
-    depth = QuadratureSpec().adaptive_depth
-    for fn in (calderon_power_mean, calderon_norm):
-        assert inspect.signature(fn).parameters["max_refinements"].default == depth
-
-
-def test_calderon_hardy_norm_dispatch():
-    fam = CalderonFamily(gamma=0.3, p=1.5)
-    assert abs(hardy_norm(fam, 1.5) - calderon_norm(fam, 1.5, "analytic")) < 1e-14
 
 
 def test_calderon_errors():

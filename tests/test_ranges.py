@@ -145,10 +145,6 @@ for tag in InequalityId:
     below, above = lo - 0.5 if lo_closed else lo, hi + 1.0 if hi_closed else hi
     call = partial(verify_pointwise, tag)
     CASES.append((tag.value, call, below, above, f"verify_pointwise[{tag.value}]"))
-# a Calderon family's Hardy norm names the function called, not its inner rule
-CASES.append(
-    ("hardy_norm", lambda p: hardy_norm(FAMILY, p), 1.0, None, "hardy_norm[CalderonFamily]")
-)
 # every other theorem tag's constant, in the range verify_theorem checks
 for tag in TheoremId:
     if tag is not TheoremId.BERGMAN_EMBEDDING:

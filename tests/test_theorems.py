@@ -21,7 +21,6 @@ from rieszlab.maps import (
     random_poly,
 )
 from rieszlab.quadrature import (
-    QuadratureSpec,
     _map_ring,
     _means,
     _pair_ring,
@@ -186,8 +185,7 @@ def test_chain_is_bit_identical_to_seven_public_means():
     maps.append(HarmonicMap(TaylorPoly([0.3, 0.5, -0.2j, 0.1]), TaylorPoly([0.4j, 0.25])))
     for m in maps:
         for n in (2, 3, 4):
-            for spec in (None, QuadratureSpec(n_angle=300, n_radial=40)):
-                assert isoperimetric_chain(m, n, spec) == legacy.isoperimetric_chain(m, n, spec)
+            assert isoperimetric_chain(m, n) == legacy.isoperimetric_chain(m, n)
 
 
 def per_sample_chain_report(n, samples, degree, seed):
@@ -216,7 +214,7 @@ def test_chain_block_equals_per_sample_chains(monkeypatch, n):
     g, h = random_coefficients(degree, range(seed, seed + samples))
     chains = [isoperimetric_chain(random_harmonic(degree, seed + k), n) for k in range(samples)]
     calls = count_transforms(monkeypatch)
-    assert theorems._chain_links(g, h, n, None) == chains
+    assert theorems._chain_links(g, h, n) == chains
     assert len(calls) == 2 + 2 * samples
     expected = per_sample_chain_report(n, samples, degree, seed)
     assert payload(battery._chain_report(n, samples, degree, seed)) == payload(expected)
@@ -306,10 +304,10 @@ def test_strebel_holds_at_p_one_only():
 def test_pair_isoperimetric_examples():
     # a = 1, b = 0: both sides equal 1
     one, zero = np.array([[1.0 + 0j]]), np.array([[0j]])
-    lhs, rhs = _pair_isoperimetric_sides(one, zero, 1.0, None)
+    lhs, rhs = _pair_isoperimetric_sides(one, zero, 1.0)
     assert lhs == pytest.approx([1.0]) and rhs == pytest.approx([1.0])
     # a = z, b = 0, p = 1/2: int_U |z|^2 = 1/2 <= (int_T |z|)^2 = 1
-    lhs, rhs = _pair_isoperimetric_sides(np.array([[0j, 1.0]]), zero, 0.5, None)
+    lhs, rhs = _pair_isoperimetric_sides(np.array([[0j, 1.0]]), zero, 0.5)
     assert lhs == pytest.approx([0.5]) and rhs == pytest.approx([1.0])
     assert verify_pair_isoperimetric(TaylorPoly([0.0, 1.0]), TaylorPoly([0.0]), 0.5).passed
 
@@ -590,11 +588,9 @@ def test_full_suite_passes_degree_to_the_sampled_stages(monkeypatch):
         monkeypatch.setattr(battery, name, stage)
     battery.full_suite(degree=5)
     assert sorted(received) == sorted(stages)
-    # the isoperimetric batteries keep their own degree, and the Hilbert
-    # check's degree is that of its Fourier series, not of a sampled map
+    # the isoperimetric batteries keep their own degree
     assert {name: d for name, d in received.items() if d is not None} == {
         "parseval_bridge_report": 5,
-        "hilbert_singular_report": 16,
         "conjugate_bound_reports": 5,
         "theorem_reports": 5,
         "isoperimetric_reports": 4,
