@@ -48,7 +48,8 @@ from .quadrature import (
     hardy_norm,
 )
 from .reporting import GridSpec, SlackAccumulator, VerificationReport
-from .theorems import SAMPLE_BLOCK, TheoremId, _chain_links, _norms, sharpness_probe, verify_theorem
+from .theorems import REL_TOL, TheoremId, _chain_links, _judge, _norms
+from .theorems import sharpness_probe, verify_theorem
 
 __all__ = [
     "constant_identity_report",
@@ -123,6 +124,8 @@ def parseval_bridge_report(
 ) -> VerificationReport:
     """||f||_2^2 = |||f|||_2^2 + 2 Re(g(0) h(0)), and equality of the two
     norms for the RE_ZERO class; an error above 1e-10 is a violation."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     tol = 1e-10
     acc = SlackAccumulator(-0.0)
     # seeds seed + k for the maps, seed + samples + k for the RE_ZERO maps
@@ -132,17 +135,13 @@ def parseval_bridge_report(
     )
     rings = [partial(_map_ring, 2.0), partial(_pair_ring, 1.0)]
     spec = auto_spec(degree, 2.0)
-    for start in range(0, samples, SAMPLE_BLOCK):
-        ks = range(start, min(start + SAMPLE_BLOCK, samples))
-        g, h = (rows[start : ks.stop] for rows in plain)
-        zero = [rows[start : ks.stop] for rows in zeros]
-        hardy, mixed = _norms(2.0, rings, (g, h), spec)
-        hardy_z, mixed_z = _norms(2.0, rings, zero, spec)
-        rows = zip(ks, g[:, 0].tolist(), h[:, 0].tolist(), hardy, mixed, hardy_z, mixed_z)
-        for k, g0, h0, a, b, az, bz in rows:
-            cross = 2.0 * (g0 * h0).real
-            err = max(abs(a**2 - b**2 - cross), abs(az - bz))
-            acc.add((seed + k,), -err, err > tol)
+    hardy, mixed = _norms(2.0, rings, plain, spec)
+    hardy_z, mixed_z = _norms(2.0, rings, zeros, spec)
+    g0, h0 = (rows[:, 0].tolist() for rows in plain)
+    for k, (g0_k, h0_k, a, b, az, bz) in enumerate(zip(g0, h0, hardy, mixed, hardy_z, mixed_z)):
+        cross = 2.0 * (g0_k * h0_k).real
+        err = max(abs(a**2 - b**2 - cross), abs(az - bz))
+        acc.add((seed + k,), -err, err > tol)
     return acc.report(
         id="PARSEVAL_BRIDGE",
         p=2.0,
@@ -202,6 +201,8 @@ def hilbert_multiplier_report(seed: int = 23) -> VerificationReport:
 def hilbert_singular_report(n_series: int = 10, seed: int = 37) -> VerificationReport:
     """Truncated singular integral, at epsilon = 1e-6, vs multiplier form on
     zero-mean traces of degree 16; an error above 1e-6 is a violation."""
+    if n_series < 1:
+        raise ValueError(f"n_series must be >= 1, got {n_series}")
     degree, epsilon, tol = 16, 1e-6, 1e-6
     acc = SlackAccumulator(-0.0)
     taus = (0.3, 2.2)
@@ -394,19 +395,19 @@ def isoperimetric_reports(
 
 def _chain_report(n: int, samples: int, degree: int, seed: int) -> VerificationReport:
     """isoperimetric_chain(random_harmonic(degree, s), n) for each seed s,
-    evaluated as one block; a broken link is a violation."""
+    evaluated as one draw; a link that theorems._judge flags is a violation."""
     acc = SlackAccumulator()
     g, h = random_coefficients(degree, range(seed, seed + samples))
     for k, chain in enumerate(_chain_links(g, h, n)):
-        for (name_lo, lo), (name_hi, hi) in zip(chain, chain[1:]):
-            gap = (hi - lo) / max(hi, 1e-300)
-            acc.add((seed + k, name_lo, name_hi), gap, gap < -1e-9)
+        names, values = zip(*chain)
+        labels = [(seed + k, lo, hi) for lo, hi in zip(names, names[1:])]
+        _judge(acc, labels, values[:-1], values[1:])
     return acc.report(
         id="ISOPERIMETRIC_CHAIN",
         p=n,
         grid={"samples": samples, "degree": degree},
         seed=seed,
-        tolerance=1e-9,
+        tolerance=REL_TOL,
     )
 
 

@@ -31,7 +31,7 @@ from .hilbert import conjugate_map
 from .maps import map_from_dict, map_to_dict
 from .quadrature import bergman_norm, bergman_triple_norm, hardy_norm, mp_radius, triple_norm
 from .reporting import GridSpec, VerificationReport
-from .theorems import TheoremId, sharpness_probe, verify_theorem
+from .theorems import REL_TOL, TheoremId, sharpness_probe, verify_theorem
 
 __all__ = ["main", "run"]
 
@@ -265,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int)
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--degree", type=int, default=8)
-    add_common(sp, tol=1e-9)
+    add_common(sp, tol=REL_TOL)
     sp.set_defaults(handler=_cmd_verify_theorem)
 
     sp = sub.add_parser("probe-sharpness", help="Calderon family sharpness probe")

@@ -4,10 +4,12 @@ Circle averages use the uniform trapezoid rule with respect to the probability
 measure on the unit circle.  Disk integrals use the normalized area measure
 dxdy/pi in polar form, int_0^1 2r * (circle average at radius r) dr, with
 Gauss-Legendre nodes in r; all radii of a disk rule are evaluated in one
-batched transform per polynomial factor.  The rows of a block of disk means
-are mapped over every usable CPU by maps._share_blocks, each transformed
-into its worker's trace buffers (see _means).  For a polynomial map, |f|^p
-is a trigonometric (and radial) polynomial only at even integer p, and the
+batched transform per polynomial factor.  _means, the one rule behind
+every polynomial norm, decides how rows are blocked: the circle rule
+transforms ROW_BLOCK = 32 rows at a time, and the rows of a disk rule are
+mapped over every usable CPU by maps._share_blocks, each transformed into
+its worker's trace buffers.  For a polynomial map, |f|^p is a
+trigonometric (and radial) polynomial only at even integer p, and the
 rules are exact there once the node counts exceed its degree (auto_spec).
 At other p, |f|^p is not smooth at the zeros of f, and wherever f has zeros
 the rules converge only algebraically in the node count (Trefethen &
@@ -65,6 +67,8 @@ P_MAX = 64.0
 # the exponents of the norms and of the means (a mean is a norm's p-th power)
 _NORM_P = PRange(1.0, P_MAX, True, True)
 _MEAN_P = PRange(0.0, P_MAX, False, True)
+# the exponents a rule can be sized for (a pair or product mean doubles p)
+_SPEC_P = PRange(0.0, math.inf, False, False)
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -98,8 +102,12 @@ def auto_spec(degree: int, p: float) -> QuadratureSpec:
     """Spec sized so the rules are exact on |f|^p for even integer p.
 
     The trapezoid rule needs n_angle > p*degree (the trigonometric degree of
-    |f|^p); the radial rule needs 2*n_radial - 1 >= p*degree + 1.
+    |f|^p); the radial rule needs 2*n_radial - 1 >= p*degree + 1.  degree
+    must be an integer >= 0 and p finite and > 0, or ValueError names them.
     """
+    if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) or degree < 0:
+        raise ValueError(f"degree must be an integer >= 0, got {degree!r}")
+    p = _SPEC_P.check("auto_spec", p)
     need_angle = max(4 * degree + 1, int(math.ceil(p)) * degree + 2)
     n_angle = max(256, need_angle)
     n_radial = max(64, (int(math.ceil(p)) * degree) // 2 + 2)
@@ -118,9 +126,9 @@ def _gl01(n: int) -> tuple[np.ndarray, np.ndarray]:
 # Every polynomial norm is the mean of one ring integrand over the circle or
 # disk traces of its factors.  _means is the one rule that evaluates them: the
 # public means below are its one-row calls, and the sample batteries
-# (theorems, battery) call it on blocks of coefficient rows, sharing each
-# factor's traces among all the rings of a bound.  A ring takes p first, then
-# one trace array per factor.
+# (theorems, battery) call it on whole draws of coefficient rows, sharing
+# each factor's traces among all the rings of a bound.  A ring takes p
+# first, then one trace array per factor.
 
 
 def _modulus_ring(p: float, f: np.ndarray) -> np.ndarray:
@@ -142,6 +150,10 @@ def _product_ring(p: float, g: np.ndarray, h: np.ndarray, real_part: bool) -> np
     return base**p
 
 
+# rows of a factor transformed at a time by the circle rule of _means
+ROW_BLOCK = 32
+
+
 def _means(
     rings: Sequence[Callable[..., np.ndarray]],
     factors: Sequence[np.ndarray],
@@ -151,9 +163,12 @@ def _means(
     """The mean of each ring over the traces of factors, one float per row.
 
     factors are coefficient arrays with one polynomial per row (a 1-D
-    sequence is one row), and a ring gets one trace array per factor.  With
-    a radius r the means are over the circle of radius r, and each factor is
-    transformed once for all its rows.  With r=None they are over the disk,
+    sequence is one row; the rows are those that every factor has), and a
+    ring gets one trace array per factor.  The callers hand over whole
+    draws, and the blocking is decided here.  With a radius r the means are
+    over the circle of radius r: each factor is transformed ROW_BLOCK rows
+    at a time, so a block's traces stay small, and every ring is evaluated
+    on the block's traces.  With r=None they are over the disk,
     int_0^1 2r * (circle mean at radius r) dr, and each factor is transformed
     once per row at all radii (all rows at once would hold rows x radii x
     angles values).  Each disk row returns its ring means, mapped over the
@@ -166,16 +181,19 @@ def _means(
     """
     n = spec.n_angle
     factors = [np.atleast_2d(np.asarray(c, dtype=complex)) for c in factors]
+    rows = min(len(c) for c in factors)
     if r is not None:
-        traces = [
-            _boundary_rows(c if r == 1.0 else c * _radius_powers(r, c.shape[-1]), n)
-            for c in factors
-        ]
-        return [np.mean(ring(*traces), axis=-1).tolist() for ring in rings]
+        if r != 1.0:
+            factors = [c * _radius_powers(r, c.shape[-1]) for c in factors]
+        out = [[] for _ in rings]
+        for start in range(0, rows, ROW_BLOCK):
+            traces = [_boundary_rows(c[start : start + ROW_BLOCK], n) for c in factors]
+            for means, ring in zip(out, rings):
+                means.extend(np.mean(ring(*traces), axis=-1).tolist())
+        return out
     nodes, weights = _gl01(spec.n_radial)
     weights = weights * 2.0 * nodes
     powers = [_radius_powers(nodes, c.shape[-1]) for c in factors]
-    rows = min(len(c) for c in factors)
 
     def row_means(traces, k):
         for c, pw, trace in zip(factors, powers, traces):

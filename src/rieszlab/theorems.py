@@ -18,20 +18,23 @@ hypothesis Re(g(0)h(0)) >= 0, under which the bound holds for p <= 3 only.
 A row of _PROBES holds the two components of the Calderon family's trace
 whose norms a probe tag compares.
 
-Every tag's two sides come from one function, _block_sides, in blocks of
-SAMPLE_BLOCK = 32 cases.  A battery call draws its whole seed range once as
-coefficient arrays (maps.random_coefficients, one numpy generator per seed;
-a two-entry memo lets the calls for each p share one draw), and each block's
-rows go straight to quadrature._means, the one rule behind every polynomial
-norm; no per-sample map objects are built.  On the circle each polynomial
-factor is transformed once per block; on the disk once per sample at all
-radii, with the samples shared among every usable CPU; and the rings of both
-sides share those traces.  isoperimetric_chain takes its seven means from
-one circle and one disk _means call of g and h, and the battery's chain
-report makes the same two calls for a block of maps (_chain_links).  Only
-the line tag evaluates one case at a time.
-Every LHS and RHS is bit-identical to drawing one sample at a time and
-evaluating it through the public norms.
+Every tag's two sides come from one function, _block_sides.  A battery
+call draws its whole seed range once as coefficient arrays
+(maps.random_coefficients, one numpy generator per seed; a two-entry memo
+lets the calls for each p share one draw), and the whole draw goes straight
+to quadrature._means, the one rule behind every polynomial norm, which
+decides how the rows are blocked; no per-sample map objects are built.  The
+rings of both sides share each factor's traces.  isoperimetric_chain takes
+its seven means from one circle and one disk _means call of g and h, and
+the battery's chain report makes the same two calls for all its maps
+(_chain_links).  Only the line tag evaluates one case at a time.  Every LHS
+and RHS is bit-identical to drawing one sample at a time and evaluating it
+through the public norms.
+
+Every sampled bound LHS <= c * RHS, the links of the isoperimetric chain
+included, is judged by one function, _judge: a case's slack is the relative
+slack (c*RHS - LHS)/(c*RHS), and a slack below -REL_TOL (or the caller's
+rel_tol) is a violation.
 """
 
 from __future__ import annotations
@@ -91,10 +94,7 @@ class TheoremId(Enum):
     PAIR_ISOPERIMETRIC = "PAIR_ISOPERIMETRIC"    # int_U S^{2p} <= (int_T S^p)^2
 
 
-# samples per block of a battery (see the module docstring)
-SAMPLE_BLOCK = 32
-# relative slack tolerance of the one-map checks (verify_pair_isoperimetric
-# and the links of isoperimetric_chain)
+# relative slack tolerance of every sampled bound (_judge)
 REL_TOL = 1e-9
 
 # the exponent of each tag: the norms are defined up to P_MAX, and the disk
@@ -175,14 +175,9 @@ def _norms(
 
 
 def _block_sides(
-    tag: TheoremId,
-    p_or_n,
-    degree: int,
-    cases,
-    block: slice,
+    tag: TheoremId, p_or_n, degree: int, cases
 ) -> tuple[Sequence[float], Sequence[float]]:
-    """(LHS values, RHS-without-constant values) of a tag, one per case of
-    cases[block].
+    """(LHS values, RHS-without-constant values) of a tag, one per case.
 
     The cases are the line catalog for LINE_PAIRS, and otherwise the
     coefficient arrays (g, h) of the call's maps, one row per seed, drawn
@@ -190,12 +185,11 @@ def _block_sides(
     of s + 10_000_019.
     """
     if tag is TheoremId.LINE_PAIRS:
-        pairs = cases[block]
         return (
-            [line_lp_norm(pair, p_or_n, transformed=True) for pair in pairs],
-            [line_lp_norm(pair, p_or_n, transformed=False) for pair in pairs],
+            [line_lp_norm(pair, p_or_n, transformed=True) for pair in cases],
+            [line_lp_norm(pair, p_or_n, transformed=False) for pair in cases],
         )
-    g, h = (rows[block] for rows in cases)
+    g, h = cases
     if tag is TheoremId.PAIR_ISOPERIMETRIC:
         return _pair_isoperimetric_sides(g, h, p_or_n)
     if tag is TheoremId.BERGMAN_EMBEDDING:
@@ -234,43 +228,26 @@ def _block_sides(
     return (analytic, part) if real else (part, analytic)
 
 
-def _sample_report(
-    report_id: str,
-    p_or_n,
-    constant: float,
-    labels: Sequence[tuple],
-    sides: Callable[[slice], tuple[Sequence[float], Sequence[float]]],
-    degree: int,
-    seed: int,
-    rel_tol: float,
-) -> VerificationReport:
-    """Relative slack (RHS_total - LHS)/RHS_total over labelled cases.
+def _judge(acc: SlackAccumulator, labels, lhs, rhs, rel_tol: float = REL_TOL) -> float:
+    """Judge LHS <= RHS case by case, adding each labelled case to acc.
 
-    labels holds one label per case; the cases are evaluated SAMPLE_BLOCK at
-    a time: sides(block) takes the slice of the block's cases and returns
-    their LHS values and their RHS values without the constant.  A case whose
-    RHS_total is 0 is skipped; a slack below -rel_tol is a violation.
+    A case's slack is the relative slack (RHS - LHS)/RHS, and a slack below
+    -rel_tol is a violation.  A case with RHS = 0 is skipped when its LHS is
+    0 too, and is otherwise a violation with slack -inf.  Returns the
+    largest LHS/RHS of the judged cases (a sharpness statistic; 0.0 when
+    none is judged).
     """
-    acc = SlackAccumulator()
     ratio_max = 0.0
-    for start in range(0, len(labels), SAMPLE_BLOCK):
-        block = slice(start, start + SAMPLE_BLOCK)
-        for label, lhs, rhs_base in zip(labels[block], *sides(block)):
-            rhs = constant * rhs_base
-            if rhs == 0.0:
-                continue
-            slack = (rhs - lhs) / rhs
-            ratio_max = max(ratio_max, lhs / rhs)
-            acc.add(label, float(slack), slack < -rel_tol)
-    return acc.report(
-        id=report_id,
-        p=p_or_n,
-        grid={"samples": len(labels), "degree": degree},
-        constant=constant,
-        ratio_max=ratio_max,
-        seed=seed,
-        tolerance=rel_tol,
-    )
+    for label, lo, hi in zip(labels, lhs, rhs):
+        if hi == 0.0:
+            if lo != 0.0:
+                ratio_max = math.inf
+                acc.add(label, -math.inf, True)
+            continue
+        slack = (hi - lo) / hi
+        ratio_max = max(ratio_max, lo / hi)
+        acc.add(label, float(slack), slack < -rel_tol)
+    return ratio_max
 
 
 def verify_theorem(
@@ -279,9 +256,11 @@ def verify_theorem(
     samples: int = 200,
     degree: int = 8,
     seed: int = 0,
-    rel_tol: float = 1e-9,
+    rel_tol: float = REL_TOL,
 ) -> VerificationReport:
-    """Check LHS <= constant * RHS * (1 + rel_tol) over the sample battery.
+    """Check LHS <= constant * RHS over the sample battery, each case
+    judged by _judge with rel_tol: its sides are evaluated once, for the
+    whole draw.
 
     min_slack is the worst relative slack (RHS_total - LHS)/RHS_total;
     ratio_max the largest observed LHS/RHS_total (a sharpness statistic).
@@ -306,8 +285,18 @@ def verify_theorem(
         cases = random_coefficients(degree, seeds, _TAGS[tag][2])
         if tag is TheoremId.PAIR_ISOPERIMETRIC:
             cases = (cases[0], random_coefficients(degree, [s + 10_000_019 for s in seeds])[0])
-    sides = partial(_block_sides, tag, p_or_n, degree, cases)
-    return _sample_report(tag.value, p_or_n, constant, labels, sides, degree, seed, rel_tol)
+    acc = SlackAccumulator()
+    lhs, rhs = _block_sides(tag, p_or_n, degree, cases)
+    ratio_max = _judge(acc, labels, lhs, [constant * base for base in rhs], rel_tol)
+    return acc.report(
+        id=tag.value,
+        p=p_or_n,
+        grid={"samples": len(labels), "degree": degree},
+        constant=constant,
+        ratio_max=ratio_max,
+        seed=seed,
+        tolerance=rel_tol,
+    )
 
 
 def _pair_isoperimetric_sides(a, b, p: float) -> tuple[list[float], list[float]]:
@@ -324,19 +313,14 @@ def _pair_isoperimetric_sides(a, b, p: float) -> tuple[list[float], list[float]]
 
 
 def verify_pair_isoperimetric(a: TaylorPoly, b: TaylorPoly, p: float) -> VerificationReport:
-    """int_U (|a|^2+|b|^2)^{2p} <= (int_T (|a|^2+|b|^2)^p)^2 for p > 0; a
-    relative slack below -REL_TOL is a violation."""
+    """int_U (|a|^2+|b|^2)^{2p} <= (int_T (|a|^2+|b|^2)^p)^2 for p > 0,
+    judged by _judge (so a = b = 0, where both sides vanish, is skipped)."""
     _TAGS[TheoremId.PAIR_ISOPERIMETRIC][0].check("verify_pair_isoperimetric", p)
     acc = SlackAccumulator()
-    (lhs,), (rhs,) = _pair_isoperimetric_sides(a.coeffs, b.coeffs, p)
-    slack = (rhs - lhs) / rhs if rhs else math.inf
-    acc.add(("pair",), slack, slack < -REL_TOL)
+    lhs, rhs = _pair_isoperimetric_sides(a.coeffs, b.coeffs, p)
+    ratio_max = _judge(acc, [("pair",)], lhs, rhs)
     return acc.report(
-        id="PAIR_ISOPERIMETRIC",
-        p=p,
-        ratio_max=lhs / rhs if rhs else math.inf,
-        constant=1.0,
-        tolerance=REL_TOL,
+        id="PAIR_ISOPERIMETRIC", p=p, ratio_max=ratio_max, constant=1.0, tolerance=REL_TOL
     )
 
 
@@ -398,18 +382,20 @@ def isoperimetric_chain(m: HarmonicMap, n: int) -> list[tuple[str, float]]:
 
     with S = |g|^2 + |h|^2, E_n = cos(pi/(2n)), after normalizing h(0) = 0
     (the cosine link needs Re((2gh)(0)) = 0).  Each link must dominate the
-    previous one; a violation beyond REL_TOL raises ValueError.  final equals
+    previous one; a link that _judge flags raises ValueError.  final equals
     ((1/2) csc(pi/(4n)))^{2n} (int_T |f|^n)^2 by the half-angle identity.
-    This is the one-row call of _chain_links, which the battery calls on a
-    block of maps.
+    This is the one-row call of _chain_links, which the battery calls on all
+    its maps at once.
     """
     n = _TAGS[TheoremId.BERGMAN_EMBEDDING][0].check("isoperimetric_chain", n)
     [chain] = _chain_links(m.g.coeffs, m.h.coeffs, n)
-    for (name_lo, lo), (name_hi, hi) in zip(chain, chain[1:]):
-        if lo > hi * (1.0 + REL_TOL):
-            raise ValueError(
-                f"chain link broken: {name_lo} = {lo:.12g} > {name_hi} = {hi:.12g}"
-            )
+    acc = SlackAccumulator()
+    values = [value for _, value in chain]
+    _judge(acc, range(len(chain) - 1), values[:-1], values[1:])
+    if acc.violations:
+        k = acc.violations[0][0]
+        (name_lo, lo), (name_hi, hi) = chain[k : k + 2]
+        raise ValueError(f"chain link broken: {name_lo} = {lo:.12g} > {name_hi} = {hi:.12g}")
     return chain
 
 

@@ -2,6 +2,7 @@
 shared among workers, and the Calderon rules."""
 
 import math
+import re
 import sys
 import threading
 from functools import partial
@@ -21,6 +22,7 @@ from rieszlab.maps import (
     random_harmonic,
 )
 from rieszlab.quadrature import (
+    ROW_BLOCK,
     QuadratureConvergenceError,
     QuadratureSpec,
     _gl01,
@@ -184,6 +186,55 @@ def test_circle_means_are_bit_identical_to_object_traces(p, r):
             assert product_circle_power_mean(m.g, m.h, p, real_part, r) == float(
                 np.mean(base**p)
             )
+
+
+@pytest.mark.parametrize("r", [1.0, 0.6, None])
+def test_means_blocks_whole_draws_bit_identically_to_one_row_calls(monkeypatch, r):
+    # a whole draw goes to _means, which decides the blocking: the circle
+    # rule transforms ROW_BLOCK rows of each factor at a time, the disk rule
+    # one row at all radii, and every row's means are its one-row means
+    monkeypatch.setattr(maps, "_usable_cpus", lambda: 1)
+    g, h = random_coefficients(6, range(500, 600), Constraint.RE_ZERO)
+    rings = [
+        partial(_map_ring, 1.25),
+        partial(_pair_ring, 3.0),
+        partial(_product_ring, 2.0, real_part=False),
+    ]
+    spec = QuadratureSpec(n_angle=64, n_radial=16)
+    one_row = [_means(rings, (g[k], h[k]), spec, r) for k in range(len(g))]
+    shapes = []
+    ifft = np.fft.ifft
+
+    def recorded(values, *args, **kwargs):
+        shapes.append(np.shape(values))
+        return ifft(values, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", recorded)
+    for rows in (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 100):
+        shapes.clear()
+        means = _means(rings, (g[:rows], h[:rows]), spec, r)
+        assert means == [[one_row[k][j][0] for k in range(rows)] for j in range(len(rings))]
+        if r is None:
+            expected = [(spec.n_radial, 7)] * (2 * rows)
+        else:
+            starts = range(0, rows, ROW_BLOCK)
+            expected = [(min(ROW_BLOCK, rows - start), 7) for start in starts for _ in "gh"]
+        assert shapes == expected, rows
+
+
+def test_auto_spec_checks_its_arguments():
+    for degree, p, message in (
+        (8, math.nan, "auto_spec requires p in (0.0, inf), got nan"),
+        (8, math.inf, "auto_spec requires p in (0.0, inf), got inf"),
+        (8, 0.0, "auto_spec requires p in (0.0, inf), got 0.0"),
+        (-3, 2.0, "degree must be an integer >= 0, got -3"),
+        (2.5, 2.0, "degree must be an integer >= 0, got 2.5"),
+        (True, 2.0, "degree must be an integer >= 0, got True"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            auto_spec(degree, p)
+    assert auto_spec(np.int64(8), 2) == auto_spec(8, 2.0) == QuadratureSpec(256, 64)
+    assert auto_spec(0, 128.0) == QuadratureSpec(256, 64)
 
 
 # ------------------------ disk rows on every usable CPU ------------------------

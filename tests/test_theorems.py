@@ -21,6 +21,7 @@ from rieszlab.maps import (
     random_poly,
 )
 from rieszlab.quadrature import (
+    ROW_BLOCK,
     _map_ring,
     _means,
     _pair_ring,
@@ -36,10 +37,8 @@ from rieszlab.quadrature import (
 )
 from rieszlab.reporting import SlackAccumulator
 from rieszlab.theorems import (
-    SAMPLE_BLOCK,
     TheoremId,
     _pair_isoperimetric_sides,
-    _sample_report,
     isoperimetric_chain,
     sharpness_probe,
     theorem_constant,
@@ -241,12 +240,12 @@ def test_transform_counts(monkeypatch):
     # a block of 32 samples: one circle transform per factor, and one disk
     # transform per factor and sample (STREBEL has the one factor g)
     for tag, p_or_n, expected in (
-        (TheoremId.PAIR_ISOPERIMETRIC, 1.0, 2 + 2 * SAMPLE_BLOCK),
-        (TheoremId.STREBEL, 1.0, 1 + SAMPLE_BLOCK),
-        (TheoremId.BERGMAN_EMBEDDING, 2, 2 + 2 * SAMPLE_BLOCK),
+        (TheoremId.PAIR_ISOPERIMETRIC, 1.0, 2 + 2 * ROW_BLOCK),
+        (TheoremId.STREBEL, 1.0, 1 + ROW_BLOCK),
+        (TheoremId.BERGMAN_EMBEDDING, 2, 2 + 2 * ROW_BLOCK),
     ):
         calls.clear()
-        verify_theorem(tag, p_or_n, samples=SAMPLE_BLOCK, degree=4)
+        verify_theorem(tag, p_or_n, samples=ROW_BLOCK, degree=4)
         assert len(calls) == expected, tag
 
 
@@ -310,6 +309,10 @@ def test_pair_isoperimetric_examples():
     lhs, rhs = _pair_isoperimetric_sides(np.array([[0j, 1.0]]), zero, 0.5)
     assert lhs == pytest.approx([0.5]) and rhs == pytest.approx([1.0])
     assert verify_pair_isoperimetric(TaylorPoly([0.0, 1.0]), TaylorPoly([0.0]), 0.5).passed
+    # a = b = 0: both sides vanish, so no case is judged
+    report = verify_pair_isoperimetric(TaylorPoly([0]), TaylorPoly([0]), 1.0)
+    assert report.passed and report.argmin is None
+    assert report.min_slack == math.inf and report.ratio_max == 0.0
 
 
 def test_pair_isoperimetric_random_battery():
@@ -413,9 +416,15 @@ def test_battery_builds_no_sample_battery_of_its_own():
         if isinstance(node, ast.ImportFrom) and node.module == "theorems"
         for alias in node.names
     }
-    assert "verify_theorem" in imported
-    assert not imported & {"_block_sides", "_sample_report"}
+    assert {"verify_theorem", "_judge", "REL_TOL"} <= imported
+    assert not imported & {"_block_sides", "_sample_report", "SAMPLE_BLOCK"}
     assert not hasattr(battery, "_relaxed_mixed_report")
+    # rows are blocked in quadrature._means, and every sampled bound is
+    # judged by theorems._judge: battery states no block size, no RHS floor
+    # and no relative slack tolerance of its own
+    text = inspect.getsource(battery)
+    for phrase in ("SAMPLE_BLOCK", "ROW_BLOCK", "1e-300", "1e-9"):
+        assert phrase not in text, phrase
 
 
 def test_verify_theorem_validation():
@@ -427,6 +436,61 @@ def test_verify_theorem_validation():
         verify_theorem(TheoremId.MIXED_BY_HARDY, 2.0, samples=0)
     with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
         verify_theorem(TheoremId.MIXED_BY_HARDY, 2.0, samples=5, degree=-1)
+
+
+def test_judge_states_the_relative_slack_rule():
+    acc = SlackAccumulator()
+    labels = [("a",), ("b",), ("c",), ("d",), ("e",)]
+    # slacks 0.5, -2^-30 (inside REL_TOL = 1e-9), -2^-29, skipped, -inf
+    lhs = [1.0, 1.0 + 2.0**-30, 1.0 + 2.0**-29, 0.0, 3.0]
+    rhs = [2.0, 1.0, 1.0, 0.0, 0.0]
+    assert theorems._judge(acc, labels, lhs, rhs) == math.inf
+    assert acc.min_slack == -math.inf and acc.argmin == ("e",)
+    assert [label for label, _ in acc.violations] == [("c",), ("e",)]
+    # a caller's rel_tol replaces REL_TOL; no judged case gives ratio_max 0
+    acc = SlackAccumulator()
+    assert theorems._judge(acc, labels[:3], lhs[:3], rhs[:3], rel_tol=1e-8) == 1.0 + 2.0**-29
+    assert not acc.violations
+    assert theorems._judge(SlackAccumulator(), labels[3:4], [0.0], [0.0]) == 0.0
+
+
+def test_a_zero_rhs_does_not_hide_a_violation(monkeypatch):
+    monkeypatch.setattr(theorems, "_block_sides", lambda *args: ([1.0], [0.0]))
+    report = verify_theorem(TheoremId.MIXED_BY_HARDY, 2.0, samples=1, seed=3)
+    assert not report.passed
+    assert report.violations == [((3,), -math.inf)]
+    assert report.argmin == (3,) and report.ratio_max == math.inf
+    # both sides zero: the case is skipped
+    monkeypatch.setattr(theorems, "_block_sides", lambda *args: ([0.0], [0.0]))
+    report = verify_theorem(TheoremId.MIXED_BY_HARDY, 2.0, samples=1, seed=3)
+    assert report.passed and report.argmin is None and report.ratio_max == 0.0
+
+
+def test_a_broken_chain_link_raises_with_its_values(monkeypatch):
+    m = random_harmonic(4, 5)
+    for chain, message in (
+        ([("L", 1.0), ("holder", 2.0), ("cosine", 1.5)], "holder = 2 > cosine = 1.5"),
+        (
+            [("L", 0.5), ("holder", 1.0 + 2e-9), ("cosine", 1.0)],
+            "holder = 1.000000002 > cosine = 1",
+        ),
+        ([("L", 1.0), ("holder", 0.0)], "L = 1 > holder = 0"),
+    ):
+        monkeypatch.setattr(theorems, "_chain_links", lambda g, h, n, chain=chain: [chain])
+        with pytest.raises(ValueError, match=re.escape(f"chain link broken: {message}") + "$"):
+            isoperimetric_chain(m, 2)
+    # a link within REL_TOL of the next one holds
+    chain = [("L", 1.0 + 1e-10), ("holder", 1.0)]
+    monkeypatch.setattr(theorems, "_chain_links", lambda g, h, n: [chain])
+    assert isoperimetric_chain(m, 2) == chain
+
+
+def test_empty_batteries_are_rejected():
+    # a battery that checks no case would pass vacuously
+    with pytest.raises(ValueError, match=r"^samples must be >= 1, got 0$"):
+        battery.parseval_bridge_report(samples=0)
+    with pytest.raises(ValueError, match=r"^n_series must be >= 1, got 0$"):
+        battery.hilbert_singular_report(n_series=0)
 
 
 # ---------------- per-sample reference for the batched circle batteries ----------------
@@ -493,43 +557,42 @@ def payload(report):
     return out
 
 
-def recording_sample_report(blocks):
-    """_sample_report that records each block's (LHS, RHS) pairs in blocks."""
+def recording_block_sides(calls):
+    """theorems._block_sides that records each call's (LHS, RHS) pairs in calls."""
+    block_sides = theorems._block_sides
 
-    def sample_report(report_id, p, constant, cases, sides, *args):
-        def recorded(block):
-            lhs, rhs = sides(block)
-            blocks.append(list(zip(lhs, rhs)))
-            return lhs, rhs
+    def recorded(*args):
+        lhs, rhs = block_sides(*args)
+        calls.append(list(zip(lhs, rhs)))
+        return lhs, rhs
 
-        return _sample_report(report_id, p, constant, cases, recorded, *args)
+    return recorded
 
-    return sample_report
+
+# sample counts below, at and above one circle block of _means (ROW_BLOCK)
+COUNTS = (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 100)
 
 
 def test_batched_battery_is_bit_identical_to_sample_loop(monkeypatch):
     degree = 8
-    counts = (1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 100)
-    blocks = []
-    monkeypatch.setattr(theorems, "_sample_report", recording_sample_report(blocks))
+    calls = []
+    monkeypatch.setattr(theorems, "_block_sides", recording_block_sides(calls))
     for tag in (*CIRCLE_TAGS, RELAXED):
         # the relaxed tag at every battery exponent inside its range (1, 3]
         ps = RELAXED_P_VALUES if tag is RELAXED else battery.THEOREM_P_VALUES
         for p in ps:
             for seed in (0, 7, 1000):
                 ref = [reference_sample_sides(tag, p, degree, seed + k) for k in range(100)]
-                for count in counts:
-                    blocks.clear()
+                for count in COUNTS:
+                    calls.clear()
                     report = verify_theorem(tag, p, count, degree, seed)
                     if tag is RELAXED:
                         constant = sharp_constant(SharpConstant.A, p)
                     else:
                         constant = theorem_constant(tag, p=p)
-                    assert [len(b) for b in blocks] == [
-                        min(SAMPLE_BLOCK, count - start) for start in range(0, count, SAMPLE_BLOCK)
-                    ]
                     case = (tag, p, seed, count)
-                    assert [pair for b in blocks for pair in b] == ref[:count], case
+                    # the sides of the whole draw, from one call
+                    assert calls == [ref[:count]], case
                     expected = reference_report(
                         report.id, p, constant, [(s,) for s in range(seed, seed + count)],
                         ref[:count], degree, seed,
@@ -568,7 +631,7 @@ def test_batched_parseval_is_bit_identical_to_sample_loop():
             maps = [legacy.random_harmonic(8, seed + k, c) for k in range(40)]
             assert hardy == [hardy_norm(m, 2.0) for m in maps]
             assert mixed == [triple_norm(m, 2.0) for m in maps]
-        for count in (1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 100):
+        for count in COUNTS:
             report = battery.parseval_bridge_report(count, 8, seed)
             assert payload(report) == payload(reference_parseval_report(count, 8, seed))
 
@@ -636,35 +699,32 @@ CASE_TAGS = (
 
 
 def test_block_sides_are_bit_identical_to_case_loop(monkeypatch):
-    blocks = []
-    monkeypatch.setattr(theorems, "_sample_report", recording_sample_report(blocks))
+    calls = []
+    monkeypatch.setattr(theorems, "_block_sides", recording_block_sides(calls))
     for tag, p_or_n in CASE_TAGS:
         constant = theorem_constant(tag, p=p_or_n, n=p_or_n)
         for degree in (8, 4):
             for seed in (0, 1000):
                 ref = [
                     reference_case_sides(tag, p_or_n, degree, seed + k)
-                    for k in range(SAMPLE_BLOCK + 1)
+                    for k in range(ROW_BLOCK + 1)
                 ]
-                for count in (1, SAMPLE_BLOCK + 1):
-                    blocks.clear()
+                for count in (1, ROW_BLOCK + 1):
+                    calls.clear()
                     report = verify_theorem(tag, p_or_n, count, degree, seed)
                     case = (tag, p_or_n, degree, seed, count)
-                    assert [len(b) for b in blocks] == [
-                        min(SAMPLE_BLOCK, count - start) for start in range(0, count, SAMPLE_BLOCK)
-                    ], case
-                    assert [pair for b in blocks for pair in b] == ref[:count], case
+                    assert calls == [ref[:count]], case
                     expected = reference_report(
                         report.id, p_or_n, constant, [(s,) for s in range(seed, seed + count)],
                         ref[:count], degree, seed,
                     )
                     assert payload(report) == payload(expected), case
     for p in battery.THEOREM_P_VALUES:
-        blocks.clear()
+        calls.clear()
         report = verify_theorem(TheoremId.LINE_PAIRS, p)
         catalog = theorems._LINE_CATALOG
         ref = [(line_lp_norm(pair, p, True), line_lp_norm(pair, p, False)) for pair in catalog]
-        assert blocks == [ref], p
+        assert calls == [ref], p
         labels = [(pair.kind.value, pair.parameter) for pair in catalog]
         expected = reference_report(
             report.id, p, theorem_constant(TheoremId.LINE_PAIRS, p), labels, ref, 8, 0
