@@ -40,8 +40,22 @@ are merged once: argmin is the first minimal node in row-major order (r
 outer), and the violations are the first MAX_VIOLATIONS in row-major order,
 as if the grid were one array.  A circle block returns its own means and
 estimates, joined in block order.  So every result keeps its bits whichever
-worker took which block.  On two cores a scan takes about 20 % more CPU
-seconds for a third less wall time.
+worker took which block.
+
+A 2-D scan evaluates only the blocks that could hold its minimum or a
+violation.  Before the scan, each block gets a floor, a lower bound on its
+computed slacks (_Form._block_floors): interval arithmetic over cells of
+R_CHUNK r-nodes, from the minimum and maximum of the terms the scan has
+already made, then the slack at the cell's worst corner, lowered by a margin
+of 1e-12 (1 + |floor|) for roundoff and pow's ulp error.  A floor is -inf
+where a node could be NaN, infinite or divide by zero.  The seed, the smallest
+slack on the first t-node of every block, is evaluated like the scan itself,
+so it is a slack of the grid.  A block whose floor is above the seed and at
+least -tol has every node strictly above the grid's minimum and no
+violation, and it is skipped; every other block is evaluated and folded
+exactly as before.  So the minimum, the first minimal node and the first
+violations are those of the scan of every block, bit for bit.  A callable
+that is not a _Form has no floors, and every block of its grid is evaluated.
 
 Which thread allocates what.  glibc gives each thread that allocates an
 arena of its own, and a freed block's pages stay in that arena for its
@@ -64,6 +78,7 @@ in the scans and in the sub-mean checks alike.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -204,25 +219,92 @@ class _Form:
     def __call__(self, p, r, t):
         return self._evaluate(p, *self._terms(p, r, t))
 
+    def _block_floors(self, p, consts, r_terms, t_terms):
+        """One lower bound per block of SCAN_COLUMNS t-nodes on the slacks
+        _evaluate computes from these terms, or -inf.
+
+        Each block is cut into cells of R_CHUNK r-nodes.  Over a cell, every
+        term lies between its computed minimum and maximum (the r terms over
+        the cell's r-nodes, the t terms over the block's t-nodes), so the
+        bound covers the computed node values themselves, not a continuum,
+        and no Lipschitz constant enters.  The intervals of P and t2 follow
+        _evaluate's op sequence: + - * / are correctly rounded, so they are
+        monotone in floating point and the ends bound every node, and pow is
+        monotone up to its ulp error.  For t1, t3 >= 0 the exact slack
+        (t1 - t2 - t3)/(t1 + |t2| + t3) does not fall as t1 rises or as t2
+        or t3 falls, so over the cell it is least at the corner (t1 low, t2
+        high, t3 high).  A computed slack lies within a few ulps of the exact
+        slack of its computed terms (it lies in [-1, 1]), and so does the
+        corner's; the corner is lowered by 1e-12 (1 + |corner|), which
+        absorbs these errors and pow's.
+
+        A cell gets -inf where the base of its power reaches below 0, t1 or
+        t3 below 0, or its denominator 0 (1e-300, where underflow could
+        matter), or where an end of its denominator is not finite: a term
+        that is not finite, or a node that overflows (where inf/inf gives
+        NaN), makes that end infinite or NaN.  So a finite floor means that
+        every node of its block is finite.  The cells are formed FLOOR_GROUP
+        blocks at a time, so the arrays stay small.
+        """
+        k_s, q, _, _, w = consts
+        e = 0.5 * p
+
+        def spans(x, step):
+            starts = np.arange(0, len(x), step)
+            return np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts)
+
+        two_r, one_r2, m, _, k2_re = (spans(x, R_CHUNK) for x in r_terms)
+        cos_t, prof = (spans(x, SCAN_COLUMNS) for x in t_terms)
+        floors = []
+        with np.errstate(all="ignore"):
+            for g0 in range(0, len(cos_t[0]), FLOOR_GROUP):
+                group = slice(g0, g0 + FLOOR_GROUP)
+                cos_g, prof_g = ([x[group, None] for x in iv] for iv in (cos_t, prof))
+                a = _iv([x * y for x in two_r for y in cos_g])
+                base = _iv([(x + y) / q for x, y in zip(a, one_r2)])
+                big_p = _iv([x**e * k_s for x in base])
+                b = _iv([x * y * w for x in k2_re for y in prof_g])
+                t1, t3 = (big_p, m) if self.mixed else (m, big_p)
+                den = [(x1 + xb) + x3 for x1, xb, x3 in zip(t1, _iv_abs(b), t3)]
+                # the slack's least value over the cell, at its corner
+                floor = ((t1[0] - b[1]) - t3[1]) / ((t1[0] + np.abs(b[1])) + t3[1])
+                ok = (base[0] >= 0.0) & (t1[0] >= 0.0) & (t3[0] >= 0.0)
+                ok &= (den[0] > 1e-300) & np.isfinite(den[1])
+                floor = np.where(ok, floor - 1e-12 * (1.0 + np.abs(floor)), -math.inf)
+                floors.append(floor.min(axis=1))
+        return np.concatenate(floors)
+
     def block_evaluator(self, p, r_vals, t_vals):
-        """(evaluate, scratch) for maps._share_blocks: evaluate(bufs, j0) is
-        the slack s on the block of SCAN_COLUMNS t-nodes from j0, s[j, i] at
-        (r_vals[i], t_vals[j0 + j]), written into one worker's three buffers
-        bufs and valid until its next call; scratch(workers) makes every
-        worker's buffers as one array.  The terms are made here, on the
-        calling thread."""
-        consts, r_terms, (cos_t, prof) = self._terms(p, r_vals, t_vals)
+        """(evaluate, scratch, floors) for maps._share_blocks and _scan_2d:
+        evaluate(bufs, cols) is the slack s on the t-nodes t_vals[cols], at
+        most SCAN_COLUMNS of them, s[j, i] at (r_vals[i], t_vals[cols][j]),
+        written into one worker's three buffers bufs and valid until its next
+        call; scratch(workers) makes every worker's buffers as one array;
+        floors are _block_floors of the blocks of SCAN_COLUMNS t-nodes.  The
+        terms are made here, on the calling thread."""
+        consts, r_terms, t_terms = self._terms(p, r_vals, t_vals)
+        cos_t, prof = t_terms
 
         def scratch(workers):
             return np.empty((workers, 3, min(SCAN_COLUMNS, len(t_vals)), len(r_vals)))
 
-        def evaluate(bufs, j0):
-            cols = slice(j0, j0 + SCAN_COLUMNS)
-            t_terms = (cos_t[cols, None], prof[cols, None])
-            n = len(t_terms[0])
-            return self._evaluate(p, consts, r_terms, t_terms, *(buf[:n] for buf in bufs))
+        def evaluate(bufs, cols):
+            t_cols = (cos_t[cols, None], prof[cols, None])
+            n = len(t_cols[0])
+            return self._evaluate(p, consts, r_terms, t_cols, *(buf[:n] for buf in bufs))
 
-        return evaluate, scratch
+        return evaluate, scratch, self._block_floors(p, consts, r_terms, t_terms)
+
+
+def _iv(ends):
+    """The interval (lo, hi) spanned by the arrays ends, NaN kept."""
+    return functools.reduce(np.minimum, ends), functools.reduce(np.maximum, ends)
+
+
+def _iv_abs(iv):
+    """The interval of |x| over the interval iv."""
+    lo, hi = iv
+    return np.maximum(np.maximum(lo, -hi), 0.0), np.maximum(-lo, hi)
 
 
 def _mixed_consts(k_s, k_2):
@@ -489,6 +571,12 @@ def cell_diagonal(tag: InequalityId, grid: GridSpec) -> float:
 # buffers stay in a 2 MB L2 cache and every broadcast runs along a full r row
 SCAN_COLUMNS = 16
 
+# r-nodes per cell of _Form._block_floors, and t-blocks per group of cells
+# formed at a time: a group's arrays are (FLOOR_GROUP, r_nodes / R_CHUNK),
+# 20 KB at the default grid
+R_CHUNK = 25
+FLOOR_GROUP = 32
+
 
 def _keep_heap(nbytes: int) -> None:
     """Allocate and free nbytes once, so that later temporaries of a block
@@ -556,20 +644,45 @@ def _scan_2d(slack_fn, p, r_vals, t_vals, tol):
     folded on its own (_fold_block, mapped by maps._share_blocks), and the
     blocks are merged once: the smallest (value, row, col), and the first
     MAX_VIOLATIONS of their violations.
+
+    A block is skipped when it provably holds neither the minimum nor a
+    violation: its floor (_Form._block_floors; -inf for any other callable)
+    is at least -tol and above the seed, the smallest slack on the first
+    t-node of every block.  The seed is evaluated like the blocks, by the
+    same evaluator in blocks of SCAN_COLUMNS of those t-nodes, on the calling
+    thread, so it is a slack of the grid, and every node of a skipped block
+    lies strictly above the grid's minimum.  So the skipped blocks change no
+    result.
     """
+    starts = range(0, len(t_vals), SCAN_COLUMNS)
     if isinstance(slack_fn, _Form):
-        evaluate, scratch = slack_fn.block_evaluator(p, r_vals, t_vals)
+        evaluate, scratch, floors = slack_fn.block_evaluator(p, r_vals, t_vals)
     else:
         r_row = r_vals[None, :]
-        scratch = None
+        scratch, floors = None, np.full(len(starts), -math.inf)
 
-        def evaluate(_, j0):
-            return slack_fn(p, r_row, t_vals[j0 : j0 + SCAN_COLUMNS, None])
+        def evaluate(_, cols):
+            return slack_fn(p, r_row, t_vals[cols, None])
+
+    skip = (floors > -math.inf) & (floors >= -tol)
+    if skip.any():
+        step = SCAN_COLUMNS * SCAN_COLUMNS
+
+        def seed(bufs, _):
+            # NaN when every seed node is NaN, and then no block is skipped
+            cols = (slice(j0, j0 + step, SCAN_COLUMNS) for j0 in range(0, len(t_vals), step))
+            return np.fmin.reduce([np.fmin.reduce(evaluate(bufs, c), axis=None) for c in cols])
+
+        # one start: the seed runs on the calling thread, so a scan starts
+        # its helper threads once, as a scan of every block does
+        [least] = _share_blocks([0], seed, scratch)
+        skip &= floors > least
+        starts = [j0 for j0, skipped in zip(starts, skip) if not skipped]
 
     def fold(bufs, j0):
-        return _fold_block(j0, evaluate(bufs, j0), tol)
+        return _fold_block(j0, evaluate(bufs, slice(j0, j0 + SCAN_COLUMNS)), tol)
 
-    blocks = _share_blocks(range(0, len(t_vals), SCAN_COLUMNS), fold, scratch)
+    blocks = _share_blocks(starts, fold, scratch)
     # a grid without a finite minimum reports its first node
     min_slack, i, j = min([(math.inf, 0, 0)] + [best for best, _ in blocks])
     bad = sorted(v for _, part in blocks for v in part)[:MAX_VIOLATIONS]

@@ -212,19 +212,24 @@ def _block_sides(
         norms, mixed = _norms(p, rings, (g, h), spec, None if disk else 1.0)
         return (mixed, norms) if mixed_lhs else (norms, mixed)
     if tag is TheoremId.CONJUGATE_NORM:
-        g, h = _normalized_rows(g, h)
-        # the conjugate of the normalized map is (-i g, -i h) (conjugate_map)
-        [conjugate] = _norms(p, [partial(_map_ring, p)], (-1j * g, -1j * h), spec)
-        [norm] = _norms(p, [partial(_map_ring, p)], (g, h), spec)
+        # the conjugate of the normalized map is (-i g, -i h) (conjugate_map),
+        # of modulus |g - conj(h)|: multiplying by -i is exact, so the ring
+        # has the bits of the ring of (-i g, -i h)
+        conjugate, norm = _norms(
+            p,
+            [lambda g, h: np.abs(g - np.conj(h)) ** p, partial(_map_ring, p)],
+            _normalized_rows(g, h),
+            spec,
+        )
         return conjugate, norm
     g = g.copy()
     g.imag[:, 0] = 0.0  # analytic samples have Im g(0) = 0
-    # the map g + conj(0) has modulus |g|
-    [analytic] = _norms(p, [partial(_modulus_ring, p)], (g,), spec)
-    # Re g = t + conj(t) with t = g/2, and Im g = t + conj(t) with t = -i g/2
+    # the map g + conj(0) has modulus |g|, and the ring of Re g (Im g) has the
+    # bits of the map t + conj(t) with t = g/2 (t = -i g/2): halving and
+    # multiplying by -i are exact
     real = tag is TheoremId.ANALYTIC_BY_RE
-    half = (0.5 if real else -0.5j) * g
-    [part] = _norms(p, [lambda t: _map_ring(p, t, t)], (half,), spec)
+    part_ring = (lambda g: np.abs(g.real) ** p) if real else (lambda g: np.abs(g.imag) ** p)
+    analytic, part = _norms(p, [partial(_modulus_ring, p), part_ring], (g,), spec)
     return (analytic, part) if real else (part, analytic)
 
 

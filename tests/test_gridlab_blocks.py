@@ -11,8 +11,12 @@ form, and the minorants read from the profile table the bits of the formulas
 written out per minorant.  A scan shared between workers
 must give the bits of the one-thread legacy scan whichever worker takes which
 block, and leave no thread running; so must the circle blocks of the sub-mean
-and complex-line checks, against their one-worker reports.  The per-case
-references below are kept here only as oracles."""
+and complex-line checks, against their one-worker reports.  Each block's
+floor must lie at or below the block's evaluated minimum, and be -inf where
+a node or a term is not finite; and a scan that skips the blocks whose floor
+is above its seed must give the bits of the scan of every block, a failing
+scan and NaN nodes included.  The per-case references below are kept here
+only as oracles."""
 
 import dataclasses
 import json
@@ -876,3 +880,176 @@ def test_theta_lower_keeps_its_bits_with_the_phi_mid_profile():
     theta = _seam_angles()
     for p in (2.5, 4.0, 6.0):
         _assert_same_bits(lambda t: theta_lower(t, p), lambda t: legacy.theta_lower(t, p), theta)
+
+
+# ------------------------- block floors and skipping -------------------------
+
+
+def _grids(tag):
+    """The two reduced grids over the tag's domain (389 t-nodes leave a short
+    last block) and one over the wide domain r in [0.2, 1.3], |t| <= 7."""
+    info = _REGISTRY[tag]
+    for r_nodes, t_nodes in ((97, 389), (200, 400)):
+        yield _axis(*info.r_range, r_nodes, open_lo=True), _axis(*info.t_range, t_nodes)
+    yield _axis(0.2, 1.3, 97), _axis(-7.0, 7.0, 389)
+
+
+def _assert_floors_hold(form, p, r_vals, t_vals):
+    """Check that every block's floor lies at or below the block's evaluated
+    minimum, and is -inf where a node or a term of the block is not finite;
+    return the floors."""
+    evaluate, scratch, floors = form.block_evaluator(p, r_vals, t_vals)
+    _, r_terms, t_terms = form._terms(p, r_vals, t_vals)
+    r_finite = all(np.isfinite(x).all() for x in r_terms)
+    bufs = scratch(1)[0]
+    starts = range(0, len(t_vals), SCAN_COLUMNS)
+    assert len(floors) == len(starts)
+    for floor, j0 in zip(floors, starts):
+        cols = slice(j0, j0 + SCAN_COLUMNS)
+        with np.errstate(all="ignore"):
+            s = evaluate(bufs, cols)
+        if not (r_finite and all(np.isfinite(x[cols]).all() for x in t_terms)):
+            assert floor == -math.inf, (p, j0)
+        if np.isfinite(s).all():
+            assert floor <= s.min(), (p, j0)
+        else:
+            assert floor == -math.inf, (p, j0)
+    return floors
+
+
+def _no_floors(self, p, consts, r_terms, t_terms):
+    return np.full(-(-len(t_terms[0]) // SCAN_COLUMNS), -math.inf)
+
+
+def _folds(monkeypatch):
+    """The block starts that _fold_block folds from now on."""
+    folded = []
+    fold_block = gridlab._fold_block
+
+    def counted(j0, s, tol):
+        folded.append(j0)
+        return fold_block(j0, s, tol)
+
+    monkeypatch.setattr(gridlab, "_fold_block", counted)
+    return folded
+
+
+def _all_blocks(monkeypatch, scan, *args):
+    """scan(*args) with every block's floor -inf, so that no block is skipped."""
+    with monkeypatch.context() as m:
+        m.setattr(gridlab._Form, "_block_floors", _no_floors)
+        return scan(*args)
+
+
+@pytest.mark.parametrize("tag", TWO_D_TAGS, ids=lambda tag: tag.value)
+def test_block_floors_lie_below_every_block_minimum(tag):
+    form = _REGISTRY[tag].slack
+    for r_vals, t_vals in _grids(tag):
+        for p in default_p_values(tag):
+            floors = _assert_floors_hold(form, p, r_vals, t_vals)
+            assert np.isfinite(floors).any(), p
+
+
+@pytest.mark.parametrize(
+    "tag, p", [(InequalityId.SUM_BY_MIXED_LOW, 1.1), (InequalityId.MIXED_BY_SUM_HIGH, 64.0)]
+)
+def test_block_floors_hold_on_the_full_grid(tag, p):
+    info, grid = _REGISTRY[tag], GridSpec()
+    r_vals = _axis(*info.r_range, grid.r_nodes, open_lo=True)
+    t_vals = _axis(*info.t_range, grid.t_nodes)
+    assert np.isfinite(_assert_floors_hold(info.slack, p, r_vals, t_vals)).any()
+
+
+@pytest.mark.parametrize("tag", TWO_D_TAGS, ids=lambda tag: tag.value)
+def test_skipping_blocks_never_changes_a_scan(monkeypatch, tag):
+    info, grid = _REGISTRY[tag], GridSpec()
+    # the reduced grids at every default p, and the full grid at one p (the
+    # second: MIXED_BY_SUM_MID's first, p = 2, vanishes identically)
+    cases = [(p, r_vals, t_vals) for r_vals, t_vals in _grids(tag) for p in default_p_values(tag)]
+    full_grid = (
+        _axis(*info.r_range, grid.r_nodes, open_lo=True), _axis(*info.t_range, grid.t_nodes)
+    )
+    cases.append((default_p_values(tag)[1], *full_grid))
+    folded = _folds(monkeypatch)
+    for p, r_vals, t_vals in cases:
+        # tol = -0.5 flags part of the grid and tol = -2 all of it; inf is
+        # the tolerance of locate_equality
+        for tol in (1e-9, -0.5, -2.0, math.inf):
+            folded.clear()
+            skipped = _scan_2d(info.slack, p, r_vals, t_vals, tol)
+            evaluated = len(folded)
+            full = _all_blocks(monkeypatch, _scan_2d, info.slack, p, r_vals, t_vals, tol)
+            assert _bits(skipped) == _bits(full), (p, tol)
+    # the full grid skips blocks (at tol = inf, the last scan)
+    assert evaluated < len(folded) - evaluated
+
+
+@pytest.mark.parametrize(
+    "tag, k", [(InequalityId.MIXED_BY_SUM_LOW, 6), (InequalityId.SUM_BY_MIXED_HIGH, 0)]
+)
+def test_a_scan_with_a_constant_too_small_still_fails(monkeypatch, tag, k):
+    # the form's leading constant (k_s on a mixed-by-sum form's P, k_m on a
+    # sum-by-mixed form's M) made 1e-6 relative too small: the bound no
+    # longer holds near its equality locus, and the full grid sees it
+    info = _REGISTRY[tag]
+    form, p = info.slack, default_p_values(tag)[k]
+
+    def weak_consts(p):
+        k_s, q, k_m, k_2, w = form.consts(p)
+        if form.mixed:
+            return k_s * (1.0 - 1e-6), q, k_m, k_2, w
+        return k_s, q, k_m * (1.0 - 1e-6), k_2, w
+
+    weak = dataclasses.replace(form, consts=weak_consts)
+    monkeypatch.setitem(_REGISTRY, tag, dataclasses.replace(info, slack=weak))
+    folded = _folds(monkeypatch)
+    report = verify_pointwise(tag, p)
+    assert not report.passed and report.violations
+    assert len(folded) < -(-GridSpec().t_nodes // SCAN_COLUMNS)  # blocks were skipped
+    full = _all_blocks(monkeypatch, verify_pointwise, tag, p)
+    assert _bits(_payload(report)) == _bits(_payload(full))
+
+
+def test_non_finite_cells_are_evaluated_and_reported(monkeypatch):
+    info = _REGISTRY[InequalityId.MIXED_BY_SUM_HIGH]
+    form, p = info.slack, default_p_values(InequalityId.MIXED_BY_SUM_HIGH)[2]
+    r_vals, t_vals = _axis(*info.r_range, 97, open_lo=True), _axis(*info.t_range, 389)
+    k_s, q, k_m, k_2, w = form.consts(p)
+    # every constant times a power of two K, which keeps every other node's
+    # bits: P = k_s K S^{p/2} overflows where S = |1 + r e^{it}|^2 is near
+    # its largest value 4, at r = 1 next to t = 0 and t = +-2 pi, and there
+    # the slack is inf/inf = NaN
+    big = 2.0 ** math.ceil(math.log2(np.finfo(float).max / (k_s * 4.0 ** (0.5 * p))))
+    t_nan = t_vals[200]
+    cases = [
+        dataclasses.replace(form, consts=lambda p: (k_s * big, q, k_m * big, k_2 * big, w)),
+        # a NaN angle profile at one t-node makes that column NaN
+        dataclasses.replace(
+            form, profile=lambda t, p: np.where(t == t_nan, np.nan, form.profile(t, p))
+        ),
+    ]
+    folded = _folds(monkeypatch)
+    for case in cases:
+        floors = _assert_floors_hold(case, p, r_vals, t_vals)
+        with np.errstate(all="ignore"):
+            nan_blocks = {
+                j0 // SCAN_COLUMNS
+                for j0 in range(0, len(t_vals), SCAN_COLUMNS)
+                if np.isnan(case(p, r_vals[None, :], t_vals[j0 : j0 + SCAN_COLUMNS, None])).any()
+            }
+        assert nan_blocks and all(floors[k] == -math.inf for k in nan_blocks)
+        for tol in (1e-9, math.inf):
+            folded.clear()
+            with np.errstate(all="ignore"):
+                min_slack, argmin, violations = _scan_2d(case, p, r_vals, t_vals, tol)
+                evaluated = {j0 // SCAN_COLUMNS for j0 in folded}
+                full = _all_blocks(monkeypatch, _scan_2d, case, p, r_vals, t_vals, tol)
+            assert nan_blocks <= evaluated and len(evaluated) < len(floors), tol
+            assert any(math.isnan(s) for _, s in violations), tol
+            assert _bits((min_slack, argmin, violations)) == _bits(full), tol
+
+    # a term that is not finite in every block: k_2 r^{p/2} overflows for r > 1
+    huge = dataclasses.replace(form, consts=lambda p: (k_s, q, k_m, np.finfo(float).max, w))
+    with np.errstate(over="ignore"):
+        floors = _assert_floors_hold(huge, p, _axis(0.2, 1.3, 97), _axis(-7.0, 7.0, 389))
+    assert (floors == -math.inf).all()

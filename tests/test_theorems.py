@@ -238,8 +238,13 @@ def test_transform_counts(monkeypatch):
     isoperimetric_chain(random_harmonic(4, 5), 3)
     assert len(calls) == 4
     # a block of 32 samples: one circle transform per factor, and one disk
-    # transform per factor and sample (STREBEL has the one factor g)
+    # transform per factor and sample (STREBEL has the one factor g); both
+    # rings of CONJUGATE_NORM share the traces of g and h, and both of the
+    # analytic tags the traces of g
     for tag, p_or_n, expected in (
+        (TheoremId.CONJUGATE_NORM, 1.5, 2),
+        (TheoremId.ANALYTIC_BY_RE, 1.5, 1),
+        (TheoremId.IM_BY_ANALYTIC, 3.0, 1),
         (TheoremId.PAIR_ISOPERIMETRIC, 1.0, 2 + 2 * ROW_BLOCK),
         (TheoremId.STREBEL, 1.0, 1 + ROW_BLOCK),
         (TheoremId.BERGMAN_EMBEDDING, 2, 2 + 2 * ROW_BLOCK),
