@@ -26,36 +26,42 @@ scalar tags are O(1) quantities and stay absolute.
 
 Evaluation.  The six two-variable slacks share one form (see _Form), so
 they are given as data in one table and evaluated by one routine.  A 2-D scan
-evaluates that form in blocks of SCAN_COLUMNS t-nodes against the whole r
-row, laid out (t, r) so that every broadcast runs along a full row: the terms
-in r and the angle profile are computed once per scan, and each block writes
-into its worker's three buffers, reused across blocks.  The sub-mean and
-complex-line checks draw their centers and radii one circle at a time, then
-evaluate blocks of CIRCLE_BLOCK circles as (k, angles) arrays and take the
-means along each row.  Both are per-block functions mapped over the block
-starts on every usable CPU by maps._share_blocks (see its module docstring
-for the workers, the scratch buffers, np.errstate and exceptions).  A scan
-folds each block into its own minimum and violation list, and the blocks
-are merged once: argmin is the first minimal node in row-major order (r
-outer), and the violations are the first MAX_VIOLATIONS in row-major order,
-as if the grid were one array.  A circle block returns its own means and
+evaluates that form in rectangles of t-nodes by r-nodes, each at most a
+block of SCAN_COLUMNS t-nodes by the whole r row, laid out (t, r) so that
+every broadcast runs along a row: the terms in r and the angle profile are
+computed once per scan, and each rectangle writes into its worker's three
+buffers, reused across rectangles.  The sub-mean and complex-line checks
+draw their centers and radii one circle at a time, then evaluate blocks of
+CIRCLE_BLOCK circles as (k, angles) arrays and take the means along each
+row.  Both are per-block functions mapped over the block starts on every
+usable CPU by maps._share_blocks (see its module docstring for the workers,
+the scratch buffers, np.errstate and exceptions).  A scan folds each
+rectangle into its own minimum and violation list, and the rectangles are
+merged once: argmin is the first minimal node in row-major order (r outer),
+and the violations are the first MAX_VIOLATIONS in row-major order, as if
+the grid were one array.  A circle block returns its own means and
 estimates, joined in block order.  So every result keeps its bits whichever
 worker took which block.
 
-A 2-D scan evaluates only the blocks that could hold its minimum or a
-violation.  Before the scan, each block gets a floor, a lower bound on its
-computed slacks (_Form._block_floors): interval arithmetic over cells of
-R_CHUNK r-nodes, from the minimum and maximum of the terms the scan has
-already made, then the slack at the cell's worst corner, lowered by a margin
-of 1e-12 (1 + |floor|) for roundoff and pow's ulp error.  A floor is -inf
-where a node could be NaN, infinite or divide by zero.  The seed, the smallest
-slack on the first t-node of every block, is evaluated like the scan itself,
-so it is a slack of the grid.  A block whose floor is above the seed and at
-least -tol has every node strictly above the grid's minimum and no
-violation, and it is skipped; every other block is evaluated and folded
-exactly as before.  So the minimum, the first minimal node and the first
-violations are those of the scan of every block, bit for bit.  A callable
-that is not a _Form has no floors, and every block of its grid is evaluated.
+A 2-D scan evaluates only the cells that could hold its minimum or a
+violation.  Before the scan, each cell of R_CHUNK r-nodes by SCAN_COLUMNS
+t-nodes gets a floor, a lower bound on its computed slacks
+(_Form._block_floors): interval arithmetic over the cell, from the minimum
+and maximum of the terms the scan has already made, then the slack at the
+cell's worst corner, lowered by a margin of 1e-12 (1 + |floor|) for
+roundoff and pow's ulp error.  A floor is -inf where a node could be NaN,
+infinite or divide by zero.  The probe, the block with the least finite
+floor, is folded first on the calling thread, so its minimum is a slack of
+the grid.  A cell whose floor is above that minimum and at least -tol has
+every node strictly above the grid's minimum and no violation, and it is
+skipped.  Every other block is evaluated over the r-span from its first to
+its last kept cell, and consecutive blocks are joined into one rectangle
+while it fits one worker's buffers, so that a job stays large enough to be
+worth a thread.  Each rectangle is folded with its r and t offsets, and the
+probe's fold is merged with the rest.  So the minimum, the first minimal
+node and the first violations are those of the scan of every block, bit for
+bit.  A callable that is not a _Form has no floors, and every block of its
+grid is evaluated whole.
 
 Which thread allocates what.  glibc gives each thread that allocates an
 arena of its own, and a freed block's pages stay in that arena for its
@@ -103,7 +109,13 @@ from .constants import (
     theta_upper,
 )
 from .maps import _share_blocks
-from .reporting import MAX_VIOLATIONS, GridSpec, SlackAccumulator, VerificationReport
+from .reporting import (
+    MAX_VIOLATIONS,
+    GridSpec,
+    SlackAccumulator,
+    VerificationReport,
+    _check_integer,
+)
 
 __all__ = [
     "InequalityId",
@@ -220,10 +232,12 @@ class _Form:
         return self._evaluate(p, *self._terms(p, r, t))
 
     def _block_floors(self, p, consts, r_terms, t_terms):
-        """One lower bound per block of SCAN_COLUMNS t-nodes on the slacks
-        _evaluate computes from these terms, or -inf.
+        """One lower bound per cell on the slacks _evaluate computes from
+        these terms, or -inf: floors[b, c] bounds the cell of the block of
+        SCAN_COLUMNS t-nodes b and the R_CHUNK r-nodes c (the last cell of a
+        row takes what is left).
 
-        Each block is cut into cells of R_CHUNK r-nodes.  Over a cell, every
+        Over a cell, every
         term lies between its computed minimum and maximum (the r terms over
         the cell's r-nodes, the t terms over the block's t-nodes), so the
         bound covers the computed node values themselves, not a continuum,
@@ -243,7 +257,7 @@ class _Form:
         matter), or where an end of its denominator is not finite: a term
         that is not finite, or a node that overflows (where inf/inf gives
         NaN), makes that end infinite or NaN.  So a finite floor means that
-        every node of its block is finite.  The cells are formed FLOOR_GROUP
+        every node of its cell is finite.  The cells are formed FLOOR_GROUP
         blocks at a time, so the arrays stay small.
         """
         k_s, q, _, _, w = consts
@@ -271,16 +285,17 @@ class _Form:
                 ok = (base[0] >= 0.0) & (t1[0] >= 0.0) & (t3[0] >= 0.0)
                 ok &= (den[0] > 1e-300) & np.isfinite(den[1])
                 floor = np.where(ok, floor - 1e-12 * (1.0 + np.abs(floor)), -math.inf)
-                floors.append(floor.min(axis=1))
+                floors.append(floor)
         return np.concatenate(floors)
 
     def block_evaluator(self, p, r_vals, t_vals):
         """(evaluate, scratch, floors) for maps._share_blocks and _scan_2d:
-        evaluate(bufs, cols) is the slack s on the t-nodes t_vals[cols], at
-        most SCAN_COLUMNS of them, s[j, i] at (r_vals[i], t_vals[cols][j]),
-        written into one worker's three buffers bufs and valid until its next
-        call; scratch(workers) makes every worker's buffers as one array;
-        floors are _block_floors of the blocks of SCAN_COLUMNS t-nodes.  The
+        evaluate(bufs, cols, rows) is the slack s on the rectangle of the
+        t-nodes t_vals[cols] and the r-nodes r_vals[rows], at most
+        min(SCAN_COLUMNS, len(t_vals)) x len(r_vals) nodes, s[j, i] at
+        (r_vals[rows][i], t_vals[cols][j]), written into one worker's three
+        buffers bufs and valid until its next call; scratch(workers) makes
+        every worker's buffers as one array; floors are _block_floors.  The
         terms are made here, on the calling thread."""
         consts, r_terms, t_terms = self._terms(p, r_vals, t_vals)
         cos_t, prof = t_terms
@@ -288,10 +303,12 @@ class _Form:
         def scratch(workers):
             return np.empty((workers, 3, min(SCAN_COLUMNS, len(t_vals)), len(r_vals)))
 
-        def evaluate(bufs, cols):
+        def evaluate(bufs, cols, rows):
             t_cols = (cos_t[cols, None], prof[cols, None])
-            n = len(t_cols[0])
-            return self._evaluate(p, consts, r_terms, t_cols, *(buf[:n] for buf in bufs))
+            r_rows = tuple(x[rows] for x in r_terms)
+            shape = (len(t_cols[0]), len(r_rows[0]))
+            views = (buf.reshape(-1)[: shape[0] * shape[1]].reshape(shape) for buf in bufs)
+            return self._evaluate(p, consts, r_rows, t_cols, *views)
 
         return evaluate, scratch, self._block_floors(p, consts, r_terms, t_terms)
 
@@ -615,74 +632,99 @@ def _violated(s, tol):
     return ~np.isfinite(s) | (s < -tol)
 
 
-def _fold_block(j0, s, tol):
-    """(best, bad) of the block s, where s[j, i] is the slack at grid node
-    (i, j0 + j): best is its smallest (value, row, col) and bad its first
-    MAX_VIOLATIONS (row, col, slack) violations in row-major order (r outer).
+def _fold_block(i0, j0, s, tol):
+    """(best, bad) of the rectangle s, where s[j, i] is the slack at grid
+    node (i0 + i, j0 + j): best is its smallest (value, row, col) and bad its
+    first MAX_VIOLATIONS (row, col, slack) violations in row-major order (r
+    outer).
 
     The first minimum is the first r with the smallest per-r minimum, then
-    the first t in that column with that value; NaN never sets it.  A block
-    whose minimum is at least -tol and whose maximum is finite holds no
-    violation and is not searched.
+    the first t in that column with that value; NaN never sets it.  A
+    rectangle whose minimum is at least -tol and whose maximum is finite
+    holds no violation and is not searched.
     """
     i, v = _first_min(np.fmin.reduce(s, axis=0))
-    j = int(np.argmax(s[:, i] == v))  # 0 when the block is all NaN
+    j = int(np.argmax(s[:, i] == v))  # 0 when the rectangle is all NaN
     if v < math.inf:
         v = float(s[j, i])  # fmin may return either zero; keep this node's sign
     if v >= -tol and math.isfinite(v) and math.isfinite(s.max()):
-        return (v, i, j0 + j), []
+        return (v, i0 + i, j0 + j), []
     nodes = np.argwhere(_violated(s.T, tol))[:MAX_VIOLATIONS]
-    return (v, i, j0 + j), [(int(bi), j0 + int(bj), float(s[bj, bi])) for bi, bj in nodes]
+    return (v, i0 + i, j0 + j), [
+        (i0 + int(bi), j0 + int(bj), float(s[bj, bi])) for bi, bj in nodes
+    ]
+
+
+def _rectangles(kept, n_r, n_t):
+    """The (j0, j1, i0, i1) rectangles, t-nodes j0:j1 by r-nodes i0:i1, that
+    cover the kept cells of the (blocks, cells) mask kept: each block's r-span
+    from its first to its last kept cell, with consecutive blocks joined
+    into one rectangle while it fits one worker's buffers of
+    min(SCAN_COLUMNS, n_t) x n_r nodes.  Cell c is r-nodes c R_CHUNK up to
+    the next cell, the last cell up to n_r."""
+    edges = np.minimum(np.arange(kept.shape[1] + 1) * R_CHUNK, n_r)
+    edges[-1] = n_r
+    room = min(SCAN_COLUMNS, n_t) * n_r
+    rects = []
+    for b in np.flatnonzero(kept.any(axis=1)):
+        cells = np.flatnonzero(kept[b])
+        j0, j1 = int(b) * SCAN_COLUMNS, min((int(b) + 1) * SCAN_COLUMNS, n_t)
+        i0, i1 = int(edges[cells[0]]), int(edges[cells[-1] + 1])
+        if rects:
+            a0, a1, c0, c1 = rects[-1]
+            lo, hi = min(c0, i0), max(c1, i1)
+            if a1 == j0 and (j1 - a0) * (hi - lo) <= room:
+                rects[-1] = (a0, j1, lo, hi)
+                continue
+        rects.append((j0, j1, i0, i1))
+    return rects
 
 
 def _scan_2d(slack_fn, p, r_vals, t_vals, tol):
     """Minimum, first minimal node and violations of the slack on the r x t
     grid, all in row-major order (r outer), as if the grid were one array.
 
-    The blocks of SCAN_COLUMNS t-nodes are a _Form's buffered blocks, or
-    column blocks of any other elementwise callable.  Each is evaluated and
-    folded on its own (_fold_block, mapped by maps._share_blocks), and the
-    blocks are merged once: the smallest (value, row, col), and the first
+    The grid is evaluated in rectangles of at most SCAN_COLUMNS t-nodes by
+    the whole r row: a _Form's buffered blocks, or column blocks of any other
+    elementwise callable.  Each rectangle is evaluated and folded on its own
+    (_fold_block, mapped by maps._share_blocks), and the rectangles are
+    merged once: the smallest (value, row, col), and the first
     MAX_VIOLATIONS of their violations.
 
-    A block is skipped when it provably holds neither the minimum nor a
-    violation: its floor (_Form._block_floors; -inf for any other callable)
-    is at least -tol and above the seed, the smallest slack on the first
-    t-node of every block.  The seed is evaluated like the blocks, by the
-    same evaluator in blocks of SCAN_COLUMNS of those t-nodes, on the calling
-    thread, so it is a slack of the grid, and every node of a skipped block
-    lies strictly above the grid's minimum.  So the skipped blocks change no
-    result.
+    A cell of a block is skipped when it provably holds neither the minimum
+    nor a violation: its floor (_Form._block_floors; -inf for any other
+    callable) is at least -tol and above the probe's minimum.  The probe is
+    the block with the least finite floor, folded first, whole, on the
+    calling thread; its minimum is a slack of the grid, so every node of a
+    skipped cell lies strictly above the grid's minimum.  Every other block
+    is evaluated over the r-span from its first to its last kept cell (see
+    _rectangles), and the probe's fold is merged with the rest.  So the
+    skipped cells change no result.
     """
-    starts = range(0, len(t_vals), SCAN_COLUMNS)
+    n_r, n_t = len(r_vals), len(t_vals)
     if isinstance(slack_fn, _Form):
         evaluate, scratch, floors = slack_fn.block_evaluator(p, r_vals, t_vals)
     else:
-        r_row = r_vals[None, :]
-        scratch, floors = None, np.full(len(starts), -math.inf)
+        scratch, floors = None, np.full((-(-n_t // SCAN_COLUMNS), 1), -math.inf)
 
-        def evaluate(_, cols):
-            return slack_fn(p, r_row, t_vals[cols, None])
+        def evaluate(_, cols, rows):
+            return slack_fn(p, r_vals[None, rows], t_vals[cols, None])
 
-    skip = (floors > -math.inf) & (floors >= -tol)
+    def fold(bufs, rect):
+        j0, j1, i0, i1 = rect
+        return _fold_block(i0, j0, evaluate(bufs, slice(j0, j1), slice(i0, i1)), tol)
+
+    blocks = []
+    skip = np.isfinite(floors) & (floors >= -tol)
     if skip.any():
-        step = SCAN_COLUMNS * SCAN_COLUMNS
-
-        def seed(bufs, _):
-            # NaN when every seed node is NaN, and then no block is skipped
-            cols = (slice(j0, j0 + step, SCAN_COLUMNS) for j0 in range(0, len(t_vals), step))
-            return np.fmin.reduce([np.fmin.reduce(evaluate(bufs, c), axis=None) for c in cols])
-
-        # one start: the seed runs on the calling thread, so a scan starts
-        # its helper threads once, as a scan of every block does
-        [least] = _share_blocks([0], seed, scratch)
-        skip &= floors > least
-        starts = [j0 for j0, skipped in zip(starts, skip) if not skipped]
-
-    def fold(bufs, j0):
-        return _fold_block(j0, evaluate(bufs, slice(j0, j0 + SCAN_COLUMNS)), tol)
-
-    blocks = _share_blocks(starts, fold, scratch)
+        k = int(np.argmin(np.where(np.isfinite(floors), floors, math.inf).min(axis=1)))
+        j0 = k * SCAN_COLUMNS
+        # one rectangle: the probe runs on the calling thread, so a scan
+        # starts its helper threads once, as a scan of every block does
+        blocks = _share_blocks([(j0, min(j0 + SCAN_COLUMNS, n_t), 0, n_r)], fold, scratch)
+        skip &= floors > blocks[0][0][0]
+        skip[k] = True
+    blocks += _share_blocks(_rectangles(~skip, n_r, n_t), fold, scratch)
     # a grid without a finite minimum reports its first node
     min_slack, i, j = min([(math.inf, 0, 0)] + [best for best, _ in blocks])
     bad = sorted(v for _, part in blocks for v in part)[:MAX_VIOLATIONS]
@@ -692,7 +734,7 @@ def _scan_2d(slack_fn, p, r_vals, t_vals, tol):
 
 def _scan_1d(slack_fn, p, x_vals, tol):
     """_scan_2d's result for a one-variable slack: the one-column block."""
-    (min_slack, _, j), bad = _fold_block(0, slack_fn(p, x_vals)[:, None], tol)
+    (min_slack, _, j), bad = _fold_block(0, 0, slack_fn(p, x_vals)[:, None], tol)
     return min_slack, (float(x_vals[j]),), [((float(x_vals[k]),), s) for _, k, s in bad]
 
 
@@ -788,7 +830,10 @@ CIRCLE_BLOCK = 16
 
 
 def _check_circles(centers: int, radii: int, angles: int, seed: int, tolerance: float) -> None:
-    """The arguments both circle checks share, checked in this order."""
+    """The arguments both circle checks share, checked in this order, the
+    four counts for being integers first."""
+    for name, value in zip(("centers", "radii", "angles", "seed"), (centers, radii, angles, seed)):
+        _check_integer(name, value)
     if centers < 1 or radii < 1:
         raise ValueError("centers and radii must be >= 1")
     # the two-grid estimate averages every second node, so the count is even
@@ -912,7 +957,8 @@ def check_submean(
     is a violation.  The circles are evaluated in blocks on every usable CPU
     (see maps._share_blocks), so a custom callable must act elementwise on a
     (k, angles) array and be safe to call from several threads at once.
-    seed must be >= 0 and tolerance finite and > 0.
+    centers, radii, angles and seed must be integers (not bools), seed >= 0,
+    and tolerance finite and > 0.
     """
     _check_circles(centers, radii, angles, seed, tolerance)
     acc = SlackAccumulator()
@@ -974,6 +1020,7 @@ def check_pluri_lines(
     if mid not in (Minorant.F_PAIR, Minorant.G_PAIR):
         raise ValueError("check_pluri_lines applies to the two-variable minorants")
     _MINORANTS[mid][1].check(mid.value, p)
+    _check_integer("n_lines", n_lines)
     if n_lines < 16:
         raise ValueError("n_lines must be >= 16")
     _check_circles(centers, radii, angles, seed, tolerance)

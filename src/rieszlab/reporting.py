@@ -13,6 +13,12 @@ __all__ = ["GridSpec", "VerificationReport", "SlackAccumulator", "MAX_VIOLATIONS
 MAX_VIOLATIONS = 100
 
 
+def _check_integer(name: str, value) -> None:
+    """ValueError naming the field unless value is an integer; a bool is not."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Scan resolution for pointwise inequality verification.
@@ -30,8 +36,7 @@ class GridSpec:
     def __post_init__(self):
         for name, least in (("r_nodes", 16), ("t_nodes", 16), ("refine_factor", 2)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, value)
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):

@@ -10,6 +10,7 @@ payload with `==`."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -321,6 +322,26 @@ def test_tolerances_must_be_finite_and_positive(bad):
         check_submean(Minorant.PSI, 3.0, centers=1, radii=1, tolerance=bad)
     with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
         check_pluri_lines(Minorant.F_PAIR, 3.0, n_lines=16, tolerance=bad)
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [("centers", 2.5), ("centers", True), ("radii", 3.0), ("angles", 300.0), ("angles", "256"),
+     ("seed", 1.5), ("seed", False)],
+)
+def test_circle_check_counts_must_be_integers(name, bad):
+    # the message names the field, as GridSpec's does, before any count is used
+    message = re.escape(f"{name} must be an integer, got {bad!r}")
+    with pytest.raises(ValueError, match=message):
+        check_submean(Minorant.PSI, 3.0, **{"centers": 1, "radii": 1, name: bad})
+    with pytest.raises(ValueError, match=message):
+        check_pluri_lines(Minorant.G_PAIR, 3.0, n_lines=16, **{"centers": 1, "radii": 1, name: bad})
+
+
+@pytest.mark.parametrize("bad", [20.5, 16.0, True])
+def test_line_count_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match=re.escape(f"n_lines must be an integer, got {bad!r}")):
+        check_pluri_lines(Minorant.G_PAIR, 3.0, n_lines=bad, centers=1, radii=1)
 
 
 def test_negative_seeds_are_rejected_up_front(monkeypatch):

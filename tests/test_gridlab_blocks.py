@@ -11,11 +11,12 @@ form, and the minorants read from the profile table the bits of the formulas
 written out per minorant.  A scan shared between workers
 must give the bits of the one-thread legacy scan whichever worker takes which
 block, and leave no thread running; so must the circle blocks of the sub-mean
-and complex-line checks, against their one-worker reports.  Each block's
-floor must lie at or below the block's evaluated minimum, and be -inf where
-a node or a term is not finite; and a scan that skips the blocks whose floor
-is above its seed must give the bits of the scan of every block, a failing
-scan and NaN nodes included.  The per-case references below are kept here
+and complex-line checks, against their one-worker reports.  Each cell's
+floor must lie at or below the cell's evaluated minimum, and be -inf where
+a node or a term is not finite; a rectangle over part of the r row must give
+the bits of its whole rows; and a scan that skips the cells whose floor is
+above its probe's minimum must give the bits of the scan of every cell, a
+failing scan and NaN nodes included.  The per-case references below are kept here
 only as oracles."""
 
 import dataclasses
@@ -40,6 +41,7 @@ from rieszlab.constants import (
     theta_lower,
 )
 from rieszlab.gridlab import (
+    R_CHUNK,
     SCAN_COLUMNS,
     InequalityId,
     _REGISTRY,
@@ -50,6 +52,7 @@ from rieszlab.gridlab import (
     check_pluri_lines,
     check_submean,
     default_p_values,
+    equality_loci,
     locate_equality,
     origin_circle_mean,
     scan_ranges,
@@ -882,60 +885,88 @@ def test_theta_lower_keeps_its_bits_with_the_phi_mid_profile():
         _assert_same_bits(lambda t: theta_lower(t, p), lambda t: legacy.theta_lower(t, p), theta)
 
 
-# ------------------------- block floors and skipping -------------------------
+# -------------------------- cell floors and skipping --------------------------
 
 
-def _grids(tag):
-    """The two reduced grids over the tag's domain (389 t-nodes leave a short
-    last block) and one over the wide domain r in [0.2, 1.3], |t| <= 7."""
+def _refinement(tag, p):
+    """The default grid's refinement axes around the tag's first equality
+    point at p, as verify_pointwise makes them: 33 x 33 nodes within one
+    cell of the point."""
+    info, grid = _REGISTRY[tag], GridSpec()
+    full = (_axis(*info.r_range, grid.r_nodes, open_lo=True), _axis(*info.t_range, grid.t_nodes))
+    axes = []
+    for v, a in zip(full, equality_loci(tag, p)[0]):
+        d = (v[-1] - v[0]) / (len(v) - 1)
+        axes.append(np.linspace(max(v[0], a - d), min(v[-1], a + d), 2 * grid.refine_factor + 1))
+    return axes
+
+
+def _grids(tag, p):
+    """The reduced grids over the tag's domain (389 t-nodes leave a short
+    last block, and 16 r-nodes are one partial cell), one over the wide
+    domain r in [0.2, 1.3], |t| <= 7, and the 33 x 33 refinement at p."""
     info = _REGISTRY[tag]
-    for r_nodes, t_nodes in ((97, 389), (200, 400)):
+    for r_nodes, t_nodes in ((97, 389), (200, 400), (16, 389)):
         yield _axis(*info.r_range, r_nodes, open_lo=True), _axis(*info.t_range, t_nodes)
     yield _axis(0.2, 1.3, 97), _axis(-7.0, 7.0, 389)
+    yield _refinement(tag, p)
+
+
+def _cells(n_r):
+    """The r-nodes of each cell: R_CHUNK of them, the last cell what is left."""
+    return [slice(i0, i0 + R_CHUNK) for i0 in range(0, n_r, R_CHUNK)]
 
 
 def _assert_floors_hold(form, p, r_vals, t_vals):
-    """Check that every block's floor lies at or below the block's evaluated
-    minimum, and is -inf where a node or a term of the block is not finite;
+    """Check that every cell's floor lies at or below the cell's evaluated
+    minimum, and is -inf where a node or a term of the cell is not finite;
     return the floors."""
     evaluate, scratch, floors = form.block_evaluator(p, r_vals, t_vals)
     _, r_terms, t_terms = form._terms(p, r_vals, t_vals)
-    r_finite = all(np.isfinite(x).all() for x in r_terms)
     bufs = scratch(1)[0]
     starts = range(0, len(t_vals), SCAN_COLUMNS)
-    assert len(floors) == len(starts)
-    for floor, j0 in zip(floors, starts):
+    cells = _cells(len(r_vals))
+    assert floors.shape == (len(starts), len(cells))
+    for row, j0 in zip(floors, starts):
         cols = slice(j0, j0 + SCAN_COLUMNS)
         with np.errstate(all="ignore"):
-            s = evaluate(bufs, cols)
-        if not (r_finite and all(np.isfinite(x[cols]).all() for x in t_terms)):
-            assert floor == -math.inf, (p, j0)
-        if np.isfinite(s).all():
-            assert floor <= s.min(), (p, j0)
-        else:
-            assert floor == -math.inf, (p, j0)
+            s = evaluate(bufs, cols, slice(None))
+        t_finite = all(np.isfinite(x[cols]).all() for x in t_terms)
+        for floor, rows in zip(row, cells):
+            if not (t_finite and all(np.isfinite(x[rows]).all() for x in r_terms)):
+                assert floor == -math.inf, (p, j0, rows)
+            if np.isfinite(s[:, rows]).all():
+                assert floor <= s[:, rows].min(), (p, j0, rows)
+            else:
+                assert floor == -math.inf, (p, j0, rows)
     return floors
 
 
 def _no_floors(self, p, consts, r_terms, t_terms):
-    return np.full(-(-len(t_terms[0]) // SCAN_COLUMNS), -math.inf)
+    return np.full((-(-len(t_terms[0]) // SCAN_COLUMNS), 1), -math.inf)
 
 
 def _folds(monkeypatch):
-    """The block starts that _fold_block folds from now on."""
+    """The rectangles (j0, j1, i0, i1), t-nodes j0:j1 by r-nodes i0:i1, that
+    _fold_block folds from now on."""
     folded = []
     fold_block = gridlab._fold_block
 
-    def counted(j0, s, tol):
-        folded.append(j0)
-        return fold_block(j0, s, tol)
+    def counted(i0, j0, s, tol):
+        folded.append((j0, j0 + s.shape[0], i0, i0 + s.shape[1]))
+        return fold_block(i0, j0, s, tol)
 
     monkeypatch.setattr(gridlab, "_fold_block", counted)
     return folded
 
 
+def _area(rects):
+    """The nodes of the rectangles."""
+    return sum((j1 - j0) * (i1 - i0) for j0, j1, i0, i1 in rects)
+
+
 def _all_blocks(monkeypatch, scan, *args):
-    """scan(*args) with every block's floor -inf, so that no block is skipped."""
+    """scan(*args) with every cell's floor -inf, so that no cell is skipped."""
     with monkeypatch.context() as m:
         m.setattr(gridlab._Form, "_block_floors", _no_floors)
         return scan(*args)
@@ -944,8 +975,8 @@ def _all_blocks(monkeypatch, scan, *args):
 @pytest.mark.parametrize("tag", TWO_D_TAGS, ids=lambda tag: tag.value)
 def test_block_floors_lie_below_every_block_minimum(tag):
     form = _REGISTRY[tag].slack
-    for r_vals, t_vals in _grids(tag):
-        for p in default_p_values(tag):
+    for p in default_p_values(tag):
+        for r_vals, t_vals in _grids(tag, p):
             floors = _assert_floors_hold(form, p, r_vals, t_vals)
             assert np.isfinite(floors).any(), p
 
@@ -961,11 +992,37 @@ def test_block_floors_hold_on_the_full_grid(tag, p):
 
 
 @pytest.mark.parametrize("tag", TWO_D_TAGS, ids=lambda tag: tag.value)
+def test_a_sub_span_keeps_the_bits_of_its_whole_rows(tag):
+    # rectangles that start and end off the cell boundaries, most of odd
+    # length, so that pow's vector loop meets its tails at other nodes; the
+    # 97 x 329 one is as wide as a joined rectangle that fills the buffers
+    info, grid = _REGISTRY[tag], GridSpec()
+    r_vals = _axis(*info.r_range, grid.r_nodes, open_lo=True)
+    t_vals = _axis(*info.t_range, 389)
+    rects = [
+        (0, 16, 3, 80), (37, 53, 26, 51), (384, 389, 977, 1999), (5, 6, 1001, 1002),
+        (101, 198, 1670, 1999), (16, 32, 1, 2000), (203, 218, 0, 1),
+    ]
+    for p in default_p_values(tag):
+        evaluate, scratch, _ = info.slack.block_evaluator(p, r_vals, t_vals)
+        bufs = scratch(1)[0]
+        for j0, j1, i0, i1 in rects:
+            assert (j1 - j0) * (i1 - i0) <= SCAN_COLUMNS * len(r_vals)
+            whole = np.concatenate([
+                evaluate(bufs, slice(j, min(j + SCAN_COLUMNS, j1)), slice(None)).copy()
+                for j in range(j0, j1, SCAN_COLUMNS)
+            ])
+            span = evaluate(bufs, slice(j0, j1), slice(i0, i1))
+            assert span.shape == (j1 - j0, i1 - i0)
+            assert np.array_equal(_array_bits(span), _array_bits(whole[:, i0:i1])), (p, j0, i0)
+
+
+@pytest.mark.parametrize("tag", TWO_D_TAGS, ids=lambda tag: tag.value)
 def test_skipping_blocks_never_changes_a_scan(monkeypatch, tag):
     info, grid = _REGISTRY[tag], GridSpec()
-    # the reduced grids at every default p, and the full grid at one p (the
+    # the small grids at every default p, and the full grid at one p (the
     # second: MIXED_BY_SUM_MID's first, p = 2, vanishes identically)
-    cases = [(p, r_vals, t_vals) for r_vals, t_vals in _grids(tag) for p in default_p_values(tag)]
+    cases = [(p, *axes) for p in default_p_values(tag) for axes in _grids(tag, p)]
     full_grid = (
         _axis(*info.r_range, grid.r_nodes, open_lo=True), _axis(*info.t_range, grid.t_nodes)
     )
@@ -977,21 +1034,29 @@ def test_skipping_blocks_never_changes_a_scan(monkeypatch, tag):
         for tol in (1e-9, -0.5, -2.0, math.inf):
             folded.clear()
             skipped = _scan_2d(info.slack, p, r_vals, t_vals, tol)
-            evaluated = len(folded)
+            evaluated = _area(folded)
             full = _all_blocks(monkeypatch, _scan_2d, info.slack, p, r_vals, t_vals, tol)
             assert _bits(skipped) == _bits(full), (p, tol)
-    # the full grid skips blocks (at tol = inf, the last scan)
-    assert evaluated < len(folded) - evaluated
+    # the full grid skips cells (at tol = inf, the last scan)
+    assert evaluated < _area(folded) - evaluated
 
 
 @pytest.mark.parametrize(
-    "tag, k", [(InequalityId.MIXED_BY_SUM_LOW, 6), (InequalityId.SUM_BY_MIXED_HIGH, 0)]
+    "tag, k",
+    [
+        (InequalityId.MIXED_BY_SUM_LOW, 6),
+        (InequalityId.MIXED_BY_SUM_RADIAL, 3),
+        (InequalityId.MIXED_BY_SUM_MID, 3),
+        (InequalityId.MIXED_BY_SUM_HIGH, 2),
+        (InequalityId.SUM_BY_MIXED_HIGH, 0),
+        (InequalityId.SUM_BY_MIXED_LOW, 5),
+    ],
 )
 def test_a_scan_with_a_constant_too_small_still_fails(monkeypatch, tag, k):
     # the form's leading constant (k_s on a mixed-by-sum form's P, k_m on a
     # sum-by-mixed form's M) made 1e-6 relative too small: the bound no
     # longer holds near its equality locus, and the full grid sees it
-    info = _REGISTRY[tag]
+    info, grid = _REGISTRY[tag], GridSpec()
     form, p = info.slack, default_p_values(tag)[k]
 
     def weak_consts(p):
@@ -1005,7 +1070,7 @@ def test_a_scan_with_a_constant_too_small_still_fails(monkeypatch, tag, k):
     folded = _folds(monkeypatch)
     report = verify_pointwise(tag, p)
     assert not report.passed and report.violations
-    assert len(folded) < -(-GridSpec().t_nodes // SCAN_COLUMNS)  # blocks were skipped
+    assert _area(folded) < grid.r_nodes * grid.t_nodes  # cells were skipped
     full = _all_blocks(monkeypatch, verify_pointwise, tag, p)
     assert _bits(_payload(report)) == _bits(_payload(full))
 
@@ -1032,24 +1097,36 @@ def test_non_finite_cells_are_evaluated_and_reported(monkeypatch):
     for case in cases:
         floors = _assert_floors_hold(case, p, r_vals, t_vals)
         with np.errstate(all="ignore"):
-            nan_blocks = {
-                j0 // SCAN_COLUMNS
-                for j0 in range(0, len(t_vals), SCAN_COLUMNS)
-                if np.isnan(case(p, r_vals[None, :], t_vals[j0 : j0 + SCAN_COLUMNS, None])).any()
-            }
-        assert nan_blocks and all(floors[k] == -math.inf for k in nan_blocks)
+            s = case(p, r_vals[None, :], t_vals[:, None])
+        # the (block, cell) pairs that hold a NaN node
+        nan_cells = {
+            (j0 // SCAN_COLUMNS, c)
+            for j0 in range(0, len(t_vals), SCAN_COLUMNS)
+            for c, rows in enumerate(_cells(len(r_vals)))
+            if np.isnan(s[j0 : j0 + SCAN_COLUMNS, rows]).any()
+        }
+        assert nan_cells and all(floors[b, c] == -math.inf for b, c in nan_cells)
+        nan_nodes = np.argwhere(np.isnan(s))
         for tol in (1e-9, math.inf):
             folded.clear()
             with np.errstate(all="ignore"):
                 min_slack, argmin, violations = _scan_2d(case, p, r_vals, t_vals, tol)
-                evaluated = {j0 // SCAN_COLUMNS for j0 in folded}
+                evaluated = list(folded)
                 full = _all_blocks(monkeypatch, _scan_2d, case, p, r_vals, t_vals, tol)
-            assert nan_blocks <= evaluated and len(evaluated) < len(floors), tol
+            # every NaN node lies in an evaluated rectangle, and cells were skipped
+            assert all(
+                any(j0 <= j < j1 and i0 <= i < i1 for j0, j1, i0, i1 in evaluated)
+                for j, i in nan_nodes
+            ), tol
+            assert _area(evaluated) < len(r_vals) * len(t_vals), tol
             assert any(math.isnan(s) for _, s in violations), tol
             assert _bits((min_slack, argmin, violations)) == _bits(full), tol
 
-    # a term that is not finite in every block: k_2 r^{p/2} overflows for r > 1
+    # a term that is not finite in every block: k_2 r^{p/2} overflows for r > 1,
+    # and every cell that holds such an r gets -inf
     huge = dataclasses.replace(form, consts=lambda p: (k_s, q, k_m, np.finfo(float).max, w))
+    r_wide = _axis(0.2, 1.3, 97)
     with np.errstate(over="ignore"):
-        floors = _assert_floors_hold(huge, p, _axis(0.2, 1.3, 97), _axis(-7.0, 7.0, 389))
-    assert (floors == -math.inf).all()
+        floors = _assert_floors_hold(huge, p, r_wide, _axis(-7.0, 7.0, 389))
+    over = [c for c, rows in enumerate(_cells(len(r_wide))) if (r_wide[rows] > 1.0).any()]
+    assert over and (floors[:, over] == -math.inf).all()
