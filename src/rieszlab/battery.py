@@ -17,17 +17,19 @@ import numpy as np
 
 from .constants import SharpConstant as SC, conjugate_exponent_bar, sharp_constant
 from .gridlab import (
+    PLURI_TOLERANCE,
+    SUBMEAN_TOLERANCE,
     InequalityId,
     Minorant,
     cell_diagonal,
-    check_pluri_lines,
-    check_submean,
     default_p_values,
     equality_loci,
     locate_equality,
+    pluri_line_sweep,
     scan_ranges,
     slack_function,
     stated_equality_loci,
+    submean_sweep,
     verify_pointwise,
 )
 from .hilbert import periodic_hilbert, singular_hilbert_at
@@ -330,19 +332,17 @@ def stated_locus_reports() -> list[VerificationReport]:
 def submean_reports(
     centers: int = 64, radii: int = 16, angles: int = 1024, seed: int = 53
 ) -> list[VerificationReport]:
-    out = []
-    for mid, ps in SUBMEAN_P.items():
-        for p in ps:
-            out.append(check_submean(mid, p, centers, radii, angles, seed))
-    return out
+    """check_submean of every SUBMEAN_P case, on one sweep of shared circles."""
+    cases = [(mid, p) for mid, ps in SUBMEAN_P.items() for p in ps]
+    return submean_sweep(cases, centers, radii, angles, seed, SUBMEAN_TOLERANCE)
 
 
 def pluri_line_reports(n_lines: int = 64, seed: int = 67) -> list[VerificationReport]:
-    out = []
-    for mid, ps in PLURI_P.items():
-        for p in ps:
-            out.append(check_pluri_lines(mid, p, n_lines, seed))
-    return out
+    """check_pluri_lines of every PLURI_P case, on one sweep of shared lines."""
+    cases = [(mid, p) for mid, ps in PLURI_P.items() for p in ps]
+    return pluri_line_sweep(
+        cases, n_lines, seed, centers=6, radii=4, angles=1024, tolerance=PLURI_TOLERANCE
+    )
 
 
 def theorem_reports(

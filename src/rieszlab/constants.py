@@ -205,9 +205,20 @@ def sharp_constant(kind: SharpConstant, p: float | None = None, n: int | None = 
 # ------------------------------ angle profiles ------------------------------
 
 
+def _mod_2pi(m: np.ndarray) -> np.ndarray:
+    """np.mod(m, 2 pi) for m >= 0, skipped when every m is below 2 pi, where
+    it is the identity (fmod(x, 2 pi) == x for 0 <= x < 2 pi); a NaN or an
+    infinite m takes np.mod as before."""
+    return m if m.max(initial=0.0) < TWO_PI else np.mod(m, TWO_PI)
+
+
 def _fold_pi(theta: np.ndarray) -> np.ndarray:
-    """Reduce by the even 2 pi-periodic extension onto [0, pi]."""
-    m = np.mod(np.abs(theta), TWO_PI)
+    """Reduce by the even 2 pi-periodic extension onto [0, pi].  The
+    principal angles of np.angle are folded by |theta| alone: the reduction
+    and the reflection are skipped where they are the identity."""
+    m = _mod_2pi(np.abs(theta))
+    if m.max(initial=0.0) <= math.pi:
+        return m
     return np.where(m > math.pi, TWO_PI - m, m)
 
 
@@ -289,7 +300,7 @@ def theta_upper(theta, p: float):
     """
     p = _HIGH_P.check("theta_upper", p)
     theta = np.asarray(theta, dtype=float)
-    m = np.mod(np.abs(theta), TWO_PI)
+    m = _mod_2pi(np.abs(theta))
     band = TWO_PI / p
     lo = -np.cos(0.5 * p * m)
     hi = -np.cos(0.5 * p * (TWO_PI - m))
@@ -348,13 +359,25 @@ _MINORANTS: dict[Minorant, tuple[Callable, PRange]] = {
 }
 
 
-def _polar(profile, zeta, p: float):
-    """|zeta|^{p/2} profile(arg zeta, p), 0 at zeta = 0; scalars or arrays.
-    The profile first, so that |zeta|^{p/2} is not held through its temporaries."""
+def _polar_parts(zeta):
+    """(arg zeta, |zeta|) of complex zeta, scalars or arrays: the polar
+    decomposition that every minorant of zeta shares."""
     zeta = np.asarray(zeta, dtype=complex)
-    prof = profile(np.angle(zeta), p)
-    out = np.abs(zeta) ** (0.5 * p) * prof
+    return np.angle(zeta), np.abs(zeta)
+
+
+def _polar_product(theta, modulus, profile, p: float):
+    """|zeta|^{p/2} profile(arg zeta, p) from theta = arg zeta and modulus =
+    |zeta|, 0 at zeta = 0.  The profile first, so that |zeta|^{p/2} is not
+    held through its temporaries."""
+    prof = profile(theta, p)
+    out = modulus ** (0.5 * p) * prof
     return out if out.shape else float(out)
+
+
+def _polar(profile, zeta, p: float):
+    """|zeta|^{p/2} profile(arg zeta, p); scalars or arrays."""
+    return _polar_product(*_polar_parts(zeta), profile, p)
 
 
 def _pair(mid: Minorant, z, w, p: float):

@@ -12,11 +12,15 @@ One path per job.  A scalar tag is evaluated once; every other tag is
 scanned and refined by one path over its axes, (t,) or (r, t), and located by
 one zoom loop over the same axes.  A one-variable scan is the one-column case
 of the 2-D scan's block fold (_fold_block), so both arities keep one rule for
-the minimum and the violations.  check_submean and check_pluri_lines draw
-their own circles and hand them to one deficit core (_add_deficits), which
-takes the circle means, forms the cushioned deficits and adds them; the
-origin comparison of check_submean is a hook that runs right after each
-origin circle's deficit.
+the minimum and the violations.  The circle checks are sweeps:
+submean_sweep and pluri_line_sweep check every (minorant, p) case first,
+draw their circles once (the draw depends only on the seed and the sizes)
+and hand them to one core (_circle_reports), which takes every case's
+circle means in one pass over the circles, then forms each case's cushioned
+deficits and adds them; the origin comparison of a sub-mean case is a hook
+that runs right after each origin circle's deficit.  check_submean and
+check_pluri_lines are one-case sweeps, and the battery's submean_reports and
+pluri_line_reports one sweep each.
 
 For the homogeneous two-variable tags the slack is reported relative to the
 sum of the absolute values of its three terms: raw terms reach ~1e19 at
@@ -24,24 +28,28 @@ p = 64, where an absolute -1e-9 acceptance would be swamped by roundoff,
 while the relative slack keeps the tolerance meaningful at every p.  The
 scalar tags are O(1) quantities and stay absolute.
 
-Evaluation.  The six two-variable slacks share one form (see _Form), so
-they are given as data in one table and evaluated by one routine.  A 2-D scan
+Evaluation.  The six two-variable slacks share one form (see _Form), so they
+are given as data in one table and evaluated by one routine.  A 2-D scan
 evaluates that form in rectangles of t-nodes by r-nodes, each at most a
 block of SCAN_COLUMNS t-nodes by the whole r row, laid out (t, r) so that
 every broadcast runs along a row: the terms in r and the angle profile are
 computed once per scan, and each rectangle writes into its worker's three
-buffers, reused across rectangles.  The sub-mean and complex-line checks
+buffers, reused across rectangles.  The sub-mean and complex-line sweeps
 draw their centers and radii one circle at a time, then evaluate blocks of
-CIRCLE_BLOCK circles as (k, angles) arrays and take the means along each
-row.  Both are per-block functions mapped over the block starts on every
-usable CPU by maps._share_blocks (see its module docstring for the workers,
-the scratch buffers, np.errstate and exceptions).  A scan folds each
-rectangle into its own minimum and violation list, and the rectangles are
-merged once: argmin is the first minimal node in row-major order (r outer),
-and the violations are the first MAX_VIOLATIONS in row-major order, as if
-the grid were one array.  A circle block returns its own means and
-estimates, joined in block order.  So every result keeps its bits whichever
-worker took which block.
+CIRCLE_BLOCK circles as (k, angles) arrays: a block's points zeta (z, or z w
+on a line) are decomposed once into arg zeta and |zeta|
+(constants._polar_parts), and each case in turn gets |zeta|^{p/2}
+profile(arg zeta, p) (constants._polar_product, the formula of every
+minorant), or fn(z) for a callable, whose means along each row are taken
+before the next case runs.  Both are per-block functions mapped over the
+block starts on every usable CPU by maps._share_blocks (see its module
+docstring for the workers, the scratch buffers, np.errstate and exceptions).
+A scan folds each rectangle into its own minimum and violation list, and the
+rectangles are merged once: argmin is the first minimal node in row-major
+order (r outer), and the violations are the first MAX_VIOLATIONS in
+row-major order, as if the grid were one array.  A circle block returns each
+case's means and estimates, joined in block order.  So every result keeps
+its bits whichever worker took which block.
 
 A 2-D scan evaluates only the cells that could hold its minimum or a
 violation.  Before the scan, each cell of R_CHUNK r-nodes by SCAN_COLUMNS
@@ -67,12 +75,13 @@ Which thread allocates what.  glibc gives each thread that allocates an
 arena of its own, and a freed block's pages stay in that arena for its
 next blocks.  A scan's buffers for all its workers are one array made on
 the calling thread (its scratch), so they come from its heap; a scan's
-helpers allocate little.  A circle helper evaluates its blocks' nodes and
-minorant temporaries itself, since the minorants allocate their own, so its
-arena keeps about one block's temporaries.  An arena is handed on when its
+helpers allocate little.  A circle helper evaluates its blocks' nodes,
+their polar parts and each case's temporaries itself, one case at a time,
+since the profiles allocate their own, so its arena keeps about one block's
+nodes, parts and one case's temporaries.  An arena is handed on when its
 thread exits, and a helper that starts before the last one has fully
 exited gets a second arena, which then keeps as much.  So a circle block is
-small, CIRCLE_BLOCK circles; and the first block of each call is preceded
+small, CIRCLE_BLOCK circles; and the first block of each sweep is preceded
 by one large allocation (see _keep_heap), so that the blocks reuse their
 temporaries' pages instead of faulting in new ones.
 
@@ -98,8 +107,8 @@ from .constants import (
     Minorant,
     PRange,
     SharpConstant as SC,
-    minorant_F,
-    minorant_G,
+    _polar_parts,
+    _polar_product,
     minorant_value,
     phi_high_angle,
     phi_mid_angle,
@@ -130,6 +139,8 @@ __all__ = [
     "locate_equality",
     "check_submean",
     "check_pluri_lines",
+    "submean_sweep",
+    "pluri_line_sweep",
     "origin_circle_mean",
 ]
 
@@ -605,11 +616,15 @@ def _keep_heap(nbytes: int) -> None:
     the next block, where otherwise every block returns them to the kernel
     and faults them in again.  Other allocators ignore it.
 
-    Measured on the circle path (battery.submean_reports and
-    pluri_line_reports at their defaults, 6 alternating pairs of fresh
-    processes, 2 CPUs): without it the two stages took 296k-366k minor page
-    faults instead of about 970, and 1.01-1.72 s instead of 0.76-1.55 s (5
-    of 6 pairs slower); ru_maxrss stayed at about 85.5 MB either way.
+    Measured on the swept circle stages (battery.submean_reports, then
+    pluri_line_reports, at their defaults, first in a fresh process; 6
+    alternating pairs, 2 CPUs): without it they took 14.8k-42.9k and
+    9.0k-24.5k minor page faults instead of 724-803 and 33-70, and
+    submean_reports was slower in 6 of 6 pairs (0.23-0.37 s against
+    0.22-0.36 s), pluri_line_reports in 5 of 6; ru_maxrss stayed at about
+    87.5 MB either way.  Run after lemma_grid_reports, as in the suite, the
+    faults and times are level with or without it: the scans' freed buffers
+    have already raised both thresholds.
     """
     np.empty(nbytes, dtype=np.uint8)
 
@@ -825,8 +840,14 @@ def locate_equality(tag: InequalityId, p: float) -> tuple[tuple, float]:
 
 # circles per block of the sub-mean checks: a 16-circle block at the default
 # 1024 angles is 256 KB of complex nodes, and a circle helper's allocator
-# arena keeps about 2 MB
+# arena keeps about 2 MB.  On the sweeps (3 fresh processes each), 8 circles
+# took submean_reports 0.27-0.41 s against 0.23-0.36 s, and 32 or 64 were no
+# faster beyond that spread but raised ru_maxrss from 87 MB to 90 and 96-99 MB
 CIRCLE_BLOCK = 16
+
+# the deficit tolerances of the sub-mean and the complex-line checks
+SUBMEAN_TOLERANCE = 1e-9
+PLURI_TOLERANCE = 1e-8
 
 
 def _check_circles(centers: int, radii: int, angles: int, seed: int, tolerance: float) -> None:
@@ -834,8 +855,9 @@ def _check_circles(centers: int, radii: int, angles: int, seed: int, tolerance: 
     four counts for being integers first."""
     for name, value in zip(("centers", "radii", "angles", "seed"), (centers, radii, angles, seed)):
         _check_integer(name, value)
-    if centers < 1 or radii < 1:
-        raise ValueError("centers and radii must be >= 1")
+    for name, value in (("centers", centers), ("radii", radii)):
+        if value < 1:
+            raise ValueError(f"centers and radii must be >= 1, got {name}={value}")
     # the two-grid estimate averages every second node, so the count is even
     if angles < 256 or angles % 2:
         raise ValueError(f"angles must be an even number >= 256, got {angles}")
@@ -845,14 +867,25 @@ def _check_circles(centers: int, radii: int, angles: int, seed: int, tolerance: 
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
 
 
-def _circle_means(values, centers, rhos, angles: int):
-    """Trapezoid means over the circles |z - centers[k]| = rhos[k], plus
-    their two-grid discretization-error estimates |mean - mean over every
-    second node|.  values(rows, z) evaluates the circles in the slice rows
-    at their nodes z, a (k, angles) array.
+def _mean_and_estimate(vals):
+    """Row means of (k, angles) circle values, and their two-grid
+    discretization-error estimates |mean - mean over every second node|."""
+    vals = np.asarray(vals, dtype=float)
+    means = vals.mean(axis=1)
+    return means, np.abs(means - vals[:, ::2].mean(axis=1))
 
-    Each block of CIRCLE_BLOCK circles returns its own means and estimates
-    (mapped by maps._share_blocks), joined here in block order."""
+
+def _circle_means(points, cases, centers, rhos, angles: int):
+    """Trapezoid means of every case over the circles |z - centers[k]| =
+    rhos[k], and their two-grid estimates: one (means, errs) pair per case.
+
+    A block of CIRCLE_BLOCK circles is a (k, angles) array z of nodes, and
+    points(rows, z) the points zeta of the circles in the slice rows.  zeta
+    is decomposed once per block into theta = arg zeta and modulus = |zeta|;
+    then each case(z, theta, modulus) gives its values, reduced to their
+    means and estimates before the next case runs, so one case's values are
+    alive at a time.  The blocks are mapped by maps._share_blocks, and each
+    case's results are joined in block order."""
     nodes = np.exp(1j * (np.arange(angles) * (TWO_PI / angles)))
     centers = np.asarray(centers, dtype=complex)
     rhos = np.asarray(rhos, dtype=float)
@@ -861,39 +894,54 @@ def _circle_means(values, centers, rhos, angles: int):
     def block(_, k0):
         rows = slice(k0, k0 + CIRCLE_BLOCK)
         z = centers[rows, None] + rhos[rows, None] * nodes
-        vals = np.asarray(values(rows, z), dtype=float)
-        means = vals.mean(axis=1)
-        return means, np.abs(means - vals[:, ::2].mean(axis=1))
+        theta, modulus = _polar_parts(points(rows, z))
+        return [_mean_and_estimate(case(z, theta, modulus)) for case in cases]
 
-    means, errs = zip(*_share_blocks(range(0, len(rhos), CIRCLE_BLOCK), block))
-    return np.concatenate(means), np.concatenate(errs)
+    blocks = _share_blocks(range(0, len(rhos), CIRCLE_BLOCK), block)
+    return [[np.concatenate(part) for part in zip(*per_case)] for per_case in zip(*blocks)]
 
 
-def _add_deficits(acc, groups, center_values, values, angles, tolerance, on_circle=None):
-    """The sub-mean deficits of both circle checks, added to acc.
+def _circle_reports(cases, groups, zetas, points, angles, tolerance, **fields):
+    """One report per case, in case order, of the sub-mean deficits over the
+    circles of groups.
 
-    groups are (label, center, radii): circle k of a group has the label
-    label + (radii[k],), and center_values holds each group's value at its
-    center.  values(rows, z) evaluates the circles as in _circle_means.  A
-    deficit is mean - center value + 2 err, cushioned by twice the two-grid
-    estimate err; below -tolerance or not finite, it is a violation.
-    on_circle(g, rho, mean, err), if given, runs right after the deficit of
-    each circle of group g."""
-    means, errs = _circle_means(
-        values,
+    cases are (id, p, values, on_circle).  groups are (label, center, radii):
+    circle k of a group has the label label + (radii[k],), and zetas holds
+    the point zeta at each group's center.  values(z, theta, modulus)
+    evaluates a case at circle points z whose zeta has the polar parts
+    (theta, modulus): at a center as a 0-d call, on the blocks of
+    _circle_means (with points).  A deficit is mean - center value + 2 err,
+    cushioned by twice the two-grid estimate err; below -tolerance or not
+    finite, it is a violation.  on_circle(acc, g, rho, mean, err), if given,
+    runs right after the deficit of each circle of group g.  Every report's
+    elapsed_ms counts from the start of the shared circle means."""
+    accs = [SlackAccumulator() for _ in cases]
+    # one 0-d call per center: an array call need not give the same bits
+    parts = [_polar_parts(zeta) for zeta in zetas]
+    results = _circle_means(
+        points,
+        [values for _, _, values, _ in cases],
         [center for _, center, rhos in groups for _ in rhos],
         [rho for *_, rhos in groups for rho in rhos],
         angles,
     )
-    deficits = means - np.repeat(center_values, [len(rhos) for *_, rhos in groups]) + 2.0 * errs
-    violated = _violated(deficits, tolerance)
-    k = 0
-    for g, (label, _, rhos) in enumerate(groups):
-        for rho in rhos:
-            acc.add(label + (rho,), float(deficits[k]), violated[k])
-            if on_circle is not None:
-                on_circle(g, rho, float(means[k]), float(errs[k]))
-            k += 1
+    reports = []
+    for acc, (tag, p, values, on_circle), (means, errs) in zip(accs, cases, results):
+        center_values = [
+            float(np.real(values(np.asarray(center), *part)))
+            for (_, center, _), part in zip(groups, parts)
+        ]
+        deficits = means - np.repeat(center_values, [len(rhos) for *_, rhos in groups]) + 2.0 * errs
+        violated = _violated(deficits, tolerance)
+        k = 0
+        for g, (label, _, rhos) in enumerate(groups):
+            for rho in rhos:
+                acc.add(label + (rho,), float(deficits[k]), violated[k])
+                if on_circle is not None:
+                    on_circle(acc, g, rho, float(means[k]), float(errs[k]))
+                k += 1
+        reports.append(acc.report(id=tag, p=p, tolerance=tolerance, **fields))
+    return reports
 
 
 def _minorant_fn(mid: Minorant, p: float) -> Callable:
@@ -906,6 +954,22 @@ def _minorant_fn(mid: Minorant, p: float) -> Callable:
         )
     _MINORANTS[mid][1].check(mid.value, p)
     return lambda z: minorant_value(mid, z, p)
+
+
+def _minorant_values(mid: Minorant, p: float) -> Callable:
+    """values(z, theta, modulus) of the minorant mid at a p in its range
+    (ValueError otherwise): |zeta|^{p/2} profile(theta, p) from the polar
+    parts of zeta, the formula and the bits of minorant_value and of the
+    pairs' minorant_F and minorant_G."""
+    profile, p_range = _MINORANTS[mid]
+    p = p_range.check(mid.value, p)
+    return lambda z, theta, modulus: _polar_product(theta, modulus, profile, p)
+
+
+def _line_zeta(z0, w0, w1, w2, tau):
+    """zeta = z w at the points (z, w) = (z0 + tau w1, w0 + tau w2) of a
+    complex line, with the bits of constants._pair."""
+    return np.asarray(z0 + tau * w1, dtype=complex) * np.asarray(w0 + tau * w2, dtype=complex)
 
 
 def origin_circle_mean(mid: Minorant, p: float, rho: float) -> float:
@@ -936,51 +1000,38 @@ def origin_circle_mean(mid: Minorant, p: float, rho: float) -> float:
     return val / TWO_PI * scale
 
 
-def check_submean(
-    minorant_or_fn,
-    p: float,
-    centers: int = 64,
-    radii: int = 16,
-    angles: int = 1024,
-    seed: int = 0,
-    tolerance: float = 1e-9,
-) -> VerificationReport:
-    """Sub-mean-value test: circle averages must dominate the center value.
-
-    Random centers in the disk of radius 2 with random circle radii
-    rho <= |z0| (plus z0 = 0 explicitly, where the trapezoid average is also
-    compared against origin_circle_mean; that mean is rho^{p/2} times its
-    value at rho = 1, so its profile integral runs once per call).  The
-    deficit is cushioned by twice the two-grid discretization estimate, so
-    exact-equality (harmonic) cases are not flagged by trapezoid noise while
-    genuine violations, which are O(1), still surface; a non-finite deficit
-    is a violation.  The circles are evaluated in blocks on every usable CPU
-    (see maps._share_blocks), so a custom callable must act elementwise on a
-    (k, angles) array and be safe to call from several threads at once.
-    centers, radii, angles and seed must be integers (not bools), seed >= 0,
-    and tolerance finite and > 0.
-    """
-    _check_circles(centers, radii, angles, seed, tolerance)
-    acc = SlackAccumulator()
-    on_circle = None
+def _submean_case(minorant_or_fn, p, centers: int, angles: int) -> tuple:
+    """(id, p, values, on_circle) of one sub-mean case for _circle_reports.
+    A minorant's origin circles (group centers) are compared with
+    origin_circle_mean; that mean is rho^{p/2} times its value at rho = 1,
+    so its profile integral runs once per case."""
     if callable(minorant_or_fn):
         fn = minorant_or_fn
-        tag = getattr(minorant_or_fn, "__name__", "custom")
-    else:
-        mid = Minorant(minorant_or_fn)
-        fn = _minorant_fn(mid, p)
-        tag = mid.value
-        # the origin mean scales as rho^{p/2}, so one profile integral serves
-        # every radius: unit * rho^{p/2} is origin_circle_mean(mid, p, rho)
-        unit = origin_circle_mean(mid, p, 1.0)
+        return getattr(fn, "__name__", "custom"), p, lambda z, theta, modulus: fn(z), None
+    mid = Minorant(minorant_or_fn)
+    unit = origin_circle_mean(mid, p, 1.0)  # ValueError for a pair or a p out of range
 
-        def on_circle(g, rho, mean, err):
-            if g == centers:  # the origin, compared with its independent mean
-                ref = unit * rho ** (0.5 * p)
-                allowance = 64.0 * max(1.0, abs(ref)) / angles**2 + 4.0 * err + 1e-10
-                if abs(mean - ref) > allowance:
-                    acc.flag((0.0, 0.0, rho), float(mean - ref))
+    def on_circle(acc, g, rho, mean, err):
+        if g == centers:  # the origin, compared with its independent mean
+            ref = unit * rho ** (0.5 * p)
+            allowance = 64.0 * max(1.0, abs(ref)) / angles**2 + 4.0 * err + 1e-10
+            if abs(mean - ref) > allowance:
+                acc.flag((0.0, 0.0, rho), float(mean - ref))
 
+    return mid.value, p, _minorant_values(mid, p), on_circle
+
+
+def submean_sweep(cases, centers: int, radii: int, angles: int, seed: int, tolerance: float):
+    """check_submean of every (minorant_or_fn, p) in cases, on one draw of
+    circles: one report per case, in case order, each with the payload of
+    its own check_submean call (elapsed_ms aside).
+
+    Every case is checked before any circle is drawn.  The circles depend
+    only on seed, centers and radii, so they are drawn once, and each block
+    of circles is decomposed once into arg z and |z| for every minorant
+    case; a callable case gets fn(z) at the block's nodes z."""
+    _check_circles(centers, radii, angles, seed, tolerance)
+    cases = [_submean_case(case, p, centers, angles) for case, p in cases]
     rng = np.random.default_rng(seed)
     groups = []  # (label, center, its circle radii), drawn centers first, the origin last
     for _ in range(centers):
@@ -989,43 +1040,36 @@ def check_submean(
         groups.append(((z0.real, z0.imag), z0, rhos))
     # explicit origin pass with the independent mean comparison
     groups.append(((0.0, 0.0), 0.0 + 0.0j, [2.0 * rng.uniform(1e-3, 1.0) for _ in range(radii)]))
-    # one 0-d call per center: an array call need not give the same bits
-    values = [float(np.real(fn(np.asarray(center)))) for _, center, _ in groups]
-    _add_deficits(acc, groups, values, lambda rows, z: fn(z), angles, tolerance, on_circle)
-    return acc.report(
-        id=tag,
-        p=p,
+    return _circle_reports(
+        cases,
+        groups,
+        [center for _, center, _ in groups],
+        lambda rows, z: z,
+        angles,
+        tolerance,
         grid={"centers": centers, "radii": radii, "angles": angles},
         seed=seed,
-        tolerance=tolerance,
     )
 
 
-def check_pluri_lines(
-    mid: Minorant,
-    p: float,
-    n_lines: int = 64,
-    seed: int = 0,
-    centers: int = 6,
-    radii: int = 4,
-    angles: int = 1024,
-    tolerance: float = 1e-8,
-) -> VerificationReport:
-    """Plurisubharmonicity probe: restrict the two-variable minorant to random
-    complex lines tau -> (z0 + tau w1, w0 + tau w2) and run the sub-mean test
-    on the restriction.  Constant lines give deficit 0 by construction.  The
-    circles of all lines are evaluated in blocks on every usable CPU (see
-    maps._share_blocks)."""
-    mid = Minorant(mid)
-    if mid not in (Minorant.F_PAIR, Minorant.G_PAIR):
-        raise ValueError("check_pluri_lines applies to the two-variable minorants")
-    _MINORANTS[mid][1].check(mid.value, p)
+def pluri_line_sweep(
+    cases, n_lines: int, seed: int, centers: int, radii: int, angles: int, tolerance: float
+):
+    """check_pluri_lines of every (minorant, p) in cases, on one draw of
+    lines and circles: one report per case, in case order, each with the
+    payload of its own check_pluri_lines call (elapsed_ms aside).  Every
+    case is checked before anything is drawn, and each block of circles is
+    decomposed once for every case: zeta = z w on the line."""
+    checked = []
+    for mid, p in cases:
+        mid = Minorant(mid)
+        if mid not in (Minorant.F_PAIR, Minorant.G_PAIR):
+            raise ValueError("check_pluri_lines applies to the two-variable minorants")
+        checked.append((mid.value, p, _minorant_values(mid, p), None))
     _check_integer("n_lines", n_lines)
     if n_lines < 16:
         raise ValueError("n_lines must be >= 16")
     _check_circles(centers, radii, angles, seed, tolerance)
-    two_var = minorant_F if mid is Minorant.F_PAIR else minorant_G
-    acc = SlackAccumulator()
     rng = np.random.default_rng(seed)
     groups, lines = [], []  # (label, center, its circle radii), and each group's line
     for line in range(n_lines):
@@ -1038,22 +1082,60 @@ def check_pluri_lines(
             rhos = [0.75 * rng.uniform(1e-3, 1.0) for _ in range(radii)]
             groups.append(((line, c.real, c.imag), c, rhos))
             lines.append(coeffs)
-
-    values = []
-    for (z0, w0, w1, w2), (_, c, _) in zip(lines, groups):
-        tau = np.asarray(c)  # one 0-d call per center: an array call need not give the same bits
-        values.append(float(np.real(two_var(z0 + tau * w1, w0 + tau * w2, p))))
     # each circle's line coefficients, as (circles, 1) columns
     z0s, w0s, w1s, w2s = np.repeat(lines, radii, axis=0).T[:, :, None]
-
-    def restricted(rows, tau):
-        return two_var(z0s[rows] + tau * w1s[rows], w0s[rows] + tau * w2s[rows], p)
-
-    _add_deficits(acc, groups, values, restricted, angles, tolerance)
-    return acc.report(
-        id=mid.value,
-        p=p,
+    return _circle_reports(
+        checked,
+        groups,
+        [_line_zeta(*coeffs, np.asarray(c)) for coeffs, (_, c, _) in zip(lines, groups)],
+        lambda rows, tau: _line_zeta(z0s[rows], w0s[rows], w1s[rows], w2s[rows], tau),
+        angles,
+        tolerance,
         grid={"n_lines": n_lines, "centers": centers, "radii": radii, "angles": angles},
         seed=seed,
-        tolerance=tolerance,
     )
+
+
+def check_submean(
+    minorant_or_fn,
+    p: float,
+    centers: int = 64,
+    radii: int = 16,
+    angles: int = 1024,
+    seed: int = 0,
+    tolerance: float = SUBMEAN_TOLERANCE,
+) -> VerificationReport:
+    """Sub-mean-value test: circle averages must dominate the center value.
+
+    Random centers in the disk of radius 2 with random circle radii
+    rho <= |z0| (plus z0 = 0 explicitly, where the trapezoid average is also
+    compared against origin_circle_mean; that mean is rho^{p/2} times its
+    value at rho = 1, so its profile integral runs once per call).  The
+    deficit is cushioned by twice the two-grid discretization estimate, so
+    exact-equality (harmonic) cases are not flagged by trapezoid noise while
+    genuine violations, which are O(1), still surface; a non-finite deficit
+    is a violation.  This is the one-case submean_sweep.  The circles are
+    evaluated in blocks on every usable CPU (see maps._share_blocks), so a
+    custom callable must act elementwise on a (k, angles) array and be safe
+    to call from several threads at once.  centers, radii, angles and seed
+    must be integers (not bools), seed >= 0, and tolerance finite and > 0.
+    """
+    return submean_sweep([(minorant_or_fn, p)], centers, radii, angles, seed, tolerance)[0]
+
+
+def check_pluri_lines(
+    mid: Minorant,
+    p: float,
+    n_lines: int = 64,
+    seed: int = 0,
+    centers: int = 6,
+    radii: int = 4,
+    angles: int = 1024,
+    tolerance: float = PLURI_TOLERANCE,
+) -> VerificationReport:
+    """Plurisubharmonicity probe: restrict the two-variable minorant to random
+    complex lines tau -> (z0 + tau w1, w0 + tau w2) and run the sub-mean test
+    on the restriction.  Constant lines give deficit 0 by construction.  This
+    is the one-case pluri_line_sweep: the circles of all lines are evaluated
+    in blocks on every usable CPU (see maps._share_blocks)."""
+    return pluri_line_sweep([(mid, p)], n_lines, seed, centers, radii, angles, tolerance)[0]

@@ -274,6 +274,13 @@ def test_bad_arguments_exit_2(cos_map_file, tmp_path, monkeypatch, capsys):
         assert "Traceback" not in err
 
 
+def test_zero_circle_centers_exit_2_naming_the_value(capsys):
+    code, out = capture(["subharmonic", "--id", "PSI", "--p", "3", "--samples", "0"])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err == "error: centers and radii must be >= 1, got centers=0\n"
+
+
 def test_out_of_range_theorem_exponents_exit_2_naming_the_given_value(capsys):
     # the disk sides need the doubled exponent 80 > 64; the message names 40
     for argv in (

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import legacy_reference as legacy
 from rieszlab.constants import (
     _CONSTANTS,
+    _fold_pi,
     Minorant,
     SharpConstant as SC,
     conjugate_exponent_bar,
@@ -360,3 +361,64 @@ def test_minorant_seam_continuity_across_negative_axis():
             up = minorant_value(mid, rho * np.exp(1j * (math.pi - 1e-9)), p)
             dn = minorant_value(mid, rho * np.exp(-1j * (math.pi - 1e-9)), p)
             assert abs(up - dn) < 1e-7 * max(1.0, rho ** (p / 2))
+
+
+# ------------------------------ fold fast paths ------------------------------
+
+
+def _np_mod_theta_upper(theta, p):
+    """theta_upper with np.mod taken on every input: the formula whose bits
+    its fast path must keep."""
+    theta = np.asarray(theta, dtype=float)
+    m = np.mod(np.abs(theta), TWO_PI)
+    band = TWO_PI / p
+    lo = -np.cos(0.5 * p * m)
+    hi = -np.cos(0.5 * p * (TWO_PI - m))
+    mid = np.maximum(np.abs(lo), np.abs(hi))
+    out = np.where(m <= band, lo, np.where(m >= TWO_PI - band, hi, mid))
+    return out if out.shape else float(out)
+
+
+def _u64(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+_FOLD_EDGES = [0.0, -0.0, math.pi, -math.pi, TWO_PI, -TWO_PI, math.nan, math.inf, -math.inf]
+_FOLD_EDGES += [
+    float(np.nextafter(x, d)) for x in (math.pi, -math.pi, TWO_PI, -TWO_PI) for d in (-math.inf, math.inf)
+]
+_ANGLE_LISTS = st.one_of(
+    st.lists(st.floats(-math.pi, math.pi), max_size=40),  # np.angle's range
+    st.lists(st.floats(-TWO_PI, TWO_PI), max_size=40),
+    st.lists(st.sampled_from(_FOLD_EDGES), max_size=40),
+    st.lists(st.floats(), max_size=40),  # NaN and +-inf included
+)
+
+
+@given(_ANGLE_LISTS, st.floats(min_value=2.0, max_value=64.0, exclude_min=True))
+@settings(max_examples=300, deadline=None)
+def test_fold_fast_paths_keep_the_bits_of_np_mod(values, p):
+    # on arrays, and on each value as a 0-d array: whichever path a fold takes
+    # (|theta| <= pi, < 2 pi or beyond, NaN), it gives the np.mod formula's bits
+    theta = np.array(values, dtype=float)
+    with np.errstate(invalid="ignore"):
+        for x in [theta, theta.reshape(1, -1)] + [np.asarray(v) for v in values]:
+            assert np.array_equal(_u64(_fold_pi(x)), _u64(legacy._fold_pi(x))), x
+            new, old = theta_upper(x, p), _np_mod_theta_upper(x, p)
+            assert type(new) is type(old) and np.array_equal(_u64(new), _u64(old)), x
+
+
+def test_principal_angles_skip_the_reduction(monkeypatch):
+    # np.angle's values, +-pi and +-0 included, never reach np.mod
+    rng = np.random.default_rng(3)
+    zeta = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+    zeta[:6] = [-1.0, complex(-1.0, -0.0), 0.0, complex(-0.0, 0.0), complex(-0.0, -0.0), 1j]
+    theta = np.angle(zeta)
+    fold, upper = legacy._fold_pi(theta), _np_mod_theta_upper(theta, 3.0)
+
+    def no_mod(*args, **kwargs):
+        raise AssertionError("np.mod was called")
+
+    monkeypatch.setattr(np, "mod", no_mod)
+    assert np.array_equal(_u64(_fold_pi(theta)), _u64(fold))
+    assert np.array_equal(_u64(theta_upper(theta, 3.0)), _u64(upper))

@@ -282,8 +282,9 @@ def _per_radius_submean(mid, p, origin_mean, centers, radii, angles, seed, toler
         z0 = complex(2.0 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2 * math.pi)))
         groups.append((z0, [abs(z0) * rng.uniform(1e-3, 1.0) for _ in range(radii)]))
     groups.append((0.0 + 0.0j, [2.0 * rng.uniform(1e-3, 1.0) for _ in range(radii)]))
-    means, errs = gridlab._circle_means(
-        lambda rows, z: fn(z),
+    [(means, errs)] = gridlab._circle_means(
+        lambda rows, z: z,
+        [lambda z, theta, modulus: fn(z)],
         [center for center, rhos in groups for _ in rhos],
         [rho for _, rhos in groups for rho in rhos],
         angles,

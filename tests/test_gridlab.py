@@ -371,7 +371,9 @@ def test_pluri_lines_pass_and_constant_line_is_flat():
     from rieszlab.gridlab import _circle_means
 
     fn = lambda tau: minorant_F(0.4 + 0.1j + 0.0 * tau, 0.2j + 0.0 * tau, 3.0)  # noqa: E731
-    (mean,), (err,) = _circle_means(lambda rows, tau: fn(tau), [0.3 + 0.2j], [0.5], 512)
+    [((mean,), (err,))] = _circle_means(
+        lambda rows, tau: tau, [lambda tau, theta, modulus: fn(tau)], [0.3 + 0.2j], [0.5], 512
+    )
     assert abs(mean - fn(np.asarray(0.3 + 0.2j))) < 1e-14 and err < 1e-14
 
 

@@ -3,7 +3,8 @@ buffered (t, r) block scan must give the same bits as the six slack functions
 and the (r, t) column-block scan kept in legacy_reference, lemma_grid_reports
 must give what one verify_pointwise call per case gives, and the circle
 blocks of the sub-mean checks must give exactly what the one-circle-at-a-time
-checks give.  The one scan-and-refine path and the one zoom must give the
+checks give, and so must a sweep of every battery case, with one draw and one
+block map per stage.  The one scan-and-refine path and the one zoom must give the
 reports and minimizers of the branch per arity kept in legacy_reference, and
 the one deficit core the violation order of the loop per circle.  The
 one-cosine RE_BRANCH angle profile must give the bits of the three-cosine
@@ -371,8 +372,11 @@ def test_one_variable_scan_is_the_one_column_fold():
 
 def test_origin_flag_follows_its_circles_deficit(monkeypatch):
     # -|z|^2 is superharmonic, so every deficit is a violation, and an origin
-    # mean with a wrong unit flags every origin circle as well
+    # mean with a wrong unit flags every origin circle as well; the check
+    # evaluates a minorant through _polar_product, the reference through
+    # minorant_value
     monkeypatch.setattr(gridlab, "minorant_value", lambda mid, z, p: -np.abs(z) ** 2)
+    monkeypatch.setattr(gridlab, "_polar_product", lambda theta, modulus, profile, p: -modulus**2)
     monkeypatch.setattr(gridlab, "origin_circle_mean", lambda mid, p, rho: 5.0 * rho ** (0.5 * p))
     kwargs = {"centers": 3, "radii": 4, "angles": 256, "seed": 11}
     report = check_submean(Minorant.RE_BRANCH, 1.5, **kwargs)
@@ -609,8 +613,8 @@ def _spread_blocks(fn, workers):
     """fn, and the threads that evaluated a block (a 2-D array: circles, or
     the radii of a disk row) with it.  Each thread's first block waits until
     `workers` threads hold one, as in _spread, so the first `workers` blocks
-    go to distinct workers.  Center values and origin means are 0-d calls
-    and pass straight through."""
+    go to distinct workers.  Center values are 0-d calls and pass straight
+    through."""
     barrier = threading.Barrier(workers, timeout=10)
     taken: set = set()
     lock = threading.Lock()
@@ -632,23 +636,17 @@ def _split_circle_payloads(monkeypatch, workers):
     blocks spread over `workers` workers; and the threads that took blocks."""
     monkeypatch.setattr(maps, "_usable_cpus", lambda: workers)
     payloads, threads = [], set()
-    for mid, ps in SUBMEAN_P.items():
-        for p in ps:
-            spread, taken = _spread_blocks(_minorant_fn(mid, p), workers)
-            with monkeypatch.context() as patch:
-                patch.setattr(gridlab, "_minorant_fn", lambda mid_, p_: spread)
-                payloads.append(_payload(check_submean(mid, p, **SUBMEAN_CASE)))
-            assert len(taken) == workers, (mid, p)
-            threads |= taken
-    for mid, ps in PLURI_P.items():
-        name = "minorant_F" if mid is Minorant.F_PAIR else "minorant_G"
-        for p in ps:
-            spread, taken = _spread_blocks(getattr(gridlab, name), workers)
-            with monkeypatch.context() as patch:
-                patch.setattr(gridlab, name, spread)
-                payloads.append(_payload(check_pluri_lines(mid, p, **PLURI_CASE)))
-            assert len(taken) == workers, (mid, p)
-            threads |= taken
+    checks = [(check_submean, SUBMEAN_P, SUBMEAN_CASE), (check_pluri_lines, PLURI_P, PLURI_CASE)]
+    for check, cases, sizes in checks:
+        for mid, ps in cases.items():
+            for p in ps:
+                # the checks evaluate every minorant block through _polar_product
+                spread, taken = _spread_blocks(gridlab._polar_product, workers)
+                with monkeypatch.context() as patch:
+                    patch.setattr(gridlab, "_polar_product", spread)
+                    payloads.append(_payload(check(mid, p, **sizes)))
+                assert len(taken) == workers, (mid, p)
+                threads |= taken
     return payloads, threads
 
 
@@ -765,7 +763,9 @@ def test_nan_deficits_fail_the_circle_checks(monkeypatch):
     assert not report.passed
     assert len(report.violations) == 4 * 2 + 2
 
-    monkeypatch.setattr(gridlab, "minorant_G", lambda z, w, p: np.full(np.shape(z), np.nan))
+    monkeypatch.setattr(
+        gridlab, "_polar_product", lambda theta, modulus, profile, p: np.full(np.shape(theta), np.nan)
+    )
     report = check_pluri_lines(Minorant.G_PAIR, 3.0, n_lines=16, centers=1, radii=1, angles=256)
     assert not report.passed
     assert len(report.violations) == 16
@@ -806,6 +806,86 @@ def test_blocked_submean_matches_reference_for_custom_callables():
             blocked = check_submean(fn, 2.0, centers=40, radii=4, angles=512, seed=seed)
             assert _payload(blocked) == _payload(_ref_check_submean(fn, 2.0, 40, 4, 512, seed))
     assert len(blocked.violations) == MAX_VIOLATIONS  # the superharmonic one exceeds the cap
+
+
+# ------------------------------- circle sweeps -------------------------------
+
+SUBMEAN_CASES = [(mid, p) for mid, ps in SUBMEAN_P.items() for p in ps]
+PLURI_CASES = [(mid, p) for mid, ps in PLURI_P.items() for p in ps]
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [dict(centers=20, radii=4, angles=256, seed=0), dict(centers=64, radii=16, angles=1024, seed=53)],
+    ids=["small", "battery"],
+)
+def test_submean_sweep_matches_per_circle_reference(sizes):
+    reports = gridlab.submean_sweep(SUBMEAN_CASES, **sizes, tolerance=1e-9)
+    assert [r.id for r in reports] == [mid.value for mid, _ in SUBMEAN_CASES]
+    for report, (mid, p) in zip(reports, SUBMEAN_CASES):
+        reference = _ref_check_submean(mid, p, **sizes)
+        assert _bits(_payload(report)) == _bits(_payload(reference)), (mid, p)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [dict(n_lines=16, seed=0, centers=2, radii=3, angles=256),
+     dict(n_lines=64, seed=67, centers=6, radii=4, angles=1024)],
+    ids=["small", "battery"],
+)
+def test_pluri_line_sweep_matches_per_circle_reference(sizes):
+    reports = gridlab.pluri_line_sweep(PLURI_CASES, **sizes, tolerance=1e-8)
+    assert [r.id for r in reports] == [mid.value for mid, _ in PLURI_CASES]
+    for report, (mid, p) in zip(reports, PLURI_CASES):
+        reference = _ref_check_pluri_lines(mid, p, **sizes)
+        assert _bits(_payload(report)) == _bits(_payload(reference)), (mid, p)
+
+
+def test_a_sweep_mixing_callables_and_minorants_matches_each_reference():
+    def subharmonic(z):
+        return np.abs(z) ** 1.5
+
+    def superharmonic(z):
+        return -np.abs(z) ** 2
+
+    cases = [(subharmonic, 2.0), (Minorant.PSI, 3.0), (superharmonic, 2.0), (Minorant.RE_BRANCH, 1.5)]
+    sizes = dict(centers=40, radii=4, angles=512, seed=1000)
+    reports = gridlab.submean_sweep(cases, **sizes, tolerance=1e-9)
+    for report, (case, p) in zip(reports, cases):
+        assert _bits(_payload(report)) == _bits(_payload(_ref_check_submean(case, p, **sizes)))
+    assert [r.passed for r in reports] == [True, True, False, True]
+
+
+def test_a_sweep_checks_every_case_before_it_draws(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: drawn.append(seed))
+    with pytest.raises(ValueError, match="PSI requires p"):
+        gridlab.submean_sweep([(Minorant.RE_BRANCH, 1.5), (Minorant.PSI, 2.0)], 4, 2, 256, 0, 1e-9)
+    with pytest.raises(ValueError, match="two-variable minorants"):
+        gridlab.pluri_line_sweep([(Minorant.F_PAIR, 3.0), (Minorant.PSI, 3.0)], 16, 0, 1, 1, 256, 1e-8)
+    assert drawn == []
+
+
+def test_each_circle_stage_draws_once_and_maps_its_blocks_once(monkeypatch):
+    calls = []
+    share, default_rng = gridlab._share_blocks, np.random.default_rng
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(gridlab, "_share_blocks", counted("share", share))
+    monkeypatch.setattr(np.random, "default_rng", counted("draw", default_rng))
+    for stage, kwargs, n_cases in (
+        (battery.submean_reports, dict(centers=4, radii=2, angles=256), len(SUBMEAN_CASES)),
+        (battery.pluri_line_reports, dict(n_lines=16), len(PLURI_CASES)),
+    ):
+        calls.clear()
+        assert len(stage(**kwargs)) == n_cases
+        assert calls == ["draw", "share"], stage.__name__
 
 
 # --------------------------- RE_BRANCH angle profile ---------------------------
