@@ -40,18 +40,17 @@ from .maps import (
     TaylorPoly,
     random_coefficients,
 )
-from .quadrature import (
-    QuadratureSpec,
-    _map_ring,
-    _pair_ring,
-    auto_spec,
-    circle_power_mean,
-    disk_power_mean,
-    hardy_norm,
+from .quadrature import QuadratureSpec, circle_power_mean, disk_power_mean, hardy_norm
+from .reporting import GridSpec, SlackAccumulator, VerificationReport, _check_integer
+from .theorems import (
+    REL_TOL,
+    TheoremId,
+    isoperimetric_sweep,
+    sharpness_probe,
+    theorem_sides,
+    theorem_sweep,
+    verify_theorem,
 )
-from .reporting import GridSpec, SlackAccumulator, VerificationReport
-from .theorems import REL_TOL, TheoremId, _chain_links, _judge, _norms
-from .theorems import sharpness_probe, verify_theorem
 
 __all__ = [
     "constant_identity_report",
@@ -125,7 +124,10 @@ def parseval_bridge_report(
     samples: int = 100, degree: int = 8, seed: int = 11
 ) -> VerificationReport:
     """||f||_2^2 = |||f|||_2^2 + 2 Re(g(0) h(0)), and equality of the two
-    norms for the RE_ZERO class; an error above 1e-10 is a violation."""
+    norms for the RE_ZERO class; an error above 1e-10 is a violation.  The
+    two norms are the sides of MIXED_BY_HARDY at p = 2."""
+    for name, value in (("samples", samples), ("degree", degree), ("seed", seed)):
+        _check_integer(name, value)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     tol = 1e-10
@@ -135,10 +137,8 @@ def parseval_bridge_report(
     zeros = random_coefficients(
         degree, range(seed + samples, seed + 2 * samples), Constraint.RE_ZERO
     )
-    rings = [partial(_map_ring, 2.0), partial(_pair_ring, 1.0)]
-    spec = auto_spec(degree, 2.0)
-    hardy, mixed = _norms(2.0, rings, plain, spec)
-    hardy_z, mixed_z = _norms(2.0, rings, zeros, spec)
+    [(mixed, hardy)] = theorem_sides(TheoremId.MIXED_BY_HARDY, (2.0,), degree, plain)
+    [(mixed_z, hardy_z)] = theorem_sides(TheoremId.MIXED_BY_HARDY, (2.0,), degree, zeros)
     g0, h0 = (rows[:, 0].tolist() for rows in plain)
     for k, (g0_k, h0_k, a, b, az, bz) in enumerate(zip(g0, h0, hardy, mixed, hardy_z, mixed_z)):
         cross = 2.0 * (g0_k * h0_k).real
@@ -226,10 +226,8 @@ def hilbert_singular_report(n_series: int = 10, seed: int = 37) -> VerificationR
 def conjugate_bound_reports(
     samples: int = 200, degree: int = 8, seed: int = 41
 ) -> list[VerificationReport]:
-    return [
-        verify_theorem(TheoremId.CONJUGATE_NORM, p, samples, degree, seed)
-        for p in THEOREM_P_VALUES
-    ]
+    """CONJUGATE_NORM at every THEOREM_P_VALUES exponent, on one sweep."""
+    return theorem_sweep(TheoremId.CONJUGATE_NORM, THEOREM_P_VALUES, samples, degree, seed, REL_TOL)
 
 
 def calderon_probe_report() -> VerificationReport:
@@ -348,7 +346,8 @@ def pluri_line_reports(n_lines: int = 64, seed: int = 67) -> list[VerificationRe
 def theorem_reports(
     samples: int = 200, degree: int = 8, seed: int = 71
 ) -> list[VerificationReport]:
-    """The full sample battery over every theorem tag."""
+    """The full sample battery over every theorem tag: one sweep per sampled
+    tag over its exponents, then the line catalog at each exponent."""
     out = []
     for tag in (
         TheoremId.MIXED_BY_HARDY,
@@ -358,19 +357,27 @@ def theorem_reports(
         TheoremId.BERGMAN_MIXED_BY_NORM,
         TheoremId.BERGMAN_NORM_BY_MIXED,
     ):
-        for p in THEOREM_P_VALUES:
-            out.append(verify_theorem(tag, p, samples, degree, seed))
-    for p in (1.5, 2.0, 2.5, 3.0):
-        out.append(verify_theorem(TheoremId.MIXED_BY_HARDY_RELAXED, p, samples, degree, seed))
-    for p in THEOREM_P_VALUES:
-        out.append(verify_theorem(TheoremId.LINE_PAIRS, p))
+        out += theorem_sweep(tag, THEOREM_P_VALUES, samples, degree, seed, REL_TOL)
+    relaxed = (1.5, 2.0, 2.5, 3.0)
+    out += theorem_sweep(TheoremId.MIXED_BY_HARDY_RELAXED, relaxed, samples, degree, seed, REL_TOL)
+    out += [verify_theorem(TheoremId.LINE_PAIRS, p) for p in THEOREM_P_VALUES]
     return out
 
 
 def isoperimetric_reports(
     samples: int = 100, degree: int = 4, seed: int = 83
 ) -> list[VerificationReport]:
-    out = []
+    """The isoperimetric application, 11 reports:
+
+    - STREBEL_INSTANCE, the closed-form instance f = 1 + z;
+    - STREBEL, and PAIR_ISOPERIMETRIC at p = 0.5, 1 and 2, on one disk and
+      one circle pass of the rows (a, b) (STREBEL's g is the a);
+    - BERGMAN_EMBEDDING and ISOPERIMETRIC_CHAIN at n = 2, 3 and 4, on one
+      disk and one circle pass of the normalized rows (g, h), the chain on
+      the first max(10, samples // 4) of them.
+
+    The last ten come from theorems.isoperimetric_sweep.
+    """
     # closed-form instance f = 1 + z: int_U |f|^2 = 3/2 <= (4/pi)^2.
     # |1 + e^{it}| has a corner at t = pi, so the boundary mean needs a dense
     # trapezoid rule to reproduce 4/pi to 1e-6
@@ -383,32 +390,10 @@ def isoperimetric_reports(
     acc.add(("1+z",), min(slack, 1e-6 - err))
     if not (slack > 0 and err < 1e-6):
         acc.flag(("1+z",), slack)
-    out.append(acc.report(id="STREBEL_INSTANCE", p=1.0, ratio_max=lhs / rhs, tolerance=1e-12))
-    out.append(verify_theorem(TheoremId.STREBEL, 1.0, samples, degree, seed))
-    for p in (0.5, 1.0, 2.0):
-        out.append(verify_theorem(TheoremId.PAIR_ISOPERIMETRIC, p, samples, degree, seed))
-    for n in (2, 3, 4):
-        out.append(verify_theorem(TheoremId.BERGMAN_EMBEDDING, n, samples, degree, seed))
-        out.append(_chain_report(n, samples=max(10, samples // 4), degree=degree, seed=seed))
+    out = [acc.report(id="STREBEL_INSTANCE", p=1.0, ratio_max=lhs / rhs, tolerance=1e-12)]
+    chain_samples = max(10, samples // 4)
+    out += isoperimetric_sweep((0.5, 1.0, 2.0), (2, 3, 4), samples, chain_samples, degree, seed)
     return out
-
-
-def _chain_report(n: int, samples: int, degree: int, seed: int) -> VerificationReport:
-    """isoperimetric_chain(random_harmonic(degree, s), n) for each seed s,
-    evaluated as one draw; a link that theorems._judge flags is a violation."""
-    acc = SlackAccumulator()
-    g, h = random_coefficients(degree, range(seed, seed + samples))
-    for k, chain in enumerate(_chain_links(g, h, n)):
-        names, values = zip(*chain)
-        labels = [(seed + k, lo, hi) for lo, hi in zip(names, names[1:])]
-        _judge(acc, labels, values[:-1], values[1:])
-    return acc.report(
-        id="ISOPERIMETRIC_CHAIN",
-        p=n,
-        grid={"samples": samples, "degree": degree},
-        seed=seed,
-        tolerance=REL_TOL,
-    )
 
 
 def typo_adjudication_report() -> VerificationReport:
@@ -455,6 +440,8 @@ def full_suite(
     Parseval, conjugate and theorem batteries; the isoperimetric ones keep 4.
     When timings is a dict, each stage's wall seconds are stored in it under
     the stage's function name, in suite order."""
+    for name, value in (("seed", seed), ("samples", samples), ("degree", degree)):
+        _check_integer(name, value)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if samples < 1:

@@ -10,9 +10,12 @@ Random maps are drawn in blocks: random_coefficients turns a sequence of
 seeds into (k, degree + 1) coefficient arrays of g and h, one row per seed,
 and random_harmonic and random_poly are its one-seed calls.  Each seed has
 one numpy generator, default_rng(seed).  A battery call draws its whole seed
-range once, and a two-entry memo (_draws) lets consecutive calls over the
-same seeds, one per p, share that draw.  Batteries feed the arrays straight
-to _boundary_rows, so no per-sample polynomial objects are built; every row
+range once and evaluates every exponent of its tag on that draw (the sweeps
+of theorems); a two-entry memo (_draws) lets consecutive calls over the
+same seeds (the tags of one stage, each with its own constraint on g(0)h(0),
+or one-exponent calls) share the generator draws.  Batteries feed the
+arrays straight to _boundary_rows, so no per-sample polynomial objects are
+built; every row
 is bit-identical to the map drawn from its seed alone.  Fourier
 series are evaluated as arrays: every term at once, summed left to right in
 the order of the coefficients.
@@ -279,8 +282,10 @@ def _draws(degree: int, seeds: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]
     4*(degree+1) uniforms on [0, 1), then RE_ZERO's signed power of two.
 
     The arrays are read-only, so the memo cannot be changed by a caller.  It
-    holds the last two seed ranges: consecutive battery calls (one per p, or
-    the two seed ranges of PAIR_ISOPERIMETRIC) draw their seeds once.
+    holds the last two seed ranges: consecutive battery calls over one seed
+    range (the sweeps of one stage's tags, which differ only in how the
+    constraint is applied, or one-exponent calls), and the two seed ranges
+    of PAIR_ISOPERIMETRIC, draw their seeds once.
     """
     u = np.empty((len(seeds), 4 * (degree + 1)))
     scale = np.empty(len(seeds))

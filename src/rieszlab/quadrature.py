@@ -126,12 +126,14 @@ def _gl01(n: int) -> tuple[np.ndarray, np.ndarray]:
 # Every polynomial norm is the mean of one ring integrand over the circle or
 # disk traces of its factors.  _means is the one rule that evaluates them: the
 # public means below are its one-row calls, and the sample batteries
-# (theorems, battery) call it on whole draws of coefficient rows, sharing
-# each factor's traces among all the rings of a bound.  A ring takes p
-# first, then one trace array per factor.
+# (theorems) call it on whole draws of coefficient rows, sharing each
+# factor's traces among the rings of every exponent that uses the rule.  A
+# ring takes p first, then one trace array per factor.
 
 
-def _modulus_ring(p: float, f: np.ndarray) -> np.ndarray:
+def _modulus_ring(p: float, f: np.ndarray, *others: np.ndarray) -> np.ndarray:
+    """|f|^p of the first factor; the traces of any further factors are not
+    read, so the ring can ride a pass over more factors."""
     return np.abs(f) ** p
 
 

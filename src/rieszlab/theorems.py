@@ -18,18 +18,24 @@ hypothesis Re(g(0)h(0)) >= 0, under which the bound holds for p <= 3 only.
 A row of _PROBES holds the two components of the Calderon family's trace
 whose norms a probe tag compares.
 
-Every tag's two sides come from one function, _block_sides.  A battery
-call draws its whole seed range once as coefficient arrays
-(maps.random_coefficients, one numpy generator per seed; a two-entry memo
-lets the calls for each p share one draw), and the whole draw goes straight
-to quadrature._means, the one rule behind every polynomial norm, which
-decides how the rows are blocked; no per-sample map objects are built.  The
-rings of both sides share each factor's traces.  isoperimetric_chain takes
-its seven means from one circle and one disk _means call of g and h, and
-the battery's chain report makes the same two calls for all its maps
-(_chain_links).  Only the line tag evaluates one case at a time.  Every LHS
-and RHS is bit-identical to drawing one sample at a time and evaluating it
-through the public norms.
+Every tag's two sides come from one function, _block_sides, which takes a
+tuple of exponents.  A battery call draws its whole seed range once as
+coefficient arrays (maps.random_coefficients, one numpy generator per seed),
+and theorem_sweep evaluates every exponent of a tag on that one draw:
+verify_theorem is its one-exponent call.  Each exponent of a sampled tag is
+a list of terms, each the rings it evaluates on one rule (spec, radius), and
+_shared_sides hands the terms of every exponent that share a rule to
+quadrature._means in one call, the one rule behind every polynomial norm,
+which decides how the rows are blocked.  So each factor row of a draw is
+transformed once per rule, however many exponents and rings read its
+traces; no per-sample map objects are built.  isoperimetric_sweep runs the
+isoperimetric application on two such passes: STREBEL and
+PAIR_ISOPERIMETRIC on the rows (a, b), and BERGMAN_EMBEDDING with the
+isoperimetric chain on the normalized rows (g, h), the chain's rings on
+its first rows only.  isoperimetric_chain is the chain's one-map call.
+Only the line tag evaluates one case at a time.  Every LHS and RHS is
+bit-identical to drawing one sample at a time and evaluating it through
+the public norms.
 
 Every sampled bound LHS <= c * RHS, the links of the isoperimetric chain
 included, is judged by one function, _judge: a case's slack is the relative
@@ -58,7 +64,6 @@ from .maps import (
 )
 from .quadrature import (
     P_MAX,
-    QuadratureSpec,
     _map_ring,
     _means,
     _modulus_ring,
@@ -67,12 +72,15 @@ from .quadrature import (
     auto_spec,
     calderon_norm,
 )
-from .reporting import SlackAccumulator, VerificationReport
+from .reporting import SlackAccumulator, VerificationReport, _check_integer
 
 __all__ = [
     "TheoremId",
     "theorem_constant",
+    "theorem_sides",
+    "theorem_sweep",
     "verify_theorem",
+    "isoperimetric_sweep",
     "isoperimetric_chain",
     "verify_pair_isoperimetric",
     "sharpness_probe",
@@ -96,6 +104,8 @@ class TheoremId(Enum):
 
 # relative slack tolerance of every sampled bound (_judge)
 REL_TOL = 1e-9
+# PAIR_ISOPERIMETRIC's b of seed s is the g of seed s + _PAIR_SHIFT
+_PAIR_SHIFT = 10_000_019
 
 # the exponent of each tag: the norms are defined up to P_MAX, and the disk
 # sides of BERGMAN_EMBEDDING and PAIR_ISOPERIMETRIC are means of the 2n-th and
@@ -166,71 +176,177 @@ def theorem_constant(tag: TheoremId, p: float | None = None, n: int | None = Non
     return constant(p_range.check(tag.value, n if p_range.integer else p))
 
 
-def _norms(
-    p: float, rings, factors, spec: QuadratureSpec, r: float | None = 1.0
-) -> list[list[float]]:
-    """(mean)^(1/p) of each mean of quadrature._means: the p-norms of each
-    ring, one per row."""
-    return [[mean ** (1.0 / p) for mean in means] for means in _means(rings, factors, spec, r)]
+def _check_exponents(tag: TheoremId, exponents: tuple) -> list[float]:
+    """The constant of tag at each of exponents, every exponent checked
+    against the tag's range (_TAGS) before anything is drawn; ValueError
+    names an empty or repeated tuple."""
+    if not exponents:
+        raise ValueError(f"exponents must be a nonempty tuple, got {exponents}")
+    # p_or_n is the n of BERGMAN_EMBEDDING
+    constants = [theorem_constant(tag, p=e, n=e) for e in exponents]
+    if len(set(exponents)) < len(exponents):
+        raise ValueError(f"exponents must not repeat, got {exponents}")
+    return constants
 
 
-def _block_sides(
-    tag: TheoremId, p_or_n, degree: int, cases
-) -> tuple[Sequence[float], Sequence[float]]:
-    """(LHS values, RHS-without-constant values) of a tag, one per case.
+def _check_draw(samples: int, degree: int, seed: int) -> None:
+    """ValueError naming the field unless samples >= 1, degree >= 0 and seed
+    are integers (a bool is none)."""
+    for name, value in (("samples", samples), ("degree", degree), ("seed", seed)):
+        _check_integer(name, value)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
 
-    The cases are the line catalog for LINE_PAIRS, and otherwise the
-    coefficient arrays (g, h) of the call's maps, one row per seed, drawn
-    once per call; PAIR_ISOPERIMETRIC's are the g of its seeds s and the g
-    of s + 10_000_019.
-    """
-    if tag is TheoremId.LINE_PAIRS:
-        return (
-            [line_lp_norm(pair, p_or_n, transformed=True) for pair in cases],
-            [line_lp_norm(pair, p_or_n, transformed=False) for pair in cases],
-        )
-    g, h = cases
+
+def _norms(p: float, *rings: Sequence[float]) -> tuple[list[float], ...]:
+    """(mean)^(1/p) of each row mean of each ring: the rings' p-norms."""
+    return tuple([mean ** (1.0 / p) for mean in means] for means in rings)
+
+
+def _squared_rhs(lhs: list[float], rhs: list[float]) -> tuple[list[float], list[float]]:
+    """The sides of a bound int_U ... <= (int_T ...)^2 from its two means."""
+    return lhs, [mean**2 for mean in rhs]
+
+
+# A term is (spec, r, rings): rings whose means quadrature._means takes on the
+# rule (spec, r), the disk for r=None, over a call's factor rows.
+
+
+def _terms(tag: TheoremId, p_or_n, degree: int):
+    """(terms, finish) of a sampled tag at one exponent: finish takes the
+    means of the terms' rings, in term and ring order (the LHS ring first),
+    and returns (LHS values, RHS-without-constant values), one per row.
+    The rings take the tag's factors (_factors)."""
     if tag is TheoremId.PAIR_ISOPERIMETRIC:
-        return _pair_isoperimetric_sides(g, h, p_or_n)
+        p = float(p_or_n)
+        twice = 2.0 * p
+        return [
+            (auto_spec(degree, 2.0 * twice), None, [partial(_pair_ring, twice)]),
+            (auto_spec(degree, 2.0 * p), 1.0, [partial(_pair_ring, p)]),
+        ], _squared_rhs
     if tag is TheoremId.BERGMAN_EMBEDDING:
         n, p = float(p_or_n), 2.0 * p_or_n
-        g, h = _normalized_rows(g, h)
-        [bergman] = _norms(p, [partial(_map_ring, p)], (g, h), auto_spec(degree, p), None)
-        [hardy] = _norms(n, [partial(_map_ring, n)], (g, h), auto_spec(degree, n))
-        return bergman, hardy
+        return [
+            (auto_spec(degree, p), None, [partial(_map_ring, p)]),
+            (auto_spec(degree, n), 1.0, [partial(_map_ring, n)]),
+        ], lambda bergman, hardy: _norms(p, bergman) + _norms(n, hardy)
     if tag is TheoremId.STREBEL:
         # the map g + conj(0) has modulus |g|
-        [lhs] = _means([partial(_modulus_ring, 2.0)], (g,), auto_spec(degree, 2.0), None)
-        [rhs] = _means([partial(_modulus_ring, 1.0)], (g,), auto_spec(degree, 1.0), 1.0)
-        return lhs, [mean**2 for mean in rhs]
+        return [
+            (auto_spec(degree, 2.0), None, [partial(_modulus_ring, 2.0)]),
+            (auto_spec(degree, 1.0), 1.0, [partial(_modulus_ring, 1.0)]),
+        ], _squared_rhs
     p = float(p_or_n)
-    spec = auto_spec(degree, p)
     layout = _TAGS[tag][3]
     if layout:
         disk, mixed_lhs = layout
         rings = [partial(_map_ring, p), partial(_pair_ring, p / 2.0)]
-        norms, mixed = _norms(p, rings, (g, h), spec, None if disk else 1.0)
-        return (mixed, norms) if mixed_lhs else (norms, mixed)
+        r = None if disk else 1.0
+        return [(auto_spec(degree, p), r, rings[::-1] if mixed_lhs else rings)], partial(_norms, p)
     if tag is TheoremId.CONJUGATE_NORM:
         # the conjugate of the normalized map is (-i g, -i h) (conjugate_map),
         # of modulus |g - conj(h)|: multiplying by -i is exact, so the ring
         # has the bits of the ring of (-i g, -i h)
-        conjugate, norm = _norms(
-            p,
-            [lambda g, h: np.abs(g - np.conj(h)) ** p, partial(_map_ring, p)],
-            _normalized_rows(g, h),
-            spec,
-        )
-        return conjugate, norm
-    g = g.copy()
-    g.imag[:, 0] = 0.0  # analytic samples have Im g(0) = 0
-    # the map g + conj(0) has modulus |g|, and the ring of Re g (Im g) has the
-    # bits of the map t + conj(t) with t = g/2 (t = -i g/2): halving and
-    # multiplying by -i are exact
-    real = tag is TheoremId.ANALYTIC_BY_RE
-    part_ring = (lambda g: np.abs(g.real) ** p) if real else (lambda g: np.abs(g.imag) ** p)
-    analytic, part = _norms(p, [partial(_modulus_ring, p), part_ring], (g,), spec)
-    return (analytic, part) if real else (part, analytic)
+        rings = [lambda g, h: np.abs(g - np.conj(h)) ** p, partial(_map_ring, p)]
+    elif tag is TheoremId.ANALYTIC_BY_RE:
+        # the map g + conj(0) has modulus |g|, and the ring of Re g (Im g) has
+        # the bits of the map t + conj(t) with t = g/2 (t = -i g/2): halving
+        # and multiplying by -i are exact
+        rings = [partial(_modulus_ring, p), lambda g: np.abs(g.real) ** p]
+    else:
+        rings = [lambda g: np.abs(g.imag) ** p, partial(_modulus_ring, p)]
+    return [(auto_spec(degree, p), 1.0, rings)], partial(_norms, p)
+
+
+def _factors(tag: TheoremId, cases) -> tuple:
+    """The coefficient rows that a sampled tag's rings take, from the arrays
+    (g, h) of its maps (PAIR_ISOPERIMETRIC's (a, b))."""
+    g, h = cases
+    if tag in (TheoremId.CONJUGATE_NORM, TheoremId.BERGMAN_EMBEDDING):
+        return _normalized_rows(g, h)
+    if tag is TheoremId.STREBEL:
+        return (g,)
+    if tag in (TheoremId.ANALYTIC_BY_RE, TheoremId.IM_BY_ANALYTIC):
+        g = np.array(g, dtype=complex)
+        g.imag[:, 0] = 0.0  # analytic samples have Im g(0) = 0
+        return (g,)
+    return g, h
+
+
+def _shared_sides(factors, parts) -> list:
+    """finish(*means) of each part (rows, terms, finish), where means are
+    the row means of its terms' rings, in term and ring order, over the
+    traces of the first rows rows of factors (None: every row).
+
+    The terms of all parts that share a rule (spec, r) make one pass: one
+    quadrature._means call per span of rows between two of their row
+    counts, each with the rings of every part that covers the span.  So
+    each factor row is transformed once per rule, whatever the number of
+    parts and rings; and since a row's means do not depend on the rows
+    beside it, each has the bits of its part's own call.
+    """
+    factors = [np.atleast_2d(np.asarray(c, dtype=complex)) for c in factors]
+    total = min(len(c) for c in factors)
+    means = [[] for _ in parts]
+    passes: dict = {}  # (spec, r) -> [(rows, ring, its row means)]
+    for (rows, terms, _), ring_means in zip(parts, means):
+        for spec, r, rings in terms:
+            for ring in rings:
+                ring_means.append([])
+                passes.setdefault((spec, r), []).append((rows or total, ring, ring_means[-1]))
+    for (spec, r), entries in passes.items():
+        start = 0
+        for stop in sorted({rows for rows, _, _ in entries}):
+            active = [(ring, row_means) for rows, ring, row_means in entries if rows >= stop]
+            span = [c[start:stop] for c in factors]
+            values = _means([ring for ring, _ in active], span, spec, r)
+            for (_, row_means), ring_values in zip(active, values):
+                row_means.extend(ring_values)
+            start = stop
+    return [finish(*ring_means) for (_, _, finish), ring_means in zip(parts, means)]
+
+
+def _block_sides(
+    tag: TheoremId, exponents: Sequence, degree: int, cases
+) -> list[tuple[Sequence[float], Sequence[float]]]:
+    """(LHS values, RHS-without-constant values) of a tag at each of
+    exponents, one value per case.
+
+    The cases are the line catalog for LINE_PAIRS, and otherwise the
+    coefficient arrays (g, h) of the call's maps, one row per seed, drawn
+    once per call; PAIR_ISOPERIMETRIC's are the g of its seeds s and the g
+    of s + _PAIR_SHIFT.  The exponents' terms share one pass per rule
+    (_shared_sides).
+    """
+    if tag is TheoremId.LINE_PAIRS:
+        return [
+            (
+                [line_lp_norm(pair, p, transformed=True) for pair in cases],
+                [line_lp_norm(pair, p, transformed=False) for pair in cases],
+            )
+            for p in exponents
+        ]
+    parts = [(None, *_terms(tag, p_or_n, degree)) for p_or_n in exponents]
+    return _shared_sides(_factors(tag, cases), parts)
+
+
+def theorem_sides(
+    tag: TheoremId, exponents: Sequence, degree: int, cases
+) -> list[tuple[Sequence[float], Sequence[float]]]:
+    """(LHS values, RHS-without-constant values) of a tag at each of
+    exponents, one value per case: its rings over the coefficient arrays
+    (g, h) of degree-degree maps, one map per row (PAIR_ISOPERIMETRIC's
+    (a, b); the line pairs for LINE_PAIRS).  The maps are taken as given:
+    the tag's hypothesis on g(0)h(0) is the caller's to meet.  Every
+    exponent and degree is checked before any transform."""
+    tag, exponents = TheoremId(tag), tuple(exponents)
+    _check_exponents(tag, exponents)
+    _check_integer("degree", degree)
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    return _block_sides(tag, exponents, degree, cases)
 
 
 def _judge(acc: SlackAccumulator, labels, lhs, rhs, rel_tol: float = REL_TOL) -> float:
@@ -255,43 +371,19 @@ def _judge(acc: SlackAccumulator, labels, lhs, rhs, rel_tol: float = REL_TOL) ->
     return ratio_max
 
 
-def verify_theorem(
+def _theorem_report(
+    acc: SlackAccumulator,
     tag: TheoremId,
     p_or_n,
-    samples: int = 200,
-    degree: int = 8,
-    seed: int = 0,
-    rel_tol: float = REL_TOL,
+    constant: float,
+    labels,
+    sides,
+    degree: int,
+    seed: int,
+    rel_tol: float,
 ) -> VerificationReport:
-    """Check LHS <= constant * RHS over the sample battery, each case
-    judged by _judge with rel_tol: its sides are evaluated once, for the
-    whole draw.
-
-    min_slack is the worst relative slack (RHS_total - LHS)/RHS_total;
-    ratio_max the largest observed LHS/RHS_total (a sharpness statistic).
-    p_or_n must lie in the tag's range (_TAGS), checked before any draw.
-    """
-    tag = TheoremId(tag)
-    # p_or_n is the n of BERGMAN_EMBEDDING
-    constant = theorem_constant(tag, p=p_or_n, n=p_or_n)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
-        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
-
-    if tag is TheoremId.LINE_PAIRS:
-        labels = [(pair.kind.value, pair.parameter) for pair in _LINE_CATALOG]
-        cases = _LINE_CATALOG
-    else:
-        seeds = range(seed, seed + samples)
-        labels = [(s,) for s in seeds]
-        cases = random_coefficients(degree, seeds, _TAGS[tag][2])
-        if tag is TheoremId.PAIR_ISOPERIMETRIC:
-            cases = (cases[0], random_coefficients(degree, [s + 10_000_019 for s in seeds])[0])
-    acc = SlackAccumulator()
-    lhs, rhs = _block_sides(tag, p_or_n, degree, cases)
+    """The report of verify_theorem from a tag's sides at one exponent."""
+    lhs, rhs = sides
     ratio_max = _judge(acc, labels, lhs, [constant * base for base in rhs], rel_tol)
     return acc.report(
         id=tag.value,
@@ -304,41 +396,81 @@ def verify_theorem(
     )
 
 
-def _pair_isoperimetric_sides(a, b, p: float) -> tuple[list[float], list[float]]:
-    """int_U (|a|^2+|b|^2)^{2p} and (int_T (|a|^2+|b|^2)^p)^2 of each row
-    pair of coefficient arrays (a, b) (a 1-D sequence is one row); both sides
-    share the traces of a and b (one circle transform per factor, and one
-    disk transform per row)."""
-    p, twice = float(p), 2.0 * p
-    degree = max(np.shape(a)[-1], np.shape(b)[-1]) - 1
-    disk, circle = auto_spec(degree, 2.0 * twice), auto_spec(degree, 2.0 * p)
-    [lhs] = _means([partial(_pair_ring, twice)], (a, b), disk, None)
-    [rhs] = _means([partial(_pair_ring, p)], (a, b), circle, 1.0)
-    return lhs, [mean**2 for mean in rhs]
+def theorem_sweep(
+    tag: TheoremId, exponents: Sequence, samples: int, degree: int, seed: int, rel_tol: float
+) -> list[VerificationReport]:
+    """verify_theorem of a tag at each of exponents, on one draw: one report
+    per exponent, in order, each with the payload of its own verify_theorem
+    call (elapsed_ms, which counts from the start of the shared evaluation,
+    aside).
+
+    Every exponent and argument is checked before the draw.  The draw is
+    evaluated once for all exponents (_block_sides): each factor row is
+    transformed once per rule that the exponents' rings use.
+    """
+    tag, exponents = TheoremId(tag), tuple(exponents)
+    constants = _check_exponents(tag, exponents)
+    _check_draw(samples, degree, seed)
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
+
+    if tag is TheoremId.LINE_PAIRS:
+        labels = [(pair.kind.value, pair.parameter) for pair in _LINE_CATALOG]
+        cases = _LINE_CATALOG
+    else:
+        seeds = range(seed, seed + samples)
+        labels = [(s,) for s in seeds]
+        cases = random_coefficients(degree, seeds, _TAGS[tag][2])
+        if tag is TheoremId.PAIR_ISOPERIMETRIC:
+            cases = (cases[0], random_coefficients(degree, [s + _PAIR_SHIFT for s in seeds])[0])
+    accs = [SlackAccumulator() for _ in constants]
+    sides = _block_sides(tag, exponents, degree, cases)
+    return [
+        _theorem_report(acc, tag, p_or_n, constant, labels, pair, degree, seed, rel_tol)
+        for acc, p_or_n, constant, pair in zip(accs, exponents, constants, sides)
+    ]
+
+
+def verify_theorem(
+    tag: TheoremId,
+    p_or_n,
+    samples: int = 200,
+    degree: int = 8,
+    seed: int = 0,
+    rel_tol: float = REL_TOL,
+) -> VerificationReport:
+    """Check LHS <= constant * RHS over the sample battery, each case
+    judged by _judge with rel_tol: its sides are evaluated once, for the
+    whole draw.  This is the one-exponent call of theorem_sweep.
+
+    min_slack is the worst relative slack (RHS_total - LHS)/RHS_total;
+    ratio_max the largest observed LHS/RHS_total (a sharpness statistic).
+    p_or_n must lie in the tag's range (_TAGS), checked before any draw;
+    samples, degree and seed must be integers.
+    """
+    return theorem_sweep(tag, (p_or_n,), samples, degree, seed, rel_tol)[0]
 
 
 def verify_pair_isoperimetric(a: TaylorPoly, b: TaylorPoly, p: float) -> VerificationReport:
     """int_U (|a|^2+|b|^2)^{2p} <= (int_T (|a|^2+|b|^2)^p)^2 for p > 0,
-    judged by _judge (so a = b = 0, where both sides vanish, is skipped)."""
-    _TAGS[TheoremId.PAIR_ISOPERIMETRIC][0].check("verify_pair_isoperimetric", p)
+    judged by _judge (so a = b = 0, where both sides vanish, is skipped).
+    Both sides share the traces of a and b (one circle transform per
+    factor, and one disk transform per factor)."""
+    tag = TheoremId.PAIR_ISOPERIMETRIC
+    _TAGS[tag][0].check("verify_pair_isoperimetric", p)
     acc = SlackAccumulator()
-    lhs, rhs = _pair_isoperimetric_sides(a.coeffs, b.coeffs, p)
+    [(lhs, rhs)] = _block_sides(tag, (p,), max(a.degree, b.degree), (a.coeffs, b.coeffs))
     ratio_max = _judge(acc, [("pair",)], lhs, rhs)
     return acc.report(
         id="PAIR_ISOPERIMETRIC", p=p, ratio_max=ratio_max, constant=1.0, tolerance=REL_TOL
     )
 
 
-def _chain_links(g, h, n: int) -> list[list[tuple[str, float]]]:
-    """The links of isoperimetric_chain(m, n) for the map of each row pair of
-    coefficient arrays (g, h), unchecked: one list of (name, value) per row.
-
-    Every disk mean is sized for |f|^{2n} and every circle mean for |f|^n,
-    so one disk and one circle _means call of g and h serve all seven means
-    of all the rows.
-    """
-    g, h = _normalized_rows(np.atleast_2d(g), np.atleast_2d(h))
-    degree = max(g.shape[-1], h.shape[-1]) - 1
+def _chain_terms(n: int, degree: int):
+    """(terms, finish) of the isoperimetric chain at n over the normalized
+    rows (g, h): finish returns the links of each row, one list of (name,
+    value) per row.  Every disk mean is sized for |f|^{2n} and every circle
+    mean for |f|^n, so one disk and one circle rule serve all seven means."""
     e_n = math.cos(math.pi / (2.0 * n))
     disk_rings = [
         partial(_map_ring, 2.0 * n),
@@ -351,8 +483,6 @@ def _chain_links(g, h, n: int) -> list[list[tuple[str, float]]]:
         partial(_product_ring, 0.5 * n, real_part=False),
         partial(_map_ring, float(n)),
     ]
-    disk = _means(disk_rings, (g, h), auto_spec(degree, 2.0 * n), None)
-    circle = _means(circle_rings, (g, h), auto_spec(degree, float(n)), 1.0)
 
     def binomial_sum(x: float, y: float) -> float:
         total = 0.0
@@ -360,17 +490,105 @@ def _chain_links(g, h, n: int) -> list[list[tuple[str, float]]]:
             total += math.comb(n, k) * x ** (k / n) * y ** ((n - k) / n)
         return total
 
-    return [
-        [
-            ("L", big_l),
-            ("holder", binomial_sum(disk_s, disk_re)),
-            ("cosine", binomial_sum(disk_s, e_n**n * disk_abs)),
-            ("square", binomial_sum(circ_s**2, e_n**n * circ_abs**2)),
-            ("am_gm", (1.0 + e_n) ** n * circ_s**2),
-            ("final", (1.0 + e_n) ** n * (1.0 - math.cos(math.pi / n)) ** (-n) * circ_f**2),
+    def links(*means):
+        return [
+            [
+                ("L", big_l),
+                ("holder", binomial_sum(disk_s, disk_re)),
+                ("cosine", binomial_sum(disk_s, e_n**n * disk_abs)),
+                ("square", binomial_sum(circ_s**2, e_n**n * circ_abs**2)),
+                ("am_gm", (1.0 + e_n) ** n * circ_s**2),
+                ("final", (1.0 + e_n) ** n * (1.0 - math.cos(math.pi / n)) ** (-n) * circ_f**2),
+            ]
+            for big_l, disk_s, disk_re, disk_abs, circ_s, circ_abs, circ_f in zip(*means)
         ]
-        for big_l, disk_s, disk_re, disk_abs, circ_s, circ_abs, circ_f in zip(*disk, *circle)
+
+    return [
+        (auto_spec(degree, 2.0 * n), None, disk_rings),
+        (auto_spec(degree, float(n)), 1.0, circle_rings),
+    ], links
+
+
+def _chain_links(g, h, n: int) -> list[list[tuple[str, float]]]:
+    """The links of isoperimetric_chain(m, n) for the map of each row pair of
+    coefficient arrays (g, h), unchecked: one list of (name, value) per row,
+    from one disk and one circle _means call of g and h."""
+    g, h = _normalized_rows(np.atleast_2d(g), np.atleast_2d(h))
+    degree = max(g.shape[-1], h.shape[-1]) - 1
+    [links] = _shared_sides((g, h), [(None, *_chain_terms(n, degree))])
+    return links
+
+
+def _chain_report(acc: SlackAccumulator, n: int, chains, degree: int, seed: int):
+    """The ISOPERIMETRIC_CHAIN report of the chains of the maps of seeds
+    seed, seed + 1, ...: a link that _judge flags is a violation."""
+    for k, chain in enumerate(chains):
+        names, values = zip(*chain)
+        labels = [(seed + k, lo, hi) for lo, hi in zip(names, names[1:])]
+        _judge(acc, labels, values[:-1], values[1:])
+    return acc.report(
+        id="ISOPERIMETRIC_CHAIN",
+        p=n,
+        grid={"samples": len(chains), "degree": degree},
+        seed=seed,
+        tolerance=REL_TOL,
+    )
+
+
+def isoperimetric_sweep(
+    pair_exponents: Sequence,
+    orders: Sequence,
+    samples: int,
+    chain_samples: int,
+    degree: int,
+    seed: int,
+) -> list[VerificationReport]:
+    """The sampled isoperimetric reports on the maps of seeds seed, seed + 1,
+    ...: STREBEL, then PAIR_ISOPERIMETRIC at each of pair_exponents, then
+    for each n of orders BERGMAN_EMBEDDING and ISOPERIMETRIC_CHAIN, the
+    chain of isoperimetric_chain on the first chain_samples maps.  Each
+    theorem report has the payload of its own verify_theorem call
+    (elapsed_ms aside).
+
+    Every argument is checked before the draw.  The reports share two
+    passes (_shared_sides): STREBEL's g is PAIR_ISOPERIMETRIC's a, so both
+    tags' rings take one pass over the rows (a, b); the embedding and the
+    chain take one pass over the normalized rows (g, h), the chain's rings
+    on its first chain_samples rows only.
+    """
+    strebel, pair, embedding = (
+        TheoremId.STREBEL, TheoremId.PAIR_ISOPERIMETRIC, TheoremId.BERGMAN_EMBEDDING
+    )
+    pair_exponents, orders = tuple(pair_exponents), tuple(orders)
+    pair_constants = _check_exponents(pair, pair_exponents)
+    embedding_constants = _check_exponents(embedding, orders)
+    _check_draw(samples, degree, seed)
+    _check_integer("chain_samples", chain_samples)
+    if chain_samples < 1:
+        raise ValueError(f"chain_samples must be >= 1, got {chain_samples}")
+
+    seeds = range(seed, seed + samples)
+    labels = [(s,) for s in seeds]
+    g, h = random_coefficients(degree, range(seed, seed + max(samples, chain_samples)))
+    b = random_coefficients(degree, [s + _PAIR_SHIFT for s in seeds])[0]
+    # (tag, exponent, constant) of each report on the rows (a, b)
+    iso = [(strebel, 1.0, theorem_constant(strebel, p=1.0))]
+    iso += [(pair, p, c) for p, c in zip(pair_exponents, pair_constants)]
+    accs = iter([SlackAccumulator() for _ in range(len(iso) + 2 * len(orders))])
+    parts = [(None, *_terms(tag, p, degree)) for tag, p, _ in iso]
+    out = [
+        _theorem_report(next(accs), tag, p, c, labels, sides, degree, seed, REL_TOL)
+        for (tag, p, c), sides in zip(iso, _shared_sides((g[:samples], b), parts))
     ]
+    parts = [(samples, *_terms(embedding, n, degree)) for n in orders]
+    parts += [(chain_samples, *_chain_terms(n, degree)) for n in orders]
+    sides = _shared_sides(_normalized_rows(g, h), parts)
+    for n, c, bound, links in zip(orders, embedding_constants, sides, sides[len(orders) :]):
+        out += [
+            _theorem_report(next(accs), embedding, n, c, labels, bound, degree, seed, REL_TOL),
+            _chain_report(next(accs), n, links, degree, seed),
+        ]
+    return out
 
 
 def isoperimetric_chain(m: HarmonicMap, n: int) -> list[tuple[str, float]]:
@@ -389,8 +607,8 @@ def isoperimetric_chain(m: HarmonicMap, n: int) -> list[tuple[str, float]]:
     (the cosine link needs Re((2gh)(0)) = 0).  Each link must dominate the
     previous one; a link that _judge flags raises ValueError.  final equals
     ((1/2) csc(pi/(4n)))^{2n} (int_T |f|^n)^2 by the half-angle identity.
-    This is the one-row call of _chain_links, which the battery calls on all
-    its maps at once.
+    This is the one-map call of _chain_links; isoperimetric_sweep evaluates
+    the battery's chains on its shared pass.
     """
     n = _TAGS[TheoremId.BERGMAN_EMBEDDING][0].check("isoperimetric_chain", n)
     [chain] = _chain_links(m.g.coeffs, m.h.coeffs, n)

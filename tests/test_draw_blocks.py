@@ -93,8 +93,11 @@ def test_block_draw_rejects_bad_seed_and_degree():
             random_poly(4, bad)
         with pytest.raises(error):
             random_harmonic(4, bad, Constraint.RE_ZERO)
-        with pytest.raises(error):
-            verify_theorem(TheoremId.PAIR_ISOPERIMETRIC, 1.0, samples=3, seed=bad)
+    # a battery names the seed that is no integer before it draws
+    with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
+        verify_theorem(TheoremId.PAIR_ISOPERIMETRIC, 1.0, samples=3, seed=1.5)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -3$"):
+        verify_theorem(TheoremId.PAIR_ISOPERIMETRIC, 1.0, samples=3, seed=-3)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         random_harmonic(4, -1)
     with pytest.raises(ValueError, match="degree must be >= 0"):

@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from rieszlab import battery, theorems
+from rieszlab import battery, quadrature, theorems
 from rieszlab.constants import SharpConstant, sharp_constant
 from rieszlab.hilbert import conjugate_map, line_lp_norm
 from rieszlab.maps import (
@@ -38,10 +38,10 @@ from rieszlab.quadrature import (
 from rieszlab.reporting import SlackAccumulator
 from rieszlab.theorems import (
     TheoremId,
-    _pair_isoperimetric_sides,
     isoperimetric_chain,
     sharpness_probe,
     theorem_constant,
+    theorem_sides,
     verify_pair_isoperimetric,
     verify_theorem,
 )
@@ -216,7 +216,13 @@ def test_chain_block_equals_per_sample_chains(monkeypatch, n):
     assert theorems._chain_links(g, h, n) == chains
     assert len(calls) == 2 + 2 * samples
     expected = per_sample_chain_report(n, samples, degree, seed)
-    assert payload(battery._chain_report(n, samples, degree, seed)) == payload(expected)
+    # the chain report of the isoperimetric sweep, on fewer and on more
+    # rows than the embedding's
+    for embedding_samples in (samples - 15, samples, 4 * samples):
+        reports = theorems.isoperimetric_sweep(
+            (1.0,), (n,), embedding_samples, samples, degree, seed
+        )
+        assert payload(reports[-1]) == payload(expected), embedding_samples
 
 
 def count_transforms(monkeypatch):
@@ -308,10 +314,12 @@ def test_strebel_holds_at_p_one_only():
 def test_pair_isoperimetric_examples():
     # a = 1, b = 0: both sides equal 1
     one, zero = np.array([[1.0 + 0j]]), np.array([[0j]])
-    lhs, rhs = _pair_isoperimetric_sides(one, zero, 1.0)
+    [(lhs, rhs)] = theorem_sides(TheoremId.PAIR_ISOPERIMETRIC, (1.0,), 0, (one, zero))
     assert lhs == pytest.approx([1.0]) and rhs == pytest.approx([1.0])
     # a = z, b = 0, p = 1/2: int_U |z|^2 = 1/2 <= (int_T |z|)^2 = 1
-    lhs, rhs = _pair_isoperimetric_sides(np.array([[0j, 1.0]]), zero, 0.5)
+    [(lhs, rhs)] = theorem_sides(
+        TheoremId.PAIR_ISOPERIMETRIC, (0.5,), 1, (np.array([[0j, 1.0]]), zero)
+    )
     assert lhs == pytest.approx([0.5]) and rhs == pytest.approx([1.0])
     assert verify_pair_isoperimetric(TaylorPoly([0.0, 1.0]), TaylorPoly([0.0]), 0.5).passed
     # a = b = 0: both sides vanish, so no case is judged
@@ -413,16 +421,20 @@ def test_tag_table_gives_the_bits_and_messages_of_the_chain():
 
 
 def test_battery_builds_no_sample_battery_of_its_own():
-    # sample batteries are built in theorems only; battery calls verify_theorem
+    # sample batteries are built and judged in theorems only; battery calls
+    # the sweeps and verify_theorem, and reads sides through theorem_sides
     tree = ast.parse(inspect.getsource(battery))
     imported = {
-        alias.name
+        (node.module, alias.name)
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "theorems"
+        if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    assert {"verify_theorem", "_judge", "REL_TOL"} <= imported
-    assert not imported & {"_block_sides", "_sample_report", "SAMPLE_BLOCK"}
+    from_theorems = {name for module, name in imported if module == "theorems"}
+    assert {"verify_theorem", "theorem_sweep", "isoperimetric_sweep", "REL_TOL"} <= from_theorems
+    assert not {name for name in from_theorems if name.startswith("_")}
+    # no ring or mean of its own either
+    assert not {name for module, name in imported if module == "quadrature" and name[0] == "_"}
     assert not hasattr(battery, "_relaxed_mixed_report")
     # rows are blocked in quadrature._means, and every sampled bound is
     # judged by theorems._judge: battery states no block size, no RHS floor
@@ -460,13 +472,13 @@ def test_judge_states_the_relative_slack_rule():
 
 
 def test_a_zero_rhs_does_not_hide_a_violation(monkeypatch):
-    monkeypatch.setattr(theorems, "_block_sides", lambda *args: ([1.0], [0.0]))
+    monkeypatch.setattr(theorems, "_block_sides", lambda *args: [([1.0], [0.0])])
     report = verify_theorem(TheoremId.MIXED_BY_HARDY, 2.0, samples=1, seed=3)
     assert not report.passed
     assert report.violations == [((3,), -math.inf)]
     assert report.argmin == (3,) and report.ratio_max == math.inf
     # both sides zero: the case is skipped
-    monkeypatch.setattr(theorems, "_block_sides", lambda *args: ([0.0], [0.0]))
+    monkeypatch.setattr(theorems, "_block_sides", lambda *args: [([0.0], [0.0])])
     report = verify_theorem(TheoremId.MIXED_BY_HARDY, 2.0, samples=1, seed=3)
     assert report.passed and report.argmin is None and report.ratio_max == 0.0
 
@@ -563,13 +575,14 @@ def payload(report):
 
 
 def recording_block_sides(calls):
-    """theorems._block_sides that records each call's (LHS, RHS) pairs in calls."""
+    """theorems._block_sides that records the (LHS, RHS) pairs of each
+    exponent of each call in calls."""
     block_sides = theorems._block_sides
 
     def recorded(*args):
-        lhs, rhs = block_sides(*args)
-        calls.append(list(zip(lhs, rhs)))
-        return lhs, rhs
+        sides = block_sides(*args)
+        calls.extend(list(zip(lhs, rhs)) for lhs, rhs in sides)
+        return sides
 
     return recorded
 
@@ -735,3 +748,178 @@ def test_block_sides_are_bit_identical_to_case_loop(monkeypatch):
             report.id, p, theorem_constant(TheoremId.LINE_PAIRS, p), labels, ref, 8, 0
         )
         assert payload(report) == payload(expected), p
+
+
+# ------------------------- sweeps over a tag's exponents -------------------------
+
+# every sampled tag across its range: the battery exponents, the relaxed tag up
+# to 3, every integer n of the embedding, and exponents whose rules differ
+# (degree 8 at p = 64 takes 514 circle nodes, at p <= 63 256)
+SWEEPS = (
+    *[(tag, battery.THEOREM_P_VALUES) for tag in CIRCLE_TAGS],
+    (TheoremId.BERGMAN_MIXED_BY_NORM, battery.THEOREM_P_VALUES),
+    (TheoremId.BERGMAN_NORM_BY_MIXED, battery.THEOREM_P_VALUES),
+    (RELAXED, RELAXED_P_VALUES),
+    (TheoremId.BERGMAN_EMBEDDING, (2, 3, 4)),
+    (TheoremId.STREBEL, (1.0,)),
+    (TheoremId.PAIR_ISOPERIMETRIC, (0.5, 1.0, 2.0)),
+    (TheoremId.LINE_PAIRS, battery.THEOREM_P_VALUES),
+)
+WIDE_SWEEPS = (
+    (TheoremId.CONJUGATE_NORM, (1.25, 64.0, 2.0, 63.5)),
+    (TheoremId.MIXED_BY_HARDY, (64.0, 3.0)),
+    (TheoremId.BERGMAN_MIXED_BY_NORM, (2.0, 64.0)),
+    (TheoremId.BERGMAN_EMBEDDING, tuple(range(2, 33))),
+    (TheoremId.PAIR_ISOPERIMETRIC, (0.25, 32.0, 1.0, 16)),
+)
+
+
+def sweep_matches_one_exponent_calls(tag, exponents, samples, degree, seed):
+    reports = theorems.theorem_sweep(tag, exponents, samples, degree, seed, 1e-9)
+    assert [r.p for r in reports] == list(exponents)
+    for report, p_or_n in zip(reports, exponents):
+        expected = verify_theorem(tag, p_or_n, samples, degree, seed)
+        assert payload(report) == payload(expected), (tag, p_or_n, samples, degree, seed)
+
+
+@pytest.mark.parametrize("tag, exponents", SWEEPS)
+def test_sweep_is_bit_identical_to_one_exponent_calls(tag, exponents):
+    for samples, degree, seed in ((1, 8, 0), (ROW_BLOCK + 1, 8, 7), (ROW_BLOCK + 1, 4, 1000)):
+        sweep_matches_one_exponent_calls(tag, exponents, samples, degree, seed)
+
+
+@pytest.mark.parametrize("tag, exponents", WIDE_SWEEPS)
+def test_sweep_groups_exponents_by_rule(monkeypatch, tag, exponents):
+    degree = 8
+    rules = {(auto_spec(degree, p), r) for p in exponents for r in (None, 1.0)}
+    assert len({spec for spec, _ in rules}) > 1  # the exponents' rules differ
+    sweep_matches_one_exponent_calls(tag, exponents, 2, degree, 5)
+    calls = []
+    means = theorems._means
+
+    def counted(rings, factors, spec, r):
+        calls.append((spec, r))
+        return means(rings, factors, spec, r)
+
+    monkeypatch.setattr(theorems, "_means", counted)
+    theorems.theorem_sweep(tag, exponents, 2, degree, 5, 1e-9)
+    # one _means call per rule, however many exponents share it
+    swept = list(calls)
+    calls.clear()
+    for p_or_n in exponents:
+        verify_theorem(tag, p_or_n, 2, degree, 5)
+    assert sorted(swept, key=repr) == sorted(set(calls), key=repr)
+
+
+def transformed_rows(monkeypatch):
+    """Wrap quadrature._boundary_rows; return the list of keys it records,
+    one per (factor row, rule): (disk?, circle nodes, the coefficients the
+    row hands over).  A disk call hands over one row at all radii."""
+    keys = []
+    transform = quadrature._boundary_rows
+
+    def counted(coeffs, n, out=None):
+        if out is not None:
+            keys.append((True, n, coeffs.tobytes()))
+        else:
+            keys.extend((False, n, row.tobytes()) for row in np.atleast_2d(coeffs))
+        return transform(coeffs, n, out=out)
+
+    monkeypatch.setattr(quadrature, "_boundary_rows", counted)
+    return keys
+
+
+@pytest.mark.parametrize("samples", [8, 40])
+def test_isoperimetric_stage_transforms_each_row_once_per_rule(monkeypatch, samples):
+    keys = transformed_rows(monkeypatch)
+    reports = battery.isoperimetric_reports(samples=samples, degree=4, seed=83)
+    assert len(reports) == 11 and all(r.passed for r in reports)
+    assert len(keys) == len(set(keys))
+    # (a, b) of the samples, the normalized (g, h) of the samples or of the
+    # chain's max(10, samples // 4) maps, and g = 1 + z, h = 0 of the
+    # closed-form instance, each on one disk and one circle rule
+    rows = 2 * samples + 2 * max(samples, 10) + 2
+    assert sum(disk for disk, _, _ in keys) == rows
+    assert sum(not disk for disk, _, _ in keys) == rows
+
+
+def test_conjugate_stage_transforms_each_row_once(monkeypatch):
+    keys = transformed_rows(monkeypatch)
+    reports = battery.conjugate_bound_reports(samples=40, degree=8, seed=41)
+    assert len(reports) == len(battery.THEOREM_P_VALUES)
+    # the normalized g and h of each map, on the one circle rule of every p
+    assert len(keys) == len(set(keys)) == 2 * 40
+    assert not any(disk for disk, _, _ in keys)
+
+
+@pytest.mark.parametrize("field, bad", [("samples", 2.5), ("samples", True), ("degree", 2.5),
+                                        ("degree", False), ("seed", 1.5), ("seed", True)])
+def test_sampled_batteries_name_a_count_that_is_no_integer(monkeypatch, field, bad):
+    draws = []
+    monkeypatch.setattr(theorems, "random_coefficients", lambda *a, **k: draws.append(a))
+    message = f"^{field} must be an integer, got {re.escape(repr(bad))}$"
+    good = {"samples": 3, "degree": 4, "seed": 0}
+    args = {**good, field: bad}
+    calls = [
+        lambda: verify_theorem(TheoremId.PAIR_ISOPERIMETRIC, 1.0, **args),
+        lambda: verify_theorem(TheoremId.LINE_PAIRS, 2.0, **args),
+        lambda: theorems.theorem_sweep(
+            TheoremId.CONJUGATE_NORM, (2.0, 3.0), args["samples"], args["degree"],
+            args["seed"], 1e-9,
+        ),
+        lambda: theorems.isoperimetric_sweep(
+            (1.0,), (2,), args["samples"], 10, args["degree"], args["seed"]
+        ),
+        lambda: battery.conjugate_bound_reports(**args),
+        lambda: battery.theorem_reports(**args),
+        lambda: battery.isoperimetric_reports(**args),
+        lambda: battery.parseval_bridge_report(**args),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert draws == []
+    with pytest.raises(ValueError, match=message):
+        battery.full_suite(**{field: bad})
+
+
+def test_sweeps_check_every_exponent_before_any_draw(monkeypatch):
+    calls = count_transforms(monkeypatch)
+    draws = []
+    monkeypatch.setattr(theorems, "random_coefficients", lambda *a, **k: draws.append(a))
+    sweep = partial(theorems.theorem_sweep, samples=3, degree=4, seed=0, rel_tol=1e-9)
+    for tag, exponents, message in (
+        (TheoremId.CONJUGATE_NORM, (2.0, 3.0, 100), "requires p in (1.0, 64.0], got 100"),
+        (TheoremId.BERGMAN_EMBEDDING, (2, 3, 2.5), "requires an integer n in [2, 32], got 2.5"),
+        (TheoremId.CONJUGATE_NORM, (), "exponents must be a nonempty tuple, got ()"),
+        (TheoremId.CONJUGATE_NORM, (2.0, 3.0, 2.0), "must not repeat, got (2.0, 3.0, 2.0)"),
+        (TheoremId.BERGMAN_EMBEDDING, (2, 3, 2), "exponents must not repeat, got (2, 3, 2)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            sweep(tag, exponents)
+    for pair_exponents, orders in (((0.5, 40), (2,)), ((0.5,), (2, 40)), ((), (2,)), ((1.0,), ())):
+        with pytest.raises(ValueError):
+            theorems.isoperimetric_sweep(pair_exponents, orders, 3, 10, 4, 0)
+    with pytest.raises(ValueError, match=r"^chain_samples must be >= 1, got 0$"):
+        theorems.isoperimetric_sweep((1.0,), (2,), 3, 0, 4, 0)
+    with pytest.raises(ValueError, match=r"^exponents must not repeat"):
+        theorem_sides(TheoremId.MIXED_BY_HARDY, (2.0, 2.0), 4, random_coefficients(4, [0]))
+    with pytest.raises(ValueError, match=r"^degree must be an integer, got 4.0$"):
+        theorem_sides(TheoremId.MIXED_BY_HARDY, (2.0,), 4.0, random_coefficients(4, [0]))
+    assert calls == [] and draws == []
+
+
+def test_isoperimetric_sweep_matches_its_one_tag_calls():
+    for samples, chain_samples in ((5, 10), (12, 3)):
+        reports = theorems.isoperimetric_sweep((0.5, 2.0), (2, 4), samples, chain_samples, 4, 9)
+        expected = [
+            verify_theorem(TheoremId.STREBEL, 1.0, samples, 4, 9),
+            verify_theorem(TheoremId.PAIR_ISOPERIMETRIC, 0.5, samples, 4, 9),
+            verify_theorem(TheoremId.PAIR_ISOPERIMETRIC, 2.0, samples, 4, 9),
+        ]
+        for n in (2, 4):
+            expected += [
+                verify_theorem(TheoremId.BERGMAN_EMBEDDING, n, samples, 4, 9),
+                per_sample_chain_report(n, chain_samples, 4, 9),
+            ]
+        assert [payload(r) for r in reports] == [payload(r) for r in expected]
