@@ -40,8 +40,8 @@ from .maps import (
     TaylorPoly,
     random_coefficients,
 )
-from .quadrature import QuadratureSpec, circle_power_mean, disk_power_mean, hardy_norm
-from .reporting import GridSpec, SlackAccumulator, VerificationReport, _check_integer
+from .quadrature import hardy_norm
+from .reporting import GridSpec, SlackAccumulator, VerificationReport, _check_draw, _check_integer
 from .theorems import (
     REL_TOL,
     TheoremId,
@@ -126,10 +126,7 @@ def parseval_bridge_report(
     """||f||_2^2 = |||f|||_2^2 + 2 Re(g(0) h(0)), and equality of the two
     norms for the RE_ZERO class; an error above 1e-10 is a violation.  The
     two norms are the sides of MIXED_BY_HARDY at p = 2."""
-    for name, value in (("samples", samples), ("degree", degree), ("seed", seed)):
-        _check_integer(name, value)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    _check_draw(samples, degree, seed)
     tol = 1e-10
     acc = SlackAccumulator(-0.0)
     # seeds seed + k for the maps, seed + samples + k for the RE_ZERO maps
@@ -178,6 +175,7 @@ def hilbert_multiplier_report(seed: int = 23) -> VerificationReport:
 
     Any nonzero involution error is a violation.  The cosine error seeds the
     minimum but is not itself flagged."""
+    _check_integer("seed", seed, 0)
     n_series = 50
     cos_series = FourierSeries({-1: 0.5, 1: 0.5})
     sin_series = FourierSeries({-1: 0.5j, 1: -0.5j})
@@ -203,8 +201,8 @@ def hilbert_multiplier_report(seed: int = 23) -> VerificationReport:
 def hilbert_singular_report(n_series: int = 10, seed: int = 37) -> VerificationReport:
     """Truncated singular integral, at epsilon = 1e-6, vs multiplier form on
     zero-mean traces of degree 16; an error above 1e-6 is a violation."""
-    if n_series < 1:
-        raise ValueError(f"n_series must be >= 1, got {n_series}")
+    _check_integer("n_series", n_series, 1)
+    _check_integer("seed", seed, 0)
     degree, epsilon, tol = 16, 1e-6, 1e-6
     acc = SlackAccumulator(-0.0)
     taus = (0.3, 2.2)
@@ -367,7 +365,8 @@ def theorem_reports(
 def isoperimetric_reports(
     samples: int = 100, degree: int = 4, seed: int = 83
 ) -> list[VerificationReport]:
-    """The isoperimetric application, 11 reports:
+    """The isoperimetric application, 11 reports, all from
+    theorems.isoperimetric_sweep:
 
     - STREBEL_INSTANCE, the closed-form instance f = 1 + z;
     - STREBEL, and PAIR_ISOPERIMETRIC at p = 0.5, 1 and 2, on one disk and
@@ -375,25 +374,10 @@ def isoperimetric_reports(
     - BERGMAN_EMBEDDING and ISOPERIMETRIC_CHAIN at n = 2, 3 and 4, on one
       disk and one circle pass of the normalized rows (g, h), the chain on
       the first max(10, samples // 4) of them.
-
-    The last ten come from theorems.isoperimetric_sweep.
     """
-    # closed-form instance f = 1 + z: int_U |f|^2 = 3/2 <= (4/pi)^2.
-    # |1 + e^{it}| has a corner at t = pi, so the boundary mean needs a dense
-    # trapezoid rule to reproduce 4/pi to 1e-6
-    acc = SlackAccumulator()
-    m = HarmonicMap(TaylorPoly([1.0, 1.0]), TaylorPoly([0.0]))
-    lhs = disk_power_mean(m, 2.0)
-    rhs = circle_power_mean(m, 1.0, 1.0, QuadratureSpec(n_angle=1 << 16)) ** 2
-    err = max(abs(lhs - 1.5), abs(rhs - 16.0 / math.pi**2))
-    slack = (rhs - lhs) / rhs
-    acc.add(("1+z",), min(slack, 1e-6 - err))
-    if not (slack > 0 and err < 1e-6):
-        acc.flag(("1+z",), slack)
-    out = [acc.report(id="STREBEL_INSTANCE", p=1.0, ratio_max=lhs / rhs, tolerance=1e-12)]
+    _check_draw(samples, degree, seed)
     chain_samples = max(10, samples // 4)
-    out += isoperimetric_sweep((0.5, 1.0, 2.0), (2, 3, 4), samples, chain_samples, degree, seed)
-    return out
+    return isoperimetric_sweep((0.5, 1.0, 2.0), (2, 3, 4), samples, chain_samples, degree, seed)
 
 
 def typo_adjudication_report() -> VerificationReport:
@@ -440,14 +424,7 @@ def full_suite(
     Parseval, conjugate and theorem batteries; the isoperimetric ones keep 4.
     When timings is a dict, each stage's wall seconds are stored in it under
     the stage's function name, in suite order."""
-    for name, value in (("seed", seed), ("samples", samples), ("degree", degree)):
-        _check_integer(name, value)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
+    _check_draw(samples, degree, seed)
     grid = grid or GridSpec()
     stages = (
         partial(constant_identity_report),

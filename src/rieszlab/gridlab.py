@@ -851,18 +851,14 @@ PLURI_TOLERANCE = 1e-8
 
 
 def _check_circles(centers: int, radii: int, angles: int, seed: int, tolerance: float) -> None:
-    """The arguments both circle checks share, checked in this order, the
-    four counts for being integers first."""
-    for name, value in zip(("centers", "radii", "angles", "seed"), (centers, radii, angles, seed)):
-        _check_integer(name, value)
-    for name, value in (("centers", centers), ("radii", radii)):
-        if value < 1:
-            raise ValueError(f"centers and radii must be >= 1, got {name}={value}")
+    """The arguments both circle checks share, checked in this order."""
+    _check_integer("centers", centers, 1)
+    _check_integer("radii", radii, 1)
+    _check_integer("angles", angles)
     # the two-grid estimate averages every second node, so the count is even
     if angles < 256 or angles % 2:
         raise ValueError(f"angles must be an even number >= 256, got {angles}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_integer("seed", seed, 0)
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
 
@@ -1066,9 +1062,7 @@ def pluri_line_sweep(
         if mid not in (Minorant.F_PAIR, Minorant.G_PAIR):
             raise ValueError("check_pluri_lines applies to the two-variable minorants")
         checked.append((mid.value, p, _minorant_values(mid, p), None))
-    _check_integer("n_lines", n_lines)
-    if n_lines < 16:
-        raise ValueError("n_lines must be >= 16")
+    _check_integer("n_lines", n_lines, 16)
     _check_circles(centers, radii, angles, seed, tolerance)
     rng = np.random.default_rng(seed)
     groups, lines = [], []  # (label, center, its circle radii), and each group's line
@@ -1117,8 +1111,8 @@ def check_submean(
     is a violation.  This is the one-case submean_sweep.  The circles are
     evaluated in blocks on every usable CPU (see maps._share_blocks), so a
     custom callable must act elementwise on a (k, angles) array and be safe
-    to call from several threads at once.  centers, radii, angles and seed
-    must be integers (not bools), seed >= 0, and tolerance finite and > 0.
+    to call from several threads at once.  angles must be even and >= 256,
+    and tolerance finite and > 0.
     """
     return submean_sweep([(minorant_or_fn, p)], centers, radii, angles, seed, tolerance)[0]
 

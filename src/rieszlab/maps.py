@@ -45,7 +45,6 @@ trace has constant argument +/- gamma and modulus |cot(t/2)|^(2*gamma/pi).
 from __future__ import annotations
 
 import math
-import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -57,6 +56,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .constants import RIESZ_P
+from .reporting import _check_integer
 
 __all__ = [
     "TaylorPoly",
@@ -229,8 +229,7 @@ class FourierSeries:
 
     def __init__(self, coeffs: Mapping[int, complex]):
         for k in coeffs:
-            if isinstance(k, bool) or not hasattr(type(k), "__index__"):
-                raise ValueError(f"frequency {k!r} is not an integer")
+            _check_integer("frequency", k)
         object.__setattr__(
             self, "coeffs", {int(k): complex(v) for k, v in coeffs.items()}
         )
@@ -312,17 +311,10 @@ def random_coefficients(
     The draws come from _draws, so a seed range is drawn once for consecutive
     calls; g and h are new arrays on every call.
     """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
+    _check_integer("degree", degree, 0)
     constraint = Constraint(constraint)
-    checked = []
-    for seed in seeds:
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        try:
-            checked.append(operator.index(seed))
-        except TypeError:
-            raise TypeError(f"seed must be an integer, got {seed!r}") from None
+    # every seed is checked; a plain int >= 0 passes without a call
+    checked = [s if type(s) is int and s >= 0 else _check_integer("seed", s, 0) for s in seeds]
     u, scale = _draws(degree, tuple(checked))
     n = degree + 1
     g = np.sqrt(u[:, :n]) * np.exp(1j * (2.0 * math.pi * u[:, n : 2 * n]))
@@ -394,12 +386,11 @@ def calderon_taylor(gamma: float, degree: int) -> TaylorPoly:
 
     From g'/g = 2c/(1-z^2) with c = 2*gamma/pi the coefficients satisfy
     (k+1) a_{k+1} = (k-1) a_{k-1} + 2c a_k, a_0 = 1, a_1 = 2c.  gamma must
-    be finite with 0 < gamma < pi/2, and degree an integer >= 0.
+    be finite with 0 < gamma < pi/2.
     """
     if not 0.0 < gamma < 0.5 * math.pi:
         raise ValueError(f"gamma must lie in (0, pi/2), got {gamma!r}")
-    if isinstance(degree, bool) or not hasattr(type(degree), "__index__") or degree < 0:
-        raise ValueError(f"degree must be an integer >= 0, got {degree!r}")
+    _check_integer("degree", degree, 0)
     c = 2.0 * gamma / math.pi
     a = np.zeros(degree + 1)
     a[0] = 1.0

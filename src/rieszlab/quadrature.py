@@ -27,7 +27,6 @@ refinement until the relative change drops below the requested tolerance.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Sequence
@@ -43,6 +42,7 @@ from .maps import (
     _radius_powers,
     _share_blocks,
 )
+from .reporting import _check_integer
 
 __all__ = [
     "QuadratureSpec",
@@ -91,22 +91,17 @@ class QuadratureSpec:
 
     def __post_init__(self):
         for name, least in (("n_angle", 4), ("n_radial", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}")
+            _check_integer(name, getattr(self, name), least)
 
 
 def auto_spec(degree: int, p: float) -> QuadratureSpec:
     """Spec sized so the rules are exact on |f|^p for even integer p.
 
     The trapezoid rule needs n_angle > p*degree (the trigonometric degree of
-    |f|^p); the radial rule needs 2*n_radial - 1 >= p*degree + 1.  degree
-    must be an integer >= 0 and p finite and > 0, or ValueError names them.
+    |f|^p); the radial rule needs 2*n_radial - 1 >= p*degree + 1.  p must
+    be finite and > 0.
     """
-    if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) or degree < 0:
-        raise ValueError(f"degree must be an integer >= 0, got {degree!r}")
+    _check_integer("degree", degree, 0)
     p = _SPEC_P.check("auto_spec", p)
     need_angle = max(4 * degree + 1, int(math.ceil(p)) * degree + 2)
     n_angle = max(256, need_angle)
@@ -342,14 +337,17 @@ def bergman_triple_norm(
 
 # --------------------------- Calderon family norms ---------------------------
 
+# the relative tolerance of the Calderon boundary rule, and its refinement
+# levels (four panel halvings each)
+CALDERON_REL_TOL = 1e-8
+CALDERON_MAX_REFINEMENTS = 14
+
 
 def calderon_power_mean(
     params: CalderonFamily,
     coeff_sq: float,
     offset: float,
     p: float | None = None,
-    rel_tol: float = 1e-8,
-    max_refinements: int = 14,
 ) -> float:
     """int_T (coeff_sq * cot(t/2)^{4 gamma/pi} + offset)^{p/2} dsigma.
 
@@ -365,9 +363,9 @@ def calderon_power_mean(
 
     because the Jacobian satisfies t^(-a) dt = pi^(1-a) b du exactly
     (b*(1-a) = 1) and psi = t^a * integrand is smooth at t = 0.  Panels are
-    halved until the refinement estimates agree within rel_tol; failure to
-    converge raises QuadratureConvergenceError carrying the achieved
-    tolerance.
+    halved until the refinement estimates agree within CALDERON_REL_TOL;
+    failure to converge within CALDERON_MAX_REFINEMENTS raises
+    QuadratureConvergenceError carrying the achieved tolerance.
     """
     p = RIESZ_P.check("calderon_power_mean", params.p if p is None else p)
     a = 2.0 * params.gamma * p / math.pi
@@ -386,8 +384,10 @@ def calderon_power_mean(
         tpow = t**c2
         return (coeff_sq * tcot**c2 + offset * tpow) ** (0.5 * p)
 
-    integral, achieved = _adaptive_gl(psi, 0.0, 1.0, rel_tol, 4 * max_refinements)
-    if achieved > rel_tol * max(abs(integral), 1e-300):
+    integral, achieved = _adaptive_gl(
+        psi, 0.0, 1.0, CALDERON_REL_TOL, 4 * CALDERON_MAX_REFINEMENTS
+    )
+    if achieved > CALDERON_REL_TOL * max(abs(integral), 1e-300):
         raise QuadratureConvergenceError(
             "Calderon boundary quadrature did not converge",
             achieved / max(abs(integral), 1e-300),

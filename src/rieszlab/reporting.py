@@ -1,9 +1,22 @@
-"""Grid configuration, verification report records, and the slack
-accumulator shared by the verifiers."""
+"""Grid configuration, verification report records, the slack accumulator
+shared by the verifiers, and the one check of every count.
+
+A count is any integer the caller sizes: a sample, series, grid, circle or
+line count, a polynomial degree, a seed.  _check_integer is the one place
+where a count is checked, as PRange.check is for an exponent.  It raises
+ValueError with one of two messages:
+
+    <name> must be an integer, got <value!r>     (a bool is not an integer)
+    <name> must be >= <least>, got <value>
+
+Every entry point checks its counts this way before it computes anything;
+_check_draw checks the three counts of a sample battery.
+"""
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -13,10 +26,24 @@ __all__ = ["GridSpec", "VerificationReport", "SlackAccumulator", "MAX_VIOLATIONS
 MAX_VIOLATIONS = 100
 
 
-def _check_integer(name: str, value) -> None:
-    """ValueError naming the field unless value is an integer; a bool is not."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _check_integer(name: str, value, least: int | None = None) -> int:
+    """value as an int; ValueError naming the field unless value is an
+    integer (a bool is not) and, when least is given, value >= least."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and number < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return number
+
+
+def _check_draw(samples: int, degree: int, seed: int) -> None:
+    """The counts of a sample battery: samples >= 1, degree >= 0, seed >= 0."""
+    for name, value, least in (("samples", samples, 1), ("degree", degree, 0), ("seed", seed, 0)):
+        _check_integer(name, value, least)
 
 
 @dataclass(frozen=True)
@@ -35,10 +62,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name, least in (("r_nodes", 16), ("t_nodes", 16), ("refine_factor", 2)):
-            value = getattr(self, name)
-            _check_integer(name, value)
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+            _check_integer(name, getattr(self, name), least)
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 

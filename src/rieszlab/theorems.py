@@ -29,18 +29,19 @@ quadrature._means in one call, the one rule behind every polynomial norm,
 which decides how the rows are blocked.  So each factor row of a draw is
 transformed once per rule, however many exponents and rings read its
 traces; no per-sample map objects are built.  isoperimetric_sweep runs the
-isoperimetric application on two such passes: STREBEL and
-PAIR_ISOPERIMETRIC on the rows (a, b), and BERGMAN_EMBEDDING with the
-isoperimetric chain on the normalized rows (g, h), the chain's rings on
-its first rows only.  isoperimetric_chain is the chain's one-map call.
+isoperimetric application: the closed-form instance f = 1 + z, then two
+such passes, STREBEL and PAIR_ISOPERIMETRIC on the rows (a, b), and
+BERGMAN_EMBEDDING with the isoperimetric chain on the normalized rows
+(g, h), the chain's rings on its first rows only.  isoperimetric_chain is
+the chain's one-map call.
 Only the line tag evaluates one case at a time.  Every LHS and RHS is
 bit-identical to drawing one sample at a time and evaluating it through
 the public norms.
 
 Every sampled bound LHS <= c * RHS, the links of the isoperimetric chain
-included, is judged by one function, _judge: a case's slack is the relative
-slack (c*RHS - LHS)/(c*RHS), and a slack below -REL_TOL (or the caller's
-rel_tol) is a violation.
+and the closed-form instance included, is judged by one function, _judge:
+a case's slack is the relative slack (c*RHS - LHS)/(c*RHS), and a slack
+below -REL_TOL (or the caller's rel_tol) is a violation.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .maps import (
 )
 from .quadrature import (
     P_MAX,
+    QuadratureSpec,
     _map_ring,
     _means,
     _modulus_ring,
@@ -71,8 +73,10 @@ from .quadrature import (
     _product_ring,
     auto_spec,
     calderon_norm,
+    circle_power_mean,
+    disk_power_mean,
 )
-from .reporting import SlackAccumulator, VerificationReport, _check_integer
+from .reporting import SlackAccumulator, VerificationReport, _check_draw, _check_integer
 
 __all__ = [
     "TheoremId",
@@ -187,17 +191,6 @@ def _check_exponents(tag: TheoremId, exponents: tuple) -> list[float]:
     if len(set(exponents)) < len(exponents):
         raise ValueError(f"exponents must not repeat, got {exponents}")
     return constants
-
-
-def _check_draw(samples: int, degree: int, seed: int) -> None:
-    """ValueError naming the field unless samples >= 1, degree >= 0 and seed
-    are integers (a bool is none)."""
-    for name, value in (("samples", samples), ("degree", degree), ("seed", seed)):
-        _check_integer(name, value)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
 
 
 def _norms(p: float, *rings: Sequence[float]) -> tuple[list[float], ...]:
@@ -343,9 +336,7 @@ def theorem_sides(
     exponent and degree is checked before any transform."""
     tag, exponents = TheoremId(tag), tuple(exponents)
     _check_exponents(tag, exponents)
-    _check_integer("degree", degree)
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
+    _check_integer("degree", degree, 0)
     return _block_sides(tag, exponents, degree, cases)
 
 
@@ -445,8 +436,7 @@ def verify_theorem(
 
     min_slack is the worst relative slack (RHS_total - LHS)/RHS_total;
     ratio_max the largest observed LHS/RHS_total (a sharpness statistic).
-    p_or_n must lie in the tag's range (_TAGS), checked before any draw;
-    samples, degree and seed must be integers.
+    p_or_n must lie in the tag's range (_TAGS), checked before any draw.
     """
     return theorem_sweep(tag, (p_or_n,), samples, degree, seed, rel_tol)[0]
 
@@ -535,6 +525,21 @@ def _chain_report(acc: SlackAccumulator, n: int, chains, degree: int, seed: int)
     )
 
 
+def _strebel_instance() -> VerificationReport:
+    """STREBEL on the closed-form instance f = 1 + z: int_U |f|^2 = 3/2 <=
+    (int_T |f|)^2 = (4/pi)^2, judged by _judge, and both sides within 1e-6
+    of their closed forms.  |1 + e^{it}| has a corner at t = pi, so the
+    boundary mean needs a dense trapezoid rule to reproduce 4/pi to 1e-6."""
+    acc = SlackAccumulator()
+    m = HarmonicMap(TaylorPoly([1.0, 1.0]), TaylorPoly([0.0]))
+    lhs = disk_power_mean(m, 2.0)
+    rhs = circle_power_mean(m, 1.0, 1.0, QuadratureSpec(n_angle=1 << 16)) ** 2
+    ratio_max = _judge(acc, [("1+z",)], [lhs], [rhs])
+    err = max(abs(lhs - 1.5), abs(rhs - 16.0 / math.pi**2))
+    acc.add(("1+z",), 1e-6 - err, not err < 1e-6)
+    return acc.report(id="STREBEL_INSTANCE", p=1.0, ratio_max=ratio_max, tolerance=1e-12)
+
+
 def isoperimetric_sweep(
     pair_exponents: Sequence,
     orders: Sequence,
@@ -543,10 +548,11 @@ def isoperimetric_sweep(
     degree: int,
     seed: int,
 ) -> list[VerificationReport]:
-    """The sampled isoperimetric reports on the maps of seeds seed, seed + 1,
-    ...: STREBEL, then PAIR_ISOPERIMETRIC at each of pair_exponents, then
-    for each n of orders BERGMAN_EMBEDDING and ISOPERIMETRIC_CHAIN, the
-    chain of isoperimetric_chain on the first chain_samples maps.  Each
+    """The isoperimetric reports: STREBEL_INSTANCE, the closed-form
+    instance f = 1 + z, then on the maps of seeds seed, seed + 1, ...:
+    STREBEL, PAIR_ISOPERIMETRIC at each of pair_exponents, and for each n
+    of orders BERGMAN_EMBEDDING and ISOPERIMETRIC_CHAIN, the chain of
+    isoperimetric_chain on the first chain_samples maps.  Each sampled
     theorem report has the payload of its own verify_theorem call
     (elapsed_ms aside).
 
@@ -563,9 +569,7 @@ def isoperimetric_sweep(
     pair_constants = _check_exponents(pair, pair_exponents)
     embedding_constants = _check_exponents(embedding, orders)
     _check_draw(samples, degree, seed)
-    _check_integer("chain_samples", chain_samples)
-    if chain_samples < 1:
-        raise ValueError(f"chain_samples must be >= 1, got {chain_samples}")
+    _check_integer("chain_samples", chain_samples, 1)
 
     seeds = range(seed, seed + samples)
     labels = [(s,) for s in seeds]
@@ -576,7 +580,8 @@ def isoperimetric_sweep(
     iso += [(pair, p, c) for p, c in zip(pair_exponents, pair_constants)]
     accs = iter([SlackAccumulator() for _ in range(len(iso) + 2 * len(orders))])
     parts = [(None, *_terms(tag, p, degree)) for tag, p, _ in iso]
-    out = [
+    out = [_strebel_instance()]
+    out += [
         _theorem_report(next(accs), tag, p, c, labels, sides, degree, seed, REL_TOL)
         for (tag, p, c), sides in zip(iso, _shared_sides((g[:samples], b), parts))
     ]

@@ -93,7 +93,7 @@ def defaulted_parameters():
 
 def test_public_option_count():
     options = defaulted_parameters()
-    assert sum(len(names) for names in options.values()) == 78, options
+    assert sum(len(names) for names in options.values()) == 76, options
 
 
 # options that no program caller set, each now one value where it is used
@@ -102,6 +102,7 @@ REMOVED_OPTIONS = [
     (QuadratureSpec, ("adaptive_depth",)),
     (gridlab.scan_ranges, ("grid",)),
     (quadrature.calderon_norm, ("rel_tol", "max_refinements")),
+    (quadrature.calderon_power_mean, ("rel_tol", "max_refinements")),
     (theorems.verify_theorem, ("spec",)),
     (theorems.isoperimetric_chain, ("spec", "rel_tol")),
     (theorems.verify_pair_isoperimetric, ("spec", "rel_tol")),

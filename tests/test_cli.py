@@ -209,16 +209,23 @@ def test_bad_arguments_exit_2(cos_map_file, tmp_path, monkeypatch, capsys):
     assert capture(["norms", "--input", "/definitely/missing.json", "--p", "2"])[0] == 2
     assert capture(["verify-lemma", "--id", "MIXED_BY_SUM_LOW", "--p", "9"])[0] == 2
     assert capture(["nope-subcommand"])[0] == 2
-    # out-of-range sizes exit 2 with a message naming the field
-    for argv, field in (
-        (["verify-theorem", "--id", "MIXED_BY_HARDY", "--p", "2", "--samples", "0"], "samples"),
-        (["verify-theorem", "--id", "MIXED_BY_HARDY", "--p", "2", "--samples", "-3"], "samples"),
-        (["suite", "--samples", "0"], "samples"),
-        (["verify-lemma", "--id", "CSC_GAP", "--p", "2", "--grid-r", "4"], "r_nodes"),
-        (["suite", "--grid-r", "4"], "r_nodes"),
-        (["suite", "--grid-t", "4"], "t_nodes"),
-        (["verify-theorem", "--id", "MIXED_BY_HARDY", "--p", "2", "--degree", "-1"], "degree"),
-        (["suite", "--degree", "-1"], "degree"),
+    # out-of-range sizes exit 2 with a message naming the field (a count's
+    # names its value too)
+    for argv, message in (
+        (["verify-theorem", "--id", "MIXED_BY_HARDY", "--p", "2", "--samples", "0"],
+         "samples must be >= 1, got 0"),
+        (["verify-theorem", "--id", "MIXED_BY_HARDY", "--p", "2", "--samples", "-3"],
+         "samples must be >= 1, got -3"),
+        (["suite", "--samples", "0"], "samples must be >= 1, got 0"),
+        (["subharmonic", "--id", "G_PAIR", "--p", "3", "--samples", "8"],
+         "n_lines must be >= 16, got 8"),
+        (["verify-lemma", "--id", "CSC_GAP", "--p", "2", "--grid-r", "4"],
+         "r_nodes must be >= 16, got 4"),
+        (["suite", "--grid-r", "4"], "r_nodes must be >= 16, got 4"),
+        (["suite", "--grid-t", "4"], "t_nodes must be >= 16, got 4"),
+        (["verify-theorem", "--id", "MIXED_BY_HARDY", "--p", "2", "--degree", "-1"],
+         "degree must be >= 0, got -1"),
+        (["suite", "--degree", "-1"], "degree must be >= 0, got -1"),
         # a NaN or non-positive tolerance would pass or fail every bound
         (["verify-theorem", "--id", "CONJUGATE_NORM", "--p", "3", "--samples", "2",
           "--tol", "nan"], "rel_tol"),
@@ -229,8 +236,9 @@ def test_bad_arguments_exit_2(cos_map_file, tmp_path, monkeypatch, capsys):
         (["verify-lemma", "--id", "CSC_GAP", "--p", "2", "--tol", "nan"], "tolerance"),
         (["verify-theorem", "--id", "CONJUGATE_NORM", "--p", "3", "--seed", "-3"],
          "seed must be >= 0, got -3"),
-        (["subharmonic", "--id", "PSI", "--p", "3", "--seed", "-3"], "seed must be >= 0"),
-        (["subharmonic", "--id", "G_PAIR", "--p", "3", "--seed", "-3"], "seed must be >= 0"),
+        (["subharmonic", "--id", "PSI", "--p", "3", "--seed", "-3"], "seed must be >= 0, got -3"),
+        (["subharmonic", "--id", "G_PAIR", "--p", "3", "--seed", "-3"],
+         "seed must be >= 0, got -3"),
         (["suite", "--seed", "-3"], "seed must be >= 0, got -3"),
         # the grid scan draws nothing at random, so it takes no seed
         (["verify-lemma", "--id", "CSC_GAP", "--p", "2", "--seed", "0"], "--seed"),
@@ -241,7 +249,7 @@ def test_bad_arguments_exit_2(cos_map_file, tmp_path, monkeypatch, capsys):
         (["constants", "--n", "1"], "ISOP requires an integer n in [2, inf)"),
     ):
         assert capture(argv)[0] == 2, argv
-        assert field in capsys.readouterr().err, argv
+        assert message in capsys.readouterr().err, argv
     # files that cannot be read or written, and map entries that are not
     # finite numbers: one error line naming the path or the field
     monkeypatch.setattr(battery, "full_suite", _stub_suite)
@@ -278,7 +286,7 @@ def test_zero_circle_centers_exit_2_naming_the_value(capsys):
     code, out = capture(["subharmonic", "--id", "PSI", "--p", "3", "--samples", "0"])
     err = capsys.readouterr().err
     assert (code, out) == (2, "")
-    assert err == "error: centers and radii must be >= 1, got centers=0\n"
+    assert err == "error: centers must be >= 1, got 0\n"
 
 
 def test_out_of_range_theorem_exponents_exit_2_naming_the_given_value(capsys):

@@ -84,26 +84,30 @@ def test_one_sided_constraints_match_on_a_thousand_seeds():
 
 
 def test_block_draw_rejects_bad_seed_and_degree():
-    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+    not_integer, negative = "^seed must be an integer, got 1.5$", "^seed must be >= 0, got -3$"
+    with pytest.raises(ValueError, match=negative):
         random_coefficients(4, [2, -3, 5])
-    with pytest.raises(TypeError, match="seed must be an integer, got 1.5"):
+    with pytest.raises(ValueError, match=not_integer):
         random_coefficients(4, [2, 1.5, 5])
-    for bad, error in ((1.5, TypeError), (-3, ValueError)):
-        with pytest.raises(error):
+    for bad, message in ((1.5, not_integer), (-3, negative)):
+        with pytest.raises(ValueError, match=message):
             random_poly(4, bad)
-        with pytest.raises(error):
+        with pytest.raises(ValueError, match=message):
             random_harmonic(4, bad, Constraint.RE_ZERO)
     # a battery names the seed that is no integer before it draws
-    with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
+    with pytest.raises(ValueError, match=not_integer):
         verify_theorem(TheoremId.PAIR_ISOPERIMETRIC, 1.0, samples=3, seed=1.5)
-    with pytest.raises(ValueError, match="^seed must be >= 0, got -3$"):
+    with pytest.raises(ValueError, match=negative):
         verify_theorem(TheoremId.PAIR_ISOPERIMETRIC, 1.0, samples=3, seed=-3)
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         random_harmonic(4, -1)
-    with pytest.raises(ValueError, match="degree must be >= 0"):
+    with pytest.raises(ValueError, match="^degree must be >= 0, got -1$"):
         random_coefficients(-1, [0])
     g, h = random_coefficients(5, [])
     assert g.shape == h.shape == (0, 6)
+    # a numpy integer seed draws what the int seed draws
+    for got, want in zip(random_coefficients(3, [np.int64(7), 8]), random_coefficients(3, [7, 8])):
+        assert bits(got) == bits(want)
 
 
 MEMO_TAGS = (

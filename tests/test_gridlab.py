@@ -380,13 +380,13 @@ def test_pluri_lines_pass_and_constant_line_is_flat():
 def test_pluri_lines_validation():
     with pytest.raises(ValueError):
         check_pluri_lines(Minorant.RE_BRANCH, 1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_lines must be >= 16, got 8$"):
         check_pluri_lines(Minorant.F_PAIR, 1.5, n_lines=8)
     with pytest.raises(ValueError, match="angles"):
         check_pluri_lines(Minorant.F_PAIR, 1.5, angles=128)
     with pytest.raises(ValueError, match="angles"):
         check_pluri_lines(Minorant.F_PAIR, 1.5, angles=1023)
-    with pytest.raises(ValueError, match="centers and radii"):
+    with pytest.raises(ValueError, match="^centers must be >= 1, got 0$"):
         check_pluri_lines(Minorant.F_PAIR, 1.5, centers=0)
 
 

@@ -22,6 +22,7 @@ from rieszlab.maps import (
 )
 from rieszlab.quadrature import (
     ROW_BLOCK,
+    QuadratureSpec,
     _map_ring,
     _means,
     _pair_ring,
@@ -922,4 +923,25 @@ def test_isoperimetric_sweep_matches_its_one_tag_calls():
                 verify_theorem(TheoremId.BERGMAN_EMBEDDING, n, samples, 4, 9),
                 per_sample_chain_report(n, chain_samples, 4, 9),
             ]
-        assert [payload(r) for r in reports] == [payload(r) for r in expected]
+        assert reports[0].id == "STREBEL_INSTANCE"
+        assert [payload(r) for r in reports[1:]] == [payload(r) for r in expected]
+
+
+def test_strebel_instance_is_judged_by_the_one_judge():
+    # f = 1 + z: int_U |f|^2 = 3/2 <= (int_T |f|)^2 = 16/pi^2, both sides
+    # within 1e-6 of their closed forms
+    instance = theorems.isoperimetric_sweep((1.0,), (2,), 2, 1, 4, 0)[0]
+    m = HarmonicMap(TaylorPoly([1.0, 1.0]), TaylorPoly([0.0]))
+    lhs = disk_power_mean(m, 2.0)
+    rhs = circle_power_mean(m, 1.0, 1.0, QuadratureSpec(n_angle=1 << 16)) ** 2
+    err = max(abs(lhs - 1.5), abs(rhs - 16.0 / math.pi**2))
+    assert payload(instance) == {
+        "id": "STREBEL_INSTANCE",
+        "p": 1.0,
+        "min_slack": min((rhs - lhs) / rhs, 1e-6 - err),
+        "argmin": ["1+z"],
+        "violations": [],
+        "ratio_max": lhs / rhs,
+        "tolerance": 1e-12,
+        "passed": True,
+    }
